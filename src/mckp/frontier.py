@@ -8,7 +8,10 @@ maps to the point (profit, -cost) and both coordinates are maximized:
   reachable by positive-weight linear scalarization),
 * ``delta_bound``        -- a computable lower bound on pairwise trade-off
   ratios; any augmentation factor below it makes the augmented Chebyshev
-  scalarization characterize exactly the nondominated items,
+  scalarization characterize exactly the nondominated items. A pair's ratio
+  is ``1 / (s - 1)`` for its slope ``s``, and the steepest slope lies between
+  neighbouring items in profit or cost order, so one sort per coordinate
+  gives the bound in O(n log n),
 * ``solve_chebyshev_subproblem`` -- argmin of the augmented weighted
   Chebyshev distance to a reference point that strictly dominates the
   category.
@@ -16,6 +19,7 @@ maps to the point (profit, -cost) and both coordinates are maximized:
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -126,75 +130,63 @@ def supported_filter(frontier: CategoryFrontier, cat: Category) -> SupportedFron
     return SupportedFrontier(frontier.category_index, tuple(hull))
 
 
-def _pair_ratios(profits, costs):
-    """Trade-off ratios of one category, scanning both orders of every item pair.
+def _steepest_trade_off(owner, x, y):
+    """Smallest ``dx / (dy - dx)`` over neighbouring distinct-``x`` groups.
 
-    For the ordered pair (t, u) with sum(d_u - d_t) > 0 in the (profit, -cost)
-    coordinates, the ratio is the smallest strictly positive coordinate of
-    d_t - d_u divided by sum(d_u - d_t). Pairs where t has no strictly
-    positive coordinate advantage impose no constraint.
+    ``owner`` holds each item's category index in non-decreasing order. Within
+    a category the items are sorted by ``x`` and grouped by equal ``x``; each
+    pair of neighbouring groups contributes the steepest rise between them,
+    ``dy`` = max ``y`` of the right group minus min ``y`` of the left group,
+    over ``dx`` = the gap in ``x``. Only rises with ``dy > dx`` count.
     """
-    n = len(profits)
-    best = math.inf
-    for t in range(n):
-        pt, qt = profits[t], -costs[t]
-        for u in range(n):
-            if u == t:
-                continue
-            denom = (profits[u] - pt) + (-costs[u] - qt)
-            if denom <= 0:
-                continue
-            d1 = pt - profits[u]
-            d2 = qt - (-costs[u])
-            num = math.inf
-            if d1 > 0:
-                num = d1
-            if 0 < d2 < num:
-                num = d2
-            if num < math.inf:
-                ratio = num / denom
-                if ratio < best:
-                    best = ratio
-    return best
-
-
-def _pair_ratios_np(profits, costs):
-    p = np.asarray(profits, dtype=np.float64)
-    q = -np.asarray(costs, dtype=np.float64)
-    s = p + q
-    denom = s[None, :] - s[:, None]  # sum(d_u - d_t), indexed [t, u]
-    d1 = p[:, None] - p[None, :]
-    d2 = q[:, None] - q[None, :]
-    num = np.where(d1 > 0, d1, np.inf)
-    num = np.minimum(num, np.where(d2 > 0, d2, np.inf))
-    valid = (denom > 0) & np.isfinite(num)
-    if not valid.any():
+    order = np.lexsort((x, owner))
+    owner, x, y = owner[order], x[order], y[order]
+    starts = np.flatnonzero(
+        np.concatenate(([True], (owner[1:] != owner[:-1]) | (x[1:] != x[:-1])))
+    )
+    low = np.minimum.reduceat(y, starts)
+    high = np.maximum.reduceat(y, starts)
+    owner, x = owner[starts], x[starts]
+    dx = x[1:] - x[:-1]
+    dy = high[1:] - low[:-1]
+    steep = (owner[1:] == owner[:-1]) & (dy > dx)
+    if not steep.any():
         return math.inf
-    return float((num[valid] / denom[valid]).min())
+    return float((dx[steep] / (dy[steep] - dx[steep])).min())
 
 
 def delta_bound(instance: Instance, rho: float = DEFAULT_RHO) -> RhoBound:
     """Conservative trade-off bound over all categories and the rho to run with.
 
+    ``delta`` is the smallest ratio, over ordered item pairs (t, u) of one
+    category with ``sum(d_u - d_t) > 0`` in (profit, -cost) coordinates, of
+    the smallest strictly positive coordinate of ``d_t - d_u`` to
+    ``sum(d_u - d_t)``. Such a pair has exactly one positive coordinate
+    advantage, so its ratio is ``1 / (s - 1)``, where ``s > 1`` is the cost
+    rise over the profit rise, or the profit rise over the cost rise, of a
+    pair rising in both profit and cost.
+    The steepest slope between points sorted by x lies between neighbouring
+    distinct-x groups (any longer rise averages the neighbouring ones), so two
+    sorted passes, x = profit and x = cost, give ``delta`` exactly in
+    O(n log n). Each ratio is one division of coordinate differences, so on
+    integer coefficients ``delta`` has the same bits as a scan over all pairs.
+
     ``rho`` defaults to 1e-7 and is clipped to ``delta / 2`` whenever the
     bound is finite, keeping the strict inequality with rounding margin.
-    Instances where no pair qualifies (all items objective-identical per
-    category) yield the +inf sentinel and the requested rho unchanged.
+    Instances where no pair qualifies (for example, all items
+    objective-identical per category) yield the +inf sentinel and the
+    requested rho unchanged.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
-    delta = math.inf
-    for cat in instance.categories:
-        if len(cat) < 2:
-            continue
-        profits = [it.profit for it in cat]
-        costs = [it.cost for it in cat]
-        if len(cat) > 64:
-            d = _pair_ratios_np(profits, costs)
-        else:
-            d = _pair_ratios(profits, costs)
-        if d < delta:
-            delta = d
+    owner = np.repeat(np.arange(instance.m), instance.sizes)
+    flat = chain.from_iterable(chain.from_iterable(instance.categories))
+    items = np.fromiter(flat, dtype=np.float64, count=2 * len(owner)).reshape(-1, 2)
+    profits, costs = items[:, 0], items[:, 1]
+    delta = min(
+        _steepest_trade_off(owner, profits, costs),
+        _steepest_trade_off(owner, costs, profits),
+    )
     used = rho if math.isinf(delta) else min(rho, delta / 2.0)
     return RhoBound(delta=delta, rho=used)
 

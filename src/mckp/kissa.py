@@ -1,13 +1,14 @@
 """Chebyshev gap-narrowing loop (KISSA).
 
 Starting from a bisection straddle (feasible ``xa``, infeasible anchor
-``xb``), each iteration scans the categories where the anchor still holds a
-strict profit lead, solves one augmented Chebyshev subproblem per such
-category (reference point: per-category maxima plus epsilon; weights derived
-from the current ``xa`` component and the fixed anchor component), and swaps
-in one improving component that keeps the selection within budget. Profit
-strictly increases at every accepted swap; the loop stops when no subproblem
-improves profit or no improvement fits the budget.
+``xb``), the loop solves one augmented Chebyshev subproblem per category
+where the anchor still holds a strict profit lead (reference point:
+per-category maxima plus epsilon; weights derived from the current ``xa``
+component and the fixed anchor component), and each iteration swaps in one
+improving component that keeps the selection within budget. Only the
+swapped category's subproblem changes, so each accepted swap costs one
+re-solve. Profit strictly increases at every accepted swap; the loop stops
+when no subproblem improves profit or no improvement fits the budget.
 """
 
 import enum
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .bissa import BissaResult
 from .frontier import DEFAULT_RHO, delta_bound, solve_chebyshev_subproblem
-from .model import Instance, ObjectivePoint, Selection, evaluate
+from .model import Instance, ObjectivePoint, Selection, evaluate, is_feasible
 from .oracle import OracleGuardError, dominated_in_product
 
 DEFAULT_EPSILON = 1e-4
@@ -88,6 +89,22 @@ def improvable_categories(instance: Instance, xa: Selection, xb: Selection) -> s
     }
 
 
+def _reference(cat, epsilon: float) -> tuple[float, float]:
+    """Per-category maxima of (profit, -cost), each shifted up by epsilon."""
+    return (
+        max(item.profit for item in cat) + epsilon,
+        max(-item.cost for item in cat) + epsilon,
+    )
+
+
+def _gain(cat, current: int, anchor: int, reference, rho: float) -> int | None:
+    """Chebyshev winner of one category if it strictly out-profits ``current``."""
+    w1 = 1.0 / (reference[0] - cat[current].profit)
+    w2 = 1.0 / (reference[1] + cat[anchor].cost)
+    winner = solve_chebyshev_subproblem(cat, (w1, w2), reference, rho)
+    return winner if cat[winner].profit > cat[current].profit else None
+
+
 def chebyshev_step(
     instance: Instance,
     xa: Selection,
@@ -109,12 +126,8 @@ def chebyshev_step(
     improving: dict[int, int] = {}
     for j in sorted(candidates):
         cat = instance.categories[j]
-        ref1 = max(item.profit for item in cat) + epsilon
-        ref2 = max(-item.cost for item in cat) + epsilon
-        w1 = 1.0 / (ref1 - cat[xa[j]].profit)
-        w2 = 1.0 / (ref2 + cat[xb[j]].cost)
-        winner = solve_chebyshev_subproblem(cat, (w1, w2), (ref1, ref2), rho)
-        if cat[winner].profit > cat[xa[j]].profit:
+        winner = _gain(cat, xa[j], xb[j], _reference(cat, epsilon), rho)
+        if winner is not None:
             improving[j] = winner
     return improving
 
@@ -127,83 +140,65 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
     ``straddle.xa``; ``improvements`` counts accepted swaps and the iteration
     list records the full trace. ``optimal_certificate`` is left False; use
     :func:`certify` to attempt a brute-force certificate.
+
+    A category's subproblem depends only on its own current component, its
+    anchor component and its maxima, so the improving map is kept across
+    iterations and only the swapped category is solved again. A swap is
+    affordable when the swapped selection passes :func:`is_feasible`, the
+    same summation that judges the returned selection.
     """
     if straddle.exact or straddle.xb is None:
         raise ValueError("straddle is already exact; nothing to improve")
     config = config or KissaConfig()
     rho = delta_bound(instance, rho=config.rho).rho
+    cats = instance.categories
     xa = list(straddle.xa)
     xb = straddle.xb
-    cost = -evaluate(instance, straddle.xa).f2
-    profit = evaluate(instance, straddle.xa).f1
+    point = evaluate(instance, straddle.xa)
     run = KissaRun(final=straddle.xa)
 
+    candidates = improvable_categories(instance, straddle.xa, xb)
+    if not candidates:
+        raise AssertionError("straddle endpoints must differ in profit somewhere")
+    for j in candidates:
+        if not cats[j][xa[j]].cost < cats[j][xb[j]].cost:
+            raise AssertionError(
+                "feasible component must be cheaper where the anchor out-profits it"
+            )
+    # Categories only ever leave the candidate set: a swap raises profit.
+    references = {j: _reference(cats[j], config.epsilon) for j in candidates}
+    improving: dict[int, int] = {}
+
+    def solve(j):
+        winner = _gain(cats[j], xa[j], xb[j], references[j], rho)
+        if winner is not None:
+            improving[j] = winner
+
+    for j in candidates:
+        solve(j)
+
     for index in range(1, config.max_iterations + 1):
-        candidates = improvable_categories(instance, tuple(xa), xb)
-        if index == 1:
-            if not candidates:
-                raise AssertionError(
-                    "straddle endpoints must differ in profit somewhere"
-                )
-            for j in candidates:
-                cat = instance.categories[j]
-                if not cat[xa[j]].cost < cat[xb[j]].cost:
-                    raise AssertionError(
-                        "feasible component must be cheaper where the anchor out-profits it"
-                    )
-        improving = chebyshev_step(
-            instance, tuple(xa), xb, rho, config.epsilon, candidates
+        head = (index, frozenset(candidates), frozenset(improving))
+        affordable = frozenset(
+            j for j, i in improving.items()
+            if is_feasible(instance, (*xa[:j], i, *xa[j + 1:]))
         )
-        if not improving:
-            run.iterations.append(
-                KissaIteration(
-                    index=index,
-                    candidates=frozenset(candidates),
-                    gains=frozenset(),
-                    affordable=frozenset(),
-                    chosen=None,
-                    objective=ObjectivePoint(profit, -cost),
-                )
-            )
-            run.termination = Termination.NO_IMPROVEMENT
-            break
-        affordable = {
-            j
-            for j, i in improving.items()
-            if cost - instance.categories[j][xa[j]].cost + instance.categories[j][i].cost
-            <= instance.budget
-        }
         if not affordable:
-            run.iterations.append(
-                KissaIteration(
-                    index=index,
-                    candidates=frozenset(candidates),
-                    gains=frozenset(improving),
-                    affordable=frozenset(),
-                    chosen=None,
-                    objective=ObjectivePoint(profit, -cost),
-                )
+            run.termination = (
+                Termination.BUDGET_BLOCKED if improving else Termination.NO_IMPROVEMENT
             )
-            run.termination = Termination.BUDGET_BLOCKED
+            run.iterations.append(KissaIteration(*head, affordable, None, point))
             break
 
         chosen = _select(instance, xa, improving, affordable, config.rule)
-        xa[chosen] = improving[chosen]
-        # full re-sum, not increments: keeps integer instances exact and
-        # float drift bounded by a single pass
+        xa[chosen] = improving.pop(chosen)
+        if cats[chosen][xa[chosen]].profit < cats[chosen][xb[chosen]].profit:
+            solve(chosen)
+        else:
+            candidates.discard(chosen)
         point = evaluate(instance, tuple(xa))
-        profit, cost = point.f1, -point.f2
         run.improvements += 1
-        run.iterations.append(
-            KissaIteration(
-                index=index,
-                candidates=frozenset(candidates),
-                gains=frozenset(improving),
-                affordable=frozenset(affordable),
-                chosen=chosen,
-                objective=ObjectivePoint(profit, -cost),
-            )
-        )
+        run.iterations.append(KissaIteration(*head, affordable, chosen, point))
     else:
         run.termination = Termination.ITERATION_LIMIT
 

@@ -2,15 +2,7 @@ import pytest
 
 from mckp import Instance
 
-# Two categories of two items; four selections total. Encoded below with the
-# flat 0/1 vector each selection corresponds to, objective images on the
-# right (profit, -cost):
-#   (0, 0) ~ 1010 -> (6, -3.9)   (0, 1) ~ 1001 -> (4, -2.9)
-#   (1, 0) ~ 0110 -> (7, -5)     (1, 1) ~ 0101 -> (5, -4)
-APPENDIX_CATEGORIES = (
-    ((2.0, 1.9), (3.0, 3.0)),
-    ((4.0, 2.0), (2.0, 1.0)),
-)
+from helpers import APPENDIX_CATEGORIES
 
 
 @pytest.fixture

@@ -8,7 +8,29 @@ internals, so the tests check the implementations against a second route.
 import itertools
 import random
 
-from mckp import Instance, Item
+from mckp import (
+    Instance,
+    Item,
+    KissaConfig,
+    KissaIteration,
+    KissaRun,
+    ObjectivePoint,
+    Termination,
+    delta_bound,
+    evaluate,
+    solve_chebyshev_subproblem,
+)
+from mckp.kissa import _select
+
+# Two categories of two items; four selections total. Encoded below with the
+# flat 0/1 vector each selection corresponds to, objective images on the
+# right (profit, -cost):
+#   (0, 0) ~ 1010 -> (6, -3.9)   (0, 1) ~ 1001 -> (4, -2.9)
+#   (1, 0) ~ 0110 -> (7, -5)     (1, 1) ~ 0101 -> (5, -4)
+APPENDIX_CATEGORIES = (
+    ((2.0, 1.9), (3.0, 3.0)),
+    ((4.0, 2.0), (2.0, 1.0)),
+)
 
 
 def random_instance(
@@ -135,3 +157,67 @@ def trade_off_bound_by_definition(cat) -> float:
             if positives:
                 best = min(best, min(positives) / denom)
     return best
+
+
+def kissa_full_resolve(instance: Instance, straddle, config: KissaConfig | None = None) -> KissaRun:
+    """The KISSA loop as first written: every iteration recomputes the
+    candidate set, re-solves every candidate category from scratch and judges
+    a swap affordable by the incremental ``cost - old + new <= budget``.
+
+    Test-only reference for the incremental loop. It shares the subproblem
+    solver, the rho bound and the selection rule with the package; only the
+    loop differs. On integer coefficients the
+    incremental cost is exact, so both loops must give equal records; on
+    fractional ones this loop can return an infeasible selection.
+    """
+    config = config or KissaConfig()
+    rho = delta_bound(instance, rho=config.rho).rho
+    cats = instance.categories
+    xa = list(straddle.xa)
+    xb = straddle.xb
+    cost = -evaluate(instance, straddle.xa).f2
+    profit = evaluate(instance, straddle.xa).f1
+    run = KissaRun(final=straddle.xa)
+    for index in range(1, config.max_iterations + 1):
+        candidates = {j for j in range(instance.m) if cats[j][xa[j]].profit < cats[j][xb[j]].profit}
+        improving = {}
+        for j in sorted(candidates):
+            cat = cats[j]
+            ref1 = max(item.profit for item in cat) + config.epsilon
+            ref2 = max(-item.cost for item in cat) + config.epsilon
+            w1 = 1.0 / (ref1 - cat[xa[j]].profit)
+            w2 = 1.0 / (ref2 + cat[xb[j]].cost)
+            winner = solve_chebyshev_subproblem(cat, (w1, w2), (ref1, ref2), rho)
+            if cat[winner].profit > cat[xa[j]].profit:
+                improving[j] = winner
+        affordable = {
+            j
+            for j, i in improving.items()
+            if cost - cats[j][xa[j]].cost + cats[j][i].cost <= instance.budget
+        }
+        chosen = None
+        if affordable:
+            chosen = _select(instance, xa, improving, affordable, config.rule)
+            xa[chosen] = improving[chosen]
+            point = evaluate(instance, tuple(xa))
+            profit, cost = point.f1, -point.f2
+            run.improvements += 1
+        run.iterations.append(
+            KissaIteration(
+                index=index,
+                candidates=frozenset(candidates),
+                gains=frozenset(improving),
+                affordable=frozenset(affordable),
+                chosen=chosen,
+                objective=ObjectivePoint(profit, -cost),
+            )
+        )
+        if chosen is None:
+            run.termination = (
+                Termination.BUDGET_BLOCKED if improving else Termination.NO_IMPROVEMENT
+            )
+            break
+    else:
+        run.termination = Termination.ITERATION_LIMIT
+    run.final = tuple(xa)
+    return run

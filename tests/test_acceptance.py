@@ -29,8 +29,7 @@ from mckp import (
 from mckp.bench import CSV_COLUMNS
 from mckp.oracle import brute_force
 
-from conftest import APPENDIX_CATEGORIES
-from helpers import enumerate_images, random_category
+from helpers import APPENDIX_CATEGORIES, enumerate_images, random_category
 
 
 def report(number: int, label: str, ok: bool, extra: str = "") -> None:

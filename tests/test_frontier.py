@@ -151,15 +151,55 @@ class TestDeltaBound:
             else:
                 assert got == pytest.approx(want)
 
-    def test_numpy_path_agrees_with_scan(self):
+    def test_large_categories_match_definition(self):
         rng = random.Random(8)
-        for _ in range(5):
-            c = random_category(rng, max_n=90, max_coeff=500)
-            if len(c) <= 64:
-                continue
-            got = delta_bound(Instance((c,), budget=1.0)).delta
+        for n, max_coeff in ((300, 20), (250, 500), (200, 10**6)):
+            c = cat(*((rng.randint(0, max_coeff), rng.randint(0, max_coeff)) for _ in range(n)))
+            bound = delta_bound(Instance((c,), budget=1.0))
             want = trade_off_bound_by_definition(c)
-            assert got == pytest.approx(want)
+            assert bound.delta == want
+            assert bound.rho == (1e-7 if math.isinf(want) else min(1e-7, want / 2.0))
+
+    def test_hard_categories_match_definition(self):
+        rng = random.Random(9)
+
+        def ties(n):  # few distinct values: equal profits, equal costs, duplicates
+            return [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(n)]
+
+        def equal_profits(n):
+            p = rng.randint(0, 9)
+            return [(p, rng.randint(0, 30)) for _ in range(n)]
+
+        def equal_costs(n):
+            c = rng.randint(0, 9)
+            return [(rng.randint(0, 30), c) for _ in range(n)]
+
+        def collinear(n):
+            p0, c0, dp, dc = (rng.randint(0, 9) for _ in range(4))
+            return [(p0 + k * dp, c0 + k * dc) for k in (rng.randint(0, 6) for _ in range(n))]
+
+        def dyadic(n):  # fractional, yet every difference is exact
+            return [(rng.randint(0, 400) / 16, rng.randint(0, 400) / 16) for _ in range(n)]
+
+        def decimal(n):
+            return [(round(rng.uniform(0, 50), 1), round(rng.uniform(0, 50), 1)) for _ in range(n)]
+
+        makers = (ties, equal_profits, equal_costs, collinear, dyadic, decimal)
+        for trial in range(600):
+            make = makers[trial % len(makers)]
+            # several categories per instance, singletons among them: the
+            # bound is the minimum over categories, never across them
+            inst = Instance(
+                tuple(make(rng.choice((1, 2, rng.randint(3, 12)))) for _ in range(rng.randint(1, 4))),
+                budget=1.0,
+            )
+            want = min(trade_off_bound_by_definition(c) for c in inst.categories)
+            bound = delta_bound(inst)
+            if make is decimal and not math.isinf(want):
+                assert bound.delta == pytest.approx(want, rel=1e-12)
+            else:
+                assert bound.delta == want
+            assert bound.rho == (1e-7 if math.isinf(want) else min(1e-7, want / 2.0))
 
 
 class TestChebyshevSubproblem:

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from mckp import (
+    Correlation,
+    GenSpec,
     Instance,
     InfeasibleInstanceError,
     KissaConfig,
@@ -14,13 +16,14 @@ from mckp import (
     chebyshev_step,
     delta_bound,
     evaluate,
+    generate,
     improvable_categories,
     is_feasible,
     kissa,
     pareto_filter,
 )
 
-from helpers import brute_optimum, random_instance
+from helpers import brute_optimum, kissa_full_resolve, random_instance
 
 
 class TestImprovableCategories:
@@ -217,3 +220,71 @@ class TestRhoClipping:
         )
         bound = delta_bound(inst, rho=1e-7)
         assert bound.rho <= bound.delta / 2
+
+
+class TestFractionalBudget:
+    def test_returned_selection_passes_is_feasible(self):
+        # The budget is the cost of selection (1, 1, 0) summed last category
+        # first; summed in category order the same costs exceed it by one ulp.
+        # An incremental cost - old + new check accepts that selection.
+        inst = Instance(
+            (
+                ((4.3, 8.5), (4.5, 2.3)),
+                ((2.4, 7.4), (9.9, 8.8), (0.5, 2.6)),
+                ((3.0, 1.4),),
+            ),
+            budget=1.4 + 8.8 + 2.3,
+        )
+        straddle = bissa(inst)
+        assert not straddle.exact
+        assert not is_feasible(inst, kissa_full_resolve(inst, straddle).final)
+        run = kissa(inst, straddle)
+        assert is_feasible(inst, run.final)
+        assert evaluate(inst, run.final).f1 >= evaluate(inst, straddle.xa).f1
+
+
+class TestIncrementalMatchesFullResolve:
+    @pytest.mark.parametrize("correlation", list(Correlation))
+    def test_records_equal_on_generated_families(self, correlation):
+        rng = random.Random(f"kissa-differential:{correlation.value}")
+        compared = 0
+        longest = 0
+        while compared < 12:
+            spec = GenSpec(
+                m=rng.randint(2, 40),
+                n=rng.randint(2, 200),
+                correlation=correlation,
+                seed=rng.getrandbits(32),
+                budget_ratio=rng.uniform(0.3, 0.7),
+            )
+            inst = generate(spec)
+            straddle = bissa(inst)
+            if straddle.exact:
+                continue
+            compared += 1
+            for rule in SelectionRule:
+                for limit in (10_000, 2):
+                    config = KissaConfig(rule=rule, max_iterations=limit)
+                    run = kissa(inst, straddle, config)
+                    assert run == kissa_full_resolve(inst, straddle, config), (spec, config)
+                    longest = max(longest, len(run.iterations))
+        if correlation is Correlation.WEAK:
+            assert longest >= 10  # the comparison covers long swap sequences
+
+    def test_records_equal_on_small_random_instances(self):
+        rng = random.Random(57)
+        compared = 0
+        while compared < 150:
+            inst = random_instance(rng, max_m=5, max_n=6, max_coeff=20)
+            try:
+                straddle = bissa(inst)
+            except InfeasibleInstanceError:
+                continue
+            if straddle.exact:
+                continue
+            compared += 1
+            for rule in SelectionRule:
+                config = KissaConfig(rule=rule)
+                assert kissa(inst, straddle, config) == kissa_full_resolve(
+                    inst, straddle, config
+                )
