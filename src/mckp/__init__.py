@@ -27,7 +27,6 @@ from .kissa import (
     SelectionRule,
     Termination,
     certify,
-    chebyshev_step,
     improvable_categories,
     kissa,
 )
@@ -41,11 +40,9 @@ from .model import (
     MCKPError,
     ObjectivePoint,
     Selection,
-    dominates,
     evaluate,
     is_feasible,
     read_instance,
-    selection_cost,
     write_instance,
 )
 from .oracle import (
@@ -92,9 +89,7 @@ __all__ = [
     "bissa",
     "brute_force",
     "certify",
-    "chebyshev_step",
     "delta_bound",
-    "dominates",
     "dp_solve",
     "evaluate",
     "generate",
@@ -105,7 +100,6 @@ __all__ = [
     "pareto_filter",
     "read_instance",
     "run_benchmark",
-    "selection_cost",
     "solve_chebyshev_subproblem",
     "solve_linear",
     "supported_filter",

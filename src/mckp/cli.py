@@ -17,7 +17,8 @@ from pathlib import Path
 from .bench import run_benchmark
 from .bissa import bissa
 from .generate import Correlation, GenSpec, generate
-from .kissa import KissaConfig, SelectionRule, certify, kissa
+from .frontier import DEFAULT_RHO
+from .kissa import DEFAULT_EPSILON, KissaConfig, SelectionRule, certify, kissa
 from .model import (
     InfeasibleInstanceError,
     InstanceFormatError,
@@ -54,8 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve an instance file approximately")
     p.add_argument("file")
-    p.add_argument("--rho", type=float, default=1e-7)
-    p.add_argument("--eps", type=float, default=1e-4)
+    p.add_argument("--rho", type=float, default=DEFAULT_RHO)
+    p.add_argument("--eps", type=float, default=DEFAULT_EPSILON)
     p.add_argument("--rule", choices=sorted(_RULES), default="max-profit")
     p.add_argument("--trace", action="store_true", help="print the search trace")
     p.set_defaults(func=_cmd_solve)
@@ -68,8 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run a benchmark batch")
     p.add_argument("--spec", required=True, metavar="SPECFILE")
     p.add_argument("--out", required=True, metavar="CSV")
-    p.add_argument("--rho", type=float, default=1e-7)
-    p.add_argument("--eps", type=float, default=1e-4)
+    p.add_argument("--rho", type=float, default=DEFAULT_RHO)
+    p.add_argument("--eps", type=float, default=DEFAULT_EPSILON)
     p.add_argument("--rule", choices=sorted(_RULES), default="max-profit")
     p.set_defaults(func=_cmd_bench)
     return parser
@@ -121,8 +122,7 @@ def _cmd_solve(args) -> int:
                 )
         final = run.final
         termination = run.termination.value
-        run.optimal_certificate = certify(instance, run, oracle_pareto_check=True)
-        certificate = run.optimal_certificate
+        certificate = certify(instance, run)
         improvements = run.improvements
     point = evaluate(instance, final)
     print("selection:", " ".join(str(i) for i in final))

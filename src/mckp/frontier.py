@@ -34,17 +34,15 @@ class InvalidReferencePointError(MCKPError):
 
 @dataclass(frozen=True)
 class CategoryFrontier:
-    """Nondominated item indices of one category, sorted by increasing profit.
+    """Nondominated item indices of one category, sorted by increasing cost.
 
-    Aligned profit/cost views are stored alongside the indices: profits are
-    strictly increasing and costs strictly increasing (no two frontier items
-    share an objective pair; duplicates collapse to the lowest item index).
+    Costs and profits both increase strictly along the tuple: no two
+    frontier items share an objective pair (duplicates collapse to the
+    lowest item index).
     """
 
     category_index: int
     pareto_items: tuple[int, ...]
-    profits: tuple[float, ...]
-    costs: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -76,33 +74,20 @@ class RhoBound:
 def pareto_filter(cat: Category, category_index: int = 0) -> CategoryFrontier:
     """Nondominated items of a category under (max profit, min cost).
 
-    Items with identical objective pairs collapse to the lowest index.
+    One sort by (cost, -profit, index), then each item is kept whose profit
+    beats every item before it. Items with identical objective pairs
+    collapse to the lowest index.
     """
     if not cat:
         raise ValueError("category must be non-empty")
-    # Scan profit groups from high to low, keeping the running cheapest cost.
-    order = sorted(range(len(cat)), key=lambda i: (-cat[i].profit, cat[i].cost, i))
+    order = sorted(range(len(cat)), key=lambda i: (cat[i].cost, -cat[i].profit, i))
     kept: list[int] = []
-    best_cost = math.inf
-    pos = 0
-    while pos < len(order):
-        profit = cat[order[pos]].profit
-        group_end = pos
-        while group_end < len(order) and cat[order[group_end]].profit == profit:
-            group_end += 1
-        group = order[pos:group_end]
-        cheapest = min(cat[i].cost for i in group)
-        if cheapest < best_cost:
-            kept.append(min(i for i in group if cat[i].cost == cheapest))
-            best_cost = cheapest
-        pos = group_end
-    kept.reverse()  # increasing profit
-    return CategoryFrontier(
-        category_index=category_index,
-        pareto_items=tuple(kept),
-        profits=tuple(cat[i].profit for i in kept),
-        costs=tuple(cat[i].cost for i in kept),
-    )
+    best_profit = -math.inf
+    for i in order:
+        if cat[i].profit > best_profit:
+            kept.append(i)
+            best_profit = cat[i].profit
+    return CategoryFrontier(category_index, tuple(kept))
 
 
 def supported_filter(frontier: CategoryFrontier, cat: Category) -> SupportedFrontier:

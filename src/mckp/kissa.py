@@ -77,7 +77,6 @@ class KissaRun:
     iterations: list[KissaIteration] = field(default_factory=list)
     improvements: int = 0
     termination: Termination = Termination.NO_IMPROVEMENT
-    optimal_certificate: bool = False
 
 
 def improvable_categories(instance: Instance, xa: Selection, xb: Selection) -> set[int]:
@@ -89,57 +88,19 @@ def improvable_categories(instance: Instance, xa: Selection, xb: Selection) -> s
     }
 
 
-def _reference(cat, epsilon: float) -> tuple[float, float]:
-    """Per-category maxima of (profit, -cost), each shifted up by epsilon."""
-    return (
-        max(item.profit for item in cat) + epsilon,
-        max(-item.cost for item in cat) + epsilon,
-    )
-
-
-def _gain(cat, current: int, anchor: int, reference, rho: float) -> int | None:
-    """Chebyshev winner of one category if it strictly out-profits ``current``."""
-    w1 = 1.0 / (reference[0] - cat[current].profit)
-    w2 = 1.0 / (reference[1] + cat[anchor].cost)
-    winner = solve_chebyshev_subproblem(cat, (w1, w2), reference, rho)
-    return winner if cat[winner].profit > cat[current].profit else None
-
-
-def chebyshev_step(
-    instance: Instance,
-    xa: Selection,
-    xb: Selection,
-    rho: float,
-    epsilon: float,
-    candidates: set[int] | None = None,
-) -> dict[int, int]:
-    """One Chebyshev pass over the improvable categories.
-
-    For each candidate category, the reference point is the per-category
-    maxima of (profit, -cost) shifted up by epsilon, the first weight is the
-    reciprocal profit gap of the current component and the second the
-    reciprocal cost gap of the anchor component. Returns only the strict
-    profit improvements, as a mapping from category index to winning item.
-    """
-    if candidates is None:
-        candidates = improvable_categories(instance, xa, xb)
-    improving: dict[int, int] = {}
-    for j in sorted(candidates):
-        cat = instance.categories[j]
-        winner = _gain(cat, xa[j], xb[j], _reference(cat, epsilon), rho)
-        if winner is not None:
-            improving[j] = winner
-    return improving
-
-
 def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None = None) -> KissaRun:
     """Run the improvement loop from a non-exact bisection straddle.
 
     The anchor ``straddle.xb`` stays fixed for the whole run. The returned
     selection is always feasible with profit at least that of
     ``straddle.xa``; ``improvements`` counts accepted swaps and the iteration
-    list records the full trace. ``optimal_certificate`` is left False; use
-    :func:`certify` to attempt a brute-force certificate.
+    list records the full trace.
+
+    A candidate category's reference point is its maxima of (profit, -cost),
+    each shifted up by epsilon; the first weight is the reciprocal profit gap
+    of the current component, the second the reciprocal cost gap of the
+    anchor component. A winner counts only if it strictly out-profits the
+    current component.
 
     A category's subproblem depends only on its own current component, its
     anchor component and its maxima, so the improving map is kept across
@@ -166,12 +127,21 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
                 "feasible component must be cheaper where the anchor out-profits it"
             )
     # Categories only ever leave the candidate set: a swap raises profit.
-    references = {j: _reference(cats[j], config.epsilon) for j in candidates}
+    references = {
+        j: (
+            max(item.profit for item in cats[j]) + config.epsilon,
+            max(-item.cost for item in cats[j]) + config.epsilon,
+        )
+        for j in candidates
+    }
     improving: dict[int, int] = {}
 
     def solve(j):
-        winner = _gain(cats[j], xa[j], xb[j], references[j], rho)
-        if winner is not None:
+        cat, reference = cats[j], references[j]
+        w1 = 1.0 / (reference[0] - cat[xa[j]].profit)
+        w2 = 1.0 / (reference[1] + cat[xb[j]].cost)
+        winner = solve_chebyshev_subproblem(cat, (w1, w2), reference, rho)
+        if cat[winner].profit > cat[xa[j]].profit:
             improving[j] = winner
 
     for j in candidates:
@@ -230,17 +200,16 @@ def _select(instance, xa, improving, affordable, rule):
     )
 
 
-def certify(instance: Instance, run: KissaRun, oracle_pareto_check: bool) -> bool:
-    """Brute-force optimality certificate for a finished run.
+def certify(instance: Instance, run: KissaRun) -> bool:
+    """Exhaustive non-dominance check of a finished run's selection.
 
     True only when the loop stopped regularly (not via the iteration limit),
-    the caller allowed the exhaustive check, the selection space is small
-    enough to enumerate, and no selection dominates the final one in
-    (profit, -cost). Anything unverifiable yields False, never an error.
+    the selection space is small enough to enumerate, and no selection
+    dominates the final one in (profit, -cost). That rules out a dominated
+    result but does not prove maximum profit within the budget. Anything
+    unverifiable yields False, never an error.
     """
     if run.termination is Termination.ITERATION_LIMIT:
-        return False
-    if not oracle_pareto_check:
         return False
     try:
         return not dominated_in_product(instance, run.final)

@@ -3,8 +3,8 @@
 An instance is a list of item categories plus a budget; a solution picks
 exactly one item per category. The solver stack works on the bi-objective
 image of a selection: total profit and negated total cost, both maximized.
-This module holds the types, the objective/feasibility evaluators, the
-dominance test, and the line-oriented instance file format.
+This module holds the types, the objective/feasibility evaluators and the
+line-oriented instance file format.
 """
 
 import math
@@ -128,26 +128,9 @@ def evaluate(instance: Instance, sel: Selection) -> ObjectivePoint:
     return ObjectivePoint(f1, f2)
 
 
-def selection_cost(instance: Instance, sel: Selection) -> float:
-    """Total cost of ``sel`` (positive orientation)."""
-    _check_selection(instance, sel)
-    return sum(instance.categories[j][i].cost for j, i in enumerate(sel))
-
-
 def is_feasible(instance: Instance, sel: Selection) -> bool:
     """True iff the selection's total cost is within budget (f2 >= -budget)."""
     return evaluate(instance, sel).f2 >= -instance.budget
-
-
-def dominates(a: ObjectivePoint, b: ObjectivePoint) -> bool:
-    """Strict Pareto dominance under maximization of both coordinates.
-
-    Exact comparisons, no tolerance: ``a`` must be at least as good in both
-    coordinates and strictly better in one.
-    """
-    if a.f1 < b.f1 or a.f2 < b.f2:
-        return False
-    return a.f1 > b.f1 or a.f2 > b.f2
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .frontier import pareto_filter
 from .model import (
     InfeasibleInstanceError,
     Instance,
@@ -130,22 +131,6 @@ def dominated_in_product(instance: Instance, sel: Selection) -> bool:
     return False
 
 
-def _useful_items(cat):
-    """Indices that can appear in some optimum: min cost per profit level.
-
-    Sorted by increasing cost (and increasing profit); any dropped item is
-    matched by a kept one with no higher cost and no lower profit.
-    """
-    order = sorted(range(len(cat)), key=lambda i: (cat[i].cost, -cat[i].profit, i))
-    kept = []
-    best_profit = -math.inf
-    for i in order:
-        if cat[i].profit > best_profit:
-            kept.append(i)
-            best_profit = cat[i].profit
-    return kept
-
-
 def dp_solve(instance: Instance) -> ExactResult:
     """Dynamic program over (category, residual budget) for integer instances.
 
@@ -169,7 +154,7 @@ def dp_solve(instance: Instance) -> ExactResult:
     floor_cost = 0
     slack_cap = 0
     for cat in instance.categories:
-        kept = _useful_items(cat)
+        kept = pareto_filter(cat).pareto_items
         low = int(cat[kept[0]].cost)  # kept is sorted by increasing cost
         floor_cost += low
         rows = [(i, cat[i].profit, int(cat[i].cost) - low) for i in kept]

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from mckp import (
+    CategoryFrontier,
     Instance,
     delta_bound,
     pareto_filter,
@@ -23,14 +24,47 @@ def cat(*pairs):
     return Instance((tuple(pairs),), budget=1.0).categories[0]
 
 
+def ties(rng, n):  # few distinct values: equal profits, equal costs, duplicates
+    return [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(n)]
+
+
+def equal_profits(rng, n):
+    p = rng.randint(0, 9)
+    return [(p, rng.randint(0, 30)) for _ in range(n)]
+
+
+def equal_costs(rng, n):
+    c = rng.randint(0, 9)
+    return [(rng.randint(0, 30), c) for _ in range(n)]
+
+
+def duplicates(rng, n):  # every point repeated, in shuffled order
+    base = [(rng.randint(0, 30), rng.randint(0, 30)) for _ in range(rng.randint(1, 3))]
+    return [rng.choice(base) for _ in range(n)]
+
+
+def collinear(rng, n):
+    p0, c0, dp, dc = (rng.randint(0, 9) for _ in range(4))
+    return [(p0 + k * dp, c0 + k * dc) for k in (rng.randint(0, 6) for _ in range(n))]
+
+
+def dyadic(rng, n):  # fractional, yet every difference is exact
+    return [(rng.randint(0, 400) / 16, rng.randint(0, 400) / 16) for _ in range(n)]
+
+
+def decimal(rng, n):
+    return [(round(rng.uniform(0, 50), 1), round(rng.uniform(0, 50), 1)) for _ in range(n)]
+
+
+HARD_CATEGORIES = (ties, equal_profits, equal_costs, duplicates, collinear, dyadic, decimal)
+
+
 class TestParetoFilter:
     def test_appendix_categories(self, appendix):
         f0 = pareto_filter(appendix.categories[0], 0)
-        assert f0.pareto_items == (0, 1)
-        assert f0.profits == (2.0, 3.0)
+        assert f0 == CategoryFrontier(0, (0, 1))
         f1 = pareto_filter(appendix.categories[1], 1)
-        assert f1.pareto_items == (1, 0)  # increasing profit: (2,1) then (4,2)
-        assert f1.costs == (1.0, 2.0)
+        assert f1 == CategoryFrontier(1, (1, 0))  # increasing cost: (2,1) then (4,2)
 
     def test_dominated_item_dropped(self):
         assert pareto_filter(cat((5, 1), (4, 2))).pareto_items == (0,)
@@ -39,19 +73,24 @@ class TestParetoFilter:
         assert pareto_filter(cat((3, 2), (3, 2), (1, 1))).pareto_items == (2, 0)
 
     def test_matches_pairwise_scan(self):
+        # The order and the tie rule matter: dp_solve takes its rows, and so
+        # its tie-breaking between equal optima, from this tuple.
         rng = random.Random(13)
-        for _ in range(300):
-            c = random_category(rng, max_n=8, max_coeff=6)
-            got = set(pareto_filter(c).pareto_items)
-            assert got == pareto_items_by_pairwise_scan(c)
+        makers = (lambda rng, n: random_category(rng, max_n=8, max_coeff=6),) + HARD_CATEGORIES
+        for trial in range(1400):
+            c = cat(*makers[trial % len(makers)](rng, rng.randint(1, 10)))
+            want = sorted(pareto_items_by_pairwise_scan(c), key=lambda i: c[i].profit)
+            assert pareto_filter(c).pareto_items == tuple(want), c
 
     def test_sorted_strictly(self):
         rng = random.Random(14)
         for _ in range(200):
             c = random_category(rng, max_n=10)
-            f = pareto_filter(c)
-            assert all(a < b for a, b in zip(f.profits, f.profits[1:]))
-            assert all(a < b for a, b in zip(f.costs, f.costs[1:]))
+            items = pareto_filter(c).pareto_items
+            profits = [c[i].profit for i in items]
+            costs = [c[i].cost for i in items]
+            assert all(a < b for a, b in zip(profits, profits[1:]))
+            assert all(a < b for a, b in zip(costs, costs[1:]))
 
 
 def supported_by_weight_probe(frontier, c) -> set[int]:
@@ -163,34 +202,12 @@ class TestDeltaBound:
     def test_hard_categories_match_definition(self):
         rng = random.Random(9)
 
-        def ties(n):  # few distinct values: equal profits, equal costs, duplicates
-            return [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(n)]
-
-        def equal_profits(n):
-            p = rng.randint(0, 9)
-            return [(p, rng.randint(0, 30)) for _ in range(n)]
-
-        def equal_costs(n):
-            c = rng.randint(0, 9)
-            return [(rng.randint(0, 30), c) for _ in range(n)]
-
-        def collinear(n):
-            p0, c0, dp, dc = (rng.randint(0, 9) for _ in range(4))
-            return [(p0 + k * dp, c0 + k * dc) for k in (rng.randint(0, 6) for _ in range(n))]
-
-        def dyadic(n):  # fractional, yet every difference is exact
-            return [(rng.randint(0, 400) / 16, rng.randint(0, 400) / 16) for _ in range(n)]
-
-        def decimal(n):
-            return [(round(rng.uniform(0, 50), 1), round(rng.uniform(0, 50), 1)) for _ in range(n)]
-
-        makers = (ties, equal_profits, equal_costs, collinear, dyadic, decimal)
         for trial in range(600):
-            make = makers[trial % len(makers)]
+            make = HARD_CATEGORIES[trial % len(HARD_CATEGORIES)]
             # several categories per instance, singletons among them: the
             # bound is the minimum over categories, never across them
             inst = Instance(
-                tuple(make(rng.choice((1, 2, rng.randint(3, 12)))) for _ in range(rng.randint(1, 4))),
+                tuple(make(rng, rng.choice((1, 2, rng.randint(3, 12)))) for _ in range(rng.randint(1, 4))),
                 budget=1.0,
             )
             want = min(trade_off_bound_by_definition(c) for c in inst.categories)

@@ -12,8 +12,8 @@ from mckp import (
     SelectionRule,
     Termination,
     bissa,
+    brute_force,
     certify,
-    chebyshev_step,
     delta_bound,
     evaluate,
     generate,
@@ -22,6 +22,7 @@ from mckp import (
     kissa,
     pareto_filter,
 )
+from mckp.oracle import ENUMERATION_LIMIT
 
 from helpers import brute_optimum, kissa_full_resolve, random_instance
 
@@ -37,23 +38,9 @@ class TestImprovableCategories:
     def test_max_profit_components_cannot_improve(self, appendix):
         assert improvable_categories(appendix, (1, 0), (0, 1)) == set()
 
-
-class TestChebyshevStep:
-    def test_appendix_category_yields_anchor_item(self, appendix):
-        # the augmented tie-break favors the anchor-side item (see the
-        # frozen scalarization values in test_frontier)
-        improving = chebyshev_step(appendix, (0, 0), (1, 0), rho=1e-7, epsilon=1e-4)
-        assert improving == {0: 1}
-
-    def test_profit_max_component_never_listed(self):
-        inst = Instance((((9, 1), (4, 2)), ((1, 1), (2, 3))), budget=10.0)
-        improving = chebyshev_step(inst, (0, 0), (0, 1), rho=1e-7, epsilon=1e-4)
-        assert 0 not in improving
-
     def test_singleton_categories_no_candidates(self):
         inst = Instance((((3, 2),), ((4, 1),)), budget=10.0)
         assert improvable_categories(inst, (0, 0), (0, 0)) == set()
-        assert chebyshev_step(inst, (0, 0), (0, 0), 1e-7, 1e-4) == {}
 
 
 class TestKissaAppendix:
@@ -66,7 +53,7 @@ class TestKissaAppendix:
         assert run.termination is Termination.BUDGET_BLOCKED
         assert run.iterations[-1].gains == {0}
         assert run.iterations[-1].affordable == frozenset()
-        assert certify(appendix, run, oracle_pareto_check=True) is True
+        assert certify(appendix, run) is True
 
     def test_budget_five_is_solved_by_bissa(self, appendix_b5):
         res = bissa(appendix_b5)
@@ -84,16 +71,37 @@ class TestKissaContracts:
 
     def test_certify_false_for_iteration_limit(self, appendix):
         run = KissaRun(final=(0, 0), termination=Termination.ITERATION_LIMIT)
-        assert certify(appendix, run, oracle_pareto_check=True) is False
-
-    def test_certify_false_without_oracle(self, appendix):
-        straddle = bissa(appendix)
-        run = kissa(appendix, straddle)
-        assert certify(appendix, run, oracle_pareto_check=False) is False
+        assert certify(appendix, run) is False
 
     def test_certify_false_for_dominated_final(self, appendix):
         run = KissaRun(final=(1, 1), termination=Termination.NO_IMPROVEMENT)
-        assert certify(appendix, run, oracle_pareto_check=True) is False
+        assert certify(appendix, run) is False
+
+    def test_certify_false_beyond_enumeration_guard(self):
+        # 7^6 selections exceed ENUMERATION_LIMIT. All items are equal, so no
+        # selection dominates the final one: only the guard makes this False.
+        inst = Instance(tuple(((1, 1),) * 7 for _ in range(6)), budget=100.0)
+        assert inst.selections_count() > ENUMERATION_LIMIT
+        run = KissaRun(final=(0,) * 6, termination=Termination.NO_IMPROVEMENT)
+        assert certify(inst, run) is False
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "ROADMAP item 1, defect 1: certify only proves that no selection "
+            "dominates the result, not maximum profit (here 2446 against 2478). "
+            "The sound fix drops the dominance check, so it waits for a "
+            "benchmark change that drops the oracle.enumerate boundary, which "
+            "patches mckp.kissa.dominated_in_product."
+        ),
+    )
+    def test_certificate_implies_brute_force_optimum(self):
+        inst = generate(GenSpec(m=3, n=4, correlation=Correlation.UNCORRELATED, seed=0))
+        straddle = bissa(inst)
+        assert not straddle.exact
+        run = kissa(inst, straddle)
+        if certify(inst, run):
+            assert evaluate(inst, run.final).f1 == brute_force(inst).optimum_profit
 
     def test_single_differing_category_limits_candidates(self):
         rng = random.Random(31)

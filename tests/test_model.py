@@ -5,20 +5,24 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import mckp
 from mckp import (
     Instance,
     InstanceFormatError,
     InvalidSelectionError,
-    ObjectivePoint,
-    dominates,
     evaluate,
     is_feasible,
     read_instance,
-    selection_cost,
     write_instance,
 )
 
 from helpers import random_instance
+
+
+def test_public_names_resolve_once():
+    assert len(mckp.__all__) == len(set(mckp.__all__))
+    for name in mckp.__all__:
+        assert hasattr(mckp, name), name
 
 
 class TestEvaluate:
@@ -70,35 +74,6 @@ class TestFeasibility:
             inst = random_instance(rng)
             sel = tuple(rng.randrange(len(cat)) for cat in inst.categories)
             assert is_feasible(inst, sel) == (evaluate(inst, sel).f2 >= -inst.budget)
-            assert selection_cost(inst, sel) == pytest.approx(
-                -evaluate(inst, sel).f2, abs=1e-12
-            )
-
-
-points = st.tuples(
-    st.integers(min_value=-4, max_value=4), st.integers(min_value=-4, max_value=4)
-).map(lambda t: ObjectivePoint(float(t[0]), float(t[1])))
-
-
-class TestDominance:
-    def test_examples(self):
-        assert dominates(ObjectivePoint(6, -3.9), ObjectivePoint(5, -4))
-        assert not dominates(ObjectivePoint(6, -3.9), ObjectivePoint(6, -3.9))
-        assert not dominates(ObjectivePoint(4, -2.9), ObjectivePoint(7, -5))
-
-    @given(points)
-    def test_irreflexive(self, a):
-        assert not dominates(a, a)
-
-    @given(points, points)
-    def test_asymmetric(self, a, b):
-        if dominates(a, b):
-            assert not dominates(b, a)
-
-    @given(points, points, points)
-    def test_transitive(self, a, b, c):
-        if dominates(a, b) and dominates(b, c):
-            assert dominates(a, c)
 
 
 class TestInstanceValidation:
