@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .bissa import BissaResult
 from .frontier import DEFAULT_RHO, delta_bound, solve_chebyshev_subproblem
-from .model import Instance, ObjectivePoint, Selection, evaluate, is_feasible
+from .model import Instance, ObjectivePoint, Selection, evaluate
 from .oracle import OracleGuardError, dominated_in_product
 
 DEFAULT_EPSILON = 1e-4
@@ -105,8 +105,10 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
     A category's subproblem depends only on its own current component, its
     anchor component and its maxima, so the improving map is kept across
     iterations and only the swapped category is solved again. A swap is
-    affordable when the swapped selection passes :func:`is_feasible`, the
-    same summation that judges the returned selection.
+    affordable when the swapped selection's cost, summed in category order
+    like :func:`evaluate`, is within budget: ``spent[j]`` holds that running
+    sum's value before category ``j``, so a check at ``j`` re-sums only the
+    categories from ``j`` on and gives the bits :func:`is_feasible` gives.
     """
     if straddle.exact or straddle.xb is None:
         raise ValueError("straddle is already exact; nothing to improve")
@@ -135,6 +137,18 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
         for j in candidates
     }
     improving: dict[int, int] = {}
+    m = instance.m
+    spent = [0.0] * (m + 1)  # evaluate's running f2 before each category
+
+    def settle(start):
+        for k in range(start, m):
+            spent[k + 1] = spent[k] - cats[k][xa[k]].cost
+
+    def fits(j, i):
+        f2 = spent[j] - cats[j][i].cost
+        for k in range(j + 1, m):
+            f2 -= cats[k][xa[k]].cost
+        return f2 >= -instance.budget
 
     def solve(j):
         cat, reference = cats[j], references[j]
@@ -146,13 +160,11 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
 
     for j in candidates:
         solve(j)
+    settle(0)
 
     for index in range(1, config.max_iterations + 1):
         head = (index, frozenset(candidates), frozenset(improving))
-        affordable = frozenset(
-            j for j, i in improving.items()
-            if is_feasible(instance, (*xa[:j], i, *xa[j + 1:]))
-        )
+        affordable = frozenset(j for j, i in improving.items() if fits(j, i))
         if not affordable:
             run.termination = (
                 Termination.BUDGET_BLOCKED if improving else Termination.NO_IMPROVEMENT
@@ -162,6 +174,7 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
 
         chosen = _select(instance, xa, improving, affordable, config.rule)
         xa[chosen] = improving.pop(chosen)
+        settle(chosen)
         if cats[chosen][xa[chosen]].profit < cats[chosen][xb[chosen]].profit:
             solve(chosen)
         else:

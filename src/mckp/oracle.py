@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frontier import pareto_filter
+from .frontier import pareto_filter, supported_filter
 from .model import (
     InfeasibleInstanceError,
     Instance,
@@ -131,16 +131,84 @@ def dominated_in_product(instance: Instance, sel: Selection) -> bool:
     return False
 
 
+def _lp_survivors(cats, frontiers, budget: int, floor_cost: int) -> list[tuple[int, ...]]:
+    """Frontier rows that can appear in an optimal selection; integral profits.
+
+    A greedy walk over all upper-hull edges, steepest first, starts from the
+    cheapest selection and takes each edge that fits the remaining budget; a
+    category stops at its first edge that does not fit, or that comes out of
+    hull order (float slopes can misorder a rounded hull). The first edge
+    that does not fit gives the critical slope ``lam = dp / dc`` (``lam = 0``
+    when every edge fits) and the walk's selection a feasible profit ``lb``.
+    For any ``lam >= 0``, ``ub = sum_j max(p - lam*c) + lam*budget`` bounds
+    every feasible profit, so a selection holding an item whose reduced cost
+    ``max(p - lam*c) - (p - lam*c)`` exceeds ``ub - lb`` has profit below
+    ``lb`` and is not optimal (Dyer, Kayal and Walker 1984). The test runs
+    on integers scaled by ``dc``, so it is exact.
+    """
+    edges = []
+    for frontier in frontiers:
+        cat = cats[frontier.category_index]
+        hull = supported_filter(frontier, cat).hull_items
+        for k, (a, b) in enumerate(zip(hull, hull[1:])):
+            edges.append((
+                int(cat[b].profit) - int(cat[a].profit),
+                int(cat[b].cost) - int(cat[a].cost),
+                frontier.category_index,
+                k,
+            ))
+    # The sort is stable, so equal float slopes keep their hull order.
+    edges.sort(key=lambda e: -e[0] / e[1])
+    residual = budget - floor_cost
+    lb = sum(int(cats[f.category_index][f.pareto_items[0]].profit) for f in frontiers)
+    critical = None
+    reached = [0] * len(frontiers)  # next hull edge of each category; -1 once stopped
+    for rise, run, j, k in edges:
+        if reached[j] != k:
+            reached[j] = -1
+        elif run > residual:
+            critical = critical or (rise, run)
+            reached[j] = -1
+        else:
+            residual -= run
+            lb += rise
+            reached[j] = k + 1
+    lam_p, lam_c = critical or (0, 1)
+
+    scored = []
+    for frontier in frontiers:
+        cat = cats[frontier.category_index]
+        values = [
+            lam_c * int(cat[i].profit) - lam_p * int(cat[i].cost)
+            for i in frontier.pareto_items
+        ]
+        scored.append((frontier.pareto_items, values, max(values)))
+    gap = sum(best for _, _, best in scored) + lam_p * budget - lam_c * lb
+    return [
+        tuple(i for i, v in zip(items, values) if best - v <= gap)
+        for items, values, best in scored
+    ]
+
+
 def dp_solve(instance: Instance) -> ExactResult:
     """Dynamic program over (category, residual budget) for integer instances.
 
-    Costs are shifted by their per-category minimum so the budget axis spans
-    only the slack above the cheapest selection. Profit may be fractional;
-    only costs and the budget must be integers. Raises
-    :class:`NonIntegerInstanceError` otherwise, :class:`OracleGuardError`
-    when the table estimate exceeds 2 GiB, and
+    Only costs and the budget must be integers; profit may be fractional.
+    Raises :class:`NonIntegerInstanceError` otherwise,
     :class:`InfeasibleInstanceError` when even the cheapest selection does
-    not fit.
+    not fit, and :class:`OracleGuardError` when the estimate of the table it
+    would allocate exceeds 2 GiB.
+
+    Each category keeps its Pareto rows; with integral profits, rows that
+    the LP relaxation's reduced costs rule out of every optimal selection
+    are dropped too (:func:`_lp_survivors`). Costs are shifted by their
+    per-category minimum, so the budget axis spans only the slack above the
+    cheapest selection. Category ``j`` fills only the cells the final cell
+    can reach: from the budget minus the slack of the later categories up
+    to the slack of categories ``0..j``, above which every cell equals the
+    top one. The optimum and the selection are those of the full table over
+    all items: ties go to the lowest surviving row, and every row of every
+    optimal selection survives.
     """
     for cat in instance.categories:
         for item in cat:
@@ -150,20 +218,31 @@ def dp_solve(instance: Instance) -> ExactResult:
         raise NonIntegerInstanceError(f"non-integer budget {instance.budget}")
 
     budget = int(instance.budget)
-    shifted = []  # per category: list of (original index, profit, shifted int cost)
-    floor_cost = 0
-    slack_cap = 0
-    for cat in instance.categories:
-        kept = pareto_filter(cat).pareto_items
-        low = int(cat[kept[0]].cost)  # kept is sorted by increasing cost
-        floor_cost += low
-        rows = [(i, cat[i].profit, int(cat[i].cost) - low) for i in kept]
-        slack_cap += rows[-1][2]
-        shifted.append(rows)
+    cats = instance.categories
+    frontiers = [pareto_filter(cat, j) for j, cat in enumerate(cats)]
+    # Pareto rows are sorted by increasing cost.
+    floor_cost = sum(int(cats[f.category_index][f.pareto_items[0]].cost) for f in frontiers)
     if floor_cost > budget:
         raise InfeasibleInstanceError(
             f"minimum selection cost {floor_cost} exceeds budget {budget}"
         )
+
+    integral_profits = all(
+        float(item.profit).is_integer() for cat in cats for item in cat
+    )
+    if integral_profits:
+        kept = _lp_survivors(cats, frontiers, budget, floor_cost)
+    else:
+        kept = [f.pareto_items for f in frontiers]
+    shifted = []  # per category: list of (original index, profit, shifted int cost)
+    floor_cost = 0
+    slack_cap = 0
+    for cat, items in zip(cats, kept):
+        low = int(cat[items[0]].cost)
+        floor_cost += low
+        rows = [(i, cat[i].profit, int(cat[i].cost) - low) for i in items]
+        slack_cap += rows[-1][2]
+        shifted.append(rows)
 
     width = min(budget - floor_cost, slack_cap) + 1
     m = instance.m
@@ -175,10 +254,7 @@ def dp_solve(instance: Instance) -> ExactResult:
     else:
         choice_dtype = np.int32
 
-    integral_profits = all(
-        float(item.profit).is_integer() for cat in instance.categories for item in cat
-    )
-    profit_cap = sum(max(item.profit for item in cat) for cat in instance.categories)
+    profit_cap = sum(max(item.profit for item in cat) for cat in cats)
     if not integral_profits:
         value_dtype = np.float64
     elif profit_cap < 2**31:
@@ -197,32 +273,50 @@ def dp_solve(instance: Instance) -> ExactResult:
     # Rolling rows: each category takes a running elementwise maximum over
     # its items' shifted-and-lifted copies of the previous row. Ties keep the
     # lowest surviving item (strict greater-than), rows sorted by cost.
+    # Category j fills cells [low, top): ``later`` is the slack of categories
+    # j+1.., and cells at or above ``top`` would all equal cell ``top - 1``.
     dp = np.zeros(width, dtype=value_dtype)
     new = np.empty_like(dp)
     seg = np.empty_like(dp)
     mask = np.empty(width, dtype=bool)
     choices = np.zeros((m, width), dtype=choice_dtype)
+    later = slack_cap
+    top = 1
     for j, rows in enumerate(shifted):
-        np.add(dp, np.asarray(rows[0][1], dtype=value_dtype), out=new)
+        slack = rows[-1][2]
+        later -= slack
+        low = max(0, width - 1 - later)
+        dp[top:top + slack] = dp[top - 1]  # the previous row's flat cells
+        top = min(width, top + slack)
+        np.add(dp[low:top], np.asarray(rows[0][1], dtype=value_dtype), out=new[low:top])
         crow = choices[j]
         for r in range(1, len(rows)):
             _, profit, cost = rows[r]
-            if cost >= width:
+            start = max(low, cost)
+            if start >= top:
                 continue
-            span = width - cost
-            np.add(dp[:span], np.asarray(profit, dtype=value_dtype), out=seg[:span])
-            np.greater(seg[:span], new[cost:], out=mask[:span])
-            np.copyto(new[cost:], seg[:span], where=mask[:span])
-            np.copyto(crow[cost:], choice_dtype(r), where=mask[:span])
+            span = top - start
+            np.add(
+                dp[start - cost:top - cost],
+                np.asarray(profit, dtype=value_dtype),
+                out=seg[:span],
+            )
+            np.greater(seg[:span], new[start:top], out=mask[:span])
+            np.copyto(new[start:top], seg[:span], where=mask[:span])
+            np.copyto(crow[start:top], choice_dtype(r), where=mask[:span])
         dp, new = new, dp
 
-    # Walk the choice table backwards from the full slack budget.
+    # Walk the choice table backwards from the full slack budget, clamping
+    # each cell to the top of its category's band.
     w = width - 1
+    reach = slack_cap
     selection = [0] * m
     for j in range(m - 1, -1, -1):
+        w = min(w, reach)
         r = int(choices[j, w])
         index, _, cost = shifted[j][r]
         selection[j] = index
         w -= cost
+        reach -= shifted[j][-1][2]
     optimum = float(dp[width - 1])
     return ExactResult(optimum, tuple(selection), Method.DP)

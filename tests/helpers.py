@@ -8,19 +8,28 @@ internals, so the tests check the implementations against a second route.
 import itertools
 import random
 
+import numpy as np
+
 from mckp import (
+    ExactResult,
+    InfeasibleInstanceError,
     Instance,
     Item,
     KissaConfig,
     KissaIteration,
     KissaRun,
+    Method,
+    NonIntegerInstanceError,
     ObjectivePoint,
+    OracleGuardError,
     Termination,
     delta_bound,
     evaluate,
+    pareto_filter,
     solve_chebyshev_subproblem,
 )
 from mckp.kissa import _select
+from mckp.oracle import MEMORY_LIMIT_BYTES
 
 # Two categories of two items; four selections total. Encoded below with the
 # flat 0/1 vector each selection corresponds to, objective images on the
@@ -221,3 +230,90 @@ def kissa_full_resolve(instance: Instance, straddle, config: KissaConfig | None 
         run.termination = Termination.ITERATION_LIMIT
     run.final = tuple(xa)
     return run
+
+
+def dp_solve_full_width(instance: Instance) -> ExactResult:
+    """``dp_solve`` as first written: every Pareto row of every category and
+    every cell of the slack axis, with the estimate taken on that width.
+
+    Test-only reference for the reduced and banded table. It shares the
+    Pareto filter, the errors and the tie rule (strict greater-than over
+    rows sorted by cost) with the package; only the table differs.
+    """
+    for cat in instance.categories:
+        for item in cat:
+            if not float(item.cost).is_integer():
+                raise NonIntegerInstanceError(f"non-integer cost {item.cost}")
+    if not float(instance.budget).is_integer():
+        raise NonIntegerInstanceError(f"non-integer budget {instance.budget}")
+
+    budget = int(instance.budget)
+    shifted = []
+    floor_cost = 0
+    slack_cap = 0
+    for cat in instance.categories:
+        kept = pareto_filter(cat).pareto_items
+        low = int(cat[kept[0]].cost)
+        floor_cost += low
+        rows = [(i, cat[i].profit, int(cat[i].cost) - low) for i in kept]
+        slack_cap += rows[-1][2]
+        shifted.append(rows)
+    if floor_cost > budget:
+        raise InfeasibleInstanceError(
+            f"minimum selection cost {floor_cost} exceeds budget {budget}"
+        )
+
+    width = min(budget - floor_cost, slack_cap) + 1
+    m = instance.m
+    max_kept = max(len(rows) for rows in shifted)
+    if max_kept <= 127:
+        choice_dtype = np.int8
+    elif max_kept <= 32767:
+        choice_dtype = np.int16
+    else:
+        choice_dtype = np.int32
+    integral_profits = all(
+        float(item.profit).is_integer() for cat in instance.categories for item in cat
+    )
+    profit_cap = sum(max(item.profit for item in cat) for cat in instance.categories)
+    if not integral_profits:
+        value_dtype = np.float64
+    elif profit_cap < 2**31:
+        value_dtype = np.int32
+    else:
+        value_dtype = np.int64
+    estimate = (
+        m * width * np.dtype(choice_dtype).itemsize
+        + 3 * width * np.dtype(value_dtype).itemsize
+        + width
+    )
+    if estimate > MEMORY_LIMIT_BYTES:
+        raise OracleGuardError(f"dp table estimate {estimate} bytes exceeds guard")
+
+    dp = np.zeros(width, dtype=value_dtype)
+    new = np.empty_like(dp)
+    seg = np.empty_like(dp)
+    mask = np.empty(width, dtype=bool)
+    choices = np.zeros((m, width), dtype=choice_dtype)
+    for j, rows in enumerate(shifted):
+        np.add(dp, np.asarray(rows[0][1], dtype=value_dtype), out=new)
+        crow = choices[j]
+        for r in range(1, len(rows)):
+            _, profit, cost = rows[r]
+            if cost >= width:
+                continue
+            span = width - cost
+            np.add(dp[:span], np.asarray(profit, dtype=value_dtype), out=seg[:span])
+            np.greater(seg[:span], new[cost:], out=mask[:span])
+            np.copyto(new[cost:], seg[:span], where=mask[:span])
+            np.copyto(crow[cost:], choice_dtype(r), where=mask[:span])
+        dp, new = new, dp
+
+    w = width - 1
+    selection = [0] * m
+    for j in range(m - 1, -1, -1):
+        r = int(choices[j, w])
+        index, _, cost = shifted[j][r]
+        selection[j] = index
+        w -= cost
+    return ExactResult(float(dp[width - 1]), tuple(selection), Method.DP)

@@ -108,6 +108,20 @@ class TestExact:
         assert main(["exact", str(appendix_file), "--method", "dp"]) == 4
         assert "error" in capsys.readouterr().err
 
+    def test_dp_fits_after_reduction(self, tmp_path, capsys):
+        # The full-width table (about 3e8 cells x 41 rows) exceeds the
+        # guard; the reduced one is 501 cells wide, so this exits 0, not 4.
+        lines = ["MCKP 1", "m=41 b=300000500"]
+        lines += ["cat 2", "0 0", "20000000 10000000"] * 30
+        lines += ["cat 2", "0 0", "1 10000000"] * 10
+        lines += ["cat 2", "0 0", "1000 1000"]
+        path = tmp_path / "wide.mckp"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["exact", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "selection: " + " ".join(["1"] * 30 + ["0"] * 11) in out
+        assert "profit: 6e+08" in out
+
     def test_guard_exit_code(self, tmp_path):
         lines = ["MCKP 1", "m=8 b=100"]
         for _ in range(8):

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from mckp import (
+    Correlation,
+    GenSpec,
     InfeasibleInstanceError,
     Instance,
     Method,
@@ -11,13 +13,22 @@ from mckp import (
     brute_force,
     dp_solve,
     evaluate,
+    generate,
     is_feasible,
     pareto_enumerate,
     pareto_filter,
+    supported_filter,
 )
-from mckp.oracle import dominated_in_product
+from mckp.model import MCKPError
+from mckp.oracle import _lp_survivors, dominated_in_product
 
-from helpers import brute_optimum, pareto_selections_by_scan, random_instance
+from helpers import (
+    brute_optimum,
+    dp_solve_full_width,
+    enumerate_images,
+    pareto_selections_by_scan,
+    random_instance,
+)
 
 
 def integer_instance(rng, max_m=6, max_n=6, max_cost=20, max_profit=50):
@@ -106,6 +117,20 @@ class TestDpSolve:
         with pytest.raises(OracleGuardError):
             dp_solve(inst)
 
+    def test_reduced_table_fits_where_the_full_width_was_refused(self):
+        # Steep categories fixed at their top item, flat ones at their
+        # bottom item: only the critical category keeps two rows, so the
+        # table is 501 cells wide instead of about 3e8.
+        steep = tuple(((0.0, 0.0), (2e7, 1e7)) for _ in range(30))
+        flat = tuple(((0.0, 0.0), (1.0, 1e7)) for _ in range(10))
+        critical = (((0.0, 0.0), (1000.0, 1000.0)),)
+        inst = Instance(steep + flat + critical, budget=30 * 1e7 + 500)
+        with pytest.raises(OracleGuardError):
+            dp_solve_full_width(inst)
+        result = dp_solve(inst)
+        assert result.optimum_profit == 30 * 2e7
+        assert result.optimum_selection == (1,) * 30 + (0,) * 11
+
     def test_agrees_with_brute_force(self):
         rng = random.Random(201)
         for _ in range(200):
@@ -167,6 +192,148 @@ class TestDpSolve:
             got = dp_solve(inst)
             assert got.optimum_profit == want
             assert is_feasible(inst, got.optimum_selection)
+
+
+def tricky_instance(rng, fractional=False):
+    """Small integer-cost instance drawn to hit the reduction's edge cases:
+    ties, zero costs, duplicate items, collinear hull edges (several slopes
+    shared across categories) and budgets from infeasible to slack."""
+    slopes = [(1, 1), (2, 3), (7, 3), (1, 5)]
+    cats = []
+    for _ in range(rng.randint(1, 6)):
+        kind = rng.choice(["random", "collinear", "ties"])
+        items = []
+        for _ in range(rng.randint(1, 6)):
+            if kind == "collinear":
+                rise, run = rng.choice(slopes)
+                k = rng.randint(0, 4)
+                items.append((rise * k + rng.choice([0, 0, 0, 1]), run * k))
+            elif kind == "ties":
+                items.append((rng.choice([0, 5, 5, 9]), rng.choice([0, 0, 2, 4])))
+            else:
+                items.append((rng.randint(0, 30), rng.randint(0, 12)))
+        if fractional:
+            items = [(p + rng.choice([0.0, 0.25, 0.5, 0.1]), c) for p, c in items]
+        cats.append(tuple((float(p), float(c)) for p, c in items))
+    low = sum(min(c for _, c in cat) for cat in cats)
+    high = sum(max(c for _, c in cat) for cat in cats)
+    budget = rng.randint(max(1, int(low) - 2), int(high) + 3)
+    return Instance(tuple(cats), float(budget))
+
+
+def dp_outcome(solver, inst):
+    try:
+        return solver(inst)
+    except MCKPError as err:
+        return type(err), str(err)
+
+
+class TestDpSolveMatchesFullWidth:
+    """The reduced, banded table gives the whole result of the full one:
+    optimum, selection, method, and the same error with the same message."""
+
+    def test_small_instances_with_ties_zero_costs_and_collinear_hulls(self):
+        rng = random.Random(208)
+        for _ in range(3000):
+            inst = tricky_instance(rng)
+            assert dp_outcome(dp_solve, inst) == dp_outcome(dp_solve_full_width, inst)
+
+    def test_small_fractional_profit_instances(self):
+        rng = random.Random(209)
+        for _ in range(500):
+            inst = tricky_instance(rng, fractional=True)
+            assert dp_outcome(dp_solve, inst) == dp_outcome(dp_solve_full_width, inst)
+
+    @pytest.mark.parametrize(
+        "m, n, corr, ratio, seeds",
+        [
+            (40, 200, Correlation.WEAK, 0.5, (1, 2, 3)),
+            (250, 10, Correlation.UNCORRELATED, 0.35, (1, 2, 3)),
+            (10, 1000, Correlation.UNCORRELATED, 0.5, (0, 1)),
+            (100, 100, Correlation.UNCORRELATED, 0.5, (0, 1)),
+            (1000, 10, Correlation.UNCORRELATED, 0.5, (0,)),
+            (20, 20, Correlation.WEAK, 0.5, (0, 1, 2, 3)),
+        ],
+    )
+    def test_benchmark_and_acceptance_families(self, m, n, corr, ratio, seeds):
+        for seed in seeds:
+            inst = generate(GenSpec(m=m, n=n, correlation=corr, seed=seed, budget_ratio=ratio))
+            assert dp_solve(inst) == dp_solve_full_width(inst)
+
+    def test_generated_fractional_profits(self):
+        for seed in range(3):
+            base = generate(GenSpec(m=30, n=40, correlation=Correlation.WEAK, seed=seed))
+            inst = Instance(
+                tuple(
+                    tuple((item.profit / 3, item.cost) for item in cat)
+                    for cat in base.categories
+                ),
+                base.budget,
+            )
+            assert dp_solve(inst) == dp_solve_full_width(inst)
+
+    def test_max_profit_selection_fits(self):
+        # lam = 0: every hull edge fits, only the top row of each category
+        # survives
+        for seed in range(3):
+            base = generate(GenSpec(m=30, n=30, correlation=Correlation.WEAK, seed=seed))
+            inst = Instance(base.categories, sum(max(c for _, c in cat) for cat in base.categories))
+            assert dp_solve(inst) == dp_solve_full_width(inst)
+            kept = _lp_survivors(
+                inst.categories,
+                [pareto_filter(cat, j) for j, cat in enumerate(inst.categories)],
+                int(inst.budget),
+                sum(int(min(c for _, c in cat)) for cat in inst.categories),
+            )
+            assert all(len(rows) == 1 for rows in kept)
+
+    def test_every_item_on_the_critical_line(self):
+        # the memory-guard shape, scaled down: all reduced costs are 0
+        inst = Instance(tuple(((1.0, 1.0), (2.0, 1001.0)) for _ in range(50)), budget=20_000.0)
+        want = dp_solve_full_width(inst)
+        assert dp_solve(inst) == want
+        assert want.optimum_profit == 50 + 19
+
+
+class TestReducedCostSoundness:
+    def test_every_optimal_selection_survives(self):
+        # Every Pareto row of every brute-force optimal selection is kept.
+        rng = random.Random(210)
+        checked = 0
+        for _ in range(1500):
+            inst = tricky_instance(rng)
+            cats = inst.categories
+            want, _ = brute_optimum(inst)
+            if want is None:
+                continue
+            frontiers = [pareto_filter(cat, j) for j, cat in enumerate(cats)]
+            floor_cost = sum(int(cats[j][f.pareto_items[0]].cost) for j, f in enumerate(frontiers))
+            kept = _lp_survivors(cats, frontiers, int(inst.budget), floor_cost)
+            for sel, f1, f2 in enumerate_images(inst):
+                if f1 != want or f2 < -inst.budget:
+                    continue
+                # The table holds only Pareto rows; any other item of an
+                # optimal selection can be swapped for the row dominating it.
+                for j, i in enumerate(sel):
+                    if i in frontiers[j].pareto_items:
+                        checked += 1
+                        assert i in kept[j], (inst, sel)
+        assert checked > 5000
+
+
+    def test_hull_misordered_by_rounding(self):
+        # Item 1 lies strictly below the chord from item 0 to item 2, yet the
+        # float hull keeps it and the float slopes then put the edge 1 -> 2
+        # first. Taking that edge from item 0 would claim a profit no
+        # selection has and drop the optimum, item 0.
+        sp, base = 1157624360293364, 2237230312868223
+        cat = ((0.0, 0.0), (float(sp), float(base)), (float(2 * sp - 2), float(2 * base - 4)))
+        inst = Instance((cat,), float(base - 4))
+        frontiers = [pareto_filter(inst.categories[0], 0)]
+        assert supported_filter(frontiers[0], inst.categories[0]).hull_items == (0, 1, 2)
+        assert brute_force(inst).optimum_selection == (0,)
+        assert 0 in _lp_survivors(inst.categories, frontiers, int(inst.budget), 0)[0]
+        assert dp_outcome(dp_solve, inst) == dp_outcome(dp_solve_full_width, inst)
 
 
 class TestParetoEnumerate:
