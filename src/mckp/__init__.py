@@ -13,11 +13,9 @@ from .bissa import BissaResult, WeightStep, bissa, solve_linear
 from .frontier import (
     CategoryFrontier,
     RhoBound,
-    SupportedFrontier,
     delta_bound,
     pareto_filter,
     solve_chebyshev_subproblem,
-    supported_filter,
 )
 from .generate import Correlation, GenSpec, SplitMix64, generate
 from .kissa import (
@@ -83,7 +81,6 @@ __all__ = [
     "Selection",
     "SelectionRule",
     "SplitMix64",
-    "SupportedFrontier",
     "Termination",
     "WeightStep",
     "bissa",
@@ -102,6 +99,5 @@ __all__ = [
     "run_benchmark",
     "solve_chebyshev_subproblem",
     "solve_linear",
-    "supported_filter",
     "write_instance",
 ]

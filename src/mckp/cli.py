@@ -197,7 +197,7 @@ def main(argv=None) -> int:
     except InstanceFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InfeasibleInstanceError as exc:

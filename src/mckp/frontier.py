@@ -4,8 +4,6 @@ Everything here works on a single category in objective space, where an item
 maps to the point (profit, -cost) and both coordinates are maximized:
 
 * ``pareto_filter``      -- the nondominated items of a category,
-* ``supported_filter``   -- the subset on the upper convex hull (the items
-  reachable by positive-weight linear scalarization),
 * ``delta_bound``        -- a computable lower bound on pairwise trade-off
   ratios; any augmentation factor below it makes the augmented Chebyshev
   scalarization characterize exactly the nondominated items. A pair's ratio
@@ -46,19 +44,6 @@ class CategoryFrontier:
 
 
 @dataclass(frozen=True)
-class SupportedFrontier:
-    """Frontier subsequence on the upper convex hull in (profit, -cost) space.
-
-    Every hull item maximizes w*profit - (1-w)*cost for some weight w; points
-    interior to a hull segment (collinear) are kept, so consecutive slopes
-    are non-increasing rather than strictly decreasing.
-    """
-
-    category_index: int
-    hull_items: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class RhoBound:
     """Conservative trade-off bound ``delta`` and the augmentation ``rho`` to use.
 
@@ -88,31 +73,6 @@ def pareto_filter(cat: Category, category_index: int = 0) -> CategoryFrontier:
             kept.append(i)
             best_profit = cat[i].profit
     return CategoryFrontier(category_index, tuple(kept))
-
-
-def supported_filter(frontier: CategoryFrontier, cat: Category) -> SupportedFrontier:
-    """Upper-hull subsequence of a category frontier in (profit, -cost) space.
-
-    Expects ``frontier == pareto_filter(cat)``. Collinear frontier points are
-    all hull members (each maximizes the shared-weight scalarization).
-    """
-    idx = frontier.pareto_items
-    if len(idx) <= 2:
-        return SupportedFrontier(frontier.category_index, idx)
-    hull: list[int] = []
-    for i in idx:
-        x, y = cat[i].profit, -cat[i].cost
-        # Pop the middle point while it lies strictly below the new chord.
-        while len(hull) >= 2:
-            x1, y1 = cat[hull[-2]].profit, -cat[hull[-2]].cost
-            x2, y2 = cat[hull[-1]].profit, -cat[hull[-1]].cost
-            # slope(p1->p2) < slope(p2->p3), cross-multiplied (dx > 0 on a frontier)
-            if (y2 - y1) * (x - x2) < (y - y2) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        hull.append(i)
-    return SupportedFrontier(frontier.category_index, tuple(hull))
 
 
 def _steepest_trade_off(owner, x, y):
@@ -162,8 +122,8 @@ def delta_bound(instance: Instance, rho: float = DEFAULT_RHO) -> RhoBound:
     objective-identical per category) yield the +inf sentinel and the
     requested rho unchanged.
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    if not (math.isfinite(rho) and rho > 0):
+        raise ValueError("rho must be positive and finite")
     owner = np.repeat(np.arange(instance.m), instance.sizes)
     flat = chain.from_iterable(chain.from_iterable(instance.categories))
     items = np.fromiter(flat, dtype=np.float64, count=2 * len(owner)).reshape(-1, 2)
@@ -212,8 +172,8 @@ def solve_chebyshev_subproblem(
         raise ValueError("category must be non-empty")
     if weights[0] <= 0 or weights[1] <= 0:
         raise InvalidReferencePointError("weights must be strictly positive")
-    if rho <= 0:
-        raise InvalidReferencePointError("rho must be strictly positive")
+    if not (math.isfinite(rho) and rho > 0):
+        raise InvalidReferencePointError("rho must be strictly positive and finite")
     max_p = max(item.profit for item in cat)
     max_f2 = max(-item.cost for item in cat)
     if reference[0] <= max_p or reference[1] <= max_f2:

@@ -12,6 +12,7 @@ when no subproblem improves profit or no improvement fits the budget.
 """
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 from .bissa import BissaResult
@@ -44,10 +45,10 @@ class KissaConfig:
     max_iterations: int = 10_000
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not (math.isfinite(self.rho) and self.rho > 0):
+            raise ValueError("rho must be positive and finite")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError("epsilon must be positive and finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
 

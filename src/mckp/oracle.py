@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frontier import pareto_filter, supported_filter
+from .frontier import pareto_filter
 from .model import (
     InfeasibleInstanceError,
     Instance,
@@ -131,42 +131,61 @@ def dominated_in_product(instance: Instance, sel: Selection) -> bool:
     return False
 
 
+def _upper_hull(rows: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Upper hull of a category's frontier rows ``(profit, cost)``.
+
+    ``rows`` are integers sorted by strictly increasing cost and profit, as
+    ``pareto_filter`` orders them. A row is dropped when it lies strictly
+    below the chord of its neighbours, so collinear rows are kept and the
+    slopes ``dp / dc`` do not increase along the hull. The cross products
+    are Python integers, so the hull is exact at any size.
+    """
+    hull: list[tuple[int, int]] = []
+    for p, c in rows:
+        while len(hull) >= 2:
+            (p1, c1), (p2, c2) = hull[-2], hull[-1]
+            if (p - p2) * (c2 - c1) > (p2 - p1) * (c - c2):
+                hull.pop()
+            else:
+                break
+        hull.append((p, c))
+    return hull
+
+
 def _lp_survivors(cats, frontiers, budget: int, floor_cost: int) -> list[tuple[int, ...]]:
     """Frontier rows that can appear in an optimal selection; integral profits.
 
-    A greedy walk over all upper-hull edges, steepest first, starts from the
-    cheapest selection and takes each edge that fits the remaining budget; a
-    category stops at its first edge that does not fit, or that comes out of
-    hull order (float slopes can misorder a rounded hull). The first edge
-    that does not fit gives the critical slope ``lam = dp / dc`` (``lam = 0``
-    when every edge fits) and the walk's selection a feasible profit ``lb``.
+    A greedy walk over all upper-hull edges (:func:`_upper_hull`), steepest
+    first, starts from the cheapest selection and takes each edge that fits
+    the remaining budget; a category stops at its first edge that does not
+    fit. The first edge that does not fit gives the critical slope
+    ``lam = dp / dc`` (``lam = 0`` when every edge fits) and the walk's
+    selection a feasible profit ``lb``.
     For any ``lam >= 0``, ``ub = sum_j max(p - lam*c) + lam*budget`` bounds
     every feasible profit, so a selection holding an item whose reduced cost
     ``max(p - lam*c) - (p - lam*c)`` exceeds ``ub - lb`` has profit below
     ``lb`` and is not optimal (Dyer, Kayal and Walker 1984). The test runs
     on integers scaled by ``dc``, so it is exact.
     """
+    rows = []  # per category: its frontier rows as integer (profit, cost)
     edges = []
-    for frontier in frontiers:
+    for j, frontier in enumerate(frontiers):
         cat = cats[frontier.category_index]
-        hull = supported_filter(frontier, cat).hull_items
-        for k, (a, b) in enumerate(zip(hull, hull[1:])):
-            edges.append((
-                int(cat[b].profit) - int(cat[a].profit),
-                int(cat[b].cost) - int(cat[a].cost),
-                frontier.category_index,
-                k,
-            ))
-    # The sort is stable, so equal float slopes keep their hull order.
+        rows.append([(int(cat[i].profit), int(cat[i].cost)) for i in frontier.pareto_items])
+        hull = _upper_hull(rows[-1])
+        for k, ((p1, c1), (p2, c2)) in enumerate(zip(hull, hull[1:])):
+            edges.append((p2 - p1, c2 - c1, j, k))
+    # Int/int division is correctly rounded, so the float slopes of a hull
+    # do not increase and the stable sort keeps each hull's edges in order.
     edges.sort(key=lambda e: -e[0] / e[1])
     residual = budget - floor_cost
-    lb = sum(int(cats[f.category_index][f.pareto_items[0]].profit) for f in frontiers)
+    lb = sum(category_rows[0][0] for category_rows in rows)
     critical = None
     reached = [0] * len(frontiers)  # next hull edge of each category; -1 once stopped
     for rise, run, j, k in edges:
         if reached[j] != k:
-            reached[j] = -1
-        elif run > residual:
+            continue
+        if run > residual:
             critical = critical or (rise, run)
             reached[j] = -1
         else:
@@ -176,12 +195,8 @@ def _lp_survivors(cats, frontiers, budget: int, floor_cost: int) -> list[tuple[i
     lam_p, lam_c = critical or (0, 1)
 
     scored = []
-    for frontier in frontiers:
-        cat = cats[frontier.category_index]
-        values = [
-            lam_c * int(cat[i].profit) - lam_p * int(cat[i].cost)
-            for i in frontier.pareto_items
-        ]
+    for frontier, category_rows in zip(frontiers, rows):
+        values = [lam_c * p - lam_p * c for p, c in category_rows]
         scored.append((frontier.pareto_items, values, max(values)))
     gap = sum(best for _, _, best in scored) + lam_p * budget - lam_c * lb
     return [
@@ -199,10 +214,12 @@ def dp_solve(instance: Instance) -> ExactResult:
     not fit, and :class:`OracleGuardError` when the estimate of the table it
     would allocate exceeds 2 GiB.
 
-    Each category keeps its Pareto rows; with integral profits, rows that
-    the LP relaxation's reduced costs rule out of every optimal selection
-    are dropped too (:func:`_lp_survivors`). Costs are shifted by their
-    per-category minimum, so the budget axis spans only the slack above the
+    The table holds float64 sums, added in category order like
+    ``evaluate``. Each category keeps its Pareto rows. When every profit is
+    an integer and the largest profits sum below 2**53, every sum is exact,
+    and rows that the LP relaxation's reduced costs rule out of every
+    optimal selection are dropped too (:func:`_lp_survivors`). Costs are
+    shifted by their per-category minimum, so the budget axis spans only the slack above the
     cheapest selection. Category ``j`` fills only the cells the final cell
     can reach: from the budget minus the slack of the later categories up
     to the slack of categories ``0..j``, above which every cell equals the
@@ -227,10 +244,10 @@ def dp_solve(instance: Instance) -> ExactResult:
             f"minimum selection cost {floor_cost} exceeds budget {budget}"
         )
 
-    integral_profits = all(
-        float(item.profit).is_integer() for cat in cats for item in cat
-    )
-    if integral_profits:
+    integral = all(float(item.profit).is_integer() for cat in cats for item in cat)
+    # The top Pareto row holds a category's largest profit.
+    profit_cap = sum(int(cats[f.category_index][f.pareto_items[-1]].profit) for f in frontiers)
+    if integral and profit_cap < 2**53:
         kept = _lp_survivors(cats, frontiers, budget, floor_cost)
     else:
         kept = [f.pareto_items for f in frontiers]
@@ -254,19 +271,8 @@ def dp_solve(instance: Instance) -> ExactResult:
     else:
         choice_dtype = np.int32
 
-    profit_cap = sum(max(item.profit for item in cat) for cat in cats)
-    if not integral_profits:
-        value_dtype = np.float64
-    elif profit_cap < 2**31:
-        value_dtype = np.int32
-    else:
-        value_dtype = np.int64
-
-    estimate = (
-        m * width * np.dtype(choice_dtype).itemsize
-        + 3 * width * np.dtype(value_dtype).itemsize
-        + width
-    )
+    # the choice table, three float64 rows and a bool mask
+    estimate = m * width * np.dtype(choice_dtype).itemsize + 3 * width * 8 + width
     if estimate > MEMORY_LIMIT_BYTES:
         raise OracleGuardError(f"dp table estimate {estimate} bytes exceeds guard")
 
@@ -275,7 +281,7 @@ def dp_solve(instance: Instance) -> ExactResult:
     # lowest surviving item (strict greater-than), rows sorted by cost.
     # Category j fills cells [low, top): ``later`` is the slack of categories
     # j+1.., and cells at or above ``top`` would all equal cell ``top - 1``.
-    dp = np.zeros(width, dtype=value_dtype)
+    dp = np.zeros(width)
     new = np.empty_like(dp)
     seg = np.empty_like(dp)
     mask = np.empty(width, dtype=bool)
@@ -288,7 +294,7 @@ def dp_solve(instance: Instance) -> ExactResult:
         low = max(0, width - 1 - later)
         dp[top:top + slack] = dp[top - 1]  # the previous row's flat cells
         top = min(width, top + slack)
-        np.add(dp[low:top], np.asarray(rows[0][1], dtype=value_dtype), out=new[low:top])
+        np.add(dp[low:top], rows[0][1], out=new[low:top])
         crow = choices[j]
         for r in range(1, len(rows)):
             _, profit, cost = rows[r]
@@ -296,11 +302,7 @@ def dp_solve(instance: Instance) -> ExactResult:
             if start >= top:
                 continue
             span = top - start
-            np.add(
-                dp[start - cost:top - cost],
-                np.asarray(profit, dtype=value_dtype),
-                out=seg[:span],
-            )
+            np.add(dp[start - cost:top - cost], profit, out=seg[:span])
             np.greater(seg[:span], new[start:top], out=mask[:span])
             np.copyto(new[start:top], seg[:span], where=mask[:span])
             np.copyto(crow[start:top], choice_dtype(r), where=mask[:span])

@@ -1,6 +1,6 @@
 import pytest
 
-from mckp import read_instance, write_instance
+from mckp import Instance, read_instance, write_instance
 from mckp.cli import main, parse_specfile
 from mckp.model import InstanceFormatError
 
@@ -75,8 +75,12 @@ class TestSolve:
         assert main(["solve", str(bad)]) == 2
         assert "error" in capsys.readouterr().err
 
-    def test_missing_file_exit_code(self, tmp_path):
+    def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.mckp")]) == 2
+        # a directory is an unreadable instance path too, for both commands
+        assert main(["solve", str(tmp_path)]) == 2
+        assert main(["exact", str(tmp_path)]) == 2
+        assert "error" in capsys.readouterr().err
 
     def test_infeasible_exit_code(self, tmp_path, capsys):
         path = tmp_path / "inf.mckp"
@@ -85,8 +89,9 @@ class TestSolve:
         assert "infeasible" in capsys.readouterr().err
 
     def test_invalid_config_exit_code(self, appendix_file, capsys):
-        assert main(["solve", str(appendix_file), "--rho", "0"]) == 2
-        assert "rho" in capsys.readouterr().err
+        for flag, value in [("--rho", "0"), ("--rho", "nan"), ("--rho", "inf"), ("--eps", "nan")]:
+            assert main(["solve", str(appendix_file), flag, value]) == 2
+            assert flag[2:] in capsys.readouterr().err
 
 
 class TestExact:
@@ -121,6 +126,16 @@ class TestExact:
         out = capsys.readouterr().out
         assert "selection: " + " ".join(["1"] * 30 + ["0"] * 11) in out
         assert "profit: 6e+08" in out
+
+    def test_dp_profit_past_2_pow_63(self, tmp_path, capsys):
+        # The optimum 2**63 + 2**11 does not fit an int64 table.
+        inst = Instance(
+            (((2.0**62, 1), (2.0**62 + 2**11, 2)), ((2.0**62, 1), (1, 0))), budget=3.0
+        )
+        path = tmp_path / "huge.mckp"
+        path.write_text(write_instance(inst), encoding="utf-8")
+        assert main(["exact", str(path)]) == 0
+        assert "profit: 9.22337e+18" in capsys.readouterr().out
 
     def test_guard_exit_code(self, tmp_path):
         lines = ["MCKP 1", "m=8 b=100"]

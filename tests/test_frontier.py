@@ -9,9 +9,9 @@ from mckp import (
     delta_bound,
     pareto_filter,
     solve_chebyshev_subproblem,
-    supported_filter,
 )
 from mckp.frontier import InvalidReferencePointError, chebyshev_value
+from mckp.oracle import _upper_hull
 
 from helpers import (
     pareto_items_by_pairwise_scan,
@@ -118,44 +118,68 @@ def supported_by_weight_probe(frontier, c) -> set[int]:
     return supported
 
 
+def hull_items(c) -> tuple[int, ...]:
+    """Item indices on the exact oracle's integer upper hull of ``c``."""
+    items = pareto_filter(c).pareto_items
+    rows = [(int(c[i].profit), int(c[i].cost)) for i in items]
+    by_row = dict(zip(rows, items))  # frontier rows are distinct
+    return tuple(by_row[row] for row in _upper_hull(rows))
+
+
 class TestSupportedFilter:
+    """The supported items: ``oracle._upper_hull`` on a category's frontier."""
+
     def test_collinear_points_all_kept(self):
         c = cat((1, 1), (2, 2), (3, 3))
-        f = pareto_filter(c)
-        assert supported_filter(f, c).hull_items == (0, 1, 2)
+        assert hull_items(c) == (0, 1, 2)
 
     def test_unsupported_point_dropped(self):
-        c = cat((1, 1), (2, 3), (3, 3.5))
-        f = pareto_filter(c)
-        assert f.pareto_items == (0, 1, 2)
-        assert supported_filter(f, c).hull_items == (0, 2)
+        c = cat((2, 2), (4, 6), (6, 7))
+        assert pareto_filter(c).pareto_items == (0, 1, 2)
+        assert hull_items(c) == (0, 2)
 
     def test_singleton(self):
         c = cat((4, 2))
-        assert supported_filter(pareto_filter(c), c).hull_items == (0,)
+        assert hull_items(c) == (0,)
 
     def test_matches_weight_probe(self):
         rng = random.Random(99)
         for _ in range(200):
             c = random_category(rng, max_n=9, max_coeff=12)
             f = pareto_filter(c)
-            hull = supported_filter(f, c)
-            assert set(hull.hull_items) == supported_by_weight_probe(f, c)
+            hull = hull_items(c)
+            assert set(hull) == supported_by_weight_probe(f, c)
             # hull is a subsequence of the frontier
             order = {i: k for k, i in enumerate(f.pareto_items)}
-            ranks = [order[i] for i in hull.hull_items]
+            ranks = [order[i] for i in hull]
             assert ranks == sorted(ranks)
 
     def test_slopes_non_increasing(self):
+        # exactly, and as the float quotients the LP walk sorts by
         rng = random.Random(100)
         for _ in range(100):
             c = random_category(rng, max_n=10)
-            hull = supported_filter(pareto_filter(c), c).hull_items
-            slopes = [
-                (-c[b].cost + c[a].cost) / (c[b].profit - c[a].profit)
+            hull = hull_items(c)
+            edges = [
+                (int(c[b].profit - c[a].profit), int(c[b].cost - c[a].cost))
                 for a, b in zip(hull, hull[1:])
             ]
-            assert all(s1 >= s2 - 1e-12 for s1, s2 in zip(slopes, slopes[1:]))
+            for (p1, c1), (p2, c2) in zip(edges, edges[1:]):
+                assert p1 * c2 >= p2 * c1
+                assert p1 / c1 >= p2 / c2
+
+    def test_near_collinear_triple_at_2_pow_50(self):
+        # Item 1 lies strictly below the chord from item 0 to item 2, but
+        # float cross products round it onto the chord.
+        c = cat(
+            (737, 28),
+            (903723055909290, 867736452968898),
+            (1807446111817841, 1735472905937766),
+        )
+        assert pareto_filter(c).pareto_items == (0, 1, 2)
+        (p0, c0), (p1, c1), (p2, c2) = ((int(i.profit), int(i.cost)) for i in c)
+        assert (p2 - p1) * (c1 - c0) > (p1 - p0) * (c2 - c1)
+        assert hull_items(c) == (0, 2)
 
 
 class TestDeltaBound:

@@ -4,6 +4,7 @@ import pytest
 
 from mckp import (
     Correlation,
+    ExactResult,
     GenSpec,
     InfeasibleInstanceError,
     Instance,
@@ -17,10 +18,9 @@ from mckp import (
     is_feasible,
     pareto_enumerate,
     pareto_filter,
-    supported_filter,
 )
 from mckp.model import MCKPError
-from mckp.oracle import _lp_survivors, dominated_in_product
+from mckp.oracle import _lp_survivors, _upper_hull, dominated_in_product
 
 from helpers import (
     brute_optimum,
@@ -171,6 +171,20 @@ class TestDpSolve:
         want, _ = brute_optimum(inst)
         assert result.optimum_profit == pytest.approx(want)
 
+    @pytest.mark.parametrize(
+        "cats",
+        [
+            (((2.0**62, 1), (2.0**62 + 2**11, 2)), ((2.0**62, 1), (1, 0))),
+            (((1e19, 1), (2e19, 2)), ((3e18, 1), (5, 0))),
+        ],
+    )
+    def test_profits_past_the_int64_range(self, cats):
+        # Integer profits whose sums pass 2**63, the int64 range.
+        inst = Instance(cats, budget=3.0)
+        got, want = dp_solve(inst), brute_force(inst)
+        assert got.optimum_profit == want.optimum_profit
+        assert got.optimum_selection == want.optimum_selection
+
     def test_zero_cost_items(self):
         rng = random.Random(207)
         for _ in range(50):
@@ -228,21 +242,30 @@ def dp_outcome(solver, inst):
         return type(err), str(err)
 
 
+def matches_full_width(inst):
+    """dp_solve gives the full table's whole result: optimum, selection,
+    method, or the same error with the same message. The printed optimum
+    is ``evaluate``'s profit of the selection, to the bit."""
+    got = dp_outcome(dp_solve, inst)
+    if isinstance(got, ExactResult):
+        assert got.optimum_profit == evaluate(inst, got.optimum_selection).f1
+    return got == dp_outcome(dp_solve_full_width, inst)
+
+
 class TestDpSolveMatchesFullWidth:
-    """The reduced, banded table gives the whole result of the full one:
-    optimum, selection, method, and the same error with the same message."""
+    """The reduced, banded table gives the whole result of the full one."""
 
     def test_small_instances_with_ties_zero_costs_and_collinear_hulls(self):
         rng = random.Random(208)
         for _ in range(3000):
             inst = tricky_instance(rng)
-            assert dp_outcome(dp_solve, inst) == dp_outcome(dp_solve_full_width, inst)
+            assert matches_full_width(inst)
 
     def test_small_fractional_profit_instances(self):
         rng = random.Random(209)
         for _ in range(500):
             inst = tricky_instance(rng, fractional=True)
-            assert dp_outcome(dp_solve, inst) == dp_outcome(dp_solve_full_width, inst)
+            assert matches_full_width(inst)
 
     @pytest.mark.parametrize(
         "m, n, corr, ratio, seeds",
@@ -258,7 +281,7 @@ class TestDpSolveMatchesFullWidth:
     def test_benchmark_and_acceptance_families(self, m, n, corr, ratio, seeds):
         for seed in seeds:
             inst = generate(GenSpec(m=m, n=n, correlation=corr, seed=seed, budget_ratio=ratio))
-            assert dp_solve(inst) == dp_solve_full_width(inst)
+            assert matches_full_width(inst)
 
     def test_generated_fractional_profits(self):
         for seed in range(3):
@@ -270,7 +293,7 @@ class TestDpSolveMatchesFullWidth:
                 ),
                 base.budget,
             )
-            assert dp_solve(inst) == dp_solve_full_width(inst)
+            assert matches_full_width(inst)
 
     def test_max_profit_selection_fits(self):
         # lam = 0: every hull edge fits, only the top row of each category
@@ -278,7 +301,7 @@ class TestDpSolveMatchesFullWidth:
         for seed in range(3):
             base = generate(GenSpec(m=30, n=30, correlation=Correlation.WEAK, seed=seed))
             inst = Instance(base.categories, sum(max(c for _, c in cat) for cat in base.categories))
-            assert dp_solve(inst) == dp_solve_full_width(inst)
+            assert matches_full_width(inst)
             kept = _lp_survivors(
                 inst.categories,
                 [pareto_filter(cat, j) for j, cat in enumerate(inst.categories)],
@@ -290,9 +313,8 @@ class TestDpSolveMatchesFullWidth:
     def test_every_item_on_the_critical_line(self):
         # the memory-guard shape, scaled down: all reduced costs are 0
         inst = Instance(tuple(((1.0, 1.0), (2.0, 1001.0)) for _ in range(50)), budget=20_000.0)
-        want = dp_solve_full_width(inst)
-        assert dp_solve(inst) == want
-        assert want.optimum_profit == 50 + 19
+        assert matches_full_width(inst)
+        assert dp_solve(inst).optimum_profit == 50 + 19
 
 
 class TestReducedCostSoundness:
@@ -322,15 +344,15 @@ class TestReducedCostSoundness:
 
 
     def test_hull_misordered_by_rounding(self):
-        # Item 1 lies strictly below the chord from item 0 to item 2, yet the
-        # float hull keeps it and the float slopes then put the edge 1 -> 2
+        # Item 1 lies strictly below the chord from item 0 to item 2, yet a
+        # float hull keeps it and its float slopes then put the edge 1 -> 2
         # first. Taking that edge from item 0 would claim a profit no
         # selection has and drop the optimum, item 0.
         sp, base = 1157624360293364, 2237230312868223
-        cat = ((0.0, 0.0), (float(sp), float(base)), (float(2 * sp - 2), float(2 * base - 4)))
+        cat = ((0, 0), (sp, base), (2 * sp - 2, 2 * base - 4))
         inst = Instance((cat,), float(base - 4))
         frontiers = [pareto_filter(inst.categories[0], 0)]
-        assert supported_filter(frontiers[0], inst.categories[0]).hull_items == (0, 1, 2)
+        assert _upper_hull(list(cat)) == [cat[0], cat[2]]
         assert brute_force(inst).optimum_selection == (0,)
         assert 0 in _lp_survivors(inst.categories, frontiers, int(inst.budget), 0)[0]
         assert dp_outcome(dp_solve, inst) == dp_outcome(dp_solve_full_width, inst)
