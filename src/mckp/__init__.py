@@ -11,7 +11,6 @@ programming) back the tests and the gap reports.
 from .bench import GapReport, GapRow, run_benchmark
 from .bissa import BissaResult, WeightStep, bissa, solve_linear
 from .frontier import (
-    CategoryFrontier,
     RhoBound,
     delta_bound,
     pareto_filter,
@@ -58,7 +57,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BissaResult",
     "Category",
-    "CategoryFrontier",
     "Correlation",
     "ExactResult",
     "GapReport",

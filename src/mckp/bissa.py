@@ -126,65 +126,47 @@ def bissa(instance: Instance) -> BissaResult:
 
     # Max-profit endpoint: tie rule at w=1 picks the cheapest among the most
     # profitable, so feasibility here certifies optimality outright.
-    x_hi, p_hi, hi_feasible = probe(1.0)
-    if hi_feasible:
-        return BissaResult(
-            xa=x_hi,
-            xb=None,
-            gap_cost=0.0,
-            exact=True,
-            certificate="max-profit-feasible",
-            trace=trace,
-        )
-
-    w_lo = _min_cost_anchor_weight(instance)
-    x_lo, p_lo, lo_feasible = probe(w_lo)
-    if not lo_feasible:
-        raise InfeasibleInstanceError(
-            f"minimum selection cost {-p_lo.f2} exceeds budget {instance.budget}"
-        )
-    if p_lo.f2 == -instance.budget:
-        return BissaResult(
-            xa=x_lo,
-            xb=None,
-            gap_cost=0.0,
-            exact=True,
-            certificate="zero-slack",
-            trace=trace,
-        )
-
-    xa, pa = x_lo, p_lo
-    xb, pb = x_hi, p_hi
-    for _ in range(MAX_BISECTION_STEPS):
-        # Weight at which the current pair scalarizes equally; in (0, 1)
-        # because pa.f2 > pb.f2 and pb.f1 > pa.f1.
-        w = (pa.f2 - pb.f2) / ((pa.f2 - pb.f2) + (pb.f1 - pa.f1))
-        x, p, feasible = probe(w)
-        if p == pa or p == pb:
-            break
-        if feasible:
+    x, p, feasible = probe(1.0)
+    certificate = "max-profit-feasible"
+    if not feasible:
+        xa, pa = None, None
+        xb, pb = x, p
+        w = _min_cost_anchor_weight(instance)
+        # The first probe is the min-cost anchor, the rest bisection steps.
+        for _ in range(MAX_BISECTION_STEPS + 1):
+            x, p, feasible = probe(w)
+            if pa is None and not feasible:
+                raise InfeasibleInstanceError(
+                    f"minimum selection cost {-p.f2} exceeds budget {instance.budget}"
+                )
             if p.f2 == -instance.budget:
+                certificate = "zero-slack"
+                break
+            if p == pa or p == pb:
                 return BissaResult(
-                    xa=x,
-                    xb=None,
-                    gap_cost=0.0,
-                    exact=True,
-                    certificate="zero-slack",
+                    xa=xa,
+                    xb=xb,
+                    gap_cost=pa.f2 - pb.f2,
+                    exact=False,
+                    certificate=None,
                     trace=trace,
                 )
-            xa, pa = x, p
+            if feasible:
+                xa, pa = x, p
+            else:
+                xb, pb = x, p
+            # Weight at which the current pair scalarizes equally; in (0, 1)
+            # because pa.f2 > pb.f2 and pb.f1 > pa.f1.
+            w = (pa.f2 - pb.f2) / ((pa.f2 - pb.f2) + (pb.f1 - pa.f1))
         else:
-            xb, pb = x, p
-    else:
-        raise BisectionLimitError(
-            f"no convergence within {MAX_BISECTION_STEPS} bisection steps"
-        )
-
+            raise BisectionLimitError(
+                f"no convergence within {MAX_BISECTION_STEPS} bisection steps"
+            )
     return BissaResult(
-        xa=xa,
-        xb=xb,
-        gap_cost=pa.f2 - pb.f2,
-        exact=False,
-        certificate=None,
+        xa=x,
+        xb=None,
+        gap_cost=0.0,
+        exact=True,
+        certificate=certificate,
         trace=trace,
     )

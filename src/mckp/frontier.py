@@ -31,19 +31,6 @@ class InvalidReferencePointError(MCKPError):
 
 
 @dataclass(frozen=True)
-class CategoryFrontier:
-    """Nondominated item indices of one category, sorted by increasing cost.
-
-    Costs and profits both increase strictly along the tuple: no two
-    frontier items share an objective pair (duplicates collapse to the
-    lowest item index).
-    """
-
-    category_index: int
-    pareto_items: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class RhoBound:
     """Conservative trade-off bound ``delta`` and the augmentation ``rho`` to use.
 
@@ -56,12 +43,12 @@ class RhoBound:
     rho: float
 
 
-def pareto_filter(cat: Category, category_index: int = 0) -> CategoryFrontier:
-    """Nondominated items of a category under (max profit, min cost).
+def pareto_filter(cat: Category) -> tuple[int, ...]:
+    """Nondominated item indices of a category under (max profit, min cost).
 
     One sort by (cost, -profit, index), then each item is kept whose profit
-    beats every item before it. Items with identical objective pairs
-    collapse to the lowest index.
+    beats every item before it, so costs and profits rise strictly along the
+    tuple. Items with identical objective pairs collapse to the lowest index.
     """
     if not cat:
         raise ValueError("category must be non-empty")
@@ -72,7 +59,7 @@ def pareto_filter(cat: Category, category_index: int = 0) -> CategoryFrontier:
         if cat[i].profit > best_profit:
             kept.append(i)
             best_profit = cat[i].profit
-    return CategoryFrontier(category_index, tuple(kept))
+    return tuple(kept)
 
 
 def _steepest_trade_off(owner, x, y):

@@ -12,7 +12,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .model import Instance, Item
+from .model import Instance
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -88,9 +88,9 @@ def generate(spec: GenSpec) -> Instance:
             else:
                 cost = rng.randint(COEFF_LO, COEFF_HI)
                 profit = max(1, cost + rng.randint(-WEAK_NOISE, WEAK_NOISE))
-            items.append(Item(float(profit), float(cost)))
-        categories.append(tuple(items))
-    low = sum(min(item.cost for item in cat) for cat in categories)
-    high = sum(max(item.cost for item in cat) for cat in categories)
+            items.append((profit, cost))
+        categories.append(items)
+    low = sum(min(cost for _, cost in cat) for cat in categories)
+    high = sum(max(cost for _, cost in cat) for cat in categories)
     budget = float(math.floor(low + spec.budget_ratio * (high - low) + 0.5))
-    return Instance(tuple(categories), budget)
+    return Instance(categories, budget)

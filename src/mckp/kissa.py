@@ -21,6 +21,7 @@ from .model import Instance, ObjectivePoint, Selection, evaluate
 from .oracle import OracleGuardError, dominated_in_product
 
 DEFAULT_EPSILON = 1e-4
+MAX_ITERATIONS = 10_000
 
 
 class SelectionRule(enum.Enum):
@@ -42,15 +43,12 @@ class KissaConfig:
     rho: float = DEFAULT_RHO
     epsilon: float = DEFAULT_EPSILON
     rule: SelectionRule = SelectionRule.MAX_PROFIT
-    max_iterations: int = 10_000
 
     def __post_init__(self):
         if not (math.isfinite(self.rho) and self.rho > 0):
             raise ValueError("rho must be positive and finite")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError("epsilon must be positive and finite")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
 
 
 @dataclass(frozen=True)
@@ -98,10 +96,10 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
     list records the full trace.
 
     A candidate category's reference point is its maxima of (profit, -cost),
-    each shifted up by epsilon; the first weight is the reciprocal profit gap
-    of the current component, the second the reciprocal cost gap of the
-    anchor component. A winner counts only if it strictly out-profits the
-    current component.
+    each shifted up by epsilon, or to the next float where epsilon rounds
+    away; the first weight is the reciprocal profit gap of the current
+    component, the second the reciprocal cost gap of the anchor component.
+    A winner counts only if it strictly out-profits the current component.
 
     A category's subproblem depends only on its own current component, its
     anchor component and its maxima, so the improving map is kept across
@@ -129,11 +127,14 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
             raise AssertionError(
                 "feasible component must be cheaper where the anchor out-profits it"
             )
+    def above(top):
+        return max(top + config.epsilon, math.nextafter(top, math.inf))
+
     # Categories only ever leave the candidate set: a swap raises profit.
     references = {
         j: (
-            max(item.profit for item in cats[j]) + config.epsilon,
-            max(-item.cost for item in cats[j]) + config.epsilon,
+            above(max(item.profit for item in cats[j])),
+            above(max(-item.cost for item in cats[j])),
         )
         for j in candidates
     }
@@ -163,7 +164,7 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
         solve(j)
     settle(0)
 
-    for index in range(1, config.max_iterations + 1):
+    for index in range(1, MAX_ITERATIONS + 1):
         head = (index, frozenset(candidates), frozenset(improving))
         affordable = frozenset(j for j, i in improving.items() if fits(j, i))
         if not affordable:

@@ -92,13 +92,6 @@ class Instance:
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(cat) for cat in self.categories)
 
-    def selections_count(self) -> int:
-        """Size of the full selection space (product of category sizes)."""
-        n = 1
-        for cat in self.categories:
-            n *= len(cat)
-        return n
-
 
 def _check_selection(instance: Instance, sel: Selection) -> None:
     if len(sel) != instance.m:
@@ -214,7 +207,7 @@ def read_instance(data: str | bytes) -> Instance:
     if budget <= 0:
         raise InstanceFormatError("budget must be positive", no)
 
-    categories: list[list[Item]] = []
+    categories = []
     for _ in range(m):
         no, line = next_row("'cat <n_j>'")
         parts = line.split()
@@ -226,7 +219,7 @@ def read_instance(data: str | bytes) -> Instance:
             raise InstanceFormatError(f"bad item count {parts[1]!r}", no) from None
         if n_j < 1:
             raise InstanceFormatError("category must have at least one item", no)
-        items: list[Item] = []
+        items = []
         for _ in range(n_j):
             no, line = next_row("'<profit> <cost>'")
             parts = line.split()
@@ -236,9 +229,9 @@ def read_instance(data: str | bytes) -> Instance:
             cost = _parse_number(parts[1], "cost", no)
             if profit < 0 or cost < 0:
                 raise InstanceFormatError("profit and cost must be nonnegative", no)
-            items.append(Item(profit, cost))
+            items.append((profit, cost))
         categories.append(items)
 
     if pos != len(rows):
         raise InstanceFormatError("unexpected trailing content", rows[pos][0])
-    return Instance(tuple(tuple(cat) for cat in categories), budget)
+    return Instance(categories, budget)

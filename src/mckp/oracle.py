@@ -20,6 +20,7 @@ from .model import (
     MCKPError,
     ObjectivePoint,
     Selection,
+    evaluate,
 )
 
 BRUTE_FORCE_LIMIT = 10**7
@@ -68,7 +69,7 @@ def _iter_images(instance: Instance):
 
 
 def _guard(instance: Instance, limit: int, what: str) -> None:
-    count = instance.selections_count()
+    count = math.prod(instance.sizes)
     if count > limit:
         raise OracleGuardError(f"{what}: selection space {count} exceeds guard {limit}")
 
@@ -123,8 +124,7 @@ def dominated_in_product(instance: Instance, sel: Selection) -> bool:
     Subject to the enumeration guard; used for optimality certificates.
     """
     _guard(instance, ENUMERATION_LIMIT, "dominated_in_product")
-    target_f1 = sum(instance.categories[j][i].profit for j, i in enumerate(sel))
-    target_f2 = -sum(instance.categories[j][i].cost for j, i in enumerate(sel))
+    target_f1, target_f2 = evaluate(instance, sel)
     for _, f1, f2 in _iter_images(instance):
         if f1 >= target_f1 and f2 >= target_f2 and (f1 > target_f1 or f2 > target_f2):
             return True
@@ -152,8 +152,11 @@ def _upper_hull(rows: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return hull
 
 
-def _lp_survivors(cats, frontiers, budget: int, floor_cost: int) -> list[tuple[int, ...]]:
+def _lp_survivors(rows, budget: int) -> list[list[tuple[int, float, int]]]:
     """Frontier rows that can appear in an optimal selection; integral profits.
+
+    ``rows`` holds each category's Pareto rows ``(index, profit, int cost)``
+    by increasing cost, as :func:`dp_solve` builds them; the survivors keep that form.
 
     A greedy walk over all upper-hull edges (:func:`_upper_hull`), steepest
     first, starts from the cheapest selection and takes each edge that fits
@@ -167,21 +170,18 @@ def _lp_survivors(cats, frontiers, budget: int, floor_cost: int) -> list[tuple[i
     ``lb`` and is not optimal (Dyer, Kayal and Walker 1984). The test runs
     on integers scaled by ``dc``, so it is exact.
     """
-    rows = []  # per category: its frontier rows as integer (profit, cost)
     edges = []
-    for j, frontier in enumerate(frontiers):
-        cat = cats[frontier.category_index]
-        rows.append([(int(cat[i].profit), int(cat[i].cost)) for i in frontier.pareto_items])
-        hull = _upper_hull(rows[-1])
+    for j, category_rows in enumerate(rows):
+        hull = _upper_hull([(int(p), c) for _, p, c in category_rows])
         for k, ((p1, c1), (p2, c2)) in enumerate(zip(hull, hull[1:])):
             edges.append((p2 - p1, c2 - c1, j, k))
     # Int/int division is correctly rounded, so the float slopes of a hull
     # do not increase and the stable sort keeps each hull's edges in order.
     edges.sort(key=lambda e: -e[0] / e[1])
-    residual = budget - floor_cost
-    lb = sum(category_rows[0][0] for category_rows in rows)
+    residual = budget - sum(category_rows[0][2] for category_rows in rows)
+    lb = sum(int(category_rows[0][1]) for category_rows in rows)
     critical = None
-    reached = [0] * len(frontiers)  # next hull edge of each category; -1 once stopped
+    reached = [0] * len(rows)  # next hull edge of each category; -1 once stopped
     for rise, run, j, k in edges:
         if reached[j] != k:
             continue
@@ -195,13 +195,13 @@ def _lp_survivors(cats, frontiers, budget: int, floor_cost: int) -> list[tuple[i
     lam_p, lam_c = critical or (0, 1)
 
     scored = []
-    for frontier, category_rows in zip(frontiers, rows):
-        values = [lam_c * p - lam_p * c for p, c in category_rows]
-        scored.append((frontier.pareto_items, values, max(values)))
+    for category_rows in rows:
+        values = [lam_c * int(p) - lam_p * c for _, p, c in category_rows]
+        scored.append((category_rows, values, max(values)))
     gap = sum(best for _, _, best in scored) + lam_p * budget - lam_c * lb
     return [
-        tuple(i for i, v in zip(items, values) if best - v <= gap)
-        for items, values, best in scored
+        [row for row, v in zip(category_rows, values) if best - v <= gap]
+        for category_rows, values, best in scored
     ]
 
 
@@ -236,9 +236,9 @@ def dp_solve(instance: Instance) -> ExactResult:
 
     budget = int(instance.budget)
     cats = instance.categories
-    frontiers = [pareto_filter(cat, j) for j, cat in enumerate(cats)]
-    # Pareto rows are sorted by increasing cost.
-    floor_cost = sum(int(cats[f.category_index][f.pareto_items[0]].cost) for f in frontiers)
+    # per category: its Pareto rows (index, profit, int cost), by increasing cost
+    pareto = [[(i, cat[i].profit, int(cat[i].cost)) for i in pareto_filter(cat)] for cat in cats]
+    floor_cost = sum(rows[0][2] for rows in pareto)
     if floor_cost > budget:
         raise InfeasibleInstanceError(
             f"minimum selection cost {floor_cost} exceeds budget {budget}"
@@ -246,20 +246,12 @@ def dp_solve(instance: Instance) -> ExactResult:
 
     integral = all(float(item.profit).is_integer() for cat in cats for item in cat)
     # The top Pareto row holds a category's largest profit.
-    profit_cap = sum(int(cats[f.category_index][f.pareto_items[-1]].profit) for f in frontiers)
-    if integral and profit_cap < 2**53:
-        kept = _lp_survivors(cats, frontiers, budget, floor_cost)
-    else:
-        kept = [f.pareto_items for f in frontiers]
-    shifted = []  # per category: list of (original index, profit, shifted int cost)
-    floor_cost = 0
-    slack_cap = 0
-    for cat, items in zip(cats, kept):
-        low = int(cat[items[0]].cost)
-        floor_cost += low
-        rows = [(i, cat[i].profit, int(cat[i].cost) - low) for i in items]
-        slack_cap += rows[-1][2]
-        shifted.append(rows)
+    if integral and sum(int(rows[-1][1]) for rows in pareto) < 2**53:
+        pareto = _lp_survivors(pareto, budget)
+    # per category: its surviving rows (index, profit, cost above the cheapest)
+    shifted = [[(i, p, c - rows[0][2]) for i, p, c in rows] for rows in pareto]
+    floor_cost = sum(rows[0][2] for rows in pareto)
+    slack_cap = sum(rows[-1][2] for rows in shifted)
 
     width = min(budget - floor_cost, slack_cap) + 1
     m = instance.m

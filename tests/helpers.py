@@ -5,7 +5,9 @@ scans, weight sweeps, exhaustive enumeration) rather than reusing package
 internals, so the tests check the implementations against a second route.
 """
 
+import importlib
 import itertools
+import math
 import random
 
 import numpy as np
@@ -177,8 +179,11 @@ def kissa_full_resolve(instance: Instance, straddle, config: KissaConfig | None 
     solver, the rho bound and the selection rule with the package; only the
     loop differs. On integer coefficients the
     incremental cost is exact, so both loops must give equal records; on
-    fractional ones this loop can return an infeasible selection.
+    fractional ones this loop can return an infeasible selection. The
+    iteration limit is read from ``mckp.kissa.MAX_ITERATIONS`` at call time,
+    so a test that patches it limits both loops.
     """
+    max_iterations = importlib.import_module("mckp.kissa").MAX_ITERATIONS
     config = config or KissaConfig()
     rho = delta_bound(instance, rho=config.rho).rho
     cats = instance.categories
@@ -187,13 +192,16 @@ def kissa_full_resolve(instance: Instance, straddle, config: KissaConfig | None 
     cost = -evaluate(instance, straddle.xa).f2
     profit = evaluate(instance, straddle.xa).f1
     run = KissaRun(final=straddle.xa)
-    for index in range(1, config.max_iterations + 1):
+    for index in range(1, max_iterations + 1):
         candidates = {j for j in range(instance.m) if cats[j][xa[j]].profit < cats[j][xb[j]].profit}
         improving = {}
         for j in sorted(candidates):
             cat = cats[j]
-            ref1 = max(item.profit for item in cat) + config.epsilon
-            ref2 = max(-item.cost for item in cat) + config.epsilon
+            # epsilon above each maximum, or the next float up where it rounds away
+            top1 = max(item.profit for item in cat)
+            top2 = max(-item.cost for item in cat)
+            ref1 = max(top1 + config.epsilon, math.nextafter(top1, math.inf))
+            ref2 = max(top2 + config.epsilon, math.nextafter(top2, math.inf))
             w1 = 1.0 / (ref1 - cat[xa[j]].profit)
             w2 = 1.0 / (ref2 + cat[xb[j]].cost)
             winner = solve_chebyshev_subproblem(cat, (w1, w2), (ref1, ref2), rho)
@@ -252,7 +260,7 @@ def dp_solve_full_width(instance: Instance) -> ExactResult:
     floor_cost = 0
     slack_cap = 0
     for cat in instance.categories:
-        kept = pareto_filter(cat).pareto_items
+        kept = pareto_filter(cat)
         low = int(cat[kept[0]].cost)
         floor_cost += low
         rows = [(i, cat[i].profit, int(cat[i].cost) - low) for i in kept]

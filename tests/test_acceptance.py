@@ -88,9 +88,7 @@ def test_criterion_2_separability_and_converse_failure():
             for _ in range(m)
         )
         instance = Instance(cats, budget=1.0)
-        frontiers = [
-            pareto_filter(instance.categories[j], j).pareto_items for j in range(m)
-        ]
+        frontiers = [pareto_filter(instance.categories[j]) for j in range(m)]
         entries = list(enumerate_images(instance))
         pareto_sels = set()
         for sel, f1, f2 in entries:
@@ -125,7 +123,7 @@ def test_criterion_3_chebyshev_soundness():
         cat = random_category(rng, max_n=12, max_coeff=40)
         bound = delta_bound(Instance((cat,), budget=1.0), rho=1e9)
         rho = bound.rho if bound.rho != 1e9 else 1e-7  # identical-items sentinel
-        frontier = set(pareto_filter(cat).pareto_items)
+        frontier = set(pareto_filter(cat))
         reference = (
             max(item.profit for item in cat) + 1e-4,
             max(-item.cost for item in cat) + 1e-4,

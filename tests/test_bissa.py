@@ -1,18 +1,28 @@
+import importlib
 import random
 
 import pytest
 
 from mckp import (
+    Correlation,
+    GenSpec,
     InfeasibleInstanceError,
     Instance,
     bissa,
+    generate,
     evaluate,
     is_feasible,
     pareto_filter,
     solve_linear,
 )
 
+from mckp.bissa import BisectionLimitError
+
 from helpers import linear_sweep_weights, random_instance
+
+# ``mckp.bissa`` is the function once the package is imported; the module
+# holds the step limit and the name the bisection looks ``solve_linear`` up by.
+bissa_module = importlib.import_module("mckp.bissa")
 
 
 class TestSolveLinear:
@@ -39,7 +49,7 @@ class TestSolveLinear:
             w = rng.uniform(1e-6, 1 - 1e-6)
             sel = solve_linear(inst, w)
             for j, i in enumerate(sel):
-                assert i in pareto_filter(inst.categories[j], j).pareto_items
+                assert i in pareto_filter(inst.categories[j])
 
     def test_rejects_weight_outside_unit_interval(self, appendix):
         with pytest.raises(ValueError):
@@ -81,9 +91,71 @@ class TestBissaExactCases:
         assert res.certificate == "zero-slack"
         assert -evaluate(inst, res.xa).f2 == 6.0
 
+    def test_zero_slack_at_the_min_cost_anchor(self):
+        # budget ratio 0: the budget is the cheapest selection's cost, so the
+        # anchor probe after the infeasible max-profit probe spends it exactly
+        for seed in range(5):
+            inst = generate(
+                GenSpec(m=4, n=3, correlation=Correlation.WEAK, seed=seed, budget_ratio=0.0)
+            )
+            res = bissa(inst)
+            assert res.exact
+            assert res.certificate == "zero-slack"
+            assert res.xb is None and res.gap_cost == 0.0
+            assert len(res.trace) == 2
+            assert not res.trace[0].feasible and res.trace[1].feasible
+            assert -evaluate(inst, res.xa).f2 == inst.budget
+
     def test_infeasible_instance(self):
         inst = Instance((((1, 5), (2, 6)),), budget=2.0)
         with pytest.raises(InfeasibleInstanceError):
+            bissa(inst)
+
+
+class TestBisectionLimit:
+    """``MAX_BISECTION_STEPS`` counts the probes after the max-profit probe
+    and the min-cost anchor; the last allowed probe still ends the run."""
+
+    @staticmethod
+    def count_probes(monkeypatch):
+        calls = []
+        solve = bissa_module.solve_linear
+
+        def counting(instance, w):
+            calls.append(w)
+            return solve(instance, w)
+
+        monkeypatch.setattr(bissa_module, "solve_linear", counting)
+        return calls
+
+    def test_limit_raises_after_its_probes(self, monkeypatch):
+        # 10 probes unpatched: the max-profit probe, the anchor and 8 steps
+        inst = generate(GenSpec(m=20, n=20, correlation=Correlation.WEAK, seed=1))
+        assert len(bissa(inst).trace) == 10
+        calls = self.count_probes(monkeypatch)
+        for limit in (1, 2, 7):
+            calls.clear()
+            monkeypatch.setattr(bissa_module, "MAX_BISECTION_STEPS", limit)
+            with pytest.raises(BisectionLimitError, match=f"within {limit} bisection"):
+                bissa(inst)
+            assert len(calls) == limit + 2
+        calls.clear()
+        monkeypatch.setattr(bissa_module, "MAX_BISECTION_STEPS", 8)
+        res = bissa(inst)
+        assert not res.exact
+        assert len(calls) == len(res.trace) == 10
+
+    def test_zero_slack_on_the_last_allowed_probe(self, monkeypatch):
+        # 5 probes unpatched, the fifth spends the budget exactly
+        inst = generate(
+            GenSpec(m=6, n=6, correlation=Correlation.WEAK, seed=124, budget_ratio=0.5)
+        )
+        assert len(bissa(inst).trace) == 5
+        monkeypatch.setattr(bissa_module, "MAX_BISECTION_STEPS", 3)
+        res = bissa(inst)
+        assert res.certificate == "zero-slack" and len(res.trace) == 5
+        monkeypatch.setattr(bissa_module, "MAX_BISECTION_STEPS", 2)
+        with pytest.raises(BisectionLimitError):
             bissa(inst)
 
 
@@ -108,7 +180,7 @@ class TestBissaProperties:
             assert res.gap_cost == pytest.approx(pa.f2 - pb.f2)
             assert res.gap_cost > 0
             for j in range(inst.m):
-                frontier = pareto_filter(inst.categories[j], j).pareto_items
+                frontier = pareto_filter(inst.categories[j])
                 assert res.xa[j] in frontier
                 assert res.xb[j] in frontier
 
@@ -185,8 +257,6 @@ class TestBissaProperties:
                 assert 0.0 <= step.weight <= 1.0
 
     def test_xa_best_reachable_at_benchmark_scale(self):
-        from mckp import Correlation, GenSpec, generate
-
         for seed in (1, 2, 3):
             inst = generate(
                 GenSpec(m=20, n=20, correlation=Correlation.WEAK, seed=seed)

@@ -1,6 +1,16 @@
 import pytest
 
-from mckp import Instance, read_instance, write_instance
+from mckp import (
+    Correlation,
+    GenSpec,
+    Instance,
+    bissa,
+    evaluate,
+    generate,
+    is_feasible,
+    read_instance,
+    write_instance,
+)
 from mckp.cli import main, parse_specfile
 from mckp.model import InstanceFormatError
 
@@ -87,6 +97,40 @@ class TestSolve:
         path.write_text("MCKP 1\nm=1 b=2\ncat 2\n1 5\n2 6\n", encoding="utf-8")
         assert main(["solve", str(path)]) == 3
         assert "infeasible" in capsys.readouterr().err
+
+    @staticmethod
+    def assert_solved_at_least_bissa(path, argv, capsys):
+        capsys.readouterr()
+        assert main(["solve", str(path), *argv]) == 0
+        out = capsys.readouterr().out
+        line = next(line for line in out.splitlines() if line.startswith("selection:"))
+        sel = tuple(int(i) for i in line.split()[1:])
+        inst = read_instance(path.read_text())
+        assert is_feasible(inst, sel)
+        assert evaluate(inst, sel).f1 >= evaluate(inst, bissa(inst).xa).f1
+
+    def test_eps_absorbed_by_the_category_maxima(self, tmp_path, capsys):
+        # 1e-20 is below half an ulp of every maximum, so max + eps rounds
+        # back to the maximum; the reference takes the next float up instead.
+        path = tmp_path / "w.mckp"
+        argv = ["gen", "--m", "6", "--n", "8", "--corr", "weak", "--seed", "3"]
+        assert main(argv + ["-o", str(path)]) == 0
+        self.assert_solved_at_least_bissa(path, ["--eps", "1e-20"], capsys)
+
+    def test_default_eps_absorbed_by_large_profits(self, tmp_path, capsys):
+        # profits times 2^40 have an ulp of 1/8 or more, so the default
+        # eps 1e-4 is absorbed as well (times 2^30 it is not)
+        base = generate(
+            GenSpec(m=6, n=8, correlation=Correlation.UNCORRELATED, seed=3, budget_ratio=0.4)
+        )
+        for scale in (2**30, 2**40):
+            inst = Instance(
+                tuple(tuple((p * scale, c) for p, c in cat) for cat in base.categories),
+                base.budget,
+            )
+            path = tmp_path / f"u{scale}.mckp"
+            path.write_text(write_instance(inst), encoding="utf-8")
+            self.assert_solved_at_least_bissa(path, [], capsys)
 
     def test_invalid_config_exit_code(self, appendix_file, capsys):
         for flag, value in [("--rho", "0"), ("--rho", "nan"), ("--rho", "inf"), ("--eps", "nan")]:

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from mckp import (
-    CategoryFrontier,
     Instance,
     delta_bound,
     pareto_filter,
@@ -61,16 +60,16 @@ HARD_CATEGORIES = (ties, equal_profits, equal_costs, duplicates, collinear, dyad
 
 class TestParetoFilter:
     def test_appendix_categories(self, appendix):
-        f0 = pareto_filter(appendix.categories[0], 0)
-        assert f0 == CategoryFrontier(0, (0, 1))
-        f1 = pareto_filter(appendix.categories[1], 1)
-        assert f1 == CategoryFrontier(1, (1, 0))  # increasing cost: (2,1) then (4,2)
+        f0 = pareto_filter(appendix.categories[0])
+        assert f0 == (0, 1)
+        f1 = pareto_filter(appendix.categories[1])
+        assert f1 == (1, 0)  # increasing cost: (2,1) then (4,2)
 
     def test_dominated_item_dropped(self):
-        assert pareto_filter(cat((5, 1), (4, 2))).pareto_items == (0,)
+        assert pareto_filter(cat((5, 1), (4, 2))) == (0,)
 
     def test_duplicates_collapse_to_lowest_index(self):
-        assert pareto_filter(cat((3, 2), (3, 2), (1, 1))).pareto_items == (2, 0)
+        assert pareto_filter(cat((3, 2), (3, 2), (1, 1))) == (2, 0)
 
     def test_matches_pairwise_scan(self):
         # The order and the tie rule matter: dp_solve takes its rows, and so
@@ -80,13 +79,13 @@ class TestParetoFilter:
         for trial in range(1400):
             c = cat(*makers[trial % len(makers)](rng, rng.randint(1, 10)))
             want = sorted(pareto_items_by_pairwise_scan(c), key=lambda i: c[i].profit)
-            assert pareto_filter(c).pareto_items == tuple(want), c
+            assert pareto_filter(c) == tuple(want), c
 
     def test_sorted_strictly(self):
         rng = random.Random(14)
         for _ in range(200):
             c = random_category(rng, max_n=10)
-            items = pareto_filter(c).pareto_items
+            items = pareto_filter(c)
             profits = [c[i].profit for i in items]
             costs = [c[i].cost for i in items]
             assert all(a < b for a, b in zip(profits, profits[1:]))
@@ -97,8 +96,8 @@ def supported_by_weight_probe(frontier, c) -> set[int]:
     """An item is supported iff it attains the scalarization max at some
     weight; candidate weights are all pairwise equalizers plus midpoints."""
     weights = {1e-9, 0.5, 1 - 1e-9}
-    for a in frontier.pareto_items:
-        for b in frontier.pareto_items:
+    for a in frontier:
+        for b in frontier:
             dp = c[b].profit - c[a].profit
             dc = c[b].cost - c[a].cost
             if dp + dc != 0:
@@ -109,7 +108,7 @@ def supported_by_weight_probe(frontier, c) -> set[int]:
     weights.update((x + y) / 2 for x, y in zip(ordered, ordered[1:]))
     supported = set()
     for w in weights:
-        scores = {i: w * c[i].profit - (1 - w) * c[i].cost for i in frontier.pareto_items}
+        scores = {i: w * c[i].profit - (1 - w) * c[i].cost for i in frontier}
         top = max(scores.values())
         # ties at shared weights are exact in math but not in floats; with
         # integer coefficients true gaps are orders of magnitude above this
@@ -120,7 +119,7 @@ def supported_by_weight_probe(frontier, c) -> set[int]:
 
 def hull_items(c) -> tuple[int, ...]:
     """Item indices on the exact oracle's integer upper hull of ``c``."""
-    items = pareto_filter(c).pareto_items
+    items = pareto_filter(c)
     rows = [(int(c[i].profit), int(c[i].cost)) for i in items]
     by_row = dict(zip(rows, items))  # frontier rows are distinct
     return tuple(by_row[row] for row in _upper_hull(rows))
@@ -135,7 +134,7 @@ class TestSupportedFilter:
 
     def test_unsupported_point_dropped(self):
         c = cat((2, 2), (4, 6), (6, 7))
-        assert pareto_filter(c).pareto_items == (0, 1, 2)
+        assert pareto_filter(c) == (0, 1, 2)
         assert hull_items(c) == (0, 2)
 
     def test_singleton(self):
@@ -150,7 +149,7 @@ class TestSupportedFilter:
             hull = hull_items(c)
             assert set(hull) == supported_by_weight_probe(f, c)
             # hull is a subsequence of the frontier
-            order = {i: k for k, i in enumerate(f.pareto_items)}
+            order = {i: k for k, i in enumerate(f)}
             ranks = [order[i] for i in hull]
             assert ranks == sorted(ranks)
 
@@ -176,7 +175,7 @@ class TestSupportedFilter:
             (903723055909290, 867736452968898),
             (1807446111817841, 1735472905937766),
         )
-        assert pareto_filter(c).pareto_items == (0, 1, 2)
+        assert pareto_filter(c) == (0, 1, 2)
         (p0, c0), (p1, c1), (p2, c2) = ((int(i.profit), int(i.cost)) for i in c)
         assert (p2 - p1) * (c1 - c0) > (p1 - p0) * (c2 - c1)
         assert hull_items(c) == (0, 2)
@@ -301,7 +300,7 @@ class TestChebyshevTheorems:
         rng = random.Random(42)
         for _ in range(150):
             c = random_category(rng, max_n=12, max_coeff=30)
-            frontier = set(pareto_filter(c).pareto_items)
+            frontier = set(pareto_filter(c))
             bound = delta_bound(Instance((c,), budget=1.0), rho=1e9).rho
             reference = (
                 max(p for p, _ in c) + 1e-4,
@@ -322,7 +321,7 @@ class TestChebyshevTheorems:
                 max(p for p, _ in c) + 1e-4,
                 max(-cc for _, cc in c) + 1e-4,
             )
-            for target in pareto_filter(c).pareto_items:
+            for target in pareto_filter(c):
                 g1 = reference[0] - c[target].profit
                 g2 = reference[1] + c[target].cost
                 total = g1 + g2

@@ -1,3 +1,5 @@
+import importlib
+import math
 import random
 
 import pytest
@@ -25,6 +27,10 @@ from mckp import (
 from mckp.oracle import ENUMERATION_LIMIT
 
 from helpers import brute_optimum, kissa_full_resolve, random_instance
+
+# ``mckp.kissa`` is the function once the package is imported; the module
+# holds the iteration limit.
+kissa_module = importlib.import_module("mckp.kissa")
 
 
 class TestImprovableCategories:
@@ -81,7 +87,7 @@ class TestKissaContracts:
         # 7^6 selections exceed ENUMERATION_LIMIT. All items are equal, so no
         # selection dominates the final one: only the guard makes this False.
         inst = Instance(tuple(((1, 1),) * 7 for _ in range(6)), budget=100.0)
-        assert inst.selections_count() > ENUMERATION_LIMIT
+        assert math.prod(inst.sizes) > ENUMERATION_LIMIT
         run = KissaRun(final=(0,) * 6, termination=Termination.NO_IMPROVEMENT)
         assert certify(inst, run) is False
 
@@ -153,7 +159,7 @@ class TestKissaProperties:
     def test_components_stay_on_category_frontiers(self):
         for inst, _, run in self._runs(102, 100):
             for j, i in enumerate(run.final):
-                assert i in pareto_filter(inst.categories[j], j).pareto_items
+                assert i in pareto_filter(inst.categories[j])
 
     def test_never_beats_the_oracle(self):
         for inst, straddle, run in self._runs(103, 150):
@@ -251,9 +257,57 @@ class TestFractionalBudget:
         assert evaluate(inst, run.final).f1 >= evaluate(inst, straddle.xa).f1
 
 
+class TestAbsorbedEpsilon:
+    """Where max + epsilon rounds back to a category maximum, the reference
+    point takes the next float up, so it still strictly dominates."""
+
+    @staticmethod
+    def assert_improves_on_bissa(inst, config):
+        straddle = bissa(inst)
+        assert not straddle.exact
+        run = kissa(inst, straddle, config)
+        assert is_feasible(inst, run.final)
+        assert evaluate(inst, run.final).f1 >= evaluate(inst, straddle.xa).f1
+        assert run == kissa_full_resolve(inst, straddle, config)
+
+    def test_eps_below_half_an_ulp_of_the_maxima(self):
+        inst = generate(GenSpec(m=6, n=8, correlation=Correlation.WEAK, seed=3))
+        top = max(item.profit for item in inst.categories[0])
+        assert top + 1e-20 == top
+        self.assert_improves_on_bissa(inst, KissaConfig(epsilon=1e-20))
+
+    def test_default_eps_below_half_an_ulp_of_scaled_profits(self):
+        base = generate(
+            GenSpec(m=6, n=8, correlation=Correlation.UNCORRELATED, seed=3, budget_ratio=0.4)
+        )
+        for scale in (2**30, 2**40):
+            inst = Instance(
+                tuple(tuple((p * scale, c) for p, c in cat) for cat in base.categories),
+                base.budget,
+            )
+            self.assert_improves_on_bissa(inst, KissaConfig())
+
+    def test_unabsorbed_shift_keeps_max_plus_epsilon(self, monkeypatch):
+        # the reference of every solved subproblem is exactly max + epsilon
+        references = []
+        solve = kissa_module.solve_chebyshev_subproblem
+
+        def recording(cat, weights, reference, rho):
+            references.append((cat, reference))
+            return solve(cat, weights, reference, rho)
+
+        monkeypatch.setattr(kissa_module, "solve_chebyshev_subproblem", recording)
+        inst = generate(GenSpec(m=6, n=8, correlation=Correlation.WEAK, seed=3))
+        kissa(inst, bissa(inst), KissaConfig(epsilon=1e-3))
+        assert references
+        for cat, (ref1, ref2) in references:
+            assert ref1 == max(item.profit for item in cat) + 1e-3
+            assert ref2 == max(-item.cost for item in cat) + 1e-3
+
+
 class TestIncrementalMatchesFullResolve:
     @pytest.mark.parametrize("correlation", list(Correlation))
-    def test_records_equal_on_generated_families(self, correlation):
+    def test_records_equal_on_generated_families(self, correlation, monkeypatch):
         rng = random.Random(f"kissa-differential:{correlation.value}")
         compared = 0
         longest = 0
@@ -272,9 +326,10 @@ class TestIncrementalMatchesFullResolve:
             compared += 1
             for rule in SelectionRule:
                 for limit in (10_000, 2):
-                    config = KissaConfig(rule=rule, max_iterations=limit)
+                    monkeypatch.setattr(kissa_module, "MAX_ITERATIONS", limit)
+                    config = KissaConfig(rule=rule)
                     run = kissa(inst, straddle, config)
-                    assert run == kissa_full_resolve(inst, straddle, config), (spec, config)
+                    assert run == kissa_full_resolve(inst, straddle, config), (spec, rule, limit)
                     longest = max(longest, len(run.iterations))
         if correlation is Correlation.WEAK:
             assert longest >= 10  # the comparison covers long swap sequences

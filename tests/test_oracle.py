@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -65,7 +66,7 @@ class TestBruteForce:
 
     def test_guard(self):
         inst = Instance(tuple(((1, 1),) * 10 for _ in range(8)), budget=100.0)
-        assert inst.selections_count() == 10**8
+        assert math.prod(inst.sizes) == 10**8
         with pytest.raises(OracleGuardError):
             brute_force(inst)
 
@@ -242,6 +243,15 @@ def dp_outcome(solver, inst):
         return type(err), str(err)
 
 
+def pareto_rows(inst):
+    """Each category's Pareto rows ``(index, profit, int cost)``, as ``dp_solve``
+    builds them for ``_lp_survivors``."""
+    return [
+        [(i, cat[i].profit, int(cat[i].cost)) for i in pareto_filter(cat)]
+        for cat in inst.categories
+    ]
+
+
 def matches_full_width(inst):
     """dp_solve gives the full table's whole result: optimum, selection,
     method, or the same error with the same message. The printed optimum
@@ -302,12 +312,7 @@ class TestDpSolveMatchesFullWidth:
             base = generate(GenSpec(m=30, n=30, correlation=Correlation.WEAK, seed=seed))
             inst = Instance(base.categories, sum(max(c for _, c in cat) for cat in base.categories))
             assert matches_full_width(inst)
-            kept = _lp_survivors(
-                inst.categories,
-                [pareto_filter(cat, j) for j, cat in enumerate(inst.categories)],
-                int(inst.budget),
-                sum(int(min(c for _, c in cat)) for cat in inst.categories),
-            )
+            kept = _lp_survivors(pareto_rows(inst), int(inst.budget))
             assert all(len(rows) == 1 for rows in kept)
 
     def test_every_item_on_the_critical_line(self):
@@ -324,20 +329,21 @@ class TestReducedCostSoundness:
         checked = 0
         for _ in range(1500):
             inst = tricky_instance(rng)
-            cats = inst.categories
             want, _ = brute_optimum(inst)
             if want is None:
                 continue
-            frontiers = [pareto_filter(cat, j) for j, cat in enumerate(cats)]
-            floor_cost = sum(int(cats[j][f.pareto_items[0]].cost) for j, f in enumerate(frontiers))
-            kept = _lp_survivors(cats, frontiers, int(inst.budget), floor_cost)
+            frontiers = [pareto_filter(cat) for cat in inst.categories]
+            kept = [
+                {index for index, _, _ in rows}
+                for rows in _lp_survivors(pareto_rows(inst), int(inst.budget))
+            ]
             for sel, f1, f2 in enumerate_images(inst):
                 if f1 != want or f2 < -inst.budget:
                     continue
                 # The table holds only Pareto rows; any other item of an
                 # optimal selection can be swapped for the row dominating it.
                 for j, i in enumerate(sel):
-                    if i in frontiers[j].pareto_items:
+                    if i in frontiers[j]:
                         checked += 1
                         assert i in kept[j], (inst, sel)
         assert checked > 5000
@@ -351,10 +357,10 @@ class TestReducedCostSoundness:
         sp, base = 1157624360293364, 2237230312868223
         cat = ((0, 0), (sp, base), (2 * sp - 2, 2 * base - 4))
         inst = Instance((cat,), float(base - 4))
-        frontiers = [pareto_filter(inst.categories[0], 0)]
         assert _upper_hull(list(cat)) == [cat[0], cat[2]]
         assert brute_force(inst).optimum_selection == (0,)
-        assert 0 in _lp_survivors(inst.categories, frontiers, int(inst.budget), 0)[0]
+        survivors = _lp_survivors(pareto_rows(inst), int(inst.budget))[0]
+        assert 0 in [index for index, _, _ in survivors]
         assert dp_outcome(dp_solve, inst) == dp_outcome(dp_solve_full_width, inst)
 
 
@@ -372,7 +378,7 @@ class TestParetoEnumerate:
         for _ in range(50):
             inst = random_instance(rng, max_m=1, max_n=8)
             enum = {sel[0] for sel, _ in pareto_enumerate(inst)}
-            frontier = pareto_filter(inst.categories[0], 0).pareto_items
+            frontier = pareto_filter(inst.categories[0])
             # enumeration keeps objective-duplicates; frontier collapses them
             assert set(frontier) <= enum
             images_enum = {
