@@ -10,12 +10,7 @@ programming) back the tests and the gap reports.
 
 from .bench import GapReport, GapRow, run_benchmark
 from .bissa import BissaResult, WeightStep, bissa, solve_linear
-from .frontier import (
-    RhoBound,
-    delta_bound,
-    pareto_filter,
-    solve_chebyshev_subproblem,
-)
+from .frontier import RhoBound, delta_bound, solve_chebyshev_subproblem
 from .generate import Correlation, GenSpec, SplitMix64, generate
 from .kissa import (
     KissaConfig,
@@ -39,6 +34,7 @@ from .model import (
     Selection,
     evaluate,
     is_feasible,
+    pareto_filter,
     read_instance,
     write_instance,
 )

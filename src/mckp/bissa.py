@@ -1,7 +1,8 @@
 """Weight-bisection front-end (BISSA).
 
 The linear scalarization w*profit - (1-w)*cost is additively separable, so
-its maximizer over the selection space is a per-category argmax. Sweeping w
+its maximizer over the selection space is a per-category argmax, taken over
+each category's nondominated items (``Instance.frontiers``). Sweeping w
 from 0 to 1 walks the supported (convex-hull) nondominated selections from
 cheapest to most profitable. ``bissa`` bisects on w until it either proves
 optimality (the max-profit selection fits the budget, or some supported
@@ -61,50 +62,26 @@ class BissaResult:
 
 
 def solve_linear(instance: Instance, w: float) -> Selection:
-    """Per-category argmax of w*profit - (1-w)*cost.
+    """Per-category argmax of w*profit - (1-w)*cost over the category's frontier.
 
-    Ties break to the lower cost, then the lower item index. For w strictly
-    inside (0, 1) the result is supported nondominated; at the endpoints the
-    tie rule alone decides and the result may be only weakly nondominated.
+    Costs rise strictly along a frontier, so the first maximum is the
+    cheapest one. The result is nondominated at every w in [0, 1], and
+    supported nondominated for w strictly inside (0, 1).
     """
     if not 0.0 <= w <= 1.0:
         raise ValueError("weight must lie in [0, 1]")
     cw = 1.0 - w
     chosen = []
-    for cat in instance.categories:
-        best = 0
-        best_score = w * cat[0].profit - cw * cat[0].cost
-        best_cost = cat[0].cost
-        for i in range(1, len(cat)):
+    for cat, frontier in zip(instance.categories, instance.frontiers):
+        best = frontier[0]
+        best_score = w * cat[best].profit - cw * cat[best].cost
+        for i in frontier[1:]:
             item = cat[i]
             score = w * item.profit - cw * item.cost
-            if score > best_score or (score == best_score and item.cost < best_cost):
-                best, best_score, best_cost = i, score, item.cost
+            if score > best_score:
+                best, best_score = i, score
         chosen.append(best)
     return tuple(chosen)
-
-
-def _min_cost_anchor_weight(instance: Instance) -> float:
-    """A strictly positive weight at which solve_linear returns the
-    nondominated minimum-cost endpoint of the supported frontier.
-
-    For each category let j* be the cheapest item (ties: most profitable,
-    then lowest index). Any other item i overtakes j* in the scalarization
-    only above the weight dc/(dp+dc) with dc = cost_i - cost_j* > 0 and
-    dp = profit_i - profit_j* > 0; half the smallest such threshold keeps
-    every j* optimal while the positive weight resolves equal-cost ties in
-    favor of profit.
-    """
-    threshold = 1.0
-    for cat in instance.categories:
-        star = min(range(len(cat)), key=lambda i: (cat[i].cost, -cat[i].profit, i))
-        p0, c0 = cat[star].profit, cat[star].cost
-        for item in cat:
-            dc = item.cost - c0
-            dp = item.profit - p0
-            if dc > 0 and dp > 0:
-                threshold = min(threshold, dc / (dp + dc))
-    return threshold / 2.0
 
 
 def bissa(instance: Instance) -> BissaResult:
@@ -124,15 +101,15 @@ def bissa(instance: Instance) -> BissaResult:
         trace.append(WeightStep(w, sel, feasible))
         return sel, point, feasible
 
-    # Max-profit endpoint: tie rule at w=1 picks the cheapest among the most
-    # profitable, so feasibility here certifies optimality outright.
+    # Max-profit endpoint: w=1 picks the cheapest among the most profitable,
+    # so feasibility here certifies optimality outright.
     x, p, feasible = probe(1.0)
     certificate = "max-profit-feasible"
     if not feasible:
         xa, pa = None, None
         xb, pb = x, p
-        w = _min_cost_anchor_weight(instance)
-        # The first probe is the min-cost anchor, the rest bisection steps.
+        w = 0.0
+        # The first probe, at w=0, is the min-cost anchor, the rest bisection steps.
         for _ in range(MAX_BISECTION_STEPS + 1):
             x, p, feasible = probe(w)
             if pa is None and not feasible:

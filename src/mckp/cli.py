@@ -195,10 +195,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InstanceFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InstanceFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InfeasibleInstanceError as exc:
@@ -207,9 +204,6 @@ def main(argv=None) -> int:
     except (OracleGuardError, NonIntegerInstanceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except MCKPError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,9 +1,10 @@
 """Per-category frontier machinery.
 
 Everything here works on a single category in objective space, where an item
-maps to the point (profit, -cost) and both coordinates are maximized:
+maps to the point (profit, -cost) and both coordinates are maximized. The
+nondominated items of a category come from ``model.pareto_filter``, which
+``Instance.frontiers`` caches per instance; this module adds:
 
-* ``pareto_filter``      -- the nondominated items of a category,
 * ``delta_bound``        -- a computable lower bound on pairwise trade-off
   ratios; any augmentation factor below it makes the augmented Chebyshev
   scalarization characterize exactly the nondominated items. A pair's ratio
@@ -41,25 +42,6 @@ class RhoBound:
 
     delta: float
     rho: float
-
-
-def pareto_filter(cat: Category) -> tuple[int, ...]:
-    """Nondominated item indices of a category under (max profit, min cost).
-
-    One sort by (cost, -profit, index), then each item is kept whose profit
-    beats every item before it, so costs and profits rise strictly along the
-    tuple. Items with identical objective pairs collapse to the lowest index.
-    """
-    if not cat:
-        raise ValueError("category must be non-empty")
-    order = sorted(range(len(cat)), key=lambda i: (cat[i].cost, -cat[i].profit, i))
-    kept: list[int] = []
-    best_profit = -math.inf
-    for i in order:
-        if cat[i].profit > best_profit:
-            kept.append(i)
-            best_profit = cat[i].profit
-    return tuple(kept)
 
 
 def _steepest_trade_off(owner, x, y):
@@ -161,15 +143,13 @@ def solve_chebyshev_subproblem(
         raise InvalidReferencePointError("weights must be strictly positive")
     if not (math.isfinite(rho) and rho > 0):
         raise InvalidReferencePointError("rho must be strictly positive and finite")
-    max_p = max(item.profit for item in cat)
-    max_f2 = max(-item.cost for item in cat)
-    if reference[0] <= max_p or reference[1] <= max_f2:
-        raise InvalidReferencePointError(
-            "reference point must strictly dominate every item of the category"
-        )
     best_index = 0
     best_value = math.inf
     for i, item in enumerate(cat):
+        if item.profit >= reference[0] or -item.cost >= reference[1]:
+            raise InvalidReferencePointError(
+                "reference point must strictly dominate every item of the category"
+            )
         value = chebyshev_value(item.profit, item.cost, weights, reference, rho)
         if value < best_value:
             best_value = value

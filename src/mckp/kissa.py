@@ -131,10 +131,13 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
         return max(top + config.epsilon, math.nextafter(top, math.inf))
 
     # Categories only ever leave the candidate set: a swap raises profit.
+    # A frontier's last item has the category's largest profit, its first
+    # the smallest cost.
+    frontiers = instance.frontiers
     references = {
         j: (
-            above(max(item.profit for item in cats[j])),
-            above(max(-item.cost for item in cats[j])),
+            above(cats[j][frontiers[j][-1]].profit),
+            above(-cats[j][frontiers[j][0]].cost),
         )
         for j in candidates
     }

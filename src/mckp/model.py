@@ -3,12 +3,14 @@
 An instance is a list of item categories plus a budget; a solution picks
 exactly one item per category. The solver stack works on the bi-objective
 image of a selection: total profit and negated total cost, both maximized.
-This module holds the types, the objective/feasibility evaluators and the
-line-oriented instance file format.
+This module holds the types, each category's Pareto filter (which every
+layer reads through ``Instance.frontiers``), the objective/feasibility
+evaluators and the line-oriented instance file format.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 
@@ -51,6 +53,25 @@ class ObjectivePoint(NamedTuple):
     f2: float
 
 
+def pareto_filter(cat: Category) -> tuple[int, ...]:
+    """Nondominated item indices of a category under (max profit, min cost).
+
+    One sort by (cost, -profit, index), then each item is kept whose profit
+    beats every item before it, so costs and profits rise strictly along the
+    tuple. Items with identical objective pairs collapse to the lowest index.
+    """
+    if not cat:
+        raise ValueError("category must be non-empty")
+    order = sorted(range(len(cat)), key=lambda i: (cat[i].cost, -cat[i].profit, i))
+    kept: list[int] = []
+    best_profit = -math.inf
+    for i in order:
+        if cat[i].profit > best_profit:
+            kept.append(i)
+            best_profit = cat[i].profit
+    return tuple(kept)
+
+
 @dataclass(frozen=True)
 class Instance:
     """Immutable problem instance: categories of (profit, cost) items and a budget.
@@ -91,6 +112,14 @@ class Instance:
     @property
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(cat) for cat in self.categories)
+
+    @cached_property
+    def frontiers(self) -> tuple[tuple[int, ...], ...]:
+        """Each category's :func:`pareto_filter` indices, computed on first use.
+
+        Not a field, so equality, hashing and ``dataclasses.replace`` ignore it.
+        """
+        return tuple(pareto_filter(cat) for cat in self.categories)
 
 
 def _check_selection(instance: Instance, sel: Selection) -> None:

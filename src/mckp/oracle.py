@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frontier import pareto_filter
 from .model import (
     InfeasibleInstanceError,
     Instance,
@@ -119,16 +118,12 @@ def pareto_enumerate(instance: Instance) -> list[tuple[Selection, ObjectivePoint
 
 
 def dominated_in_product(instance: Instance, sel: Selection) -> bool:
-    """True iff some selection strictly dominates ``sel`` in (profit, -cost).
+    """True iff some selection strictly dominates ``sel`` in (profit, -cost),
+    that is, iff its image is not among :func:`pareto_enumerate`'s.
 
     Subject to the enumeration guard; used for optimality certificates.
     """
-    _guard(instance, ENUMERATION_LIMIT, "dominated_in_product")
-    target_f1, target_f2 = evaluate(instance, sel)
-    for _, f1, f2 in _iter_images(instance):
-        if f1 >= target_f1 and f2 >= target_f2 and (f1 > target_f1 or f2 > target_f2):
-            return True
-    return False
+    return evaluate(instance, sel) not in {point for _, point in pareto_enumerate(instance)}
 
 
 def _upper_hull(rows: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -237,7 +232,10 @@ def dp_solve(instance: Instance) -> ExactResult:
     budget = int(instance.budget)
     cats = instance.categories
     # per category: its Pareto rows (index, profit, int cost), by increasing cost
-    pareto = [[(i, cat[i].profit, int(cat[i].cost)) for i in pareto_filter(cat)] for cat in cats]
+    pareto = [
+        [(i, cat[i].profit, int(cat[i].cost)) for i in frontier]
+        for cat, frontier in zip(cats, instance.frontiers)
+    ]
     floor_cost = sum(rows[0][2] for rows in pareto)
     if floor_cost > budget:
         raise InfeasibleInstanceError(

@@ -115,6 +115,28 @@ def linear_sweep_weights(instance: Instance) -> list[float]:
     return sorted(set(ordered + mids))
 
 
+def solve_linear_all_items(instance: Instance, w: float) -> tuple[int, ...]:
+    """``solve_linear`` as first written: every item of every category.
+
+    Test-only reference for the frontier-only argmax. Ties break to the
+    lower cost, then the lower index, so at w=0 it can pick a dominated item
+    (equal cost, lower profit); inside (0, 1] both must agree.
+    """
+    cw = 1.0 - w
+    chosen = []
+    for cat in instance.categories:
+        best = 0
+        best_score = w * cat[0].profit - cw * cat[0].cost
+        best_cost = cat[0].cost
+        for i in range(1, len(cat)):
+            item = cat[i]
+            score = w * item.profit - cw * item.cost
+            if score > best_score or (score == best_score and item.cost < best_cost):
+                best, best_score, best_cost = i, score, item.cost
+        chosen.append(best)
+    return tuple(chosen)
+
+
 def enumerate_images(instance: Instance):
     """(selection, f1, f2) for the whole selection space, summed in category
     order like the package evaluator."""

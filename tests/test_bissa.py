@@ -18,7 +18,7 @@ from mckp import (
 
 from mckp.bissa import BisectionLimitError
 
-from helpers import linear_sweep_weights, random_instance
+from helpers import linear_sweep_weights, random_instance, solve_linear_all_items
 
 # ``mckp.bissa`` is the function once the package is imported; the module
 # holds the step limit and the name the bisection looks ``solve_linear`` up by.
@@ -36,11 +36,11 @@ class TestSolveLinear:
         assert sel == (0, 1)
         assert evaluate(appendix, sel) == pytest.approx((4.0, -2.9))
 
-    def test_tie_chain_ends_at_lowest_index(self):
-        # equal costs everywhere: scalarization ties at w=0, tie rule keeps
-        # the lower cost (also tied) and finally the lower index
+    def test_zero_weight_tie_takes_the_nondominated_item(self):
+        # equal costs: the scalarization ties at w=0, and the frontier holds
+        # only the more profitable item, which dominates the other
         inst = Instance((((1.0, 2.0), (9.0, 2.0)),), budget=3.0)
-        assert solve_linear(inst, 0.0) == (0,)
+        assert solve_linear(inst, 0.0) == (1,)
 
     def test_interior_weights_give_category_pareto_components(self):
         rng = random.Random(3)
@@ -54,6 +54,62 @@ class TestSolveLinear:
     def test_rejects_weight_outside_unit_interval(self, appendix):
         with pytest.raises(ValueError):
             solve_linear(appendix, 1.5)
+
+
+def tie_heavy_instance(rng: random.Random) -> Instance:
+    """Small coefficients, so ties and duplicate items are common; some
+    categories put every item on one line, shuffled."""
+    cats = []
+    for _ in range(rng.randint(1, 4)):
+        n = rng.randint(1, 6)
+        if rng.random() < 0.3:
+            p0, c0 = rng.randint(0, 3), rng.randint(0, 3)
+            dp, dc = rng.randint(0, 2), rng.randint(0, 2)
+            cat = [(p0 + k * dp, c0 + k * dc) for k in range(n)]
+            rng.shuffle(cat)
+        else:
+            cat = [(rng.randint(0, 4), rng.randint(0, 4)) for _ in range(n)]
+        cats.append(tuple(cat))
+    return Instance(tuple(cats), budget=rng.randint(1, 4 * len(cats)))
+
+
+class TestSolveLinearMatchesAllItems:
+    """``solve_linear`` reads only each category's frontier. Inside (0, 1]
+    it must pick what the scan over all items picks; at w=0 it picks each
+    frontier's cheapest item, the nondominated one."""
+
+    @staticmethod
+    def check(inst, weights):
+        for w in weights:
+            if w > 0.0:
+                assert solve_linear(inst, w) == solve_linear_all_items(inst, w), w
+        assert solve_linear(inst, 0.0) == tuple(f[0] for f in inst.frontiers)
+
+    @staticmethod
+    def trace_weights(inst):
+        try:
+            return [step.weight for step in bissa(inst).trace]
+        except InfeasibleInstanceError:
+            return []
+
+    def test_generated_instances(self):
+        for corr in (Correlation.WEAK, Correlation.UNCORRELATED):
+            for seed in range(4):
+                inst = generate(GenSpec(m=6, n=15, correlation=corr, seed=seed))
+                self.check(inst, linear_sweep_weights(inst) + self.trace_weights(inst))
+        for spec in (
+            GenSpec(m=40, n=200, correlation=Correlation.WEAK, seed=1),
+            GenSpec(m=250, n=10, correlation=Correlation.UNCORRELATED, seed=1,
+                    budget_ratio=0.35),
+        ):
+            inst = generate(spec)
+            self.check(inst, self.trace_weights(inst))
+
+    def test_ties_duplicates_and_collinear_items(self):
+        rng = random.Random(21)
+        for _ in range(300):
+            inst = tie_heavy_instance(rng)
+            self.check(inst, linear_sweep_weights(inst) + self.trace_weights(inst))
 
 
 class TestBissaAppendix:
@@ -105,6 +161,24 @@ class TestBissaExactCases:
             assert len(res.trace) == 2
             assert not res.trace[0].feasible and res.trace[1].feasible
             assert -evaluate(inst, res.xa).f2 == inst.budget
+
+    def test_anchor_probe_at_zero_weight(self):
+        # after an infeasible max-profit probe, the min-cost anchor is probed
+        # at w=0 and takes each frontier's cheapest item
+        rng = random.Random(16)
+        anchored = 0
+        for _ in range(200):
+            inst = random_instance(rng)
+            try:
+                res = bissa(inst)
+            except InfeasibleInstanceError:
+                continue
+            if len(res.trace) < 2:
+                continue
+            anchored += 1
+            assert res.trace[1].weight == 0.0
+            assert res.trace[1].selection == tuple(f[0] for f in inst.frontiers)
+        assert anchored > 50
 
     def test_infeasible_instance(self):
         inst = Instance((((1, 5), (2, 6)),), budget=2.0)

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import pytest
 
 from mckp import (
@@ -11,6 +14,7 @@ from mckp import (
     read_instance,
     write_instance,
 )
+from mckp import model
 from mckp.cli import main, parse_specfile
 from mckp.model import InstanceFormatError
 
@@ -233,3 +237,41 @@ class TestBench:
         spec = tmp_path / "specs.txt"
         spec.write_text("m=3 corr=uncorr seed=1\n", encoding="utf-8")
         assert main(["bench", "--spec", str(spec), "--out", str(tmp_path / "r.csv")]) == 2
+
+
+class TestOneFrontierViewPerInstance:
+    """Every layer reads ``Instance.frontiers``, so a command filters each
+    category of its instance once."""
+
+    @staticmethod
+    def count_filters(monkeypatch):
+        calls = []
+        real = model.pareto_filter
+
+        def counting(cat):
+            calls.append(cat)
+            return real(cat)
+
+        monkeypatch.setattr(model, "pareto_filter", counting)
+        return calls
+
+    def test_solve(self, tmp_path, monkeypatch, capsys):
+        inst = generate(GenSpec(m=6, n=8, correlation=Correlation.WEAK, seed=3))
+        path = tmp_path / "w.mckp"
+        path.write_text(write_instance(inst), encoding="utf-8")
+        calls = self.count_filters(monkeypatch)
+        assert main(["solve", str(path)]) == 0
+        # bissa, kissa and certify all ran on the instance
+        assert "termination: budget-blocked" in capsys.readouterr().out
+        assert len(calls) == inst.m
+
+    def test_bench_row(self, tmp_path, monkeypatch, capsys):
+        spec = tmp_path / "specs.txt"
+        spec.write_text("m=20 n=20 corr=weak seed=3\n", encoding="utf-8")
+        out = tmp_path / "report.csv"
+        calls = self.count_filters(monkeypatch)
+        assert main(["bench", "--spec", str(spec), "--out", str(out)]) == 0
+        row = dict(zip(*csv.reader(io.StringIO(out.read_text()))))
+        # dp_solve, bissa and kissa all ran on the generated instance
+        assert row["exact"] and row["kissa"] and row["ms_kissa"] != "0.000"
+        assert len(calls) == 20

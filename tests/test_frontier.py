@@ -293,6 +293,16 @@ class TestChebyshevSubproblem:
         with pytest.raises(InvalidReferencePointError):
             solve_chebyshev_subproblem(c, (1, 1), (4.0, 0.0), 0.0)
 
+    def test_precondition_checked_up_to_the_last_item(self):
+        # only the last item fails to be strictly dominated, once per coordinate
+        c = cat((1, 5), (2, 4), (3, 3))
+        message = "reference point must strictly dominate every item of the category"
+        with pytest.raises(InvalidReferencePointError, match=message):
+            solve_chebyshev_subproblem(c, (1, 1), (3.0, -2.0), 1e-7)
+        with pytest.raises(InvalidReferencePointError, match=message):
+            solve_chebyshev_subproblem(c, (1, 1), (4.0, -3.0), 1e-7)
+        assert solve_chebyshev_subproblem(c, (1, 1), (4.0, -2.0), 1e-7) == 2
+
 
 class TestChebyshevTheorems:
     def test_soundness_returns_frontier_members(self):

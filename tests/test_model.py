@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -12,6 +13,7 @@ from mckp import (
     InvalidSelectionError,
     evaluate,
     is_feasible,
+    pareto_filter,
     read_instance,
     write_instance,
 )
@@ -88,6 +90,25 @@ class TestInstanceValidation:
             Instance((((1.0, 2.0),),), budget=0.0)
         with pytest.raises(ValueError):
             Instance((((math.inf, 2.0),),), budget=1.0)
+
+
+class TestFrontiers:
+    def test_each_category_pareto_filter(self, appendix):
+        assert appendix.frontiers == tuple(pareto_filter(c) for c in appendix.categories)
+
+    def test_computed_once(self, appendix):
+        assert appendix.frontiers is appendix.frontiers
+
+    def test_equality_hash_and_replace_ignore_the_view(self, appendix):
+        twin = Instance(appendix.categories, appendix.budget)
+        appendix.frontiers  # noqa: B018 -- fill the cache on one side only
+        assert "frontiers" in vars(appendix) and "frontiers" not in vars(twin)
+        assert appendix == twin
+        assert hash(appendix) == hash(twin)
+        copy = dataclasses.replace(appendix)
+        assert copy == appendix and "frontiers" not in vars(copy)
+        cheaper = dataclasses.replace(appendix, categories=(((9.0, 0.5), (1.0, 0.5)),))
+        assert cheaper.frontiers == ((0,),)
 
 
 class TestFileFormat:

@@ -132,6 +132,25 @@ class TestDpSolve:
         assert result.optimum_profit == 30 * 2e7
         assert result.optimum_selection == (1,) * 30 + (0,) * 11
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=OracleGuardError,
+        reason="ROADMAP item 3, 'Also open': no elimination once integer profits "
+        "sum to 2**53, and the full-width table exceeds the memory guard",
+    )
+    def test_reduced_table_fits_with_profits_past_2_pow_53(self):
+        # The instance above with every profit times 2**30: a power of two
+        # keeps every float sum exact, so the optimum scales and the
+        # selection stays.
+        scale = 2.0**30
+        steep = tuple(((0.0, 0.0), (2e7 * scale, 1e7)) for _ in range(30))
+        flat = tuple(((0.0, 0.0), (scale, 1e7)) for _ in range(10))
+        critical = (((0.0, 0.0), (1000.0 * scale, 1000.0)),)
+        inst = Instance(steep + flat + critical, budget=30 * 1e7 + 500)
+        result = dp_solve(inst)
+        assert result.optimum_profit == 30 * 2e7 * 2**30
+        assert result.optimum_selection == (1,) * 30 + (0,) * 11
+
     def test_agrees_with_brute_force(self):
         rng = random.Random(201)
         for _ in range(200):

@@ -3,11 +3,13 @@
 Runs ``mckp solve`` and ``mckp exact`` through ``mckp.cli.main`` on every
 instance of the benchmark workloads for one seed, then a small-instance
 sweep of ``mckp gen``, ``solve --trace``, ``solve --rule first|best-slack``
-and ``exact``. Prints one sha256 per (workload, command) over each run's
-exit code, stdout and stderr; the ``gen`` digests cover the instance file
-bytes as well. ``mckp`` is imported from this checkout's ``src``, so
-running the script in two checkouts and comparing the lines is the
-"outputs unchanged" check::
+and ``exact``, and one ``mckp bench`` run on a fixed spec file. Prints one
+sha256 per (workload, command) over each run's exit code, stdout and
+stderr; the ``gen`` digests cover the instance file bytes as well. The
+``bench`` digest covers its exit code, stderr and CSV with the two timing
+cells blanked, and leaves out stdout, whose table prints timings. ``mckp``
+is imported from this checkout's ``src``, so running the script in two
+checkouts and comparing the lines is the "outputs unchanged" check::
 
     python tools/output_digest.py --seed 1
 
@@ -16,6 +18,7 @@ The instances come from ``perfbench/workloads.py``, which is only imported.
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import itertools
@@ -39,19 +42,38 @@ SMALL_COMMANDS = (
     ("solve --rule best-slack", ["solve", "small.mckp", "--rule", "best-slack"]),
     ("exact", ["exact", "small.mckp"]),
 )
+# acceptance criterion 8's three specs, where KISSA improves nothing, and
+# two where it makes three improvements each
+BENCH_SPECS = (
+    "m=6 n=5 corr=uncorr seed=2",
+    "m=20 n=20 corr=weak seed=3",
+    "m=4 n=4 corr=uncorr seed=4 budget_ratio=1.0",
+    "m=10 n=10 corr=weak seed=3",
+    "m=40 n=20 corr=weak seed=2",
+)
+BENCH_TIMING = ("ms_bissa", "ms_kissa")
 
 
-def run(digest, argv: list[str]) -> None:
-    """Run one command and feed its exit code, stdout and stderr to ``digest``."""
+def capture(argv: list[str]) -> tuple[str, str, str]:
+    """Run one command; its exit code, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as exc:  # argparse rejects a usage error this way
             code = exc.code
-    for part in (str(code), out.getvalue(), err.getvalue()):
+    return str(code), out.getvalue(), err.getvalue()
+
+
+def feed(digest, parts) -> None:
+    for part in parts:
         digest.update(part.encode())
         digest.update(b"\0")
+
+
+def run(digest, argv: list[str]) -> None:
+    """Run one command and feed its exit code, stdout and stderr to ``digest``."""
+    feed(digest, capture(argv))
 
 
 def workload_digests(seed: int):
@@ -91,6 +113,22 @@ def small_digests():
         yield "small", label, runs, digest
 
 
+def bench_digest():
+    """(workload, command, runs, digest) of one ``mckp bench`` on ``BENCH_SPECS``."""
+    Path("specs.txt").write_text("\n".join(BENCH_SPECS) + "\n", encoding="utf-8")
+    code, _, err = capture(["bench", "--spec", "specs.txt", "--out", "bench.csv"])
+    rows = []
+    if code == "0":
+        rows = list(csv.reader(Path("bench.csv").read_text(encoding="utf-8").splitlines()))
+        timing = [rows[0].index(column) for column in BENCH_TIMING]
+        for row in rows[1:]:
+            for k in timing:
+                row[k] = ""
+    digest = hashlib.sha256()
+    feed(digest, (code, err, "\n".join(",".join(row) for row in rows)))
+    yield "bench", "bench", len(BENCH_SPECS), digest
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
@@ -101,7 +139,7 @@ def main(argv=None) -> int:
         os.chdir(tmp)  # relative paths keep the directory name out of the output
         try:
             for workload, command, runs, digest in itertools.chain(
-                workload_digests(args.seed), small_digests()
+                workload_digests(args.seed), small_digests(), bench_digest()
             ):
                 print(f"{workload:<13} {command:<24} {runs:>4} {digest.hexdigest()}", flush=True)
         finally:
