@@ -11,9 +11,10 @@ hull-adjacent supported selections, one feasible and one infeasible,
 bracketing the budget.
 
 Each bisection step evaluates the critical weight at which the current pair
-scalarizes equally; the step either discovers a new supported objective pair
-strictly between them or reproduces a known pair, which certifies adjacency
-and stops the loop.
+scalarizes equally. A probe whose cost lies strictly inside the bracket
+replaces the endpoint on its side of the budget; any other probe certifies
+adjacency and stops the loop. In exact arithmetic such a probe reproduces a
+known pair; rounded sums can also put it outside the bracket.
 """
 
 from dataclasses import dataclass
@@ -88,9 +89,10 @@ def bissa(instance: Instance) -> BissaResult:
     """Bisect the scalarization weight until optimality or a straddle pair.
 
     Raises :class:`InfeasibleInstanceError` when the minimum-cost selection
-    already exceeds the budget. Convergence is detected on objective pairs,
-    never on weights; :class:`BisectionLimitError` after 200 steps guards
-    against bugs.
+    already exceeds the budget. Convergence is detected on probe costs,
+    never on weights: every step that does not stop narrows the bracket to
+    a cost strictly inside it, so the loop ends; :class:`BisectionLimitError`
+    after 200 steps guards against bugs.
     """
     trace: list[WeightStep] = []
 
@@ -119,7 +121,7 @@ def bissa(instance: Instance) -> BissaResult:
             if p.f2 == -instance.budget:
                 certificate = "zero-slack"
                 break
-            if p == pa or p == pb:
+            if pa is not None and not pb.f2 < p.f2 < pa.f2:
                 return BissaResult(
                     xa=xa,
                     xb=xb,

@@ -44,6 +44,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mckp", description="Multiple-choice knapsack toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    kissa_options = argparse.ArgumentParser(add_help=False)
+    kissa_options.add_argument("--rho", type=float, default=DEFAULT_RHO)
+    kissa_options.add_argument("--eps", type=float, default=DEFAULT_EPSILON)
+    kissa_options.add_argument("--rule", choices=sorted(_RULES), default="max-profit")
 
     p = sub.add_parser("gen", help="generate a random instance file")
     p.add_argument("--m", type=int, required=True, help="number of categories")
@@ -54,11 +58,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True, metavar="FILE")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("solve", help="solve an instance file approximately")
+    p = sub.add_parser(
+        "solve", parents=[kissa_options], help="solve an instance file approximately"
+    )
     p.add_argument("file")
-    p.add_argument("--rho", type=float, default=DEFAULT_RHO)
-    p.add_argument("--eps", type=float, default=DEFAULT_EPSILON)
-    p.add_argument("--rule", choices=sorted(_RULES), default="max-profit")
     p.add_argument("--trace", action="store_true", help="print the search trace")
     p.set_defaults(func=_cmd_solve)
 
@@ -67,14 +70,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["dp", "brute"], default="dp")
     p.set_defaults(func=_cmd_exact)
 
-    p = sub.add_parser("bench", help="run a benchmark batch")
+    p = sub.add_parser("bench", parents=[kissa_options], help="run a benchmark batch")
     p.add_argument("--spec", required=True, metavar="SPECFILE")
     p.add_argument("--out", required=True, metavar="CSV")
-    p.add_argument("--rho", type=float, default=DEFAULT_RHO)
-    p.add_argument("--eps", type=float, default=DEFAULT_EPSILON)
-    p.add_argument("--rule", choices=sorted(_RULES), default="max-profit")
     p.set_defaults(func=_cmd_bench)
     return parser
+
+
+def _config(args) -> KissaConfig:
+    return KissaConfig(rho=args.rho, epsilon=args.eps, rule=_RULES[args.rule])
 
 
 def _load_instance(path: str):
@@ -97,7 +101,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     instance = _load_instance(args.file)
-    config = KissaConfig(rho=args.rho, epsilon=args.eps, rule=_RULES[args.rule])
+    config = _config(args)
     straddle = bissa(instance)
     if args.trace:
         for step in straddle.trace:
@@ -183,8 +187,7 @@ def parse_specfile(text: str) -> list[GenSpec]:
 
 def _cmd_bench(args) -> int:
     specs = parse_specfile(Path(args.spec).read_text(encoding="utf-8"))
-    config = KissaConfig(rho=args.rho, epsilon=args.eps, rule=_RULES[args.rule])
-    report = run_benchmark(specs, config)
+    report = run_benchmark(specs, _config(args))
     Path(args.out).write_text(report.to_csv(), encoding="utf-8")
     print(report.to_text(), end="")
     print(f"wrote {args.out} ({len(report.rows)} rows)")

@@ -1,13 +1,15 @@
 """Per-category frontier machinery.
 
-Everything here works on a single category in objective space, where an item
-maps to the point (profit, -cost) and both coordinates are maximized. The
-nondominated items of a category come from ``model.pareto_filter``, which
-``Instance.frontiers`` caches per instance; this module adds:
+Everything here works in objective space, where an item maps to the point
+(profit, -cost) and both coordinates are maximized, and compares items only
+within their own category. The nondominated items of a category come from
+``model.pareto_filter``, which ``Instance.frontiers`` caches per instance;
+this module adds:
 
-* ``delta_bound``        -- a computable lower bound on pairwise trade-off
-  ratios; any augmentation factor below it makes the augmented Chebyshev
-  scalarization characterize exactly the nondominated items. A pair's ratio
+* ``delta_bound``        -- a computable lower bound on the trade-off ratios
+  of item pairs, taken over every category of the instance at once; any
+  augmentation factor below it makes the augmented Chebyshev scalarization
+  characterize exactly the nondominated items. A pair's ratio
   is ``1 / (s - 1)`` for its slope ``s``, and the steepest slope lies between
   neighbouring items in profit or cost order, so one sort per coordinate
   gives the bound in O(n log n),

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from .bissa import BissaResult
 from .frontier import DEFAULT_RHO, delta_bound, solve_chebyshev_subproblem
 from .model import Instance, ObjectivePoint, Selection, evaluate
-from .oracle import OracleGuardError, dominated_in_product
+from .oracle import OracleGuardError, brute_force, dominated_in_product
 
 DEFAULT_EPSILON = 1e-4
 MAX_ITERATIONS = 10_000
@@ -127,20 +127,10 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
             raise AssertionError(
                 "feasible component must be cheaper where the anchor out-profits it"
             )
+
     def above(top):
         return max(top + config.epsilon, math.nextafter(top, math.inf))
 
-    # Categories only ever leave the candidate set: a swap raises profit.
-    # A frontier's last item has the category's largest profit, its first
-    # the smallest cost.
-    frontiers = instance.frontiers
-    references = {
-        j: (
-            above(cats[j][frontiers[j][-1]].profit),
-            above(-cats[j][frontiers[j][0]].cost),
-        )
-        for j in candidates
-    }
     improving: dict[int, int] = {}
     m = instance.m
     spent = [0.0] * (m + 1)  # evaluate's running f2 before each category
@@ -156,7 +146,10 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
         return f2 >= -instance.budget
 
     def solve(j):
-        cat, reference = cats[j], references[j]
+        # A frontier's last item has the category's largest profit, its first
+        # the smallest cost.
+        cat, f = cats[j], instance.frontiers[j]
+        reference = (above(cat[f[-1]].profit), above(-cat[f[0]].cost))
         w1 = 1.0 / (reference[0] - cat[xa[j]].profit)
         w2 = 1.0 / (reference[1] + cat[xb[j]].cost)
         winner = solve_chebyshev_subproblem(cat, (w1, w2), reference, rho)
@@ -195,41 +188,38 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
 
 
 def _select(instance, xa, improving, affordable, rule):
-    if rule is SelectionRule.FIRST:
-        return min(affordable)
-    if rule is SelectionRule.BEST_SLACK:
-        # Max remaining budget after the swap; ties to the lowest category.
-        return min(
-            affordable,
-            key=lambda j: (
-                instance.categories[j][improving[j]].cost
-                - instance.categories[j][xa[j]].cost,
-                j,
-            ),
-        )
-    # MAX_PROFIT: the swap with the largest resulting total profit.
-    return max(
-        affordable,
-        key=lambda j: (
-            instance.categories[j][improving[j]].profit
-            - instance.categories[j][xa[j]].profit,
-            -j,
-        ),
-    )
+    """The affordable category to swap under ``rule``; ties go to the lowest."""
+
+    def rise(j, coordinate):
+        cat = instance.categories[j]
+        return cat[improving[j]][coordinate] - cat[xa[j]][coordinate]
+
+    def key(j):
+        if rule is SelectionRule.MAX_PROFIT:
+            return -rise(j, 0), j  # the largest resulting total profit
+        if rule is SelectionRule.BEST_SLACK:
+            return rise(j, 1), j  # the most budget left after the swap
+        return j
+
+    return min(affordable, key=key)
 
 
 def certify(instance: Instance, run: KissaRun) -> bool:
-    """Exhaustive non-dominance check of a finished run's selection.
+    """Exhaustive optimality check of a finished run's selection.
 
     True only when the loop stopped regularly (not via the iteration limit),
-    the selection space is small enough to enumerate, and no selection
-    dominates the final one in (profit, -cost). That rules out a dominated
-    result but does not prove maximum profit within the budget. Anything
-    unverifiable yields False, never an error.
+    the selection space is small enough to enumerate, no selection
+    dominates the final one in (profit, -cost), and its profit equals
+    :func:`brute_force`'s optimum. Anything unverifiable yields False,
+    never an error.
     """
     if run.termination is Termination.ITERATION_LIMIT:
         return False
     try:
-        return not dominated_in_product(instance, run.final)
+        dominated = dominated_in_product(instance, run.final)
     except OracleGuardError:
         return False
+    # brute_force's guard is above the enumeration guard passed here.
+    return not dominated and (
+        evaluate(instance, run.final).f1 == brute_force(instance).optimum_profit
+    )

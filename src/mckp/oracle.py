@@ -8,6 +8,7 @@ not to compete with them; guards fail loudly instead of degrading.
 """
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -32,7 +33,8 @@ class OracleGuardError(MCKPError):
 
 
 class NonIntegerInstanceError(MCKPError):
-    """dp_solve requires integer costs and an integer budget."""
+    """dp_solve requires integer costs and an integer budget, and either a
+    budget below 2**53 or largest costs that sum to at most 2**53."""
 
 
 class Method(enum.Enum):
@@ -99,20 +101,14 @@ def pareto_enumerate(instance: Instance) -> list[tuple[Selection, ObjectivePoint
     entries = sorted(_iter_images(instance), key=lambda e: (-e[1], -e[2]))
     result = []
     best_above = -math.inf  # max f2 among strictly higher f1
-    pos = 0
-    while pos < len(entries):
-        f1 = entries[pos][1]
-        end = pos
-        while end < len(entries) and entries[end][1] == f1:
-            end += 1
-        group_max = max(entries[k][2] for k in range(pos, end))
-        if group_max > best_above:
-            for k in range(pos, end):
-                sel, _, f2 = entries[k]
-                if f2 == group_max:
-                    result.append((sel, ObjectivePoint(f1, f2)))
-            best_above = group_max
-        pos = end
+    for f1, group in itertools.groupby(entries, key=lambda e: e[1]):
+        group = list(group)
+        top = group[0][2]  # the group's largest f2
+        if top > best_above:
+            result.extend(
+                (sel, ObjectivePoint(f1, f2)) for sel, _, f2 in group if f2 == top
+            )
+            best_above = top
     result.sort(key=lambda r: (r[1].f1, -r[1].f2, r[0]))
     return result
 
@@ -204,7 +200,8 @@ def dp_solve(instance: Instance) -> ExactResult:
     """Dynamic program over (category, residual budget) for integer instances.
 
     Only costs and the budget must be integers; profit may be fractional.
-    Raises :class:`NonIntegerInstanceError` otherwise,
+    Raises :class:`NonIntegerInstanceError` otherwise, or when the budget is
+    at least 2**53 and the categories' largest costs sum past 2**53,
     :class:`InfeasibleInstanceError` when even the cheapest selection does
     not fit, and :class:`OracleGuardError` when the estimate of the table it
     would allocate exceeds 2 GiB.
@@ -224,10 +221,18 @@ def dp_solve(instance: Instance) -> ExactResult:
     """
     for cat in instance.categories:
         for item in cat:
-            if not float(item.cost).is_integer():
+            if not item.cost.is_integer():
                 raise NonIntegerInstanceError(f"non-integer cost {item.cost}")
-    if not float(instance.budget).is_integer():
+    if not instance.budget.is_integer():
         raise NonIntegerInstanceError(f"non-integer budget {instance.budget}")
+    # Below either limit, float sums in category order (evaluate's) and the
+    # exact integers here agree in every comparison with the budget.
+    if instance.budget >= 2**53:
+        top = sum(int(max(item.cost for item in cat)) for cat in instance.categories)
+        if top > 2**53:
+            raise NonIntegerInstanceError(
+                f"largest costs sum to {top} past 2**53 with budget {int(instance.budget)}"
+            )
 
     budget = int(instance.budget)
     cats = instance.categories
@@ -242,7 +247,7 @@ def dp_solve(instance: Instance) -> ExactResult:
             f"minimum selection cost {floor_cost} exceeds budget {budget}"
         )
 
-    integral = all(float(item.profit).is_integer() for cat in cats for item in cat)
+    integral = all(item.profit.is_integer() for cat in cats for item in cat)
     # The top Pareto row holds a category's largest profit.
     if integral and sum(int(rows[-1][1]) for rows in pareto) < 2**53:
         pareto = _lp_survivors(pareto, budget)
@@ -253,13 +258,8 @@ def dp_solve(instance: Instance) -> ExactResult:
 
     width = min(budget - floor_cost, slack_cap) + 1
     m = instance.m
-    max_kept = max(len(rows) for rows in shifted)
-    if max_kept <= 127:
-        choice_dtype = np.int8
-    elif max_kept <= 32767:
-        choice_dtype = np.int16
-    else:
-        choice_dtype = np.int32
+    # the narrowest unsigned type that holds a row index
+    choice_dtype = np.min_scalar_type(max(len(rows) for rows in shifted) - 1).type
 
     # the choice table, three float64 rows and a bool mask
     estimate = m * width * np.dtype(choice_dtype).itemsize + 3 * width * 8 + width

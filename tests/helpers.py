@@ -44,6 +44,23 @@ APPENDIX_CATEGORIES = (
 )
 
 
+def absorbed_profits_instance() -> Instance:
+    """An instance whose float sums absorb the profit differences of BISSA's
+    probes: category 2's 3 * 2**54 swamps every other profit, so the probes
+    at the critical weights 0.5789... and 0.5 both give f1 =
+    5.404319552844596e16 and fall outside the bracket, alternating between
+    (0, 0, 0, 0) and (0, 0, 0, 1)."""
+    return Instance(
+        (
+            ((9, 2.75),),
+            ((0, 0), (0, 2), (3, 8), (0.2, 2.75)),
+            ((3 * 2**54, 0), (0.5, 0), (2.223, 0.3)),
+            ((2.825, 3), (0, 0)),
+        ),
+        9.634419963355535,
+    )
+
+
 def random_instance(
     rng: random.Random,
     max_m: int = 4,

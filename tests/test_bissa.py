@@ -18,7 +18,12 @@ from mckp import (
 
 from mckp.bissa import BisectionLimitError
 
-from helpers import linear_sweep_weights, random_instance, solve_linear_all_items
+from helpers import (
+    absorbed_profits_instance,
+    linear_sweep_weights,
+    random_instance,
+    solve_linear_all_items,
+)
 
 # ``mckp.bissa`` is the function once the package is imported; the module
 # holds the step limit and the name the bisection looks ``solve_linear`` up by.
@@ -231,6 +236,17 @@ class TestBisectionLimit:
         monkeypatch.setattr(bissa_module, "MAX_BISECTION_STEPS", 2)
         with pytest.raises(BisectionLimitError):
             bissa(inst)
+
+
+class TestAbsorbedProfitDifferences:
+    def test_probe_outside_the_bracket_stops_the_bisection(self):
+        inst = absorbed_profits_instance()
+        res = bissa(inst)
+        assert not res.exact
+        assert (res.xa, res.xb) == ((0, 0, 0, 0), (0, 2, 0, 0))
+        assert len(res.trace) == 4
+        assert is_feasible(inst, res.xa)
+        assert not is_feasible(inst, res.xb)
 
 
 class TestBissaProperties:

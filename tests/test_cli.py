@@ -18,6 +18,8 @@ from mckp import model
 from mckp.cli import main, parse_specfile
 from mckp.model import InstanceFormatError
 
+from helpers import absorbed_profits_instance
+
 
 @pytest.fixture
 def appendix_file(tmp_path, appendix):
@@ -136,6 +138,12 @@ class TestSolve:
             path.write_text(write_instance(inst), encoding="utf-8")
             self.assert_solved_at_least_bissa(path, [], capsys)
 
+    def test_profits_absorbed_by_float_sums(self, tmp_path, capsys):
+        # used to exit 1 after 200 bisection steps
+        path = tmp_path / "absorb.mckp"
+        path.write_text(write_instance(absorbed_profits_instance()), encoding="utf-8")
+        self.assert_solved_at_least_bissa(path, [], capsys)
+
     def test_invalid_config_exit_code(self, appendix_file, capsys):
         for flag, value in [("--rho", "0"), ("--rho", "nan"), ("--rho", "inf"), ("--eps", "nan")]:
             assert main(["solve", str(appendix_file), flag, value]) == 2
@@ -184,6 +192,18 @@ class TestExact:
         path.write_text(write_instance(inst), encoding="utf-8")
         assert main(["exact", str(path)]) == 0
         assert "profit: 9.22337e+18" in capsys.readouterr().out
+
+    def test_dp_on_costs_summing_past_2_pow_53_exits_4(self, tmp_path, capsys):
+        # solve and brute both find profit 3 by evaluate's float sums
+        inst = Instance((((3, 2**53 - 1),), ((0, 2**52 - 2),)), 3 * 2**52 - 4)
+        path = tmp_path / "wide-costs.mckp"
+        path.write_text(write_instance(inst), encoding="utf-8")
+        assert main(["exact", str(path)]) == 4
+        assert "past 2**53" in capsys.readouterr().err
+        assert main(["exact", str(path), "--method", "brute"]) == 0
+        assert "profit: 3\n" in capsys.readouterr().out
+        assert main(["solve", str(path)]) == 0
+        assert "profit: 3\n" in capsys.readouterr().out
 
     def test_guard_exit_code(self, tmp_path):
         lines = ["MCKP 1", "m=8 b=100"]

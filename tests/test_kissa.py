@@ -24,6 +24,7 @@ from mckp import (
     kissa,
     pareto_filter,
 )
+from mckp.kissa import _select
 from mckp.oracle import ENUMERATION_LIMIT
 
 from helpers import brute_optimum, kissa_full_resolve, random_instance
@@ -91,16 +92,6 @@ class TestKissaContracts:
         run = KissaRun(final=(0,) * 6, termination=Termination.NO_IMPROVEMENT)
         assert certify(inst, run) is False
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason=(
-            "ROADMAP item 1, defect 1: certify only proves that no selection "
-            "dominates the result, not maximum profit (here 2446 against 2478). "
-            "The sound fix drops the dominance check, so it waits for a "
-            "benchmark change that drops the oracle.enumerate boundary, which "
-            "patches mckp.kissa.dominated_in_product."
-        ),
-    )
     def test_certificate_implies_brute_force_optimum(self):
         inst = generate(GenSpec(m=3, n=4, correlation=Correlation.UNCORRELATED, seed=0))
         straddle = bissa(inst)
@@ -108,6 +99,23 @@ class TestKissaContracts:
         run = kissa(inst, straddle)
         if certify(inst, run):
             assert evaluate(inst, run.final).f1 == brute_force(inst).optimum_profit
+
+    def test_certificate_implies_brute_force_optimum_on_small_instances(self):
+        certified = 0
+        for correlation in Correlation:
+            for m in range(2, 7):
+                for n in range(2, 7):
+                    for seed in range(3):
+                        inst = generate(GenSpec(m=m, n=n, correlation=correlation, seed=seed))
+                        straddle = bissa(inst)
+                        if straddle.exact:
+                            continue
+                        run = kissa(inst, straddle)
+                        if certify(inst, run):
+                            certified += 1
+                            want = brute_force(inst).optimum_profit
+                            assert evaluate(inst, run.final).f1 == want
+        assert certified > 0
 
     def test_single_differing_category_limits_candidates(self):
         rng = random.Random(31)
@@ -220,6 +228,40 @@ class TestSelectionRules:
         assert by_rule[SelectionRule.FIRST][1] == 3.0
         assert by_rule[SelectionRule.BEST_SLACK][0][0] == 0  # +2 cost beats +8
         assert by_rule[SelectionRule.BEST_SLACK][1] == 3.0
+
+
+class TestSelectTies:
+    """``_select`` breaks an equal rise to the lowest category under each rule."""
+
+    # Categories 1 and 2 rise by (2, 3) from item 0 to item 1, category 0
+    # by (1, 3) and category 3 by (2, 4).
+    INST = Instance(
+        (
+            ((1.0, 1.0), (2.0, 4.0)),
+            ((1.0, 1.0), (3.0, 4.0)),
+            ((1.0, 1.0), (3.0, 4.0)),
+            ((1.0, 1.0), (3.0, 5.0)),
+        ),
+        budget=100.0,
+    )
+
+    def select(self, affordable, rule):
+        improving = {j: 1 for j in range(4)}
+        return _select(self.INST, [0, 0, 0, 0], improving, frozenset(affordable), rule)
+
+    def test_max_profit(self):
+        assert self.select({1, 2, 3}, SelectionRule.MAX_PROFIT) == 1
+        assert self.select({3, 2, 1}, SelectionRule.MAX_PROFIT) == 1
+        assert self.select({0, 2, 3}, SelectionRule.MAX_PROFIT) == 2
+        assert self.select({0}, SelectionRule.MAX_PROFIT) == 0
+
+    def test_best_slack(self):
+        assert self.select({0, 1, 2}, SelectionRule.BEST_SLACK) == 0
+        assert self.select({1, 2, 3}, SelectionRule.BEST_SLACK) == 1
+        assert self.select({2, 3}, SelectionRule.BEST_SLACK) == 2
+
+    def test_first(self):
+        assert self.select({3, 2, 1}, SelectionRule.FIRST) == 1
 
 
 class TestRhoClipping:

@@ -111,6 +111,37 @@ class TestDpSolve:
         with pytest.raises(InfeasibleInstanceError):
             dp_solve(inst)
 
+    @pytest.mark.parametrize(
+        "inst, optimum",
+        [
+            # the float sum 3 * 2**52 - 4 fits; the exact 3 * 2**52 - 3 does not
+            (Instance((((3, 2**53 - 1),), ((0, 2**52 - 2),)), 3 * 2**52 - 4), 3.0),
+            # the exact table finds 20; evaluate's float sums let 24 fit
+            (
+                Instance(
+                    (
+                        ((9, 9007199254740999),),
+                        ((7, 9007199254740993), (3, 9007199254740984), (1, 9007199254740995)),
+                        ((8, 4503599627370490),),
+                    ),
+                    2.251799813685248e16,
+                ),
+                24.0,
+            ),
+        ],
+    )
+    def test_rejects_costs_summing_past_2_pow_53(self, inst, optimum):
+        assert brute_force(inst).optimum_profit == optimum
+        with pytest.raises(NonIntegerInstanceError, match="past 2\\*\\*53"):
+            dp_solve(inst)
+
+    def test_accepts_largest_costs_summing_to_2_pow_53(self):
+        inst = Instance(
+            (((3, 2**52 - 2), (5, 2**52)), ((1, 2**52 - 4), (2, 2**52))), 2.0**53
+        )
+        result = dp_solve(inst)
+        assert (result.optimum_profit, result.optimum_selection) == (7.0, (1, 1))
+
     def test_memory_guard(self):
         inst = Instance(
             tuple(((1.0, 1.0), (2.0, 10**7)) for _ in range(500)), budget=2 * 10**9
@@ -334,6 +365,18 @@ class TestDpSolveMatchesFullWidth:
             kept = _lp_survivors(pareto_rows(inst), int(inst.budget))
             assert all(len(rows) == 1 for rows in kept)
 
+    @pytest.mark.parametrize("rows", [256, 257])
+    def test_choice_rows_at_the_uint8_edge(self, rows):
+        # Fractional profits skip the elimination, so every Pareto row is
+        # kept, and the budget fits only the top rows of both wide
+        # categories: row indices 255 and 256 fall on either side of uint8.
+        wide = tuple((k + 0.5, float(k)) for k in range(rows))
+        small = ((0.25, 0.0), (1.75, 3.0))
+        inst = Instance((wide, small, wide), budget=2.0 * (rows - 1))
+        assert [len(f) for f in inst.frontiers] == [rows, 2, rows]
+        assert matches_full_width(inst)
+        assert dp_solve(inst).optimum_selection == (rows - 1, 0, rows - 1)
+
     def test_every_item_on_the_critical_line(self):
         # the memory-guard shape, scaled down: all reduced costs are 0
         inst = Instance(tuple(((1.0, 1.0), (2.0, 1001.0)) for _ in range(50)), budget=20_000.0)
@@ -414,8 +457,11 @@ class TestParetoEnumerate:
         rng = random.Random(204)
         for _ in range(100):
             inst = random_instance(rng, max_m=3, max_n=4, max_coeff=8)
-            got = {sel for sel, _ in pareto_enumerate(inst)}
-            assert got == set(pareto_selections_by_scan(inst))
+            want = sorted(
+                ((sel, evaluate(inst, sel)) for sel in pareto_selections_by_scan(inst)),
+                key=lambda r: (r[1].f1, -r[1].f2, r[0]),
+            )
+            assert pareto_enumerate(inst) == want
 
     def test_guard(self):
         inst = Instance(tuple(((1, 1),) * 10 for _ in range(6)), budget=100.0)

@@ -1,15 +1,17 @@
 """Digest the command-line output, to check that a change keeps it unchanged.
 
 Runs ``mckp solve`` and ``mckp exact`` through ``mckp.cli.main`` on every
-instance of the benchmark workloads for one seed, then a small-instance
-sweep of ``mckp gen``, ``solve --trace``, ``solve --rule first|best-slack``
-and ``exact``, and one ``mckp bench`` run on a fixed spec file. Prints one
-sha256 per (workload, command) over each run's exit code, stdout and
-stderr; the ``gen`` digests cover the instance file bytes as well. The
-``bench`` digest covers its exit code, stderr and CSV with the two timing
-cells blanked, and leaves out stdout, whose table prints timings. ``mckp``
-is imported from this checkout's ``src``, so running the script in two
-checkouts and comparing the lines is the "outputs unchanged" check::
+instance of the benchmark workloads for one seed, and ``solve --rule
+first|best-slack`` on the weak-refine ones, then a small-instance sweep of
+``mckp gen``, ``solve --trace``, ``solve --rule first|best-slack``, ``exact``
+and ``exact --method brute``, and one ``mckp bench`` run on a fixed spec
+file. Prints one sha256 per (workload, command) over each run's exit code,
+stdout and stderr; the ``gen`` digests cover the instance file bytes as
+well. The ``bench`` digest covers its exit code, stderr and CSV with the
+two timing cells blanked, and leaves out stdout, whose table prints
+timings. ``mckp`` is imported from this checkout's ``src``, so running the
+script in two checkouts and comparing the lines is the "outputs unchanged"
+check::
 
     python tools/output_digest.py --seed 1
 
@@ -41,7 +43,16 @@ SMALL_COMMANDS = (
     ("solve --rule first", ["solve", "small.mckp", "--rule", "first"]),
     ("solve --rule best-slack", ["solve", "small.mckp", "--rule", "best-slack"]),
     ("exact", ["exact", "small.mckp"]),
+    ("exact --method brute", ["exact", "small.mckp", "--method", "brute"]),
 )
+WORKLOAD_COMMANDS = (("solve", ["solve"]), ("exact", ["exact"]))
+RULE_COMMANDS = (
+    ("solve --rule first", ["solve", "--rule", "first"]),
+    ("solve --rule best-slack", ["solve", "--rule", "best-slack"]),
+)
+# KISSA refines every weak-refine solve; on uncorr-exact it runs about one
+# iteration, and the small sweep's rules tie on most instances
+RULE_WORKLOAD = "weak-refine"
 # acceptance criterion 8's three specs, where KISSA improves nothing, and
 # two where it makes three improvements each
 BENCH_SPECS = (
@@ -84,11 +95,12 @@ def workload_digests(seed: int):
         for inst in stored:
             gen.update(inst.path.read_bytes())
         yield name, "gen", len(stored), gen
-        for command in ("solve", "exact"):
+        commands = WORKLOAD_COMMANDS + (RULE_COMMANDS if name == RULE_WORKLOAD else ())
+        for label, (command, *options) in commands:
             digest = hashlib.sha256()
             for inst in stored:
-                run(digest, [command, inst.path.name])
-            yield name, command, len(stored), digest
+                run(digest, [command, inst.path.name, *options])
+            yield name, label, len(stored), digest
         for inst in stored:
             inst.path.unlink()
 
