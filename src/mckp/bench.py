@@ -131,14 +131,10 @@ def solve_one(spec: GenSpec, config: KissaConfig, row_id: int) -> GapRow:
         ms_bissa = (time.perf_counter() - t0) * 1000.0
         bissa_profit = evaluate(instance, straddle.xa).f1
 
-        if straddle.exact:
-            kissa_profit, improvements, ms_kissa = bissa_profit, 0, 0.0
-        else:
-            t0 = time.perf_counter()
-            run = kissa(instance, straddle, config)
-            ms_kissa = (time.perf_counter() - t0) * 1000.0
-            kissa_profit = evaluate(instance, run.final).f1
-            improvements = run.improvements
+        t0 = time.perf_counter()
+        run = kissa(instance, straddle, config)
+        ms_kissa = (time.perf_counter() - t0) * 1000.0
+        kissa_profit = evaluate(instance, run.final).f1
 
         return GapRow(
             **base,
@@ -147,7 +143,7 @@ def solve_one(spec: GenSpec, config: KissaConfig, row_id: int) -> GapRow:
             kissa_profit=kissa_profit,
             gap_bissa_pct=100.0 * (exact - bissa_profit) / exact,
             gap_kissa_pct=100.0 * (exact - kissa_profit) / exact,
-            improvements=improvements,
+            improvements=run.improvements,
             ms_bissa=ms_bissa,
             ms_kissa=ms_kissa,
         )

@@ -6,9 +6,9 @@ each category's nondominated items (``Instance.frontiers``). Sweeping w
 from 0 to 1 walks the supported (convex-hull) nondominated selections from
 cheapest to most profitable. ``bissa`` bisects on w until it either proves
 optimality (the max-profit selection fits the budget, or some supported
-selection spends the budget exactly) or produces a straddle pair: two
-hull-adjacent supported selections, one feasible and one infeasible,
-bracketing the budget.
+selection spends the budget exactly where float cost sums are exact) or
+produces a straddle pair: two hull-adjacent supported selections, one
+feasible and one infeasible, bracketing the budget.
 
 Each bisection step evaluates the critical weight at which the current pair
 scalarizes equally. A probe whose cost lies strictly inside the bracket
@@ -48,18 +48,20 @@ class WeightStep(NamedTuple):
 class BissaResult:
     """Outcome of the bisection front-end.
 
-    ``exact`` means ``xa`` is certifiably optimal (``certificate`` says why)
-    and ``xb`` is None. Otherwise ``xa`` is feasible, ``xb`` infeasible, both
-    supported nondominated with component-wise nondominated items, and
-    ``gap_cost = cost(xb) - cost(xa) > 0`` measures the bracketing width.
+    With ``xb`` None the result is ``exact``: ``xa`` is certifiably optimal
+    and ``certificate`` says why. Otherwise ``certificate`` is None, ``xa``
+    is feasible, ``xb`` infeasible, and both are supported nondominated with
+    component-wise nondominated items.
     """
 
     xa: Selection
     xb: Selection | None
-    gap_cost: float
-    exact: bool
     certificate: str | None
     trace: list[WeightStep]
+
+    @property
+    def exact(self) -> bool:
+        return self.xb is None
 
 
 def solve_linear(instance: Instance, w: float) -> Selection:
@@ -93,6 +95,11 @@ def bissa(instance: Instance) -> BissaResult:
     never on weights: every step that does not stop narrows the bracket to
     a cost strictly inside it, so the loop ends; :class:`BisectionLimitError`
     after 200 steps guards against bugs.
+
+    ``max-profit-feasible`` needs no precondition: a float sum taken in
+    category order never falls when one of its terms rises. ``zero-slack``
+    needs :func:`_exact_cost_sums`; elsewhere the probe is an ordinary
+    feasible one, since a rounded cost sum can hide a selection that fits.
     """
     trace: list[WeightStep] = []
 
@@ -118,18 +125,11 @@ def bissa(instance: Instance) -> BissaResult:
                 raise InfeasibleInstanceError(
                     f"minimum selection cost {-p.f2} exceeds budget {instance.budget}"
                 )
-            if p.f2 == -instance.budget:
+            if p.f2 == -instance.budget and _exact_cost_sums(instance):
                 certificate = "zero-slack"
                 break
             if pa is not None and not pb.f2 < p.f2 < pa.f2:
-                return BissaResult(
-                    xa=xa,
-                    xb=xb,
-                    gap_cost=pa.f2 - pb.f2,
-                    exact=False,
-                    certificate=None,
-                    trace=trace,
-                )
+                return BissaResult(xa=xa, xb=xb, certificate=None, trace=trace)
             if feasible:
                 xa, pa = x, p
             else:
@@ -141,11 +141,15 @@ def bissa(instance: Instance) -> BissaResult:
             raise BisectionLimitError(
                 f"no convergence within {MAX_BISECTION_STEPS} bisection steps"
             )
-    return BissaResult(
-        xa=x,
-        xb=None,
-        gap_cost=0.0,
-        exact=True,
-        certificate=certificate,
-        trace=trace,
+    return BissaResult(xa=x, xb=None, certificate=certificate, trace=trace)
+
+
+def _exact_cost_sums(instance: Instance) -> bool:
+    """``dp_solve``'s rule on frontier costs: integers, and a budget below 2**53
+    or largest ones that sum to at most 2**53. Float cost sums then compare with
+    the budget as exact ones do; any selection that fits still fits, at no less
+    profit, once each item is traded for a frontier item that dominates it."""
+    costs = [[cat[i].cost for i in f] for cat, f in zip(instance.categories, instance.frontiers)]
+    return all(c.is_integer() for row in costs for c in row) and (
+        instance.budget < 2**53 or sum(int(row[-1]) for row in costs) <= 2**53
     )

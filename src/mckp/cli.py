@@ -109,32 +109,24 @@ def _cmd_solve(args) -> int:
             state = "feasible" if step.feasible else "infeasible"
             print(
                 f"# weight {step.weight:.9f} -> profit {point.f1:g} "
-                f"cost {-point.f2:g} ({state})"
+                f"cost {abs(point.f2):g} ({state})"
             )
-    if straddle.exact:
-        final = straddle.xa
-        termination = straddle.certificate
-        certificate = True
-        improvements = 0
-    else:
-        run = kissa(instance, straddle, config)
-        if args.trace:
-            for it in run.iterations:
-                print(
-                    f"# iter {it.index}: candidates={sorted(it.candidates)} "
-                    f"gains={sorted(it.gains)} affordable={sorted(it.affordable)} "
-                    f"chosen={it.chosen} profit={it.objective.f1:g}"
-                )
-        final = run.final
-        termination = run.termination.value
-        certificate = certify(instance, run)
-        improvements = run.improvements
-    point = evaluate(instance, final)
-    print("selection:", " ".join(str(i) for i in final))
+    run = kissa(instance, straddle, config)
+    if args.trace:
+        for it in run.iterations:
+            print(
+                f"# iter {it.index}: candidates={sorted(it.candidates)} "
+                f"gains={sorted(it.gains)} affordable={sorted(it.affordable)} "
+                f"chosen={it.chosen} profit={it.objective.f1:g}"
+            )
+    # certify enumerates; BISSA's proofs need no check
+    certificate = straddle.exact or certify(instance, run)
+    point = evaluate(instance, run.final)
+    print("selection:", " ".join(str(i) for i in run.final))
     print(f"profit: {point.f1:g}")
-    print(f"cost: {-point.f2:g}")
-    print(f"improvements: {improvements}")
-    print(f"termination: {termination}")
+    print(f"cost: {abs(point.f2):g}")  # -f2 prints -0 for a free selection
+    print(f"improvements: {run.improvements}")
+    print(f"termination: {run.termination.value}")
     print(f"certificate: {'true' if certificate else 'false'}")
     return 0
 

@@ -39,7 +39,10 @@ class RhoBound:
 
     ``delta`` is +inf when no item pair imposes a constraint; otherwise
     ``rho = min(requested rho, delta / 2)`` so the strict inequality required
-    for exact Pareto characterization holds with margin.
+    for exact Pareto characterization holds with margin. ``rho`` is floored
+    at ``math.ulp(0.0)``: where ``delta / 2`` underflows no positive float lies
+    below ``delta``, and any positive rho keeps Chebyshev winners
+    nondominated, which is all KISSA relies on.
     """
 
     delta: float
@@ -88,7 +91,8 @@ def delta_bound(instance: Instance, rho: float = DEFAULT_RHO) -> RhoBound:
     integer coefficients ``delta`` has the same bits as a scan over all pairs.
 
     ``rho`` defaults to 1e-7 and is clipped to ``delta / 2`` whenever the
-    bound is finite, keeping the strict inequality with rounding margin.
+    bound is finite (floored as :class:`RhoBound` says), keeping the strict
+    inequality with rounding margin.
     Instances where no pair qualifies (for example, all items
     objective-identical per category) yield the +inf sentinel and the
     requested rho unchanged.
@@ -103,7 +107,7 @@ def delta_bound(instance: Instance, rho: float = DEFAULT_RHO) -> RhoBound:
         _steepest_trade_off(owner, profits, costs),
         _steepest_trade_off(owner, costs, profits),
     )
-    used = rho if math.isinf(delta) else min(rho, delta / 2.0)
+    used = rho if math.isinf(delta) else max(min(rho, delta / 2.0), math.ulp(0.0))
     return RhoBound(delta=delta, rho=used)
 
 

@@ -12,6 +12,7 @@ when no subproblem improves profit or no improvement fits the budget.
 """
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -21,7 +22,6 @@ from .model import Instance, ObjectivePoint, Selection, evaluate
 from .oracle import OracleGuardError, brute_force, dominated_in_product
 
 DEFAULT_EPSILON = 1e-4
-MAX_ITERATIONS = 10_000
 
 
 class SelectionRule(enum.Enum):
@@ -33,9 +33,10 @@ class SelectionRule(enum.Enum):
 
 
 class Termination(enum.Enum):
+    MAX_PROFIT_FEASIBLE = "max-profit-feasible"  # exact straddle: the max-profit probe fits
+    ZERO_SLACK = "zero-slack"              # exact straddle: a probe spends the budget
     NO_IMPROVEMENT = "no-improvement"      # no subproblem beat the current component
     BUDGET_BLOCKED = "budget-blocked"      # every improvement busts the budget
-    ITERATION_LIMIT = "iteration-limit"    # safety valve; signals a cycle bug
 
 
 @dataclass(frozen=True)
@@ -88,12 +89,15 @@ def improvable_categories(instance: Instance, xa: Selection, xb: Selection) -> s
 
 
 def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None = None) -> KissaRun:
-    """Run the improvement loop from a non-exact bisection straddle.
+    """Run the improvement loop from a bisection straddle.
 
-    The anchor ``straddle.xb`` stays fixed for the whole run. The returned
+    On an exact straddle the run returns ``straddle.xa`` at once, with no
+    iterations and the straddle's certificate as its termination. Otherwise
+    the anchor ``straddle.xb`` stays fixed for the whole run. The returned
     selection is always feasible with profit at least that of
     ``straddle.xa``; ``improvements`` counts accepted swaps and the iteration
-    list records the full trace.
+    list records the full trace. Each swap strictly raises its category's
+    profit, so a run ends within ``sum(n_j - 1)`` swaps.
 
     A candidate category's reference point is its maxima of (profit, -cost),
     each shifted up by epsilon, or to the next float where epsilon rounds
@@ -109,8 +113,8 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
     sum's value before category ``j``, so a check at ``j`` re-sums only the
     categories from ``j`` on and gives the bits :func:`is_feasible` gives.
     """
-    if straddle.exact or straddle.xb is None:
-        raise ValueError("straddle is already exact; nothing to improve")
+    if straddle.exact:
+        return KissaRun(final=straddle.xa, termination=Termination(straddle.certificate))
     config = config or KissaConfig()
     rho = delta_bound(instance, rho=config.rho).rho
     cats = instance.categories
@@ -160,7 +164,7 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
         solve(j)
     settle(0)
 
-    for index in range(1, MAX_ITERATIONS + 1):
+    for index in itertools.count(1):
         head = (index, frozenset(candidates), frozenset(improving))
         affordable = frozenset(j for j, i in improving.items() if fits(j, i))
         if not affordable:
@@ -180,8 +184,6 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
         point = evaluate(instance, tuple(xa))
         run.improvements += 1
         run.iterations.append(KissaIteration(*head, affordable, chosen, point))
-    else:
-        run.termination = Termination.ITERATION_LIMIT
 
     run.final = tuple(xa)
     return run
@@ -207,14 +209,11 @@ def _select(instance, xa, improving, affordable, rule):
 def certify(instance: Instance, run: KissaRun) -> bool:
     """Exhaustive optimality check of a finished run's selection.
 
-    True only when the loop stopped regularly (not via the iteration limit),
-    the selection space is small enough to enumerate, no selection
-    dominates the final one in (profit, -cost), and its profit equals
-    :func:`brute_force`'s optimum. Anything unverifiable yields False,
-    never an error.
+    True only when the selection space is small enough to enumerate, no
+    selection dominates the final one in (profit, -cost), and its profit
+    equals :func:`brute_force`'s optimum. Anything unverifiable yields
+    False, never an error.
     """
-    if run.termination is Termination.ITERATION_LIMIT:
-        return False
     try:
         dominated = dominated_in_product(instance, run.final)
     except OracleGuardError:

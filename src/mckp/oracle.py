@@ -117,9 +117,13 @@ def dominated_in_product(instance: Instance, sel: Selection) -> bool:
     """True iff some selection strictly dominates ``sel`` in (profit, -cost),
     that is, iff its image is not among :func:`pareto_enumerate`'s.
 
-    Subject to the enumeration guard; used for optimality certificates.
+    One pass, up to the first dominating image, under the enumeration guard;
+    used for optimality certificates.
     """
-    return evaluate(instance, sel) not in {point for _, point in pareto_enumerate(instance)}
+    f1, f2 = evaluate(instance, sel)
+    _guard(instance, ENUMERATION_LIMIT, "dominated_in_product")
+    images = _iter_images(instance)
+    return any(p1 >= f1 and p2 >= f2 and (p1, p2) != (f1, f2) for _, p1, p2 in images)
 
 
 def _upper_hull(rows: list[tuple[int, int]]) -> list[tuple[int, int]]:

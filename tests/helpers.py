@@ -5,7 +5,6 @@ scans, weight sweeps, exhaustive enumeration) rather than reusing package
 internals, so the tests check the implementations against a second route.
 """
 
-import importlib
 import itertools
 import math
 import random
@@ -218,11 +217,8 @@ def kissa_full_resolve(instance: Instance, straddle, config: KissaConfig | None 
     solver, the rho bound and the selection rule with the package; only the
     loop differs. On integer coefficients the
     incremental cost is exact, so both loops must give equal records; on
-    fractional ones this loop can return an infeasible selection. The
-    iteration limit is read from ``mckp.kissa.MAX_ITERATIONS`` at call time,
-    so a test that patches it limits both loops.
+    fractional ones this loop can return an infeasible selection.
     """
-    max_iterations = importlib.import_module("mckp.kissa").MAX_ITERATIONS
     config = config or KissaConfig()
     rho = delta_bound(instance, rho=config.rho).rho
     cats = instance.categories
@@ -231,7 +227,7 @@ def kissa_full_resolve(instance: Instance, straddle, config: KissaConfig | None 
     cost = -evaluate(instance, straddle.xa).f2
     profit = evaluate(instance, straddle.xa).f1
     run = KissaRun(final=straddle.xa)
-    for index in range(1, max_iterations + 1):
+    for index in itertools.count(1):
         candidates = {j for j in range(instance.m) if cats[j][xa[j]].profit < cats[j][xb[j]].profit}
         improving = {}
         for j in sorted(candidates):
@@ -273,8 +269,6 @@ def kissa_full_resolve(instance: Instance, straddle, config: KissaConfig | None 
                 Termination.BUDGET_BLOCKED if improving else Termination.NO_IMPROVEMENT
             )
             break
-    else:
-        run.termination = Termination.ITERATION_LIMIT
     run.final = tuple(xa)
     return run
 

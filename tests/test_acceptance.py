@@ -199,22 +199,18 @@ def test_criterion_5_sandwich_property():
             exact = dp_solve(instance).optimum_profit
             straddle = bissa(instance)
             start = evaluate(instance, straddle.xa).f1
-            if straddle.exact:
-                final, run = start, None
-            else:
-                run = kissa(instance, straddle)
-                final = evaluate(instance, run.final).f1
+            run = kissa(instance, straddle)
+            final = evaluate(instance, run.final).f1
             checked += 1
             if not (start <= final <= exact):
                 violations += 1
                 continue
-            if run is not None:
-                profits = [start] + [
-                    it.objective.f1 for it in run.iterations if it.chosen is not None
-                ]
-                # each accepted swap strictly shrinks the optimality gap
-                if not all(a < b for a, b in zip(profits, profits[1:])):
-                    violations += 1
+            profits = [start] + [
+                it.objective.f1 for it in run.iterations if it.chosen is not None
+            ]
+            # each accepted swap strictly shrinks the optimality gap
+            if not all(a < b for a, b in zip(profits, profits[1:])):
+                violations += 1
     report(
         5,
         "bisection <= improved <= exact on 100 instances x 4 families, strict gap descent",
@@ -231,8 +227,6 @@ def test_criterion_6_improvement_existence_weak_family():
         spec = GenSpec(m=20, n=20, correlation=Correlation.WEAK, seed=seed)
         instance = generate(spec)
         straddle = bissa(instance)
-        if straddle.exact:
-            continue
         start = evaluate(instance, straddle.xa).f1
         run = kissa(instance, straddle)
         final = evaluate(instance, run.final).f1
@@ -252,9 +246,7 @@ def test_criterion_7_single_run_under_one_second():
     spec = GenSpec(m=1000, n=10, correlation=Correlation.UNCORRELATED, seed=123)
     instance = generate(spec)
     t0 = time.perf_counter()
-    straddle = bissa(instance)
-    if not straddle.exact:
-        kissa(instance, straddle)
+    kissa(instance, bissa(instance))
     elapsed = time.perf_counter() - t0
     report(
         7,

@@ -123,7 +123,8 @@ class TestBissaAppendix:
         assert not res.exact
         assert evaluate(appendix, res.xa) == pytest.approx((6.0, -3.9), abs=1e-12)
         assert evaluate(appendix, res.xb) == pytest.approx((7.0, -5.0), abs=1e-12)
-        assert res.gap_cost == pytest.approx(1.1, abs=1e-12)
+        gap_cost = evaluate(appendix, res.xa).f2 - evaluate(appendix, res.xb).f2
+        assert gap_cost == pytest.approx(1.1, abs=1e-12)
         assert is_feasible(appendix, res.xa)
         assert not is_feasible(appendix, res.xb)
 
@@ -141,7 +142,7 @@ class TestBissaExactCases:
         res = bissa(inst)
         assert res.exact
         assert res.certificate == "max-profit-feasible"
-        assert res.xb is None and res.gap_cost == 0.0
+        assert res.xb is None
         assert evaluate(inst, res.xa).f1 == 13.0
 
     def test_zero_slack_certificate(self):
@@ -151,6 +152,19 @@ class TestBissaExactCases:
         assert res.exact
         assert res.certificate == "zero-slack"
         assert -evaluate(inst, res.xa).f2 == 6.0
+
+    @pytest.mark.parametrize("middle_cost", [1, 1e-300], ids=["integer", "fractional"])
+    def test_zero_slack_needs_exact_cost_sums(self, middle_cost):
+        # The anchor (0, 0, 0) spends the budget exactly, but summed in
+        # category order the middle cost rounds away, so (0, 1, 0) fits at
+        # profit 1: the anchor is an ordinary feasible probe.
+        inst = Instance(
+            [[(0, 0), (10, 2**60)], [(0, 0), (1, middle_cost)], [(0, 2**60)]], 2**60
+        )
+        assert is_feasible(inst, (0, 1, 0))
+        res = bissa(inst)
+        assert not res.exact and res.certificate is None
+        assert is_feasible(inst, res.xa)
 
     def test_zero_slack_at_the_min_cost_anchor(self):
         # budget ratio 0: the budget is the cheapest selection's cost, so the
@@ -162,7 +176,7 @@ class TestBissaExactCases:
             res = bissa(inst)
             assert res.exact
             assert res.certificate == "zero-slack"
-            assert res.xb is None and res.gap_cost == 0.0
+            assert res.xb is None
             assert len(res.trace) == 2
             assert not res.trace[0].feasible and res.trace[1].feasible
             assert -evaluate(inst, res.xa).f2 == inst.budget
@@ -267,8 +281,7 @@ class TestBissaProperties:
             assert not is_feasible(inst, res.xb)
             assert pa.f1 < pb.f1
             assert pa.f2 > pb.f2
-            assert res.gap_cost == pytest.approx(pa.f2 - pb.f2)
-            assert res.gap_cost > 0
+            assert res.certificate is None
             for j in range(inst.m):
                 frontier = pareto_filter(inst.categories[j])
                 assert res.xa[j] in frontier

@@ -8,6 +8,7 @@ from mckp import (
     GenSpec,
     Instance,
     bissa,
+    brute_force,
     evaluate,
     generate,
     is_feasible,
@@ -84,6 +85,39 @@ class TestSolve:
         out = capsys.readouterr().out
         assert "termination: max-profit-feasible" in out
         assert "certificate: true" in out
+
+    @staticmethod
+    def solve(tmp_path, capsys, inst, *argv):
+        path = tmp_path / "inst.mckp"
+        path.write_text(write_instance(inst), encoding="utf-8")
+        code = main(["solve", str(path), *argv])
+        return code, capsys.readouterr().out
+
+    @pytest.mark.parametrize("middle_cost", [1, 1e-300], ids=["integer", "fractional"])
+    def test_absorbed_cost_gives_no_zero_slack_certificate(self, tmp_path, capsys, middle_cost):
+        # brute force finds profit 1: (0, 1, 0)'s middle cost rounds away
+        inst = Instance(
+            [[(0, 0), (10, 2**60)], [(0, 0), (1, middle_cost)], [(0, 2**60)]], 2**60
+        )
+        code, out = self.solve(tmp_path, capsys, inst)
+        assert code == 0
+        assert "profit: 0\n" in out
+        assert "termination: no-improvement" in out
+        assert "certificate: false" in out
+
+    def test_underflowing_rho_bound_solves(self, tmp_path, capsys):
+        inst = Instance([[(0, 0), (5e-324, 1e300)], [(0, 0), (4, 4)]], 3)
+        code, out = self.solve(tmp_path, capsys, inst)
+        assert code == 0
+        assert f"profit: {brute_force(inst).optimum_profit:g}\n" in out
+
+    def test_free_selection_prints_cost_zero(self, tmp_path, capsys):
+        inst = Instance([[(1, 0), (2, 5)]], 1)
+        code, out = self.solve(tmp_path, capsys, inst, "--trace")
+        assert code == 0
+        assert "cost: 0\n" in out
+        assert "cost 0 (feasible)" in out
+        assert "-0" not in out
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.mckp"

@@ -196,6 +196,13 @@ class TestDeltaBound:
         bound = delta_bound(appendix, rho=10.0)
         assert bound.rho == pytest.approx(bound.delta / 2)
 
+    def test_rho_stays_positive_where_the_bound_underflows(self):
+        # 5e-324 / 1e300 underflows, so delta is 0 and rho the smallest float
+        inst = Instance([[(0, 0), (5e-324, 1e300)], [(0, 0), (4, 4)]], 3)
+        bound = delta_bound(inst)
+        assert bound.delta == 0.0
+        assert bound.rho == math.ulp(0.0)
+
     def test_identical_items_sentinel(self):
         inst = Instance((((3, 2), (3, 2)),), budget=1.0)
         bound = delta_bound(inst)

@@ -30,7 +30,7 @@ from mckp.oracle import ENUMERATION_LIMIT
 from helpers import brute_optimum, kissa_full_resolve, random_instance
 
 # ``mckp.kissa`` is the function once the package is imported; the module
-# holds the iteration limit.
+# holds the names its loop looks up.
 kissa_module = importlib.import_module("mckp.kissa")
 
 
@@ -69,16 +69,23 @@ class TestKissaAppendix:
 
 
 class TestKissaContracts:
-    def test_rejects_exact_straddle(self):
-        inst = Instance((((1, 1), (2, 2)),), budget=10.0)
-        res = bissa(inst)
-        assert res.exact
-        with pytest.raises(ValueError):
-            kissa(inst, res)
+    @pytest.mark.parametrize(
+        "inst, termination",
+        [
+            (Instance((((1, 1), (2, 2)),), budget=10.0), Termination.MAX_PROFIT_FEASIBLE),
+            (Instance((((1, 1), (5, 4)), ((2, 2), (6, 7))), budget=6.0), Termination.ZERO_SLACK),
+        ],
+        ids=["max-profit-feasible", "zero-slack"],
+    )
+    def test_exact_straddle_returns_its_certificate(self, inst, termination, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an exact straddle needs no subproblem")
 
-    def test_certify_false_for_iteration_limit(self, appendix):
-        run = KissaRun(final=(0, 0), termination=Termination.ITERATION_LIMIT)
-        assert certify(appendix, run) is False
+        monkeypatch.setattr(kissa_module, "delta_bound", unreachable)
+        monkeypatch.setattr(kissa_module, "solve_chebyshev_subproblem", unreachable)
+        straddle = bissa(inst)
+        assert straddle.exact
+        assert kissa(inst, straddle) == KissaRun(final=straddle.xa, termination=termination)
 
     def test_certify_false_for_dominated_final(self, appendix):
         run = KissaRun(final=(1, 1), termination=Termination.NO_IMPROVEMENT)
@@ -347,9 +354,37 @@ class TestAbsorbedEpsilon:
             assert ref2 == max(-item.cost for item in cat) + 1e-3
 
 
+class TestExtremeCoefficients:
+    """Coefficients at the float edges: past 2**53, subnormal, near overflow."""
+
+    VALUES = (0.0, 1.0, 2.0, 2.0**52, 2.0**53, 2.0**60, 1e-300, 5e-324, 1e300)
+
+    def test_solves_finish_and_certificates_prove_the_optimum(self):
+        rng = random.Random(59)
+        for _ in range(2000):
+            v = self.VALUES
+            cats = [
+                [(rng.choice(v), rng.choice(v)) for _ in range(rng.randint(1, 3))]
+                for _ in range(rng.randint(1, 3))
+            ]
+            unit = Instance(cats, 1.0)
+
+            def total_cost(pick):  # of the cheapest or costliest selection
+                sel = tuple(pick(range(len(cat)), key=lambda i: cat[i][1]) for cat in cats)
+                return -evaluate(unit, sel).f2
+
+            low, high = total_cost(min), total_cost(max)
+            for budget in {low, (low + high) / 2, high} - {0.0}:
+                inst = Instance(cats, budget)
+                straddle = bissa(inst)
+                run = kissa(inst, straddle)
+                if straddle.exact or certify(inst, run):
+                    assert evaluate(inst, run.final).f1 == brute_force(inst).optimum_profit
+
+
 class TestIncrementalMatchesFullResolve:
     @pytest.mark.parametrize("correlation", list(Correlation))
-    def test_records_equal_on_generated_families(self, correlation, monkeypatch):
+    def test_records_equal_on_generated_families(self, correlation):
         rng = random.Random(f"kissa-differential:{correlation.value}")
         compared = 0
         longest = 0
@@ -366,13 +401,14 @@ class TestIncrementalMatchesFullResolve:
             if straddle.exact:
                 continue
             compared += 1
+            # every swap raises its category's profit, which bounds the run
+            bound = sum(len({item.profit for item in cat}) - 1 for cat in inst.categories)
             for rule in SelectionRule:
-                for limit in (10_000, 2):
-                    monkeypatch.setattr(kissa_module, "MAX_ITERATIONS", limit)
-                    config = KissaConfig(rule=rule)
-                    run = kissa(inst, straddle, config)
-                    assert run == kissa_full_resolve(inst, straddle, config), (spec, rule, limit)
-                    longest = max(longest, len(run.iterations))
+                config = KissaConfig(rule=rule)
+                run = kissa(inst, straddle, config)
+                assert run == kissa_full_resolve(inst, straddle, config), (spec, rule)
+                assert run.improvements == len(run.iterations) - 1 <= bound
+                longest = max(longest, len(run.iterations))
         if correlation is Correlation.WEAK:
             assert longest >= 10  # the comparison covers long swap sequences
 
@@ -388,8 +424,9 @@ class TestIncrementalMatchesFullResolve:
             if straddle.exact:
                 continue
             compared += 1
+            bound = sum(len({item.profit for item in cat}) - 1 for cat in inst.categories)
             for rule in SelectionRule:
                 config = KissaConfig(rule=rule)
-                assert kissa(inst, straddle, config) == kissa_full_resolve(
-                    inst, straddle, config
-                )
+                run = kissa(inst, straddle, config)
+                assert run == kissa_full_resolve(inst, straddle, config)
+                assert run.improvements == len(run.iterations) - 1 <= bound

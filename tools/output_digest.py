@@ -4,10 +4,11 @@ Runs ``mckp solve`` and ``mckp exact`` through ``mckp.cli.main`` on every
 instance of the benchmark workloads for one seed, and ``solve --rule
 first|best-slack`` on the weak-refine ones, then a small-instance sweep of
 ``mckp gen``, ``solve --trace``, ``solve --rule first|best-slack``, ``exact``
-and ``exact --method brute``, and one ``mckp bench`` run on a fixed spec
-file. Prints one sha256 per (workload, command) over each run's exit code,
-stdout and stderr; the ``gen`` digests cover the instance file bytes as
-well. The ``bench`` digest covers its exit code, stderr and CSV with the
+and ``exact --method brute``, the same sweep at budget ratios 0 and 1 with
+``solve --trace``, ``solve --rule first`` and ``exact``, and one ``mckp
+bench`` run on a fixed spec file. Prints one sha256 per (workload, command)
+over each run's exit code, stdout and stderr; the ``gen`` digests cover the
+instance file bytes as well. The ``bench`` digest covers its exit code, stderr and CSV with the
 two timing cells blanked, and leaves out stdout, whose table prints
 timings. ``mckp`` is imported from this checkout's ``src``, so running the
 script in two checkouts and comparing the lines is the "outputs unchanged"
@@ -44,6 +45,13 @@ SMALL_COMMANDS = (
     ("solve --rule best-slack", ["solve", "small.mckp", "--rule", "best-slack"]),
     ("exact", ["exact", "small.mckp"]),
     ("exact --method brute", ["exact", "small.mckp", "--method", "brute"]),
+)
+# Budget ratio 0 puts the budget at the min-cost anchor (zero-slack) and 1
+# admits the max-profit probe (max-profit-feasible): both BISSA proofs.
+EDGE_RATIOS = ("0", "1")
+EDGE_COMMANDS = tuple(
+    (label, argv) for label, argv in SMALL_COMMANDS
+    if label in ("solve --trace", "solve --rule first", "exact")
 )
 WORKLOAD_COMMANDS = (("solve", ["solve"]), ("exact", ["exact"]))
 RULE_COMMANDS = (
@@ -105,24 +113,24 @@ def workload_digests(seed: int):
             inst.path.unlink()
 
 
-def small_digests():
-    """(workload, command, runs, digest) over the small-instance sweep."""
+def small_digests(workload, ratio_of, commands):
+    """(workload, command, runs, digest) over the small-instance sweep, with
+    the budget ratio ``ratio_of(seed)``."""
     gen = hashlib.sha256()
-    digests = {label: hashlib.sha256() for label, _ in SMALL_COMMANDS}
+    digests = {label: hashlib.sha256() for label, _ in commands}
     runs = 0
     for corr in SMALL_CORRELATIONS:
         for m, n in SMALL_SIZES:
             for seed in SMALL_SEEDS:
-                ratio = str((seed % 5) / 4)  # 0 reaches zero-slack, 1 max-profit
-                run(gen, ["gen", "--m", str(m), "--n", str(n), "--corr", corr,
-                          "--seed", str(seed), "--budget-ratio", ratio, "-o", "small.mckp"])
+                run(gen, ["gen", "--m", str(m), "--n", str(n), "--corr", corr, "--seed",
+                          str(seed), "--budget-ratio", ratio_of(seed), "-o", "small.mckp"])
                 gen.update(Path("small.mckp").read_bytes())
-                for label, argv in SMALL_COMMANDS:
+                for label, argv in commands:
                     run(digests[label], argv)
                 runs += 1
-    yield "small", "gen", runs, gen
+    yield workload, "gen", runs, gen
     for label, digest in digests.items():
-        yield "small", label, runs, digest
+        yield workload, label, runs, digest
 
 
 def bench_digest():
@@ -151,7 +159,13 @@ def main(argv=None) -> int:
         os.chdir(tmp)  # relative paths keep the directory name out of the output
         try:
             for workload, command, runs, digest in itertools.chain(
-                workload_digests(args.seed), small_digests(), bench_digest()
+                workload_digests(args.seed),
+                small_digests("small", lambda seed: str((seed % 5) / 4), SMALL_COMMANDS),
+                *(
+                    small_digests(f"small ratio {r}", lambda seed, r=r: r, EDGE_COMMANDS)
+                    for r in EDGE_RATIOS
+                ),
+                bench_digest(),
             ):
                 print(f"{workload:<13} {command:<24} {runs:>4} {digest.hexdigest()}", flush=True)
         finally:
