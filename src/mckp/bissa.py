@@ -27,6 +27,7 @@ from .model import (
     ObjectivePoint,
     Selection,
     evaluate,
+    exact_cost_sums,
 )
 
 MAX_BISECTION_STEPS = 200
@@ -98,7 +99,7 @@ def bissa(instance: Instance) -> BissaResult:
 
     ``max-profit-feasible`` needs no precondition: a float sum taken in
     category order never falls when one of its terms rises. ``zero-slack``
-    needs :func:`_exact_cost_sums`; elsewhere the probe is an ordinary
+    needs :func:`exact_cost_sums`; elsewhere the probe is an ordinary
     feasible one, since a rounded cost sum can hide a selection that fits.
     """
     trace: list[WeightStep] = []
@@ -125,7 +126,7 @@ def bissa(instance: Instance) -> BissaResult:
                 raise InfeasibleInstanceError(
                     f"minimum selection cost {-p.f2} exceeds budget {instance.budget}"
                 )
-            if p.f2 == -instance.budget and _exact_cost_sums(instance):
+            if p.f2 == -instance.budget and exact_cost_sums(instance):
                 certificate = "zero-slack"
                 break
             if pa is not None and not pb.f2 < p.f2 < pa.f2:
@@ -143,13 +144,3 @@ def bissa(instance: Instance) -> BissaResult:
             )
     return BissaResult(xa=x, xb=None, certificate=certificate, trace=trace)
 
-
-def _exact_cost_sums(instance: Instance) -> bool:
-    """``dp_solve``'s rule on frontier costs: integers, and a budget below 2**53
-    or largest ones that sum to at most 2**53. Float cost sums then compare with
-    the budget as exact ones do; any selection that fits still fits, at no less
-    profit, once each item is traded for a frontier item that dominates it."""
-    costs = [[cat[i].cost for i in f] for cat, f in zip(instance.categories, instance.frontiers)]
-    return all(c.is_integer() for row in costs for c in row) and (
-        instance.budget < 2**53 or sum(int(row[-1]) for row in costs) <= 2**53
-    )

@@ -7,22 +7,19 @@ within their own category. The nondominated items of a category come from
 this module adds:
 
 * ``delta_bound``        -- a computable lower bound on the trade-off ratios
-  of item pairs, taken over every category of the instance at once; any
-  augmentation factor below it makes the augmented Chebyshev scalarization
-  characterize exactly the nondominated items. A pair's ratio
-  is ``1 / (s - 1)`` for its slope ``s``, and the steepest slope lies between
-  neighbouring items in profit or cost order, so one sort per coordinate
-  gives the bound in O(n log n),
+  of frontier item pairs, taken over every category of the instance at once;
+  any augmentation factor below it makes the augmented Chebyshev
+  scalarization characterize exactly the nondominated items. A pair's ratio
+  is ``1 / (s - 1)`` for its slope ``s``, and costs and profits rise strictly
+  along a frontier, so the steepest slope lies between frontier neighbours
+  and one pass over them gives the bound in O(n),
 * ``solve_chebyshev_subproblem`` -- argmin of the augmented weighted
   Chebyshev distance to a reference point that strictly dominates the
-  category.
+  given items.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-
-import numpy as np
 
 from .model import Category, Instance, MCKPError
 
@@ -37,7 +34,10 @@ class InvalidReferencePointError(MCKPError):
 class RhoBound:
     """Conservative trade-off bound ``delta`` and the augmentation ``rho`` to use.
 
-    ``delta`` is +inf when no item pair imposes a constraint; otherwise
+    ``delta`` is taken over frontier item pairs only: a dominated item scores
+    strictly worse than an item that dominates it at any positive rho, so it
+    neither wins a subproblem nor hides a frontier item. It is +inf when no
+    frontier pair imposes a constraint; otherwise
     ``rho = min(requested rho, delta / 2)`` so the strict inequality required
     for exact Pareto characterization holds with margin. ``rho`` is floored
     at ``math.ulp(0.0)``: where ``delta / 2`` underflows no positive float lies
@@ -49,64 +49,38 @@ class RhoBound:
     rho: float
 
 
-def _steepest_trade_off(owner, x, y):
-    """Smallest ``dx / (dy - dx)`` over neighbouring distinct-``x`` groups.
-
-    ``owner`` holds each item's category index in non-decreasing order. Within
-    a category the items are sorted by ``x`` and grouped by equal ``x``; each
-    pair of neighbouring groups contributes the steepest rise between them,
-    ``dy`` = max ``y`` of the right group minus min ``y`` of the left group,
-    over ``dx`` = the gap in ``x``. Only rises with ``dy > dx`` count.
-    """
-    order = np.lexsort((x, owner))
-    owner, x, y = owner[order], x[order], y[order]
-    starts = np.flatnonzero(
-        np.concatenate(([True], (owner[1:] != owner[:-1]) | (x[1:] != x[:-1])))
-    )
-    low = np.minimum.reduceat(y, starts)
-    high = np.maximum.reduceat(y, starts)
-    owner, x = owner[starts], x[starts]
-    dx = x[1:] - x[:-1]
-    dy = high[1:] - low[:-1]
-    steep = (owner[1:] == owner[:-1]) & (dy > dx)
-    if not steep.any():
-        return math.inf
-    return float((dx[steep] / (dy[steep] - dx[steep])).min())
-
-
 def delta_bound(instance: Instance, rho: float = DEFAULT_RHO) -> RhoBound:
     """Conservative trade-off bound over all categories and the rho to run with.
 
-    ``delta`` is the smallest ratio, over ordered item pairs (t, u) of one
-    category with ``sum(d_u - d_t) > 0`` in (profit, -cost) coordinates, of
-    the smallest strictly positive coordinate of ``d_t - d_u`` to
-    ``sum(d_u - d_t)``. Such a pair has exactly one positive coordinate
-    advantage, so its ratio is ``1 / (s - 1)``, where ``s > 1`` is the cost
-    rise over the profit rise, or the profit rise over the cost rise, of a
-    pair rising in both profit and cost.
-    The steepest slope between points sorted by x lies between neighbouring
-    distinct-x groups (any longer rise averages the neighbouring ones), so two
-    sorted passes, x = profit and x = cost, give ``delta`` exactly in
-    O(n log n). Each ratio is one division of coordinate differences, so on
-    integer coefficients ``delta`` has the same bits as a scan over all pairs.
+    ``delta`` is the smallest ratio, over ordered pairs (t, u) of frontier
+    items of one category (``Instance.frontiers``) with ``sum(d_u - d_t) > 0``
+    in (profit, -cost) coordinates, of the smallest strictly positive
+    coordinate of ``d_t - d_u`` to ``sum(d_u - d_t)``. Along a frontier both
+    profit and cost rise strictly, so a pair rising by ``dp`` in profit and
+    ``dc`` in cost has the ratio ``min(dp, dc) / abs(dp - dc)`` when
+    ``dp != dc``, and none otherwise. That is ``1 / (s - 1)`` for its slope
+    ``s = max(dp, dc) / min(dp, dc)``, and the steepest slopes lie between
+    frontier neighbours (any longer rise averages the neighbouring ones), so
+    one pass over neighbours gives ``delta``. Each ratio is the division the
+    pairwise definition makes, so on integer coefficients ``delta`` has the
+    same bits as a scan over all frontier pairs.
 
     ``rho`` defaults to 1e-7 and is clipped to ``delta / 2`` whenever the
     bound is finite (floored as :class:`RhoBound` says), keeping the strict
     inequality with rounding margin.
-    Instances where no pair qualifies (for example, all items
-    objective-identical per category) yield the +inf sentinel and the
-    requested rho unchanged.
+    Instances where no frontier pair qualifies (for example, single-item
+    frontiers, or neighbours rising equally in profit and cost) yield the
+    +inf sentinel and the requested rho unchanged.
     """
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError("rho must be positive and finite")
-    owner = np.repeat(np.arange(instance.m), instance.sizes)
-    flat = chain.from_iterable(chain.from_iterable(instance.categories))
-    items = np.fromiter(flat, dtype=np.float64, count=2 * len(owner)).reshape(-1, 2)
-    profits, costs = items[:, 0], items[:, 1]
-    delta = min(
-        _steepest_trade_off(owner, profits, costs),
-        _steepest_trade_off(owner, costs, profits),
-    )
+    delta = math.inf
+    for cat, f in zip(instance.categories, instance.frontiers):
+        for a, b in zip(f, f[1:]):
+            dp = cat[b].profit - cat[a].profit
+            dc = cat[b].cost - cat[a].cost
+            if dp != dc:
+                delta = min(delta, min(dp, dc) / abs(dp - dc))
     used = rho if math.isinf(delta) else max(min(rho, delta / 2.0), math.ulp(0.0))
     return RhoBound(delta=delta, rho=used)
 
@@ -135,13 +109,16 @@ def solve_chebyshev_subproblem(
     reference: tuple[float, float],
     rho: float,
 ) -> int:
-    """Item of ``cat`` minimizing the augmented Chebyshev value; ties to lowest index.
+    """Position in ``cat`` minimizing the augmented Chebyshev value; ties to
+    the lowest position.
 
-    The reference point must strictly dominate every item's (profit, -cost)
-    pair and weights/rho must be positive, otherwise
-    :class:`InvalidReferencePointError` is raised. With any positive rho the
-    winner is nondominated within the category; with ``rho < delta_bound``
-    every nondominated item is reachable by a suitable weight vector.
+    ``cat`` is any non-empty sequence of items, such as a category or the
+    items of its frontier. The reference point must strictly dominate every
+    given item's (profit, -cost) pair and weights/rho must be positive,
+    otherwise :class:`InvalidReferencePointError` is raised. With any
+    positive rho the winner is nondominated among the given items; with
+    ``rho < delta_bound`` every nondominated item is reachable by a suitable
+    weight vector.
     """
     if not cat:
         raise ValueError("category must be non-empty")

@@ -2,9 +2,10 @@
 
 Starting from a bisection straddle (feasible ``xa``, infeasible anchor
 ``xb``), the loop solves one augmented Chebyshev subproblem per category
-where the anchor still holds a strict profit lead (reference point:
-per-category maxima plus epsilon; weights derived from the current ``xa``
-component and the fixed anchor component), and each iteration swaps in one
+where the anchor still holds a strict profit lead, over the category's
+frontier items (reference point: per-category maxima plus epsilon; weights
+derived from the current ``xa`` component and the fixed anchor component;
+ties to the most profitable item), and each iteration swaps in one
 improving component that keeps the selection within budget. Only the
 swapped category's subproblem changes, so each accepted swap costs one
 re-solve. Profit strictly increases at every accepted swap; the loop stops
@@ -103,7 +104,11 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
     each shifted up by epsilon, or to the next float where epsilon rounds
     away; the first weight is the reciprocal profit gap of the current
     component, the second the reciprocal cost gap of the anchor component.
-    A winner counts only if it strictly out-profits the current component.
+    The subproblem scans the category's frontier (``Instance.frontiers``)
+    from its most profitable item down, so a tie goes to the most profitable
+    tied item and the run does not depend on the order of items within a
+    category; at positive rho a dominated item never wins anyway. A winner
+    counts only if it strictly out-profits the current component.
 
     A category's subproblem depends only on its own current component, its
     anchor component and its maxima, so the improving map is kept across
@@ -151,12 +156,16 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
 
     def solve(j):
         # A frontier's last item has the category's largest profit, its first
-        # the smallest cost.
+        # the smallest cost. Scanned from the last, ties go to the most
+        # profitable item.
         cat, f = cats[j], instance.frontiers[j]
         reference = (above(cat[f[-1]].profit), above(-cat[f[0]].cost))
         w1 = 1.0 / (reference[0] - cat[xa[j]].profit)
         w2 = 1.0 / (reference[1] + cat[xb[j]].cost)
-        winner = solve_chebyshev_subproblem(cat, (w1, w2), reference, rho)
+        position = solve_chebyshev_subproblem(
+            [cat[i] for i in reversed(f)], (w1, w2), reference, rho
+        )
+        winner = f[-1 - position]
         if cat[winner].profit > cat[xa[j]].profit:
             improving[j] = winner
 

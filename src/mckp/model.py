@@ -4,8 +4,9 @@ An instance is a list of item categories plus a budget; a solution picks
 exactly one item per category. The solver stack works on the bi-objective
 image of a selection: total profit and negated total cost, both maximized.
 This module holds the types, each category's Pareto filter (which every
-layer reads through ``Instance.frontiers``), the objective/feasibility
-evaluators and the line-oriented instance file format.
+layer reads through ``Instance.frontiers``), the rule under which float cost
+sums are exact, the objective/feasibility evaluators and the line-oriented
+instance file format.
 """
 
 import math
@@ -120,6 +121,22 @@ class Instance:
         Not a field, so equality, hashing and ``dataclasses.replace`` ignore it.
         """
         return tuple(pareto_filter(cat) for cat in self.categories)
+
+
+def exact_cost_sums(instance: Instance) -> bool:
+    """True when float cost sums compare with the budget as exact ones do.
+
+    That holds when every frontier cost is an integer and either the budget
+    is below 2**53 or the largest frontier costs, one per category, sum to
+    at most 2**53. Only frontier items need the rule: a selection that fits
+    still fits, at no less profit, once each item is traded for a frontier
+    item that dominates it, since a float sum taken in category order never
+    falls when one of its terms rises.
+    """
+    costs = [[cat[i].cost for i in f] for cat, f in zip(instance.categories, instance.frontiers)]
+    return all(c.is_integer() for row in costs for c in row) and (
+        instance.budget < 2**53 or sum(int(row[-1]) for row in costs) <= 2**53
+    )
 
 
 def _check_selection(instance: Instance, sel: Selection) -> None:

@@ -21,6 +21,7 @@ from .model import (
     ObjectivePoint,
     Selection,
     evaluate,
+    exact_cost_sums,
 )
 
 BRUTE_FORCE_LIMIT = 10**7
@@ -33,8 +34,9 @@ class OracleGuardError(MCKPError):
 
 
 class NonIntegerInstanceError(MCKPError):
-    """dp_solve requires integer costs and an integer budget, and either a
-    budget below 2**53 or largest costs that sum to at most 2**53."""
+    """dp_solve requires an integer budget and ``model.exact_cost_sums``:
+    integer frontier costs, and either a budget below 2**53 or largest
+    frontier costs that sum to at most 2**53."""
 
 
 class Method(enum.Enum):
@@ -203,40 +205,35 @@ def _lp_survivors(rows, budget: int) -> list[list[tuple[int, float, int]]]:
 def dp_solve(instance: Instance) -> ExactResult:
     """Dynamic program over (category, residual budget) for integer instances.
 
-    Only costs and the budget must be integers; profit may be fractional.
-    Raises :class:`NonIntegerInstanceError` otherwise, or when the budget is
-    at least 2**53 and the categories' largest costs sum past 2**53,
+    Only the budget and the costs of frontier items (``Instance.frontiers``)
+    must be integers; profit may be fractional. Raises
+    :class:`NonIntegerInstanceError` otherwise, or when the budget is at
+    least 2**53 and the categories' largest frontier costs sum past 2**53
+    (:func:`~mckp.model.exact_cost_sums`),
     :class:`InfeasibleInstanceError` when even the cheapest selection does
     not fit, and :class:`OracleGuardError` when the estimate of the table it
     would allocate exceeds 2 GiB.
 
     The table holds float64 sums, added in category order like
-    ``evaluate``. Each category keeps its Pareto rows. When every profit is
-    an integer and the largest profits sum below 2**53, every sum is exact,
-    and rows that the LP relaxation's reduced costs rule out of every
-    optimal selection are dropped too (:func:`_lp_survivors`). Costs are
-    shifted by their per-category minimum, so the budget axis spans only the slack above the
-    cheapest selection. Category ``j`` fills only the cells the final cell
+    ``evaluate``. Each category keeps its Pareto rows. When every frontier
+    profit is an integer and the largest profits sum below 2**53, every sum
+    is exact, and rows that the LP relaxation's reduced costs rule out of
+    every optimal selection are dropped too (:func:`_lp_survivors`). Costs
+    are shifted by their per-category minimum, so the budget axis spans only
+    the slack above the cheapest selection. Category ``j`` fills only the cells the final cell
     can reach: from the budget minus the slack of the later categories up
     to the slack of categories ``0..j``, above which every cell equals the
     top one. The optimum and the selection are those of the full table over
     all items: ties go to the lowest surviving row, and every row of every
     optimal selection survives.
     """
-    for cat in instance.categories:
-        for item in cat:
-            if not item.cost.is_integer():
-                raise NonIntegerInstanceError(f"non-integer cost {item.cost}")
+    if not exact_cost_sums(instance):
+        raise NonIntegerInstanceError(
+            "frontier costs are fractional, or their largest ones sum past 2**53"
+            f" with budget {instance.budget!r}"
+        )
     if not instance.budget.is_integer():
         raise NonIntegerInstanceError(f"non-integer budget {instance.budget}")
-    # Below either limit, float sums in category order (evaluate's) and the
-    # exact integers here agree in every comparison with the budget.
-    if instance.budget >= 2**53:
-        top = sum(int(max(item.cost for item in cat)) for cat in instance.categories)
-        if top > 2**53:
-            raise NonIntegerInstanceError(
-                f"largest costs sum to {top} past 2**53 with budget {int(instance.budget)}"
-            )
 
     budget = int(instance.budget)
     cats = instance.categories
@@ -251,7 +248,7 @@ def dp_solve(instance: Instance) -> ExactResult:
             f"minimum selection cost {floor_cost} exceeds budget {budget}"
         )
 
-    integral = all(item.profit.is_integer() for cat in cats for item in cat)
+    integral = all(p.is_integer() for rows in pareto for _, p, _ in rows)
     # The top Pareto row holds a category's largest profit.
     if integral and sum(int(rows[-1][1]) for rows in pareto) < 2**53:
         pareto = _lp_survivors(pareto, budget)

@@ -60,6 +60,15 @@ def absorbed_profits_instance() -> Instance:
     )
 
 
+def tied_swap_instance(order: str) -> Instance:
+    """Category 1's two items differ by (1, 1), so with the straddle's weights
+    KISSA's category-1 subproblem scores the current item and the anchor
+    equally; only the anchor's swap fits, at the brute-force optimum 1.
+    ``order`` lists category 1's items cheapest first ("up") or last ("down")."""
+    middle = [(0, 0), (1, 1)] if order == "up" else [(1, 1), (0, 0)]
+    return Instance([[(0, 0), (10, 2**60)], middle, [(0, 2**60)]], 2**60)
+
+
 def random_instance(
     rng: random.Random,
     max_m: int = 4,
@@ -215,7 +224,9 @@ def kissa_full_resolve(instance: Instance, straddle, config: KissaConfig | None 
 
     Test-only reference for the incremental loop. It shares the subproblem
     solver, the rho bound and the selection rule with the package; only the
-    loop differs. On integer coefficients the
+    loop differs, and it scans every item of a category, in the order
+    (-profit, cost, index), where the package scans the frontier from its
+    most profitable item. On integer coefficients the
     incremental cost is exact, so both loops must give equal records; on
     fractional ones this loop can return an infeasible selection.
     """
@@ -239,7 +250,10 @@ def kissa_full_resolve(instance: Instance, straddle, config: KissaConfig | None 
             ref2 = max(top2 + config.epsilon, math.nextafter(top2, math.inf))
             w1 = 1.0 / (ref1 - cat[xa[j]].profit)
             w2 = 1.0 / (ref2 + cat[xb[j]].cost)
-            winner = solve_chebyshev_subproblem(cat, (w1, w2), (ref1, ref2), rho)
+            # every item, the most profitable first: ties go to it
+            order = sorted(range(len(cat)), key=lambda i: (-cat[i].profit, cat[i].cost, i))
+            scan = [cat[i] for i in order]
+            winner = order[solve_chebyshev_subproblem(scan, (w1, w2), (ref1, ref2), rho)]
             if cat[winner].profit > cat[xa[j]].profit:
                 improving[j] = winner
         affordable = {

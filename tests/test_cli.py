@@ -19,7 +19,7 @@ from mckp import model
 from mckp.cli import main, parse_specfile
 from mckp.model import InstanceFormatError
 
-from helpers import absorbed_profits_instance
+from helpers import absorbed_profits_instance, tied_swap_instance
 
 
 @pytest.fixture
@@ -95,15 +95,28 @@ class TestSolve:
 
     @pytest.mark.parametrize("middle_cost", [1, 1e-300], ids=["integer", "fractional"])
     def test_absorbed_cost_gives_no_zero_slack_certificate(self, tmp_path, capsys, middle_cost):
-        # brute force finds profit 1: (0, 1, 0)'s middle cost rounds away
+        # brute force finds profit 1: (0, 1, 0)'s middle cost rounds away.
+        # BISSA cannot prove it by zero slack, and KISSA's tie goes to the
+        # more profitable item, so the certificate is the exhaustive one.
         inst = Instance(
             [[(0, 0), (10, 2**60)], [(0, 0), (1, middle_cost)], [(0, 2**60)]], 2**60
         )
         code, out = self.solve(tmp_path, capsys, inst)
         assert code == 0
-        assert "profit: 0\n" in out
-        assert "termination: no-improvement" in out
-        assert "certificate: false" in out
+        assert brute_force(inst).optimum_profit == 1
+        assert "profit: 1\n" in out
+        assert "termination: budget-blocked" in out
+        assert "zero-slack" not in out
+        assert "certificate: true" in out
+
+    @pytest.mark.parametrize("order", ["up", "down"])
+    def test_tie_goes_to_the_more_profitable_item(self, tmp_path, capsys, order):
+        code, out = self.solve(tmp_path, capsys, tied_swap_instance(order))
+        assert code == 0
+        assert "profit: 1\n" in out
+        assert "improvements: 1\n" in out
+        assert "termination: budget-blocked" in out
+        assert "certificate: true" in out
 
     def test_underflowing_rho_bound_solves(self, tmp_path, capsys):
         inst = Instance([[(0, 0), (5e-324, 1e300)], [(0, 0), (4, 4)]], 3)
@@ -202,6 +215,16 @@ class TestExact:
     def test_dp_on_fractional_costs_exits_4(self, appendix_file, capsys):
         assert main(["exact", str(appendix_file), "--method", "dp"]) == 4
         assert "error" in capsys.readouterr().err
+
+    def test_dp_ignores_fractional_dominated_costs(self, tmp_path, capsys):
+        # (0, 1.5) is dominated by (1, 1), so the dynamic program never reads it
+        inst = Instance([[(1, 1), (0, 1.5)], [(2, 3), (5, 4)]], 5)
+        path = tmp_path / "dominated.mckp"
+        path.write_text(write_instance(inst), encoding="utf-8")
+        assert main(["exact", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert f"profit: {brute_force(inst).optimum_profit:g}\n" in out
+        assert "method: dp" in out
 
     def test_dp_fits_after_reduction(self, tmp_path, capsys):
         # The full-width table (about 3e8 cells x 41 rows) exceeds the

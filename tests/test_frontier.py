@@ -58,6 +58,11 @@ def decimal(rng, n):
 HARD_CATEGORIES = (ties, equal_profits, equal_costs, duplicates, collinear, dyadic, decimal)
 
 
+def frontier_bound_by_definition(c) -> float:
+    """The pairwise trade-off bound over the category's frontier items."""
+    return trade_off_bound_by_definition([c[i] for i in pareto_filter(c)])
+
+
 class TestParetoFilter:
     def test_appendix_categories(self, appendix):
         f0 = pareto_filter(appendix.categories[0])
@@ -203,6 +208,15 @@ class TestDeltaBound:
         assert bound.delta == 0.0
         assert bound.rho == math.ulp(0.0)
 
+    def test_dominated_items_impose_no_bound(self):
+        # (0.001, 10) is dominated by (10, 10); with (0, 0) it would give
+        # 0.001 / 9.999, but the frontier's one pair rises equally
+        c = cat((0, 0), (10, 10), (0.001, 10))
+        assert trade_off_bound_by_definition(c) == pytest.approx(1.0001e-4)
+        bound = delta_bound(Instance((c,), budget=1.0))
+        assert math.isinf(bound.delta)
+        assert bound.rho == 1e-7
+
     def test_identical_items_sentinel(self):
         inst = Instance((((3, 2), (3, 2)),), budget=1.0)
         bound = delta_bound(inst)
@@ -214,7 +228,7 @@ class TestDeltaBound:
         for _ in range(200):
             c = random_category(rng, max_n=7, max_coeff=9)
             got = delta_bound(Instance((c,), budget=1.0)).delta
-            want = trade_off_bound_by_definition(c)
+            want = frontier_bound_by_definition(c)
             if math.isinf(want):
                 assert math.isinf(got)
             else:
@@ -225,7 +239,7 @@ class TestDeltaBound:
         for n, max_coeff in ((300, 20), (250, 500), (200, 10**6)):
             c = cat(*((rng.randint(0, max_coeff), rng.randint(0, max_coeff)) for _ in range(n)))
             bound = delta_bound(Instance((c,), budget=1.0))
-            want = trade_off_bound_by_definition(c)
+            want = frontier_bound_by_definition(c)
             assert bound.delta == want
             assert bound.rho == (1e-7 if math.isinf(want) else min(1e-7, want / 2.0))
 
@@ -240,7 +254,7 @@ class TestDeltaBound:
                 tuple(make(rng, rng.choice((1, 2, rng.randint(3, 12)))) for _ in range(rng.randint(1, 4))),
                 budget=1.0,
             )
-            want = min(trade_off_bound_by_definition(c) for c in inst.categories)
+            want = min(frontier_bound_by_definition(c) for c in inst.categories)
             bound = delta_bound(inst)
             if make is decimal and not math.isinf(want):
                 assert bound.delta == pytest.approx(want, rel=1e-12)
@@ -354,3 +368,43 @@ class TestChebyshevTheorems:
                 assert (c[winner].profit, c[winner].cost) == pytest.approx(
                     (c[target].profit, c[target].cost)
                 )
+
+    def test_theorems_hold_where_a_dominated_item_is_steepest(self):
+        # Each category gets dominated items just above its cheapest item in
+        # profit and above its costliest one in cost, so its steepest pair
+        # involves a dominated item and the frontier bound lies above the
+        # all-pairs one. Soundness and completeness must hold at that rho.
+        rng = random.Random(44)
+        tested = raised = 0
+        for _ in range(150):
+            base = random_category(rng, max_n=8, max_coeff=25)
+            f = pareto_filter(base)
+            if len(f) < 2:
+                continue
+            low, top = base[f[0]], base[f[-1]]
+            extra = [
+                (
+                    min(low.profit + rng.choice((1e-3, 0.01, 0.5)), top.profit),
+                    top.cost + rng.randint(1, 30),
+                )
+                for _ in range(rng.randint(1, 3))
+            ]
+            c = cat(*base, *extra)
+            assert pareto_filter(c) == f
+            tested += 1
+            bound = delta_bound(Instance((c,), budget=1.0), rho=1e9)
+            if bound.delta > trade_off_bound_by_definition(c):
+                raised += 1
+            rho = bound.rho
+            reference = (top.profit + 1e-4, -low.cost + 1e-4)
+            for _ in range(10):
+                weights = (rng.uniform(1e-3, 10.0), rng.uniform(1e-3, 10.0))
+                assert solve_chebyshev_subproblem(c, weights, reference, rho) in f
+            for target in f:
+                g1 = reference[0] - c[target].profit
+                g2 = reference[1] + c[target].cost
+                total = g1 + g2
+                weights = (1.0 / (g1 + rho * total), 1.0 / (g2 + rho * total))
+                winner = solve_chebyshev_subproblem(c, weights, reference, rho)
+                assert (c[winner].profit, c[winner].cost) == (c[target].profit, c[target].cost)
+        assert raised == tested > 50

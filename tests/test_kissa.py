@@ -27,7 +27,7 @@ from mckp import (
 from mckp.kissa import _select
 from mckp.oracle import ENUMERATION_LIMIT
 
-from helpers import brute_optimum, kissa_full_resolve, random_instance
+from helpers import brute_optimum, kissa_full_resolve, random_instance, tied_swap_instance
 
 # ``mckp.kissa`` is the function once the package is imported; the module
 # holds the names its loop looks up.
@@ -430,3 +430,62 @@ class TestIncrementalMatchesFullResolve:
                 run = kissa(inst, straddle, config)
                 assert run == kissa_full_resolve(inst, straddle, config)
                 assert run.improvements == len(run.iterations) - 1 <= bound
+
+
+def shuffled(rng: random.Random, inst: Instance) -> Instance:
+    """``inst`` with the items of each category in a random order."""
+    return Instance([rng.sample(cat, len(cat)) for cat in inst.categories], inst.budget)
+
+
+class TestItemOrder:
+    """KISSA ties go to the most profitable item, so a run depends only on
+    each category's items, not on their order."""
+
+    @pytest.mark.parametrize("order", ["up", "down"])
+    def test_tie_goes_to_the_more_profitable_item(self, order):
+        inst = tied_swap_instance(order)
+        run = kissa(inst, bissa(inst))
+        assert brute_force(inst).optimum_profit == 1
+        assert evaluate(inst, run.final).f1 == 1
+        assert run.improvements == 1
+        assert run.termination is Termination.BUDGET_BLOCKED
+        assert certify(inst, run)
+
+    @staticmethod
+    def outcome(inst, rule):
+        run = kissa(inst, bissa(inst), KissaConfig(rule=rule))
+        items = tuple(inst.categories[j][i] for j, i in enumerate(run.final))
+        return evaluate(inst, run.final), items, run.improvements, run.termination, run.iterations
+
+    def assert_order_free(self, rng, inst, shuffles):
+        for rule in SelectionRule:
+            want = self.outcome(inst, rule)
+            for _ in range(shuffles):
+                assert self.outcome(shuffled(rng, inst), rule) == want, (inst, rule)
+
+    def test_tied_swap_under_shuffles(self):
+        rng = random.Random(60)
+        for order in ("up", "down"):
+            self.assert_order_free(rng, tied_swap_instance(order), 2)
+
+    def test_shuffles_of_small_instances(self):
+        rng = random.Random(61)
+        compared = 0
+        while compared < 500:
+            inst = random_instance(rng, max_m=5, max_n=6, max_coeff=9)
+            try:
+                straddle = bissa(inst)
+            except InfeasibleInstanceError:
+                continue
+            if straddle.exact:
+                continue
+            compared += 1
+            self.assert_order_free(rng, inst, 3)
+
+    @pytest.mark.parametrize("correlation", list(Correlation))
+    def test_shuffles_of_generated_instances(self, correlation):
+        rng = random.Random(f"kissa-order:{correlation.value}")
+        for seed in range(6):
+            spec = GenSpec(m=8, n=12, correlation=correlation, seed=seed, budget_ratio=0.5)
+            self.assert_order_free(rng, generate(spec), 2)
+

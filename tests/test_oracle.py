@@ -142,6 +142,25 @@ class TestDpSolve:
         result = dp_solve(inst)
         assert (result.optimum_profit, result.optimum_selection) == (7.0, (1, 1))
 
+    @pytest.mark.parametrize(
+        "inst, optimum",
+        [
+            # the only fractional cost is on a dominated item
+            (Instance([[(1, 1), (0, 1.5)], [(2, 3), (5, 4)]], 5), 6.0),
+            # the budget is 2**53; all costs sum past it, frontier costs do not
+            (Instance([[(3, 2**52), (0, 2**53)], [(1, 2**52)]], 2**53), 4.0),
+        ],
+        ids=["fractional-dominated-cost", "dominated-cost-past-2-pow-53"],
+    )
+    def test_preconditions_read_frontier_costs_only(self, inst, optimum):
+        want = brute_force(inst)
+        assert want.optimum_profit == optimum
+        got = dp_solve(inst)
+        assert (got.optimum_profit, got.optimum_selection) == (
+            want.optimum_profit,
+            want.optimum_selection,
+        )
+
     def test_memory_guard(self):
         inst = Instance(
             tuple(((1.0, 1.0), (2.0, 10**7)) for _ in range(500)), budget=2 * 10**9

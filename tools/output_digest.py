@@ -5,10 +5,12 @@ instance of the benchmark workloads for one seed, and ``solve --rule
 first|best-slack`` on the weak-refine ones, then a small-instance sweep of
 ``mckp gen``, ``solve --trace``, ``solve --rule first|best-slack``, ``exact``
 and ``exact --method brute``, the same sweep at budget ratios 0 and 1 with
-``solve --trace``, ``solve --rule first`` and ``exact``, and one ``mckp
-bench`` run on a fixed spec file. Prints one sha256 per (workload, command)
-over each run's exit code, stdout and stderr; the ``gen`` digests cover the
-instance file bytes as well. The ``bench`` digest covers its exit code, stderr and CSV with the
+``solve --trace``, ``solve --rule first`` and ``exact``, a ``ties`` sweep
+of small instances with coefficients 0-9, full of tied items, with ``solve
+--trace`` and ``exact``, and one ``mckp bench`` run on a fixed spec file.
+Prints one sha256 per (workload, command) over each run's exit code,
+stdout and stderr; the ``gen`` digests cover the instance file bytes as
+well. The ``bench`` digest covers its exit code, stderr and CSV with the
 two timing cells blanked, and leaves out stdout, whose table prints
 timings. ``mckp`` is imported from this checkout's ``src``, so running the
 script in two checkouts and comparing the lines is the "outputs unchanged"
@@ -16,7 +18,7 @@ check::
 
     python tools/output_digest.py --seed 1
 
-The instances come from ``perfbench/workloads.py``, which is only imported.
+The workload instances come from ``perfbench/workloads.py``, which is only imported.
 """
 
 import argparse
@@ -26,6 +28,7 @@ import hashlib
 import io
 import itertools
 import os
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -33,7 +36,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from mckp import cli  # noqa: E402
+from mckp import Instance, cli, write_instance  # noqa: E402
 from workloads import WORKLOADS, instance_specs, write_instances  # noqa: E402
 
 SMALL_CORRELATIONS = ("uncorr", "weak")
@@ -52,6 +55,12 @@ EDGE_RATIOS = ("0", "1")
 EDGE_COMMANDS = tuple(
     (label, argv) for label, argv in SMALL_COMMANDS
     if label in ("solve --trace", "solve --rule first", "exact")
+)
+# Generated instances rarely tie; these draw every coefficient from 0-9, so
+# equal profits, equal costs, equal rises and duplicate items are common.
+TIES_INSTANCES = 240
+TIES_COMMANDS = tuple(
+    (label, argv) for label, argv in SMALL_COMMANDS if label in ("solve --trace", "exact")
 )
 WORKLOAD_COMMANDS = (("solve", ["solve"]), ("exact", ["exact"]))
 RULE_COMMANDS = (
@@ -133,6 +142,35 @@ def small_digests(workload, ratio_of, commands):
         yield workload, label, runs, digest
 
 
+def tie_instance(rng: random.Random) -> Instance:
+    """m and every category size in 2-6, coefficients 0-9, and the budget at
+    the midpoint between the cheapest and the costliest selection (at least 1)."""
+    cats = [
+        [(rng.randint(0, 9), rng.randint(0, 9)) for _ in range(rng.randint(2, 6))]
+        for _ in range(rng.randint(2, 6))
+    ]
+    low = sum(min(c for _, c in cat) for cat in cats)
+    high = sum(max(c for _, c in cat) for cat in cats)
+    return Instance(cats, max((low + high) / 2, 1))
+
+
+def ties_digests(seed: int):
+    """(workload, command, runs, digest) over ``TIES_INSTANCES`` tie-heavy
+    instances drawn from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    gen = hashlib.sha256()
+    digests = {label: hashlib.sha256() for label, _ in TIES_COMMANDS}
+    for _ in range(TIES_INSTANCES):
+        text = write_instance(tie_instance(rng))
+        Path("small.mckp").write_text(text, encoding="utf-8")
+        gen.update(text.encode())
+        for label, argv in TIES_COMMANDS:
+            run(digests[label], argv)
+    yield "ties", "gen", TIES_INSTANCES, gen
+    for label, digest in digests.items():
+        yield "ties", label, TIES_INSTANCES, digest
+
+
 def bench_digest():
     """(workload, command, runs, digest) of one ``mckp bench`` on ``BENCH_SPECS``."""
     Path("specs.txt").write_text("\n".join(BENCH_SPECS) + "\n", encoding="utf-8")
@@ -165,6 +203,7 @@ def main(argv=None) -> int:
                     small_digests(f"small ratio {r}", lambda seed, r=r: r, EDGE_COMMANDS)
                     for r in EDGE_RATIOS
                 ),
+                ties_digests(args.seed),
                 bench_digest(),
             ):
                 print(f"{workload:<13} {command:<24} {runs:>4} {digest.hexdigest()}", flush=True)
