@@ -17,6 +17,7 @@ adjacency and stops the loop. In exact arithmetic such a probe reproduces a
 known pair; rounded sums can also put it outside the bracket.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -35,6 +36,10 @@ MAX_BISECTION_STEPS = 200
 
 class BisectionLimitError(MCKPError):
     """Safety valve: the bisection did not converge within the step limit."""
+
+
+class ObjectiveOverflowError(MCKPError):
+    """Objective sums too large: doubling one leaves the float range."""
 
 
 class WeightStep(NamedTuple):
@@ -91,11 +96,13 @@ def solve_linear(instance: Instance, w: float) -> Selection:
 def bissa(instance: Instance) -> BissaResult:
     """Bisect the scalarization weight until optimality or a straddle pair.
 
-    Raises :class:`InfeasibleInstanceError` when the minimum-cost selection
-    already exceeds the budget. Convergence is detected on probe costs,
-    never on weights: every step that does not stop narrows the bracket to
-    a cost strictly inside it, so the loop ends; :class:`BisectionLimitError`
-    after 200 steps guards against bugs.
+    Raises :class:`ObjectiveOverflowError` when twice the profit or cost of
+    the max-profit probe (each frontier's last item) is not finite, where
+    weights would overflow, and :class:`InfeasibleInstanceError` when the
+    minimum-cost selection exceeds the budget. Convergence is detected on
+    probe costs, never on weights: every step that does not stop narrows the
+    bracket to a cost strictly inside it, so the loop ends;
+    :class:`BisectionLimitError` after 200 steps guards against bugs.
 
     ``max-profit-feasible`` needs no precondition: a float sum taken in
     category order never falls when one of its terms rises. ``zero-slack``
@@ -114,6 +121,8 @@ def bissa(instance: Instance) -> BissaResult:
     # Max-profit endpoint: w=1 picks the cheapest among the most profitable,
     # so feasibility here certifies optimality outright.
     x, p, feasible = probe(1.0)
+    if not all(math.isfinite(2 * v) for v in p):
+        raise ObjectiveOverflowError(f"sums too large for floats: profit {p.f1:g}, cost {-p.f2:g}")
     certificate = "max-profit-feasible"
     if not feasible:
         xa, pa = None, None

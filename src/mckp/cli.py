@@ -6,9 +6,9 @@ Subcommands:
   exact  run an exact oracle (dynamic program or exhaustive enumeration)
   bench  run a batch of generated instances and write a CSV gap report
 
-Exit codes: 0 ok, 1 internal guard (such as the bisection step limit),
-2 parse error (instance/spec file or usage), 3 infeasible instance,
-4 oracle guard or oracle precondition failure.
+Exit codes: 0 ok, 1 internal guard (such as the bisection step limit) or
+objective sums too large for floats, 2 parse error (instance/spec file or
+usage), 3 infeasible instance, 4 oracle guard or oracle precondition failure.
 """
 
 import argparse

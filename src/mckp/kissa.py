@@ -6,10 +6,11 @@ where the anchor still holds a strict profit lead, over the category's
 frontier items (reference point: per-category maxima plus epsilon; weights
 derived from the current ``xa`` component and the fixed anchor component;
 ties to the most profitable item), and each iteration swaps in one
-improving component that keeps the selection within budget. Only the
-swapped category's subproblem changes, so each accepted swap costs one
-re-solve. Profit strictly increases at every accepted swap; the loop stops
-when no subproblem improves profit or no improvement fits the budget.
+improving component that keeps the selection within budget, a check in O(1)
+where float cost sums are exact. Only the swapped category's subproblem
+changes, so each accepted swap costs one re-solve. Profit strictly rises at
+every accepted swap; the loop stops when no subproblem improves profit or
+no improvement fits the budget.
 """
 
 import enum
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .bissa import BissaResult
 from .frontier import DEFAULT_RHO, delta_bound, solve_chebyshev_subproblem
-from .model import Instance, ObjectivePoint, Selection, evaluate
+from .model import Instance, ObjectivePoint, Selection, evaluate, exact_cost_sums, is_feasible
 from .oracle import OracleGuardError, brute_force, dominated_in_product
 
 DEFAULT_EPSILON = 1e-4
@@ -113,10 +114,10 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
     A category's subproblem depends only on its own current component, its
     anchor component and its maxima, so the improving map is kept across
     iterations and only the swapped category is solved again. A swap is
-    affordable when the swapped selection's cost, summed in category order
-    like :func:`evaluate`, is within budget: ``spent[j]`` holds that running
-    sum's value before category ``j``, so a check at ``j`` re-sums only the
-    categories from ``j`` on and gives the bits :func:`is_feasible` gives.
+    affordable when :func:`is_feasible` accepts the swapped selection. Where
+    :func:`exact_cost_sums` holds, the working selection (feasible, frontier
+    items only) has an exact float cost, so ``cost - old + new <= budget``
+    gives that verdict in O(1).
     """
     if straddle.exact:
         return KissaRun(final=straddle.xa, termination=Termination(straddle.certificate))
@@ -131,28 +132,19 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
     candidates = improvable_categories(instance, straddle.xa, xb)
     if not candidates:
         raise AssertionError("straddle endpoints must differ in profit somewhere")
-    for j in candidates:
-        if not cats[j][xa[j]].cost < cats[j][xb[j]].cost:
-            raise AssertionError(
-                "feasible component must be cheaper where the anchor out-profits it"
-            )
+    if any(not cats[j][xa[j]].cost < cats[j][xb[j]].cost for j in candidates):
+        raise AssertionError("feasible component must be cheaper where the anchor out-profits it")
 
     def above(top):
         return max(top + config.epsilon, math.nextafter(top, math.inf))
 
     improving: dict[int, int] = {}
-    m = instance.m
-    spent = [0.0] * (m + 1)  # evaluate's running f2 before each category
-
-    def settle(start):
-        for k in range(start, m):
-            spent[k + 1] = spent[k] - cats[k][xa[k]].cost
+    exact = exact_cost_sums(instance)
 
     def fits(j, i):
-        f2 = spent[j] - cats[j][i].cost
-        for k in range(j + 1, m):
-            f2 -= cats[k][xa[k]].cost
-        return f2 >= -instance.budget
+        if exact:
+            return -point.f2 - cats[j][xa[j]].cost + cats[j][i].cost <= instance.budget
+        return is_feasible(instance, (*xa[:j], i, *xa[j + 1:]))
 
     def solve(j):
         # A frontier's last item has the category's largest profit, its first
@@ -171,7 +163,6 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
 
     for j in candidates:
         solve(j)
-    settle(0)
 
     for index in itertools.count(1):
         head = (index, frozenset(candidates), frozenset(improving))
@@ -185,7 +176,6 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
 
         chosen = _select(instance, xa, improving, affordable, config.rule)
         xa[chosen] = improving.pop(chosen)
-        settle(chosen)
         if cats[chosen][xa[chosen]].profit < cats[chosen][xb[chosen]].profit:
             solve(chosen)
         else:

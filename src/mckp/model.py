@@ -131,11 +131,12 @@ def exact_cost_sums(instance: Instance) -> bool:
     at most 2**53. Only frontier items need the rule: a selection that fits
     still fits, at no less profit, once each item is traded for a frontier
     item that dominates it, since a float sum taken in category order never
-    falls when one of its terms rises.
+    falls when one of its terms rises. BISSA's zero-slack proof, KISSA's O(1)
+    swap check and the DP's precondition all rest on this rule.
     """
-    costs = [[cat[i].cost for i in f] for cat, f in zip(instance.categories, instance.frontiers)]
-    return all(c.is_integer() for row in costs for c in row) and (
-        instance.budget < 2**53 or sum(int(row[-1]) for row in costs) <= 2**53
+    pairs = tuple(zip(instance.categories, instance.frontiers))
+    return all(cat[i].cost.is_integer() for cat, f in pairs for i in f) and (
+        instance.budget < 2**53 or sum(int(cat[f[-1]].cost) for cat, f in pairs) <= 2**53
     )
 
 

@@ -15,7 +15,8 @@ from mckp import (
     read_instance,
     write_instance,
 )
-from mckp import model
+from mckp import cli, model
+from mckp.bissa import BisectionLimitError
 from mckp.cli import main, parse_specfile
 from mckp.model import InstanceFormatError
 
@@ -190,6 +191,34 @@ class TestSolve:
         path = tmp_path / "absorb.mckp"
         path.write_text(write_instance(absorbed_profits_instance()), encoding="utf-8")
         self.assert_solved_at_least_bissa(path, [], capsys)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "MCKP 1\nm=2 b=1e+308\ncat 2\n0 0\n5 1e+308\ncat 2\n0 0\n5 1e+308\n",
+            "MCKP 1\nm=1 b=1e-300\ncat 3\n1e+300 1e-300\n"
+            "1.7976931348623157e+308 1.152921504606847e+18\n2 0.1\n",
+        ],
+        ids=["cost-sum", "profit"],
+    )
+    def test_overflowing_sums_exit_1(self, tmp_path, capsys, text):
+        # These used to fail inside the bisection ("weight must lie in [0, 1]",
+        # exit 2) and inside a KISSA subproblem ("weights must be strictly
+        # positive", exit 1); bissa now refuses them at its first probe.
+        path = tmp_path / "big.mckp"
+        path.write_text(text, encoding="utf-8")
+        assert main(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: sums too large for floats")
+        assert "weight" not in err
+
+    def test_internal_guard_exit_code(self, appendix_file, capsys, monkeypatch):
+        def limit(instance):
+            raise BisectionLimitError("no convergence within 200 bisection steps")
+
+        monkeypatch.setattr(cli, "bissa", limit)
+        assert main(["solve", str(appendix_file)]) == 1
+        assert capsys.readouterr().err == "error: no convergence within 200 bisection steps\n"
 
     def test_invalid_config_exit_code(self, appendix_file, capsys):
         for flag, value in [("--rho", "0"), ("--rho", "nan"), ("--rho", "inf"), ("--eps", "nan")]:

@@ -1,6 +1,8 @@
 import importlib
 import math
 import random
+import sys
+import time
 
 import pytest
 
@@ -24,7 +26,9 @@ from mckp import (
     kissa,
     pareto_filter,
 )
+from mckp.bissa import ObjectiveOverflowError
 from mckp.kissa import _select
+from mckp.model import exact_cost_sums
 from mckp.oracle import ENUMERATION_LIMIT
 
 from helpers import brute_optimum, kissa_full_resolve, random_instance, tied_swap_instance
@@ -381,6 +385,35 @@ class TestExtremeCoefficients:
                 if straddle.exact or certify(inst, run):
                     assert evaluate(inst, run.final).f1 == brute_force(inst).optimum_profit
 
+    def test_overflowing_sums_are_refused_or_solved(self):
+        # With 1e308 and the float maximum among the values, a bisection
+        # weight or a reference point used to overflow ("weight must lie in
+        # [0, 1]", "weights must be strictly positive"); bissa now refuses
+        # those instances at its first probe, and every other one solves.
+        values = self.VALUES + (1e308, sys.float_info.max)
+        rng = random.Random(62)
+        outcomes = {"refused": 0, "solved": 0}
+        for _ in range(2000):
+            cats = [
+                [(rng.choice(values), rng.choice(values)) for _ in range(rng.randint(1, 3))]
+                for _ in range(rng.randint(1, 3))
+            ]
+            costs = [sorted(c for _, c in cat) for cat in cats]
+            low, high = sum(c[0] for c in costs), sum(c[-1] for c in costs)
+            for budget in {low, (low + high) / 2, high} - {0.0, math.inf}:
+                inst = Instance(cats, budget)
+                try:
+                    straddle = bissa(inst)
+                except ObjectiveOverflowError:
+                    outcomes["refused"] += 1
+                    continue
+                run = kissa(inst, straddle)
+                assert is_feasible(inst, run.final)
+                if straddle.exact or certify(inst, run):
+                    assert evaluate(inst, run.final).f1 == brute_force(inst).optimum_profit
+                outcomes["solved"] += 1
+        assert min(outcomes.values()) > 500, outcomes
+
 
 class TestIncrementalMatchesFullResolve:
     @pytest.mark.parametrize("correlation", list(Correlation))
@@ -430,6 +463,85 @@ class TestIncrementalMatchesFullResolve:
                 run = kissa(inst, straddle, config)
                 assert run == kissa_full_resolve(inst, straddle, config)
                 assert run.improvements == len(run.iterations) - 1 <= bound
+
+
+def subset_sum_instance(rng: random.Random, m: int, n: int) -> Instance:
+    """Profit equal to cost, costs uniform in 1-1000, and the budget at the
+    midpoint between the cheapest and the costliest selection: every
+    category lies on one line, so KISSA swaps about once per category."""
+    cats = [[(c, c) for c in (rng.randint(1, 1000) for _ in range(n))] for _ in range(m)]
+    low = sum(min(c for _, c in cat) for cat in cats)
+    high = sum(max(c for _, c in cat) for cat in cats)
+    return Instance(cats, (low + high) / 2)
+
+
+class TestSwapCheck:
+    """Where ``exact_cost_sums`` holds, KISSA judges a swap by the O(1)
+    ``cost - old + new <= budget``; elsewhere it calls ``is_feasible`` on the
+    swapped selection. On integer instances both give the same records."""
+
+    @staticmethod
+    def assert_paths_agree(monkeypatch, inst, straddle):
+        assert exact_cost_sums(inst)
+        checks = []
+        real = kissa_module.is_feasible
+
+        def counting(instance, sel):
+            checks.append(sel)
+            return real(instance, sel)
+
+        monkeypatch.setattr(kissa_module, "is_feasible", counting)
+        configs = [KissaConfig(rule=rule) for rule in SelectionRule]
+        direct = [kissa(inst, straddle, config) for config in configs]
+        assert not checks
+        with monkeypatch.context() as patch:
+            patch.setattr(kissa_module, "exact_cost_sums", lambda instance: False)
+            summed = [kissa(inst, straddle, config) for config in configs]
+        # only an improving category reaches the check
+        assert bool(checks) == any(it.gains for run in direct for it in run.iterations)
+        assert direct == summed
+
+    @pytest.mark.parametrize("correlation", list(Correlation))
+    def test_paths_agree_on_generated_families(self, monkeypatch, correlation):
+        rng = random.Random(f"kissa-swap-check:{correlation.value}")
+        compared = 0
+        while compared < 8:
+            spec = GenSpec(
+                m=rng.randint(2, 40),
+                n=rng.randint(2, 200),
+                correlation=correlation,
+                seed=rng.getrandbits(32),
+                budget_ratio=rng.uniform(0.3, 0.7),
+            )
+            inst = generate(spec)
+            straddle = bissa(inst)
+            if not straddle.exact:
+                self.assert_paths_agree(monkeypatch, inst, straddle)
+                compared += 1
+
+    def test_paths_agree_on_small_random_instances(self, monkeypatch):
+        rng = random.Random(64)
+        compared = 0
+        while compared < 150:
+            inst = random_instance(rng, max_m=5, max_n=6, max_coeff=20)
+            try:
+                straddle = bissa(inst)
+            except InfeasibleInstanceError:
+                continue
+            if not straddle.exact:
+                self.assert_paths_agree(monkeypatch, inst, straddle)
+                compared += 1
+
+    def test_subset_sum_500_by_10_under_two_seconds(self):
+        # Each swap's check used to re-sum the categories after it, which
+        # made KISSA cubic in m here: about 5 s for this instance.
+        inst = subset_sum_instance(random.Random(63), 500, 10)
+        start = time.perf_counter()
+        run = kissa(inst, bissa(inst))
+        elapsed = time.perf_counter() - start
+        assert len(run.iterations) > 400
+        assert is_feasible(inst, run.final)
+        assert elapsed < 2.0
 
 
 def shuffled(rng: random.Random, inst: Instance) -> Instance:

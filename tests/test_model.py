@@ -151,23 +151,53 @@ class TestFileFormat:
         noisy = "# header comment\n" + text.replace("cat 2", "cat 2\n# inner\n", 1)
         assert read_instance(noisy) == appendix
 
+    # ``mutate`` maps the file text to the broken text and a fragment of the
+    # expected message. The later cases carry ids: the lambdas' generated
+    # ids would renumber the earlier ones.
     @pytest.mark.parametrize(
         "mutate, line",
         [
-            (lambda t: t.replace("MCKP 1", "MCKP 2"), 1),
-            (lambda t: t.replace("m=2 b=4", "m=2"), 2),
-            (lambda t: t.replace("m=2 b=4", "m=0 b=4"), 2),
-            (lambda t: t.replace("cat 2", "cat 0", 1), 3),
-            (lambda t: t.replace("2 1.9", "2 -1.9"), 4),
-            (lambda t: t.replace("2 1.9", "2"), 4),
-            (lambda t: t + "trailing\n", 9),
+            (lambda t: (t.replace("MCKP 1", "MCKP 2"), "expected 'MCKP 1' header"), 1),
+            (lambda t: (t.replace("m=2 b=4", "m=2"), "expected 'm=<int> b=<decimal>'"), 2),
+            (lambda t: (t.replace("m=2 b=4", "m=0 b=4"), "at least one category"), 2),
+            (lambda t: (t.replace("cat 2", "cat 0", 1), "at least one item"), 3),
+            (lambda t: (t.replace("2 1.9", "2 -1.9"), "must be nonnegative"), 4),
+            (lambda t: (t.replace("2 1.9", "2"), "expected '<profit> <cost>'"), 4),
+            (lambda t: (t + "trailing\n", "unexpected trailing content"), 9),
+            pytest.param(lambda t: (t.replace("2 1.9", "2 x"), "bad cost 'x'"), 4, id="bad-cost"),
+            pytest.param(
+                lambda t: (t.replace("2 1.9", "2 inf"), "cost must be finite, got 'inf'"),
+                4,
+                id="infinite-cost",
+            ),
+            pytest.param(
+                lambda t: (t.replace("m=2 b=4", "m=x b=4"), "bad category count 'x'"),
+                2,
+                id="bad-category-count",
+            ),
+            pytest.param(
+                lambda t: (t.replace("m=2 b=4", "m=2 b=0"), "budget must be positive"),
+                2,
+                id="zero-budget",
+            ),
+            pytest.param(
+                lambda t: (t.replace("cat 2", "cats 2", 1), "expected 'cat <n_j>'"),
+                3,
+                id="bad-category-header",
+            ),
+            pytest.param(
+                lambda t: (t.replace("cat 2", "cat x", 1), "bad item count 'x'"),
+                3,
+                id="bad-item-count",
+            ),
         ],
     )
     def test_parse_errors_carry_line_numbers(self, appendix, mutate, line):
-        text = mutate(write_instance(appendix))
+        text, message = mutate(write_instance(appendix))
         with pytest.raises(InstanceFormatError) as err:
             read_instance(text)
         assert err.value.line == line
+        assert message in str(err.value)
 
     def test_truncated_file(self, appendix):
         text = "".join(write_instance(appendix).splitlines(keepends=True)[:4])

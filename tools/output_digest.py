@@ -7,7 +7,10 @@ first|best-slack`` on the weak-refine ones, then a small-instance sweep of
 and ``exact --method brute``, the same sweep at budget ratios 0 and 1 with
 ``solve --trace``, ``solve --rule first`` and ``exact``, a ``ties`` sweep
 of small instances with coefficients 0-9, full of tied items, with ``solve
---trace`` and ``exact``, and one ``mckp bench`` run on a fixed spec file.
+--trace`` and ``exact``, a ``fractional`` sweep of the same shape with
+coefficients in tenths from 0 to 9.9, with ``solve --trace``, ``solve --rule
+first``, ``exact`` and ``exact --method brute``, and one ``mckp bench`` run
+on a fixed spec file.
 Prints one sha256 per (workload, command) over each run's exit code,
 stdout and stderr; the ``gen`` digests cover the instance file bytes as
 well. The ``bench`` digest covers its exit code, stderr and CSV with the
@@ -56,11 +59,17 @@ EDGE_COMMANDS = tuple(
     (label, argv) for label, argv in SMALL_COMMANDS
     if label in ("solve --trace", "solve --rule first", "exact")
 )
+# instances in each drawn sweep, ``ties`` and ``fractional``
+DRAWN_INSTANCES = 240
 # Generated instances rarely tie; these draw every coefficient from 0-9, so
 # equal profits, equal costs, equal rises and duplicate items are common.
-TIES_INSTANCES = 240
 TIES_COMMANDS = tuple(
     (label, argv) for label, argv in SMALL_COMMANDS if label in ("solve --trace", "exact")
+)
+# Every generated coefficient is an integer; these draw tenths from 0-9.9, so
+# cost sums are not exact and KISSA judges each swap by summing it again.
+FRACTIONAL_COMMANDS = tuple(
+    (label, argv) for label, argv in SMALL_COMMANDS if label != "solve --rule best-slack"
 )
 WORKLOAD_COMMANDS = (("solve", ["solve"]), ("exact", ["exact"]))
 RULE_COMMANDS = (
@@ -142,11 +151,12 @@ def small_digests(workload, ratio_of, commands):
         yield workload, label, runs, digest
 
 
-def tie_instance(rng: random.Random) -> Instance:
-    """m and every category size in 2-6, coefficients 0-9, and the budget at
-    the midpoint between the cheapest and the costliest selection (at least 1)."""
+def drawn_instance(rng: random.Random, coefficient) -> Instance:
+    """m and every category size in 2-6, each coefficient ``coefficient(rng)``,
+    and the budget at the midpoint between the cheapest and the costliest
+    selection (at least 1)."""
     cats = [
-        [(rng.randint(0, 9), rng.randint(0, 9)) for _ in range(rng.randint(2, 6))]
+        [(coefficient(rng), coefficient(rng)) for _ in range(rng.randint(2, 6))]
         for _ in range(rng.randint(2, 6))
     ]
     low = sum(min(c for _, c in cat) for cat in cats)
@@ -154,21 +164,21 @@ def tie_instance(rng: random.Random) -> Instance:
     return Instance(cats, max((low + high) / 2, 1))
 
 
-def ties_digests(seed: int):
-    """(workload, command, runs, digest) over ``TIES_INSTANCES`` tie-heavy
-    instances drawn from ``random.Random(seed)``."""
+def drawn_digests(workload: str, seed: int, coefficient, commands):
+    """(workload, command, runs, digest) over ``DRAWN_INSTANCES`` instances
+    drawn from ``random.Random(seed)`` by :func:`drawn_instance`."""
     rng = random.Random(seed)
     gen = hashlib.sha256()
-    digests = {label: hashlib.sha256() for label, _ in TIES_COMMANDS}
-    for _ in range(TIES_INSTANCES):
-        text = write_instance(tie_instance(rng))
+    digests = {label: hashlib.sha256() for label, _ in commands}
+    for _ in range(DRAWN_INSTANCES):
+        text = write_instance(drawn_instance(rng, coefficient))
         Path("small.mckp").write_text(text, encoding="utf-8")
         gen.update(text.encode())
-        for label, argv in TIES_COMMANDS:
+        for label, argv in commands:
             run(digests[label], argv)
-    yield "ties", "gen", TIES_INSTANCES, gen
+    yield workload, "gen", DRAWN_INSTANCES, gen
     for label, digest in digests.items():
-        yield "ties", label, TIES_INSTANCES, digest
+        yield workload, label, DRAWN_INSTANCES, digest
 
 
 def bench_digest():
@@ -203,7 +213,11 @@ def main(argv=None) -> int:
                     small_digests(f"small ratio {r}", lambda seed, r=r: r, EDGE_COMMANDS)
                     for r in EDGE_RATIOS
                 ),
-                ties_digests(args.seed),
+                drawn_digests("ties", args.seed, lambda rng: rng.randint(0, 9), TIES_COMMANDS),
+                drawn_digests(
+                    "fractional", args.seed, lambda rng: rng.randint(0, 99) / 10,
+                    FRACTIONAL_COMMANDS,
+                ),
                 bench_digest(),
             ):
                 print(f"{workload:<13} {command:<24} {runs:>4} {digest.hexdigest()}", flush=True)
