@@ -80,13 +80,13 @@ def solve_linear(instance: Instance, w: float) -> Selection:
     if not 0.0 <= w <= 1.0:
         raise ValueError("weight must lie in [0, 1]")
     cw = 1.0 - w
+    profits, costs = instance.profits, instance.costs
     chosen = []
-    for cat, frontier in zip(instance.categories, instance.frontiers):
+    for a, frontier in zip(instance.starts, instance.frontiers):
         best = frontier[0]
-        best_score = w * cat[best].profit - cw * cat[best].cost
+        best_score = w * profits[a + best] - cw * costs[a + best]
         for i in frontier[1:]:
-            item = cat[i]
-            score = w * item.profit - cw * item.cost
+            score = w * profits[a + i] - cw * costs[a + i]
             if score > best_score:
                 best, best_score = i, score
         chosen.append(best)

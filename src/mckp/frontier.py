@@ -75,10 +75,11 @@ def delta_bound(instance: Instance, rho: float = DEFAULT_RHO) -> RhoBound:
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError("rho must be positive and finite")
     delta = math.inf
-    for cat, f in zip(instance.categories, instance.frontiers):
+    profits, costs = instance.profits, instance.costs
+    for start, f in zip(instance.starts, instance.frontiers):
         for a, b in zip(f, f[1:]):
-            dp = cat[b].profit - cat[a].profit
-            dc = cat[b].cost - cat[a].cost
+            dp = profits[start + b] - profits[start + a]
+            dc = costs[start + b] - costs[start + a]
             if dp != dc:
                 delta = min(delta, min(dp, dc) / abs(dp - dc))
     used = rho if math.isinf(delta) else max(min(rho, delta / 2.0), math.ulp(0.0))

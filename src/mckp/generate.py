@@ -78,9 +78,11 @@ def generate(spec: GenSpec) -> Instance:
     floor(x + 0.5).
     """
     rng = SplitMix64(spec.seed)
-    categories = []
+    profits: list[float] = []
+    costs: list[float] = []
+    low = high = 0
     for _ in range(spec.m):
-        items = []
+        start = len(costs)
         for _ in range(spec.n):
             if spec.correlation is Correlation.UNCORRELATED:
                 profit = rng.randint(COEFF_LO, COEFF_HI)
@@ -88,9 +90,10 @@ def generate(spec: GenSpec) -> Instance:
             else:
                 cost = rng.randint(COEFF_LO, COEFF_HI)
                 profit = max(1, cost + rng.randint(-WEAK_NOISE, WEAK_NOISE))
-            items.append((profit, cost))
-        categories.append(items)
-    low = sum(min(cost for _, cost in cat) for cat in categories)
-    high = sum(max(cost for _, cost in cat) for cat in categories)
+            profits.append(float(profit))
+            costs.append(float(cost))
+        low += int(min(costs[start:]))
+        high += int(max(costs[start:]))
     budget = float(math.floor(low + spec.budget_ratio * (high - low) + 0.5))
-    return Instance(categories, budget)
+    starts = range(0, spec.m * spec.n + 1, spec.n)
+    return Instance.from_flat(profits, costs, starts, budget)

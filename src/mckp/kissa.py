@@ -18,9 +18,17 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .bissa import BissaResult
+from .bissa import BissaResult, ObjectiveOverflowError
 from .frontier import DEFAULT_RHO, delta_bound, solve_chebyshev_subproblem
-from .model import Instance, ObjectivePoint, Selection, evaluate, exact_cost_sums, is_feasible
+from .model import (
+    Instance,
+    Item,
+    ObjectivePoint,
+    Selection,
+    evaluate,
+    exact_cost_sums,
+    is_feasible,
+)
 from .oracle import OracleGuardError, brute_force, dominated_in_product
 
 DEFAULT_EPSILON = 1e-4
@@ -83,10 +91,11 @@ class KissaRun:
 
 def improvable_categories(instance: Instance, xa: Selection, xb: Selection) -> set[int]:
     """Categories where the anchor component strictly out-profits the current one."""
+    profits = instance.profits
     return {
         j
-        for j in range(instance.m)
-        if instance.categories[j][xa[j]].profit < instance.categories[j][xb[j]].profit
+        for j, a in enumerate(instance.starts[:-1])
+        if profits[a + xa[j]] < profits[a + xb[j]]
     }
 
 
@@ -105,6 +114,9 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
     each shifted up by epsilon, or to the next float where epsilon rounds
     away; the first weight is the reciprocal profit gap of the current
     component, the second the reciprocal cost gap of the anchor component.
+    Both the reference point and the second weight stay fixed for the run,
+    so they are taken up front; where epsilon pushes one past the float
+    range, :class:`ObjectiveOverflowError` is raised before any iteration.
     The subproblem scans the category's frontier (``Instance.frontiers``)
     from its most profitable item down, so a tie goes to the most profitable
     tied item and the run does not depend on the order of items within a
@@ -123,7 +135,7 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
         return KissaRun(final=straddle.xa, termination=Termination(straddle.certificate))
     config = config or KissaConfig()
     rho = delta_bound(instance, rho=config.rho).rho
-    cats = instance.categories
+    profits, costs, starts = instance.profits, instance.costs, instance.starts
     xa = list(straddle.xa)
     xb = straddle.xb
     point = evaluate(instance, straddle.xa)
@@ -132,34 +144,43 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
     candidates = improvable_categories(instance, straddle.xa, xb)
     if not candidates:
         raise AssertionError("straddle endpoints must differ in profit somewhere")
-    if any(not cats[j][xa[j]].cost < cats[j][xb[j]].cost for j in candidates):
+    if any(not costs[starts[j] + xa[j]] < costs[starts[j] + xb[j]] for j in candidates):
         raise AssertionError("feasible component must be cheaper where the anchor out-profits it")
 
     def above(top):
         return max(top + config.epsilon, math.nextafter(top, math.inf))
+
+    # A candidate's subproblem items (its frontier, most profitable first, so
+    # that ties go to the most profitable item), reference point and second
+    # weight stay fixed for the run.
+    subproblems = {}
+    for j in candidates:
+        a = starts[j]
+        items = [Item(profits[a + i], costs[a + i]) for i in reversed(instance.frontiers[j])]
+        reference = (above(items[0].profit), above(-items[-1].cost))
+        w2 = 1.0 / (reference[1] + costs[a + xb[j]])
+        if not (math.isfinite(reference[0]) and w2 > 0):
+            raise ObjectiveOverflowError(
+                f"epsilon {config.epsilon:g} puts the reference point of category {j}"
+                " past the float range"
+            )
+        subproblems[j] = items, reference, w2
 
     improving: dict[int, int] = {}
     exact = exact_cost_sums(instance)
 
     def fits(j, i):
         if exact:
-            return -point.f2 - cats[j][xa[j]].cost + cats[j][i].cost <= instance.budget
+            return -point.f2 - costs[starts[j] + xa[j]] + costs[starts[j] + i] <= instance.budget
         return is_feasible(instance, (*xa[:j], i, *xa[j + 1:]))
 
     def solve(j):
-        # A frontier's last item has the category's largest profit, its first
-        # the smallest cost. Scanned from the last, ties go to the most
-        # profitable item.
-        cat, f = cats[j], instance.frontiers[j]
-        reference = (above(cat[f[-1]].profit), above(-cat[f[0]].cost))
-        w1 = 1.0 / (reference[0] - cat[xa[j]].profit)
-        w2 = 1.0 / (reference[1] + cat[xb[j]].cost)
-        position = solve_chebyshev_subproblem(
-            [cat[i] for i in reversed(f)], (w1, w2), reference, rho
-        )
-        winner = f[-1 - position]
-        if cat[winner].profit > cat[xa[j]].profit:
-            improving[j] = winner
+        items, reference, w2 = subproblems[j]
+        current = profits[starts[j] + xa[j]]
+        w1 = 1.0 / (reference[0] - current)
+        position = solve_chebyshev_subproblem(items, (w1, w2), reference, rho)
+        if items[position].profit > current:
+            improving[j] = instance.frontiers[j][-1 - position]
 
     for j in candidates:
         solve(j)
@@ -176,7 +197,8 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
 
         chosen = _select(instance, xa, improving, affordable, config.rule)
         xa[chosen] = improving.pop(chosen)
-        if cats[chosen][xa[chosen]].profit < cats[chosen][xb[chosen]].profit:
+        a = starts[chosen]
+        if profits[a + xa[chosen]] < profits[a + xb[chosen]]:
             solve(chosen)
         else:
             candidates.discard(chosen)
@@ -191,15 +213,15 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
 def _select(instance, xa, improving, affordable, rule):
     """The affordable category to swap under ``rule``; ties go to the lowest."""
 
-    def rise(j, coordinate):
-        cat = instance.categories[j]
-        return cat[improving[j]][coordinate] - cat[xa[j]][coordinate]
+    def rise(j, values):
+        a = instance.starts[j]
+        return values[a + improving[j]] - values[a + xa[j]]
 
     def key(j):
         if rule is SelectionRule.MAX_PROFIT:
-            return -rise(j, 0), j  # the largest resulting total profit
+            return -rise(j, instance.profits), j  # the largest resulting total profit
         if rule is SelectionRule.BEST_SLACK:
-            return rise(j, 1), j  # the most budget left after the swap
+            return rise(j, instance.costs), j  # the most budget left after the swap
         return j
 
     return min(affordable, key=key)

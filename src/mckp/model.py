@@ -3,14 +3,17 @@
 An instance is a list of item categories plus a budget; a solution picks
 exactly one item per category. The solver stack works on the bi-objective
 image of a selection: total profit and negated total cost, both maximized.
-This module holds the types, each category's Pareto filter (which every
-layer reads through ``Instance.frontiers``), the rule under which float cost
-sums are exact, the objective/feasibility evaluators and the line-oriented
-instance file format.
+This module holds the types (an ``Instance`` is stored as flat profit and
+cost tuples), each category's Pareto filter (which every layer reads
+through ``Instance.frontiers``), the rule under which float cost sums are
+exact, the objective/feasibility evaluators and the line-oriented instance
+file format.
 """
 
+import itertools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -57,19 +60,26 @@ class ObjectivePoint(NamedTuple):
 def pareto_filter(cat: Category) -> tuple[int, ...]:
     """Nondominated item indices of a category under (max profit, min cost).
 
-    One sort by (cost, -profit, index), then each item is kept whose profit
+    ``cat`` is any non-empty sequence of (profit, cost) pairs. The items are
+    taken in the order (cost, -profit, index), and each is kept whose profit
     beats every item before it, so costs and profits rise strictly along the
     tuple. Items with identical objective pairs collapse to the lowest index.
+    One stable sort by cost gives that order up to the items of equal cost,
+    of which only the first most profitable one can be kept: a later kept
+    item of the same cost replaces the one before it.
     """
     if not cat:
         raise ValueError("category must be non-empty")
-    order = sorted(range(len(cat)), key=lambda i: (cat[i].cost, -cat[i].profit, i))
+    profits, costs = zip(*cat)
     kept: list[int] = []
     best_profit = -math.inf
-    for i in order:
-        if cat[i].profit > best_profit:
-            kept.append(i)
-            best_profit = cat[i].profit
+    for i in sorted(range(len(costs)), key=costs.__getitem__):
+        if profits[i] > best_profit:
+            if kept and costs[kept[-1]] == costs[i]:
+                kept[-1] = i
+            else:
+                kept.append(i)
+            best_profit = profits[i]
     return tuple(kept)
 
 
@@ -77,42 +87,88 @@ def pareto_filter(cat: Category) -> tuple[int, ...]:
 class Instance:
     """Immutable problem instance: categories of (profit, cost) items and a budget.
 
-    Accepts any nested iterables of item pairs and normalizes them to tuples
-    of :class:`Item` with float fields. Raises ``ValueError`` on invariant
-    violations (empty instance, empty category, negative or non-finite
-    coefficients, non-positive budget).
+    Accepts any nested iterables of item pairs. Raises ``ValueError`` on
+    invariant violations (empty instance, empty category, negative or
+    non-finite coefficients, non-positive budget).
+
+    The instance is stored flat: ``profits`` and ``costs`` are tuples of
+    floats over all items, category by category, and category ``j`` holds
+    the positions ``starts[j]`` to ``starts[j + 1]`` of them. Every solver
+    layer reads that view. ``categories``, the same items as tuples of
+    :class:`Item`, is built from it on first access only; equality and
+    hashing compare the flat view, so they never build it.
     """
 
-    categories: tuple[Category, ...]
+    categories: tuple[Category, ...] = field(compare=False)
     budget: float
+    profits: tuple[float, ...] = field(init=False, repr=False)
+    costs: tuple[float, ...] = field(init=False, repr=False)
+    starts: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        cats = tuple(
-            tuple(Item(float(p), float(c)) for p, c in cat) for cat in self.categories
-        )
-        object.__setattr__(self, "categories", cats)
-        object.__setattr__(self, "budget", float(self.budget))
-        if not cats:
+        profits: list[float] = []
+        costs: list[float] = []
+        starts = [0]
+        for cat in self.categories:
+            for p, c in cat:
+                profits.append(float(p))
+                costs.append(float(c))
+            starts.append(len(costs))
+        # Dropped so that ``categories`` is rebuilt from the flat view.
+        object.__delattr__(self, "categories")
+        self._set_flat(profits, costs, starts, self.budget)
+
+    @classmethod
+    def from_flat(cls, profits, costs, starts, budget) -> "Instance":
+        """The instance with the flat view ``profits``, ``costs``, ``starts``
+        (see the class docstring), validated as the constructor validates."""
+        instance = object.__new__(cls)
+        instance._set_flat(profits, costs, starts, budget)
+        return instance
+
+    def _set_flat(self, profits, costs, starts, budget) -> None:
+        budget = float(budget)
+        for name, value in (
+            ("profits", tuple(profits)), ("costs", tuple(costs)),
+            ("starts", tuple(starts)), ("budget", budget),
+        ):
+            object.__setattr__(self, name, value)
+        bounds = tuple(zip(self.starts, self.starts[1:]))
+        if not bounds:
             raise ValueError("instance must have at least one category")
-        for j, cat in enumerate(cats):
-            if not cat:
-                raise ValueError(f"category {j} is empty")
-            for i, item in enumerate(cat):
-                if not (math.isfinite(item.profit) and math.isfinite(item.cost)):
-                    raise ValueError(f"non-finite coefficient at category {j} item {i}")
-                if item.profit < 0 or item.cost < 0:
-                    raise ValueError(f"negative coefficient at category {j} item {i}")
-        if not math.isfinite(self.budget) or self.budget <= 0:
+        values = self.profits + self.costs
+        # One pass over sums and minima; the ordered scan only finds the culprit.
+        if not (math.isfinite(sum(values)) and min(values) >= 0 and all(a < b for a, b in bounds)):
+            for j, (a, b) in enumerate(bounds):
+                if a == b:
+                    raise ValueError(f"category {j} is empty")
+                for i, (p, c) in enumerate(zip(self.profits[a:b], self.costs[a:b])):
+                    if not (math.isfinite(p) and math.isfinite(c)):
+                        raise ValueError(f"non-finite coefficient at category {j} item {i}")
+                    if p < 0 or c < 0:
+                        raise ValueError(f"negative coefficient at category {j} item {i}")
+        if not math.isfinite(budget) or budget <= 0:
             raise ValueError("budget must be positive and finite")
+
+    def __getattr__(self, name):
+        # Called only for attributes not yet set: ``categories`` of a fresh instance.
+        if name != "categories":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        categories = tuple(
+            tuple(map(Item, self.profits[a:b], self.costs[a:b]))
+            for a, b in zip(self.starts, self.starts[1:])
+        )
+        object.__setattr__(self, "categories", categories)
+        return categories
 
     @property
     def m(self) -> int:
         """Number of categories."""
-        return len(self.categories)
+        return len(self.starts) - 1
 
     @property
     def sizes(self) -> tuple[int, ...]:
-        return tuple(len(cat) for cat in self.categories)
+        return tuple(map(operator.sub, self.starts[1:], self.starts))
 
     @cached_property
     def frontiers(self) -> tuple[tuple[int, ...], ...]:
@@ -120,7 +176,10 @@ class Instance:
 
         Not a field, so equality, hashing and ``dataclasses.replace`` ignore it.
         """
-        return tuple(pareto_filter(cat) for cat in self.categories)
+        return tuple(
+            pareto_filter(tuple(zip(self.profits[a:b], self.costs[a:b])))
+            for a, b in zip(self.starts, self.starts[1:])
+        )
 
 
 def exact_cost_sums(instance: Instance) -> bool:
@@ -134,9 +193,10 @@ def exact_cost_sums(instance: Instance) -> bool:
     falls when one of its terms rises. BISSA's zero-slack proof, KISSA's O(1)
     swap check and the DP's precondition all rest on this rule.
     """
-    pairs = tuple(zip(instance.categories, instance.frontiers))
-    return all(cat[i].cost.is_integer() for cat, f in pairs for i in f) and (
-        instance.budget < 2**53 or sum(int(cat[f[-1]].cost) for cat, f in pairs) <= 2**53
+    costs = instance.costs
+    pairs = tuple(zip(instance.starts, instance.frontiers))
+    return all(costs[a + i].is_integer() for a, f in pairs for i in f) and (
+        instance.budget < 2**53 or sum(int(costs[a + f[-1]]) for a, f in pairs) <= 2**53
     )
 
 
@@ -145,11 +205,9 @@ def _check_selection(instance: Instance, sel: Selection) -> None:
         raise InvalidSelectionError(
             f"selection has {len(sel)} components, instance has {instance.m} categories"
         )
-    for j, i in enumerate(sel):
-        if not 0 <= i < len(instance.categories[j]):
-            raise InvalidSelectionError(
-                f"component {j} is {i}, valid range is [0, {len(instance.categories[j])})"
-            )
+    for j, (i, n) in enumerate(zip(sel, instance.sizes)):
+        if not 0 <= i < n:
+            raise InvalidSelectionError(f"component {j} is {i}, valid range is [0, {n})")
 
 
 def evaluate(instance: Instance, sel: Selection) -> ObjectivePoint:
@@ -161,10 +219,9 @@ def evaluate(instance: Instance, sel: Selection) -> ObjectivePoint:
     _check_selection(instance, sel)
     f1 = 0.0
     f2 = 0.0
-    for j, i in enumerate(sel):
-        item = instance.categories[j][i]
-        f1 += item.profit
-        f2 -= item.cost
+    for k in map(operator.add, instance.starts, sel):
+        f1 += instance.profits[k]
+        f2 -= instance.costs[k]
     return ObjectivePoint(f1, f2)
 
 
@@ -198,10 +255,10 @@ def _fmt(x: float) -> str:
 
 def write_instance(instance: Instance) -> str:
     lines = [_MAGIC, f"m={instance.m} b={_fmt(instance.budget)}"]
-    for cat in instance.categories:
-        lines.append(f"cat {len(cat)}")
-        for item in cat:
-            lines.append(f"{_fmt(item.profit)} {_fmt(item.cost)}")
+    rows = [f"{_fmt(p)} {_fmt(c)}" for p, c in zip(instance.profits, instance.costs)]
+    for a, b in zip(instance.starts, instance.starts[1:]):
+        lines.append(f"cat {b - a}")
+        lines += rows[a:b]
     return "\n".join(lines) + "\n"
 
 
@@ -216,13 +273,61 @@ def _parse_number(token: str, what: str, line: int) -> float:
 
 
 def read_instance(data: str | bytes) -> Instance:
-    """Parse the instance file format; raises InstanceFormatError with a line number."""
+    """Parse the instance file format; raises InstanceFormatError with a line number.
+
+    A file in the written shape is read in a few bulk passes
+    (:func:`_read_blocks`). Any other file, one with a comment or a blank
+    line included, goes to the line parser, which accepts what the format
+    allows and gives each error its message and line. Both read every
+    number with ``float``, so where both accept a file they agree bit for bit.
+    """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
+    lines = data.splitlines()
+    return _read_blocks(lines) or _read_lines(lines)
+
+
+def _read_blocks(lines: list[str]) -> Instance | None:
+    """The instance of a file in the written shape, or None for any other file.
+
+    The shape is the header line, the ``m= b=`` line, then per category a
+    ``cat <n>`` line and ``n`` item lines with exactly one space each, and
+    nothing else: every line is one the line parser reads, in the same role.
+    The item lines are joined and split at the spaces, and the tokens go
+    through one ``map(float, ...)``, which strips the whitespace the line
+    parser splits at. A token ``float`` refuses (a comment, say), or a value
+    the instance refuses (a negative cost), sends the file to the line
+    parser too.
+    """
+    try:
+        if lines[0] != _MAGIC:
+            return None
+        m_token, b_token = lines[1].split()
+        if not (m_token.startswith("m=") and b_token.startswith("b=")):
+            return None
+        starts, items, pos = [0], [], 2
+        for _ in range(int(m_token[2:])):
+            word, n = lines[pos].split()
+            n = int(n)
+            if word != "cat" or n < 1:
+                return None
+            items += lines[pos + 1:pos + 1 + n]
+            pos += 1 + n
+            starts.append(len(items))
+        if pos != len(lines) or set(map(str.count, items, itertools.repeat(" "))) != {1}:
+            return None
+        values = list(map(float, " ".join(items).split(" ")))
+        return Instance.from_flat(values[0::2], values[1::2], starts, float(b_token[2:]))
+    except (IndexError, ValueError):
+        return None
+
+
+def _read_lines(lines: list[str]) -> Instance:
+    """The line parser: skips comments and blank lines, checks line by line."""
     # (line_number, content) with comments and blank lines dropped
     rows = [
         (no, line.strip())
-        for no, line in enumerate(data.splitlines(), start=1)
+        for no, line in enumerate(lines, start=1)
         if line.strip() and not line.lstrip().startswith("#")
     ]
     pos = 0

@@ -56,7 +56,8 @@ def _iter_images(instance: Instance):
 
     Running sums accumulate in category order, matching ``evaluate`` bitwise.
     """
-    cats = instance.categories
+    profits, costs, starts = instance.profits, instance.costs, instance.starts
+    cats = [tuple(zip(profits[a:b], costs[a:b])) for a, b in zip(starts, starts[1:])]
     m = len(cats)
     sel = [0] * m
 
@@ -64,9 +65,9 @@ def _iter_images(instance: Instance):
         if j == m:
             yield tuple(sel), f1, f2
             return
-        for i, item in enumerate(cats[j]):
+        for i, (profit, cost) in enumerate(cats[j]):
             sel[j] = i
-            yield from rec(j + 1, f1 + item.profit, f2 - item.cost)
+            yield from rec(j + 1, f1 + profit, f2 - cost)
 
     yield from rec(0, 0.0, 0.0)
 
@@ -236,11 +237,11 @@ def dp_solve(instance: Instance) -> ExactResult:
         raise NonIntegerInstanceError(f"non-integer budget {instance.budget}")
 
     budget = int(instance.budget)
-    cats = instance.categories
+    profits, costs = instance.profits, instance.costs
     # per category: its Pareto rows (index, profit, int cost), by increasing cost
     pareto = [
-        [(i, cat[i].profit, int(cat[i].cost)) for i in frontier]
-        for cat, frontier in zip(cats, instance.frontiers)
+        [(i, profits[a + i], int(costs[a + i])) for i in frontier]
+        for a, frontier in zip(instance.starts, instance.frontiers)
     ]
     floor_cost = sum(rows[0][2] for rows in pareto)
     if floor_cost > budget:

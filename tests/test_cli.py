@@ -212,6 +212,18 @@ class TestSolve:
         assert err.startswith("error: sums too large for floats")
         assert "weight" not in err
 
+    def test_eps_past_the_float_range_exits_1(self, tmp_path, capsys):
+        # used to exit 1 with "weights must be strictly positive"
+        path = tmp_path / "eps.mckp"
+        path.write_text("MCKP 1\nm=2 b=3\ncat 2\n0 1\n1e307 2\ncat 2\n0 1\n1e307 2\n")
+        assert main(["solve", str(path), "--eps", "1.7e308"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: epsilon 1.7e+308 puts the reference point")
+        assert "weights" not in err
+        assert main(["solve", str(path), "--eps", "1e308"]) == 0
+        out = capsys.readouterr().out
+        assert "profit: 1e+307\n" in out and "certificate: true\n" in out
+
     def test_internal_guard_exit_code(self, appendix_file, capsys, monkeypatch):
         def limit(instance):
             raise BisectionLimitError("no convergence within 200 bisection steps")
@@ -381,3 +393,43 @@ class TestOneFrontierViewPerInstance:
         # dp_solve, bissa and kissa all ran on the generated instance
         assert row["exact"] and row["kissa"] and row["ms_kissa"] != "0.000"
         assert len(calls) == 20
+
+
+class TestParsedOnce:
+    """``mckp solve`` and ``mckp exact`` read the flat view that
+    ``read_instance`` fills and never build ``Instance.categories``."""
+
+    @pytest.fixture(scope="class")
+    def weak_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("parsed-once") / "weak.mckp"
+        inst = generate(GenSpec(m=40, n=200, correlation=Correlation.WEAK, seed=1))
+        path.write_text(write_instance(inst), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize(
+        "command, options",
+        [
+            ("solve", []),
+            ("solve", ["--trace"]),
+            ("solve", ["--rule", "first"]),
+            ("solve", ["--rule", "best-slack"]),
+            ("exact", []),
+        ],
+    )
+    def test_categories_never_built(self, weak_file, monkeypatch, capsys, command, options):
+        read = []
+        real = cli.read_instance
+
+        def recording(data):
+            read.append(real(data))
+            return read[-1]
+
+        monkeypatch.setattr(cli, "read_instance", recording)
+        assert main([command, str(weak_file), *options]) == 0
+        out = capsys.readouterr().out
+        (inst,) = read
+        assert "frontiers" in vars(inst)  # the solve layers ran on it
+        assert "categories" not in vars(inst)
+        if command == "solve":
+            # BISSA proves nothing here, so KISSA and certify ran too
+            assert "certificate: false" in out and "improvements: 0" not in out

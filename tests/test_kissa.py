@@ -415,6 +415,31 @@ class TestExtremeCoefficients:
         assert min(outcomes.values()) > 500, outcomes
 
 
+class TestEpsilonOverflow:
+    """An epsilon that pushes a reference point, or the second weight's gap,
+    past the float range is refused before any iteration, by name."""
+
+    # BISSA accepts it: twice the max-profit probe's sums stay finite.
+    CATS = [[(0, 1), (1e307, 2)], [(0, 1), (1e307, 2)]]
+
+    def test_reference_point_past_the_float_range(self):
+        inst = Instance(self.CATS, 3)
+        with pytest.raises(ObjectiveOverflowError, match="epsilon 1.7e\\+308"):
+            kissa(inst, bissa(inst), KissaConfig(epsilon=1.7e308))
+
+    def test_anchor_cost_gap_past_the_float_range(self):
+        # The reference point is finite, but its cost coordinate plus the
+        # anchor's cost is not, so the second weight would be 0.
+        inst = Instance([[(0, 0), (1, 5e307)]], 1)
+        with pytest.raises(ObjectiveOverflowError, match="epsilon"):
+            kissa(inst, bissa(inst), KissaConfig(epsilon=1.7e308))
+
+    def test_largest_epsilon_that_fits_still_solves(self):
+        inst = Instance(self.CATS, 3)
+        run = kissa(inst, bissa(inst), KissaConfig(epsilon=1e308))
+        assert evaluate(inst, run.final).f1 == 1e307 == brute_force(inst).optimum_profit
+
+
 class TestIncrementalMatchesFullResolve:
     @pytest.mark.parametrize("correlation", list(Correlation))
     def test_records_equal_on_generated_families(self, correlation):

@@ -3,10 +3,11 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mckp
+from mckp import model
 from mckp import (
     Instance,
     InstanceFormatError,
@@ -18,7 +19,7 @@ from mckp import (
     write_instance,
 )
 
-from helpers import random_instance
+from helpers import pareto_items_by_pairwise_scan, random_instance
 
 
 def test_public_names_resolve_once():
@@ -207,3 +208,143 @@ class TestFileFormat:
     def test_crlf_line_endings_accepted(self, appendix):
         text = write_instance(appendix).replace("\n", "\r\n")
         assert read_instance(text) == appendix
+
+
+# Coefficients where ties are common: duplicates, equal costs or profits,
+# both zeros, and integers next to 2**53 that round to the same float.
+TIE_COEFFICIENTS = (0, 0.0, -0.0, 1, 2, 3, 2**53 - 1, 2**53, 2**53 + 1, 2**53 + 2, 2**53 + 3)
+
+
+class TestFlatFrontiers:
+    """``Instance.frontiers`` comes from the flat view; it must be
+    :func:`pareto_filter` of each category, read from a file or not."""
+
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(st.sampled_from(TIE_COEFFICIENTS), st.sampled_from(TIE_COEFFICIENTS)),
+                min_size=1,
+                max_size=8,
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_frontiers_are_each_categorys_pareto_filter(self, cats):
+        built = Instance(cats, 1.0)
+        # repr keeps -0.0 and the integers past 2**53, which float() then rounds
+        text = "".join(
+            f"cat {len(cat)}\n" + "".join(f"{p!r} {c!r}\n" for p, c in cat) for cat in cats
+        )
+        read = read_instance(f"MCKP 1\nm={len(cats)} b=1\n{text}")
+        assert [v.hex() for v in read.profits + read.costs] == [
+            v.hex() for v in built.profits + built.costs
+        ]
+        for inst in (built, read):
+            assert inst.frontiers == tuple(pareto_filter(c) for c in inst.categories)
+            for cat, f in zip(inst.categories, inst.frontiers):
+                assert set(f) == pareto_items_by_pairwise_scan(cat)
+                assert all(cat[a].cost < cat[b].cost for a, b in zip(f, f[1:]))
+
+
+def _bits(parse, data):
+    """The parsed instance with its floats as hex, or the error's message and line."""
+    try:
+        inst = parse(data)
+    except InstanceFormatError as exc:
+        return str(exc), exc.line
+    return inst.starts, [v.hex() for v in inst.profits + inst.costs], inst.budget.hex()
+
+
+def _line_parser(data):
+    if isinstance(data, bytes):
+        data = data.decode("utf-8")
+    return model._read_lines(data.splitlines())
+
+
+# Tokens the format reads specially or refuses.
+ODD_TOKENS = (
+    "-0", "-0.0", "1_000", "+7", " 5", "1e400", "-1e400", "inf", "nan", "-3", "1e-400",
+    "0x10", "x", "#1", "", "cat", "\t2",
+)
+
+
+def single_edits(lines: list[str]):
+    """Every file one edit away from ``lines``: an inserted comment, blank,
+    whitespace-only or item line, a missing line, tabs or extra spaces, an
+    odd token, or a token moved from one line to the line before, which
+    keeps the token count and breaks the shape."""
+    for k in range(len(lines) + 1):
+        for line in ("# comment", "#1 2", "", " \t", "1 2"):
+            yield lines[:k] + [line] + lines[k:]
+    for k, line in enumerate(lines):
+        before, after = lines[:k], lines[k + 1:]
+        yield before + after
+        for changed in (f"\t{line}  ", line.replace(" ", "\t"), line.replace(" ", "  ")):
+            yield before + [changed] + after
+        tokens = line.split(" ")
+        for t in range(len(tokens)):
+            for odd in ODD_TOKENS:
+                yield before + [" ".join(tokens[:t] + [odd] + tokens[t + 1:])] + after
+        if after:
+            head, _, rest = after[0].partition(" ")
+            yield before + [f"{line} {head}", rest] + after[1:]
+
+
+@st.composite
+def instance_files(draw):
+    """A written file after one to three edits, as text or bytes."""
+    coefficient = st.one_of(
+        st.integers(0, 1000), st.floats(min_value=0, max_value=1e300, allow_nan=False)
+    )
+    cats = draw(
+        st.lists(st.lists(st.tuples(coefficient, coefficient), min_size=1, max_size=4),
+                 min_size=1, max_size=3)
+    )
+    budget = draw(st.floats(min_value=1e-3, max_value=1e9))
+    lines = write_instance(Instance(cats, budget)).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        lines = draw(st.sampled_from(list(single_edits(lines))))
+    newline = draw(st.sampled_from(("\n", "\r\n")))
+    text = newline.join(lines) + draw(st.sampled_from(("", newline)))
+    return text.encode() if draw(st.booleans()) else text
+
+
+def assert_fast_path_agrees(data):
+    expected = _bits(_line_parser, data)
+    assert _bits(read_instance, data) == expected
+    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    fast = model._read_blocks(text.splitlines())
+    if fast is not None:
+        assert _bits(lambda _: fast, data) == expected
+
+
+class TestReaderFastPath:
+    """``read_instance`` reads a written file in bulk and sends anything else
+    to the line parser; both must give the same instance, bit for bit, or
+    the same error."""
+
+    def test_equal_token_count_in_the_wrong_shape(self, appendix):
+        text = write_instance(appendix).replace("2 1.9\n3 3", "2 1.9 3\n3")
+        with pytest.raises(InstanceFormatError) as err:
+            read_instance(text)
+        assert err.value.line == 4
+        assert "expected '<profit> <cost>'" in str(err.value)
+
+    def test_written_files_take_the_fast_path(self):
+        rng = random.Random(3)
+        for _ in range(50):
+            inst = random_instance(rng)
+            lines = write_instance(inst).splitlines()
+            assert model._read_blocks(lines) == inst
+
+    def test_every_single_edit_of_a_file(self, appendix):
+        lines = write_instance(appendix).splitlines()
+        for edited in single_edits(lines):
+            assert_fast_path_agrees("\n".join(edited) + "\n")
+            assert_fast_path_agrees("\r\n".join(edited).encode())
+
+    @settings(max_examples=300)
+    @given(instance_files())
+    def test_fast_path_agrees_with_the_line_parser(self, data):
+        assert_fast_path_agrees(data)

@@ -9,8 +9,10 @@ and ``exact --method brute``, the same sweep at budget ratios 0 and 1 with
 of small instances with coefficients 0-9, full of tied items, with ``solve
 --trace`` and ``exact``, a ``fractional`` sweep of the same shape with
 coefficients in tenths from 0 to 9.9, with ``solve --trace``, ``solve --rule
-first``, ``exact`` and ``exact --method brute``, and one ``mckp bench`` run
-on a fixed spec file.
+first``, ``exact`` and ``exact --method brute``, one ``mckp bench`` run
+on a fixed spec file, and ``solve`` and ``exact`` on a fixed list of
+malformed files, one for each error of the instance reader's line parser,
+plus a file with comments and blank lines that parses.
 Prints one sha256 per (workload, command) over each run's exit code,
 stdout and stderr; the ``gen`` digests cover the instance file bytes as
 well. The ``bench`` digest covers its exit code, stderr and CSV with the
@@ -89,6 +91,31 @@ BENCH_SPECS = (
     "m=40 n=20 corr=weak seed=2",
 )
 BENCH_TIMING = ("ms_bissa", "ms_kissa")
+# One malformed file per error of the line parser, as edits of a valid one,
+# and last a file with comments and blank lines that parses.
+MALFORMED_BASE = "MCKP 1\nm=2 b=4\ncat 2\n2 1.9\n3 3\ncat 2\n4 2\n2 1\n"
+MALFORMED_EDITS = (
+    (MALFORMED_BASE, ""),  # empty file
+    ("MCKP 1", "MCKP 2"),
+    ("m=2 b=4", "m=2"),
+    ("m=2", "m=x"),
+    ("m=2", "m=0"),
+    ("b=4", "b=x"),
+    ("b=4", "b=inf"),
+    ("b=4", "b=0"),
+    ("cat 2", "cats 2"),
+    ("cat 2", "cat x"),
+    ("cat 2", "cat 0"),
+    ("2 1.9", "2"),
+    ("2 1.9", "x 1.9"),
+    ("2 1.9", "2 x"),
+    ("2 1.9", "nan 1.9"),
+    ("2 1.9", "2 inf"),
+    ("2 1.9", "2 -1.9"),
+    ("2 1\n", "2 1\n5 5\n"),  # trailing content
+    ("2 1\n", ""),  # unexpected end of file
+    ("cat 2\n2 1.9", "# comment\n\ncat 2\n  # indented\n2 1.9\n"),
+)
 
 
 def capture(argv: list[str]) -> tuple[str, str, str]:
@@ -197,6 +224,17 @@ def bench_digest():
     yield "bench", "bench", len(BENCH_SPECS), digest
 
 
+def malformed_digest():
+    """(workload, command, runs, digest) of ``solve`` and ``exact`` on each
+    :data:`MALFORMED_EDITS` file."""
+    digest = hashlib.sha256()
+    for old, new in MALFORMED_EDITS:
+        Path("bad.mckp").write_text(MALFORMED_BASE.replace(old, new, 1), encoding="utf-8")
+        for command in ("solve", "exact"):
+            run(digest, [command, "bad.mckp"])
+    yield "malformed", "solve + exact", len(MALFORMED_EDITS), digest
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
@@ -219,6 +257,7 @@ def main(argv=None) -> int:
                     FRACTIONAL_COMMANDS,
                 ),
                 bench_digest(),
+                malformed_digest(),
             ):
                 print(f"{workload:<13} {command:<24} {runs:>4} {digest.hexdigest()}", flush=True)
         finally:
