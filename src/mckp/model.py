@@ -248,7 +248,8 @@ _MAGIC = "MCKP 1"
 
 
 def _fmt(x: float) -> str:
-    if x == int(x) and abs(x) < 1e16:
+    # int() drops the sign of -0.0, so repr writes it
+    if x == int(x) and abs(x) < 1e16 and math.copysign(1.0, x) > 0:
         return str(int(x))
     return repr(x)
 

@@ -2,8 +2,10 @@
 
 ``brute_force`` enumerates the full selection space (guarded), ``dp_solve``
 is a pseudo-polynomial dynamic program over the cost dimension for integer
-instances, and ``pareto_enumerate`` lists every nondominated selection of
-the bi-objective image. These exist to check the heuristics and each other,
+instances (on integral profits it fills the core of the LP relaxation
+first and a second, wider table only when the first cannot decide; each
+table is guarded), and ``pareto_enumerate`` lists every nondominated
+selection of the bi-objective image. These exist to check the heuristics and each other,
 not to compete with them; guards fail loudly instead of degrading.
 """
 
@@ -150,23 +152,26 @@ def _upper_hull(rows: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return hull
 
 
-def _lp_survivors(rows, budget: int) -> list[list[tuple[int, float, int]]]:
-    """Frontier rows that can appear in an optimal selection; integral profits.
+def _lp_relaxation(rows, budget: int) -> tuple[list[list[int]], int, int, int]:
+    """The LP relaxation of an integral instance: ``(reduced, ub, lb, unit)``.
 
     ``rows`` holds each category's Pareto rows ``(index, profit, int cost)``
-    by increasing cost, as :func:`dp_solve` builds them; the survivors keep that form.
+    by increasing cost, as :func:`dp_solve` builds them, and every profit is
+    an integer.
 
     A greedy walk over all upper-hull edges (:func:`_upper_hull`), steepest
     first, starts from the cheapest selection and takes each edge that fits
     the remaining budget; a category stops at its first edge that does not
     fit. The first edge that does not fit gives the critical slope
     ``lam = dp / dc`` (``lam = 0`` when every edge fits) and the walk's
-    selection a feasible profit ``lb``.
-    For any ``lam >= 0``, ``ub = sum_j max(p - lam*c) + lam*budget`` bounds
-    every feasible profit, so a selection holding an item whose reduced cost
-    ``max(p - lam*c) - (p - lam*c)`` exceeds ``ub - lb`` has profit below
-    ``lb`` and is not optimal (Dyer, Kayal and Walker 1984). The test runs
-    on integers scaled by ``dc``, so it is exact.
+    selection the feasible profit ``lb``.
+    For any ``lam >= 0``, ``UB = sum_j max(p - lam*c) + lam*budget`` bounds
+    every feasible profit, and a selection's profit is at most ``UB`` minus
+    the reduced costs ``max(p - lam*c) - (p - lam*c)`` of its rows. So a row
+    whose reduced cost exceeds ``UB - z`` is in no selection of profit ``z``
+    or more (Dyer, Kayal and Walker 1984). Everything is scaled by
+    ``unit = dc``, the scaled size of one profit unit, so ``reduced[j][r]``
+    and ``ub`` are exact integers.
     """
     edges = []
     for j, category_rows in enumerate(rows):
@@ -190,78 +195,37 @@ def _lp_survivors(rows, budget: int) -> list[list[tuple[int, float, int]]]:
             residual -= run
             lb += rise
             reached[j] = k + 1
-    lam_p, lam_c = critical or (0, 1)
+    lam_p, unit = critical or (0, 1)
 
-    scored = []
+    reduced = []
+    ub = lam_p * budget
     for category_rows in rows:
-        values = [lam_c * int(p) - lam_p * c for _, p, c in category_rows]
-        scored.append((category_rows, values, max(values)))
-    gap = sum(best for _, _, best in scored) + lam_p * budget - lam_c * lb
-    return [
-        [row for row, v in zip(category_rows, values) if best - v <= gap]
-        for category_rows, values, best in scored
-    ]
+        values = [unit * int(p) - lam_p * c for _, p, c in category_rows]
+        best = max(values)
+        ub += best
+        reduced.append([best - v for v in values])
+    return reduced, ub, lb, unit
 
 
-def dp_solve(instance: Instance) -> ExactResult:
-    """Dynamic program over (category, residual budget) for integer instances.
+def _table(pareto, budget: int) -> tuple[float, list[int]] | None:
+    """The table over each category's rows ``(index, profit, int cost)``,
+    sorted by cost: the optimum and each category's chosen index, or None
+    when the cheapest selection exceeds ``budget``.
 
-    Only the budget and the costs of frontier items (``Instance.frontiers``)
-    must be integers; profit may be fractional. Raises
-    :class:`NonIntegerInstanceError` otherwise, or when the budget is at
-    least 2**53 and the categories' largest frontier costs sum past 2**53
-    (:func:`~mckp.model.exact_cost_sums`),
-    :class:`InfeasibleInstanceError` when even the cheapest selection does
-    not fit, and :class:`OracleGuardError` when the estimate of the table it
+    Raises :class:`OracleGuardError` when the estimate of the table it
     would allocate exceeds 2 GiB.
-
-    The table holds float64 sums, added in category order like
-    ``evaluate``. Each category keeps its Pareto rows. When every frontier
-    profit is an integer and the largest profits sum below 2**53, every sum
-    is exact, and rows that the LP relaxation's reduced costs rule out of
-    every optimal selection are dropped too (:func:`_lp_survivors`). Costs
-    are shifted by their per-category minimum, so the budget axis spans only
-    the slack above the cheapest selection. Category ``j`` fills only the cells the final cell
-    can reach: from the budget minus the slack of the later categories up
-    to the slack of categories ``0..j``, above which every cell equals the
-    top one. The optimum and the selection are those of the full table over
-    all items: ties go to the lowest surviving row, and every row of every
-    optimal selection survives.
     """
-    if not exact_cost_sums(instance):
-        raise NonIntegerInstanceError(
-            "frontier costs are fractional, or their largest ones sum past 2**53"
-            f" with budget {instance.budget!r}"
-        )
-    if not instance.budget.is_integer():
-        raise NonIntegerInstanceError(f"non-integer budget {instance.budget}")
-
-    budget = int(instance.budget)
-    profits, costs = instance.profits, instance.costs
-    # per category: its Pareto rows (index, profit, int cost), by increasing cost
-    pareto = [
-        [(i, profits[a + i], int(costs[a + i])) for i in frontier]
-        for a, frontier in zip(instance.starts, instance.frontiers)
-    ]
     floor_cost = sum(rows[0][2] for rows in pareto)
     if floor_cost > budget:
-        raise InfeasibleInstanceError(
-            f"minimum selection cost {floor_cost} exceeds budget {budget}"
-        )
-
-    integral = all(p.is_integer() for rows in pareto for _, p, _ in rows)
-    # The top Pareto row holds a category's largest profit.
-    if integral and sum(int(rows[-1][1]) for rows in pareto) < 2**53:
-        pareto = _lp_survivors(pareto, budget)
-    # per category: its surviving rows (index, profit, cost above the cheapest)
+        return None
+    # per category: its rows (index, profit, cost above the cheapest)
     shifted = [[(i, p, c - rows[0][2]) for i, p, c in rows] for rows in pareto]
-    floor_cost = sum(rows[0][2] for rows in pareto)
     slack_cap = sum(rows[-1][2] for rows in shifted)
 
     width = min(budget - floor_cost, slack_cap) + 1
-    m = instance.m
+    m = len(shifted)
     # the narrowest unsigned type that holds a row index
-    choice_dtype = np.min_scalar_type(max(len(rows) for rows in shifted) - 1).type
+    choice_dtype = np.min_scalar_type(max(map(len, shifted), default=1) - 1).type
 
     # the choice table, three float64 rows and a bool mask
     estimate = m * width * np.dtype(choice_dtype).itemsize + 3 * width * 8 + width
@@ -270,7 +234,7 @@ def dp_solve(instance: Instance) -> ExactResult:
 
     # Rolling rows: each category takes a running elementwise maximum over
     # its items' shifted-and-lifted copies of the previous row. Ties keep the
-    # lowest surviving item (strict greater-than), rows sorted by cost.
+    # lowest item (strict greater-than), rows sorted by cost.
     # Category j fills cells [low, top): ``later`` is the slack of categories
     # j+1.., and cells at or above ``top`` would all equal cell ``top - 1``.
     dp = np.zeros(width)
@@ -307,10 +271,106 @@ def dp_solve(instance: Instance) -> ExactResult:
     selection = [0] * m
     for j in range(m - 1, -1, -1):
         w = min(w, reach)
-        r = int(choices[j, w])
-        index, _, cost = shifted[j][r]
+        index, _, cost = shifted[j][int(choices[j, w])]
         selection[j] = index
         w -= cost
         reach -= shifted[j][-1][2]
-    optimum = float(dp[width - 1])
+    return float(dp[width - 1]), selection
+
+
+def _round(pareto, reduced, cut: int, budget: int) -> tuple[float, list[int]] | None:
+    """:func:`_table` over the rows whose reduced cost is at most ``cut``.
+
+    A category left with one row is folded out of the table: its profit
+    and cost are added outside it. Every sum on this path is an exact
+    integer, so the optimum is that of the table over all of them.
+    """
+    kept = [
+        [row for row, r in zip(rows, rs) if r <= cut]
+        for rows, rs in zip(pareto, reduced)
+    ]
+    free = [j for j, rows in enumerate(kept) if len(rows) > 1]
+    fixed = [rows[0] for rows in kept if len(rows) == 1]
+    result = _table([kept[j] for j in free], budget - sum(c for _, _, c in fixed))
+    if result is None:
+        return None
+    optimum, picks = result
+    selection = [rows[0][0] for rows in kept]
+    for j, index in zip(free, picks):
+        selection[j] = index
+    return sum(p for _, p, _ in fixed) + optimum, selection
+
+
+def dp_solve(instance: Instance) -> ExactResult:
+    """Dynamic program over (category, residual budget) for integer instances.
+
+    Only the budget and the costs of frontier items (``Instance.frontiers``)
+    must be integers; profit may be fractional. Raises
+    :class:`NonIntegerInstanceError` otherwise, or when the budget is at
+    least 2**53 and the categories' largest frontier costs sum past 2**53
+    (:func:`~mckp.model.exact_cost_sums`),
+    :class:`InfeasibleInstanceError` when even the cheapest selection does
+    not fit, and :class:`OracleGuardError` when the estimate of a table it
+    would allocate exceeds 2 GiB; the guard is taken on each table.
+
+    The table holds float64 sums, added in category order like
+    ``evaluate``, over each category's Pareto rows. Costs are shifted by
+    their per-category minimum, so the budget axis spans only the slack
+    above the cheapest selection. Category ``j`` fills only the cells the
+    final cell can reach: from the budget minus the slack of the later
+    categories up to the slack of categories ``0..j``, above which every
+    cell equals the top one. Ties go to the lowest row.
+
+    When every frontier profit is an integer and the largest profits sum
+    below 2**53, every sum is exact, and the LP relaxation
+    (:func:`_lp_relaxation`) is computed once: the bound ``UB``, the greedy
+    walk's profit ``LB`` and each row's reduced cost. Then at most two
+    tables run. Round 1 fills the core, the rows whose reduced cost is at
+    most one profit unit (and at most ``UB - LB``), with optimum ``z``
+    (none when its cheapest selection does not fit). Round 2 runs only when
+    a row outside the core has reduced cost at most ``UB - max(LB, z)``,
+    and fills the table over exactly those rows. A selection that holds a
+    row outside the table that decides has profit below ``max(LB, z)``, at
+    most the optimum, so every row of every optimal selection is in that
+    table. In both rounds
+    a category left with one row is folded out of the table (:func:`_round`).
+    The optimum and the selection, ties included, are those of the full
+    table over all items. Otherwise one table runs over all Pareto rows.
+    """
+    if not exact_cost_sums(instance):
+        raise NonIntegerInstanceError(
+            "frontier costs are fractional, or their largest ones sum past 2**53"
+            f" with budget {instance.budget!r}"
+        )
+    if not instance.budget.is_integer():
+        raise NonIntegerInstanceError(f"non-integer budget {instance.budget}")
+
+    budget = int(instance.budget)
+    profits, costs = instance.profits, instance.costs
+    # per category: its Pareto rows (index, profit, int cost), by increasing cost
+    pareto = [
+        [(i, profits[a + i], int(costs[a + i])) for i in frontier]
+        for a, frontier in zip(instance.starts, instance.frontiers)
+    ]
+    floor_cost = sum(rows[0][2] for rows in pareto)
+    if floor_cost > budget:
+        raise InfeasibleInstanceError(
+            f"minimum selection cost {floor_cost} exceeds budget {budget}"
+        )
+
+    integral = all(p.is_integer() for rows in pareto for _, p, _ in rows)
+    # The top Pareto row holds a category's largest profit.
+    if integral and sum(int(rows[-1][1]) for rows in pareto) < 2**53:
+        reduced, ub, lb, unit = _lp_relaxation(pareto, budget)
+        # round 1: rows within one profit unit, never past UB - LB
+        core = min(unit, ub - unit * lb)
+        result = _round(pareto, reduced, core, budget)
+        best = lb if result is None else max(lb, int(result[0]))
+        cut = ub - unit * best
+        # round 2: only if a row outside the core could be in an optimal selection
+        if any(core < r <= cut for rs in reduced for r in rs):
+            result = _round(pareto, reduced, cut, budget)
+    else:
+        result = _table(pareto, budget)
+    optimum, selection = result
     return ExactResult(optimum, tuple(selection), Method.DP)

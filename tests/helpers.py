@@ -69,6 +69,29 @@ def tied_swap_instance(order: str) -> Instance:
     return Instance([[(0, 0), (10, 2**60)], middle, [(0, 2**60)]], 2**60)
 
 
+def walk_gap_instance(k: int = 2500, r: int = 500_000) -> tuple[Instance, int, tuple[int, ...]]:
+    """An instance whose LP greedy walk ends far below its bound, with its
+    optimum and optimal selection, known by construction.
+
+    ``k`` steep categories ``(0, 0), (100, 1)``, ``k`` flat ones ``(0, 0),
+    (1, 100)``, a near one ``(0, 0), (2, 1)`` and a critical one ``(0, 0),
+    (r, r)``; the budget is ``k + r``. The walk takes the steep and near
+    edges, cannot fit the critical one (slope 1), and fills the residual
+    ``r - 1`` with flat edges (``100 k <= r - 1``). At slope 1 a
+    selection's profit is at most ``UB = 100 k + r + 1`` minus its reduced
+    costs (99 on a steep bottom or a flat top, 1 on the near bottom, 0
+    elsewhere) and its unused budget. Every row of reduced cost 0 taken
+    costs ``k + 1`` or ``k + 1 + r``, not ``k + r``, so for ``r >= 3`` the
+    optimum is ``UB - 1``, reached only by the steep tops, flat bottoms,
+    near bottom and critical top. The walk's profit is ``100 k + 2 + k``, so
+    for ``r - 1 - k >= 99`` every row lies within ``UB`` minus it.
+    """
+    steep = [[(0, 0), (100, 1)]] * k
+    flat = [[(0, 0), (1, 100)]] * k
+    inst = Instance(steep + flat + [[(0, 0), (2, 1)], [(0, 0), (r, r)]], k + r)
+    return inst, 100 * k + r, (1,) * k + (0,) * k + (0, 1)
+
+
 def random_instance(
     rng: random.Random,
     max_m: int = 4,

@@ -1,7 +1,7 @@
 import csv
 import io
 
-from mckp import Correlation, GenSpec, KissaConfig, run_benchmark
+from mckp import Correlation, GenSpec, KissaConfig, oracle, run_benchmark
 from mckp.bench import CSV_COLUMNS
 
 
@@ -53,10 +53,12 @@ class TestRunBenchmark:
                     continue
                 assert ra[key] == rb[key]
 
-    def test_failed_row_isolation(self):
+    def test_failed_row_isolation(self, monkeypatch):
         # the middle spec blows the dp memory guard; its row carries the
-        # error while the neighbours complete (weak correlation: its reduced
-        # table is still about 6.6 GB)
+        # error while the neighbours complete. Its folded core table is
+        # about 67 MB, under the real 2 GiB guard, so the guard is lowered
+        # to 1 MiB; the neighbours' tables take a few hundred bytes.
+        monkeypatch.setattr(oracle, "MEMORY_LIMIT_BYTES", 2**20)
         specs = [
             GenSpec(m=3, n=3, correlation=Correlation.UNCORRELATED, seed=1),
             GenSpec(m=60000, n=2, correlation=Correlation.WEAK, seed=2),

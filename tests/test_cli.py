@@ -20,7 +20,7 @@ from mckp.bissa import BisectionLimitError
 from mckp.cli import main, parse_specfile
 from mckp.model import InstanceFormatError
 
-from helpers import absorbed_profits_instance, tied_swap_instance
+from helpers import absorbed_profits_instance, tied_swap_instance, walk_gap_instance
 
 
 @pytest.fixture
@@ -280,6 +280,19 @@ class TestExact:
         out = capsys.readouterr().out
         assert "selection: " + " ".join(["1"] * 30 + ["0"] * 11) in out
         assert "profit: 6e+08" in out
+
+    def test_dp_fits_in_the_core(self, tmp_path, capsys):
+        # The table over the rows within the walk's bound, 5,002 categories
+        # x 502,501 cells, exceeds the guard, so this used to exit 4. The
+        # core keeps two categories of two rows and decides the optimum.
+        inst, optimum, selection = walk_gap_instance()
+        path = tmp_path / "walk-gap.mckp"
+        path.write_text(write_instance(inst), encoding="utf-8")
+        assert main(["exact", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out == (
+            f"selection: {' '.join(map(str, selection))}\nprofit: {optimum}\nmethod: dp\n"
+        )
 
     def test_dp_profit_past_2_pow_63(self, tmp_path, capsys):
         # The optimum 2**63 + 2**11 does not fit an int64 table.

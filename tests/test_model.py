@@ -147,6 +147,12 @@ class TestFileFormat:
         inst = Instance(tuple(tuple(cat) for cat in cats), budget)
         assert read_instance(write_instance(inst)) == inst
 
+    def test_round_trip_negative_zero(self):
+        inst = Instance([[(-0.0, 1.0)]], 1.0)
+        text = write_instance(inst)
+        assert text == "MCKP 1\nm=1 b=1\ncat 1\n-0.0 1\n"
+        assert _bits(read_instance, text) == _bits(lambda _: inst, None)
+
     def test_comments_and_blanks_ignored(self, appendix):
         text = write_instance(appendix)
         noisy = "# header comment\n" + text.replace("cat 2", "cat 2\n# inner\n", 1)

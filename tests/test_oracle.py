@@ -20,8 +20,9 @@ from mckp import (
     pareto_enumerate,
     pareto_filter,
 )
+from mckp import oracle
 from mckp.model import MCKPError
-from mckp.oracle import _lp_survivors, _upper_hull, dominated_in_product
+from mckp.oracle import MEMORY_LIMIT_BYTES, _lp_relaxation, _upper_hull, dominated_in_product
 
 from helpers import (
     brute_optimum,
@@ -29,6 +30,7 @@ from helpers import (
     enumerate_images,
     pareto_selections_by_scan,
     random_instance,
+    walk_gap_instance,
 )
 
 
@@ -314,11 +316,20 @@ def dp_outcome(solver, inst):
 
 def pareto_rows(inst):
     """Each category's Pareto rows ``(index, profit, int cost)``, as ``dp_solve``
-    builds them for ``_lp_survivors``."""
+    builds them for ``_lp_relaxation``."""
     return [
         [(i, cat[i].profit, int(cat[i].cost)) for i in pareto_filter(cat)]
         for cat in inst.categories
     ]
+
+
+def survivors(inst, profit=0):
+    """Each category's Pareto rows whose reduced cost is at most ``UB -
+    max(LB, profit)``: every row that a selection of that profit can hold."""
+    rows = pareto_rows(inst)
+    reduced, ub, lb, unit = _lp_relaxation(rows, int(inst.budget))
+    cut = ub - unit * max(lb, profit)
+    return [[row for row, r in zip(kept, rs) if r <= cut] for kept, rs in zip(rows, reduced)]
 
 
 def matches_full_width(inst):
@@ -381,7 +392,7 @@ class TestDpSolveMatchesFullWidth:
             base = generate(GenSpec(m=30, n=30, correlation=Correlation.WEAK, seed=seed))
             inst = Instance(base.categories, sum(max(c for _, c in cat) for cat in base.categories))
             assert matches_full_width(inst)
-            kept = _lp_survivors(pareto_rows(inst), int(inst.budget))
+            kept = survivors(inst)
             assert all(len(rows) == 1 for rows in kept)
 
     @pytest.mark.parametrize("rows", [256, 257])
@@ -416,7 +427,7 @@ class TestReducedCostSoundness:
             frontiers = [pareto_filter(cat) for cat in inst.categories]
             kept = [
                 {index for index, _, _ in rows}
-                for rows in _lp_survivors(pareto_rows(inst), int(inst.budget))
+                for rows in survivors(inst, int(want))
             ]
             for sel, f1, f2 in enumerate_images(inst):
                 if f1 != want or f2 < -inst.budget:
@@ -440,9 +451,79 @@ class TestReducedCostSoundness:
         inst = Instance((cat,), float(base - 4))
         assert _upper_hull(list(cat)) == [cat[0], cat[2]]
         assert brute_force(inst).optimum_selection == (0,)
-        survivors = _lp_survivors(pareto_rows(inst), int(inst.budget))[0]
-        assert 0 in [index for index, _, _ in survivors]
+        kept = survivors(inst)[0]
+        assert 0 in [index for index, _, _ in kept]
         assert dp_outcome(dp_solve, inst) == dp_outcome(dp_solve_full_width, inst)
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """The number of categories in each table ``dp_solve`` asks for."""
+    calls = []
+    table = oracle._table
+
+    def counting(pareto, budget):
+        calls.append(len(pareto))
+        return table(pareto, budget)
+
+    monkeypatch.setattr(oracle, "_table", counting)
+    return calls
+
+
+class TestRounds:
+    """The integral path fills the core, and a second table only when rows
+    outside it could still be in an optimal selection."""
+
+    def test_weak_decides_in_the_core(self, tables):
+        inst = generate(GenSpec(m=40, n=200, correlation=Correlation.WEAK, seed=1))
+        assert matches_full_width(inst)
+        assert len(tables) == 1
+        assert tables[0] < inst.m  # categories left with one row are folded
+
+    def test_uncorrelated_needs_a_second_table(self, tables):
+        inst = generate(
+            GenSpec(m=250, n=10, correlation=Correlation.UNCORRELATED, seed=1, budget_ratio=0.35)
+        )
+        assert matches_full_width(inst)
+        assert len(tables) == 2
+        assert tables[0] < tables[1]
+
+    def test_profit_equal_to_cost_builds_one_table(self, tables):
+        # every row lies on the line of slope 1: all reduced costs are 0
+        rng = random.Random(211)
+        cats = [[(c, c) for c in rng.sample(range(1, 1000), 10)] for _ in range(30)]
+        inst = Instance(cats, sum(max(c for _, c in cat) for cat in cats) // 2)
+        assert matches_full_width(inst)
+        assert tables == [30]
+
+    def test_core_whose_cheapest_selection_does_not_fit(self, tables):
+        # Both edges' float slopes are 2**-20 * (1 + 2**-52), so the stable
+        # sort puts category 0's first; it does not fit and sets the slope.
+        # Category 1's exact slope is steeper by more than one profit unit
+        # over its run, so its bottom row leaves the core, and its top row
+        # alone costs 3 * 2**71, past the budget.
+        q = 6871947674
+        rise, run = 3 * 2**51 + 2, 3 * 2**71
+        assert q / (2**20 * q - 1) == rise / run
+        inst = Instance([[(0, 0), (q, 2**20 * q - 1)], [(0, 0), (rise, run)]], 1)
+        reduced, _, _, unit = _lp_relaxation(pareto_rows(inst), 1)
+        assert reduced[0] == [0, 0] and reduced[1][1] == 0 and reduced[1][0] > unit
+        got = dp_solve(inst)
+        assert got == dp_solve_full_width(inst)
+        assert got == ExactResult(0.0, (0, 0), Method.DP)
+        # round 1 folds category 1 and finds no room for it; round 2 decides
+        assert tables == [1, 2]
+
+    def test_fits_where_the_walks_bound_was_refused(self, tables):
+        # The walk's bound keeps both rows of all 5,002 categories: a
+        # table over those is 5,002 x 502,501 one-byte choices, past the
+        # guard. The core folds all but the near and critical categories.
+        inst, optimum, selection = walk_gap_instance()
+        kept = survivors(inst)
+        assert all(len(rows) == 2 for rows in kept)
+        assert len(kept) * (int(inst.budget) + 1) > MEMORY_LIMIT_BYTES
+        assert dp_solve(inst) == ExactResult(float(optimum), selection, Method.DP)
+        assert tables == [2]
 
 
 class TestParetoEnumerate:

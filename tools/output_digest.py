@@ -12,7 +12,10 @@ coefficients in tenths from 0 to 9.9, with ``solve --trace``, ``solve --rule
 first``, ``exact`` and ``exact --method brute``, one ``mckp bench`` run
 on a fixed spec file, and ``solve`` and ``exact`` on a fixed list of
 malformed files, one for each error of the instance reader's line parser,
-plus a file with comments and blank lines that parses.
+plus a file with comments and blank lines that parses. Last, a
+``collinear`` sweep of small instances with profit = cost, where every
+reduced cost of the dynamic program's LP relaxation is 0, runs ``exact``
+and ``exact --method brute``.
 Prints one sha256 per (workload, command) over each run's exit code,
 stdout and stderr; the ``gen`` digests cover the instance file bytes as
 well. The ``bench`` digest covers its exit code, stderr and CSV with the
@@ -72,6 +75,12 @@ TIES_COMMANDS = tuple(
 # cost sums are not exact and KISSA judges each swap by summing it again.
 FRACTIONAL_COMMANDS = tuple(
     (label, argv) for label, argv in SMALL_COMMANDS if label != "solve --rule best-slack"
+)
+# Profit = cost puts every item of a category on one line of slope 1, so the
+# dynamic program's core holds every row and it fills one table.
+COLLINEAR_COMMANDS = tuple(
+    (label, argv) for label, argv in SMALL_COMMANDS
+    if label in ("exact", "exact --method brute")
 )
 WORKLOAD_COMMANDS = (("solve", ["solve"]), ("exact", ["exact"]))
 RULE_COMMANDS = (
@@ -191,14 +200,27 @@ def drawn_instance(rng: random.Random, coefficient) -> Instance:
     return Instance(cats, max((low + high) / 2, 1))
 
 
-def drawn_digests(workload: str, seed: int, coefficient, commands):
+def collinear_instance(rng: random.Random) -> Instance:
+    """m and every category size in 2-6, each item's profit equal to its
+    cost in 0-99, and the budget at the midpoint between the cheapest and
+    the costliest selection, rounded down (at least 1)."""
+    cats = [
+        [(c, c) for c in (rng.randint(0, 99) for _ in range(rng.randint(2, 6)))]
+        for _ in range(rng.randint(2, 6))
+    ]
+    low = sum(min(c for _, c in cat) for cat in cats)
+    high = sum(max(c for _, c in cat) for cat in cats)
+    return Instance(cats, max((low + high) // 2, 1))
+
+
+def drawn_digests(workload: str, seed: int, draw, commands):
     """(workload, command, runs, digest) over ``DRAWN_INSTANCES`` instances
-    drawn from ``random.Random(seed)`` by :func:`drawn_instance`."""
+    ``draw(rng)``, with ``rng = random.Random(seed)``."""
     rng = random.Random(seed)
     gen = hashlib.sha256()
     digests = {label: hashlib.sha256() for label, _ in commands}
     for _ in range(DRAWN_INSTANCES):
-        text = write_instance(drawn_instance(rng, coefficient))
+        text = write_instance(draw(rng))
         Path("small.mckp").write_text(text, encoding="utf-8")
         gen.update(text.encode())
         for label, argv in commands:
@@ -251,13 +273,18 @@ def main(argv=None) -> int:
                     small_digests(f"small ratio {r}", lambda seed, r=r: r, EDGE_COMMANDS)
                     for r in EDGE_RATIOS
                 ),
-                drawn_digests("ties", args.seed, lambda rng: rng.randint(0, 9), TIES_COMMANDS),
                 drawn_digests(
-                    "fractional", args.seed, lambda rng: rng.randint(0, 99) / 10,
+                    "ties", args.seed, lambda rng: drawn_instance(rng, lambda r: r.randint(0, 9)),
+                    TIES_COMMANDS,
+                ),
+                drawn_digests(
+                    "fractional", args.seed,
+                    lambda rng: drawn_instance(rng, lambda r: r.randint(0, 99) / 10),
                     FRACTIONAL_COMMANDS,
                 ),
                 bench_digest(),
                 malformed_digest(),
+                drawn_digests("collinear", args.seed, collinear_instance, COLLINEAR_COMMANDS),
             ):
                 print(f"{workload:<13} {command:<24} {runs:>4} {digest.hexdigest()}", flush=True)
         finally:
