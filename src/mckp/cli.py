@@ -35,7 +35,7 @@ from .oracle import (
     dp_solve,
 )
 
-_CORR = {"uncorr": Correlation.UNCORRELATED, "weak": Correlation.WEAK}
+_CORR = {corr.value: corr for corr in Correlation}
 _RULES = {rule.value: rule for rule in SelectionRule}
 
 

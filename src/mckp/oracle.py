@@ -1,11 +1,11 @@
 """Ground-truth solvers for verification.
 
-``brute_force`` enumerates the full selection space (guarded), ``dp_solve``
-is a pseudo-polynomial dynamic program over the cost dimension for integer
+``brute_force`` and ``pareto_enumerate`` (every nondominated selection)
+read one guarded numpy table of every selection's image. ``dp_solve`` is a
+pseudo-polynomial dynamic program over the cost dimension for integer
 instances (on integral profits it fills the core of the LP relaxation
 first and a second, wider table only when the first cannot decide; each
-table is guarded), and ``pareto_enumerate`` lists every nondominated
-selection of the bi-objective image. These exist to check the heuristics and each other,
+table is guarded). These exist to check the heuristics and each other,
 not to compete with them; guards fail loudly instead of degrading.
 """
 
@@ -53,47 +53,43 @@ class ExactResult:
     method: Method
 
 
-def _iter_images(instance: Instance):
-    """Yield (selection, f1, f2) over the whole space in lexicographic order.
+def _images(instance: Instance, limit: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """``(f1, f2)`` of every selection in lexicographic order, as float64
+    arrays, or :class:`OracleGuardError` past ``limit`` selections.
 
-    Running sums accumulate in category order, matching ``evaluate`` bitwise.
+    One outer sum per category from 0.0: the same IEEE additions in the same
+    order as ``evaluate``, so every entry has its bits (overflow gives inf).
     """
-    profits, costs, starts = instance.profits, instance.costs, instance.starts
-    cats = [tuple(zip(profits[a:b], costs[a:b])) for a, b in zip(starts, starts[1:])]
-    m = len(cats)
-    sel = [0] * m
-
-    def rec(j: int, f1: float, f2: float):
-        if j == m:
-            yield tuple(sel), f1, f2
-            return
-        for i, (profit, cost) in enumerate(cats[j]):
-            sel[j] = i
-            yield from rec(j + 1, f1 + profit, f2 - cost)
-
-    yield from rec(0, 0.0, 0.0)
-
-
-def _guard(instance: Instance, limit: int, what: str) -> None:
     count = math.prod(instance.sizes)
     if count > limit:
         raise OracleGuardError(f"{what}: selection space {count} exceeds guard {limit}")
+    profits, costs, starts = instance.profits, instance.costs, instance.starts
+    f1 = f2 = np.zeros(1)
+    with np.errstate(over="ignore"):
+        for a, b in zip(starts, starts[1:]):
+            f1 = np.add.outer(f1, profits[a:b]).ravel()
+            f2 = np.subtract.outer(f2, costs[a:b]).ravel()
+    return f1, f2
+
+
+def _selection(instance: Instance, position: int) -> Selection:
+    """The selection at ``position`` in the lexicographic order of :func:`_images`."""
+    sel = []
+    for n in reversed(instance.sizes):
+        position, i = divmod(position, n)
+        sel.append(i)
+    return tuple(reversed(sel))
 
 
 def brute_force(instance: Instance) -> ExactResult:
     """Exhaustive maximum-profit feasible selection; ties to the
     lexicographically smallest selection."""
-    _guard(instance, BRUTE_FORCE_LIMIT, "brute_force")
-    budget = instance.budget
-    best_sel = None
-    best_profit = -math.inf
-    for sel, f1, f2 in _iter_images(instance):
-        if f2 >= -budget and f1 > best_profit:
-            best_profit = f1
-            best_sel = sel
-    if best_sel is None:
+    f1, f2 = _images(instance, BRUTE_FORCE_LIMIT, "brute_force")
+    feasible = f2 >= -instance.budget
+    if not feasible.any():
         raise InfeasibleInstanceError("no selection fits the budget")
-    return ExactResult(best_profit, best_sel, Method.BRUTE)
+    best = int(np.argmax(np.where(feasible, f1, -np.inf)))  # the first of the maxima
+    return ExactResult(float(f1[best]), _selection(instance, best), Method.BRUTE)
 
 
 def pareto_enumerate(instance: Instance) -> list[tuple[Selection, ObjectivePoint]]:
@@ -102,17 +98,17 @@ def pareto_enumerate(instance: Instance) -> list[tuple[Selection, ObjectivePoint
     Selections sharing a nondominated image are all returned (dominance is
     strict). Sorted by increasing profit, then decreasing f2, then selection.
     """
-    _guard(instance, ENUMERATION_LIMIT, "pareto_enumerate")
-    entries = sorted(_iter_images(instance), key=lambda e: (-e[1], -e[2]))
+    f1, f2 = _images(instance, ENUMERATION_LIMIT, "pareto_enumerate")
+    order = np.lexsort((-f2, -f1)).tolist()  # stable: ties keep lexicographic order
+    f1, f2 = f1.tolist(), f2.tolist()
     result = []
-    best_above = -math.inf  # max f2 among strictly higher f1
-    for f1, group in itertools.groupby(entries, key=lambda e: e[1]):
+    best_above = None  # max f2 among strictly higher f1; f2 can be -inf
+    for p1, group in itertools.groupby(order, key=f1.__getitem__):
         group = list(group)
-        top = group[0][2]  # the group's largest f2
-        if top > best_above:
-            result.extend(
-                (sel, ObjectivePoint(f1, f2)) for sel, _, f2 in group if f2 == top
-            )
+        top = f2[group[0]]  # the group's largest f2
+        if best_above is None or top > best_above:
+            kept = [k for k in group if f2[k] == top]
+            result.extend((_selection(instance, k), ObjectivePoint(p1, f2[k])) for k in kept)
             best_above = top
     result.sort(key=lambda r: (r[1].f1, -r[1].f2, r[0]))
     return result
@@ -122,13 +118,12 @@ def dominated_in_product(instance: Instance, sel: Selection) -> bool:
     """True iff some selection strictly dominates ``sel`` in (profit, -cost),
     that is, iff its image is not among :func:`pareto_enumerate`'s.
 
-    One pass, up to the first dominating image, under the enumeration guard;
-    used for optimality certificates.
+    One mask over every image, under the enumeration guard; used for
+    optimality certificates.
     """
-    f1, f2 = evaluate(instance, sel)
-    _guard(instance, ENUMERATION_LIMIT, "dominated_in_product")
-    images = _iter_images(instance)
-    return any(p1 >= f1 and p2 >= f2 and (p1, p2) != (f1, f2) for _, p1, p2 in images)
+    p1, p2 = evaluate(instance, sel)
+    f1, f2 = _images(instance, ENUMERATION_LIMIT, "dominated_in_product")
+    return bool(np.any((f1 >= p1) & (f2 >= p2) & ((f1 != p1) | (f2 != p2))))
 
 
 def _upper_hull(rows: list[tuple[int, int]]) -> list[tuple[int, int]]:

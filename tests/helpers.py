@@ -69,6 +69,14 @@ def tied_swap_instance(order: str) -> Instance:
     return Instance([[(0, 0), (10, 2**60)], middle, [(0, 2**60)]], 2**60)
 
 
+def deep_instance(m: int = 1500) -> Instance:
+    """``m`` single-item categories ``(1, 1)`` and three ``(0, 0), (5, 2)``,
+    budget ``m + 4``: eight selections, deeper than Python's recursion
+    limit. Two of the three pairs fit, so the optimum is ``m + 10``, and
+    the lexicographically smallest optimal selection ends ``0, 1, 1``."""
+    return Instance([[(1, 1)]] * m + [[(0, 0), (5, 2)]] * 3, m + 4)
+
+
 def walk_gap_instance(k: int = 2500, r: int = 500_000) -> tuple[Instance, int, tuple[int, ...]]:
     """An instance whose LP greedy walk ends far below its bound, with its
     optimum and optimal selection, known by construction.

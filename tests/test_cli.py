@@ -20,7 +20,12 @@ from mckp.bissa import BisectionLimitError
 from mckp.cli import main, parse_specfile
 from mckp.model import InstanceFormatError
 
-from helpers import absorbed_profits_instance, tied_swap_instance, walk_gap_instance
+from helpers import (
+    absorbed_profits_instance,
+    deep_instance,
+    tied_swap_instance,
+    walk_gap_instance,
+)
 
 
 @pytest.fixture
@@ -326,6 +331,30 @@ class TestExact:
         assert main(["exact", str(path), "--method", "brute"]) == 4
 
 
+class TestDeepInstance:
+    """1,503 categories and eight selections: ``solve`` and ``exact --method
+    brute`` used to exit 1 with ``RecursionError`` here."""
+
+    @pytest.fixture
+    def deep_file(self, tmp_path):
+        path = tmp_path / "deep.mckp"
+        path.write_text(write_instance(deep_instance()), encoding="utf-8")
+        return path
+
+    def test_solve(self, deep_file, capsys):
+        assert main(["solve", str(deep_file)]) == 0
+        lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        # certify decides: true exactly when the profit is the optimum, 1510
+        assert lines["certificate"] == ("true" if lines["profit"] == "1510" else "false")
+
+    def test_brute_equals_dp(self, deep_file, capsys):
+        assert main(["exact", str(deep_file), "--method", "brute"]) == 0
+        brute = capsys.readouterr().out
+        assert brute == f"selection: {'0 ' * 1501}1 1\nprofit: 1510\nmethod: brute\n"
+        assert main(["exact", str(deep_file)]) == 0
+        assert "\nprofit: 1510\nmethod: dp\n" in capsys.readouterr().out
+
+
 class TestSpecfile:
     def test_parse(self):
         text = "# comment\nm=3 n=4 corr=uncorr seed=9\n\nm=2 n=2 corr=weak seed=1 budget_ratio=0.25\n"
@@ -333,6 +362,14 @@ class TestSpecfile:
         assert len(specs) == 2
         assert specs[0].m == 3 and specs[0].seed == 9
         assert specs[1].budget_ratio == 0.25
+
+    @pytest.mark.parametrize("corr", list(Correlation))
+    def test_every_family_reaches_gen_and_spec_files(self, corr, tmp_path):
+        assert parse_specfile(f"m=2 n=3 corr={corr.value} seed=5\n")[0].correlation is corr
+        out = tmp_path / "family.mckp"
+        argv = ["gen", "--m", "2", "--n", "3", "--corr", corr.value, "--seed", "5"]
+        assert main(argv + ["-o", str(out)]) == 0
+        assert read_instance(out.read_text()) == generate(GenSpec(2, 3, corr, 5))
 
     @pytest.mark.parametrize(
         "text",

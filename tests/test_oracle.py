@@ -1,9 +1,15 @@
 import math
 import random
+import sys
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mckp import (
+    bissa,
+    certify,
     Correlation,
     ExactResult,
     GenSpec,
@@ -17,6 +23,7 @@ from mckp import (
     evaluate,
     generate,
     is_feasible,
+    kissa,
     pareto_enumerate,
     pareto_filter,
 )
@@ -26,6 +33,7 @@ from mckp.oracle import MEMORY_LIMIT_BYTES, _lp_relaxation, _upper_hull, dominat
 
 from helpers import (
     brute_optimum,
+    deep_instance,
     dp_solve_full_width,
     enumerate_images,
     pareto_selections_by_scan,
@@ -568,6 +576,14 @@ class TestParetoEnumerate:
         with pytest.raises(OracleGuardError):
             pareto_enumerate(inst)
 
+    def test_cost_sums_past_the_float_range(self):
+        # Both images have f2 = -inf; the higher profit used to be dropped
+        # because -inf is not above the starting bound -inf.
+        inst = Instance([[(0, 1e308), (1, 1e308)], [(0, 1e308)]], 1.0)
+        assert pareto_enumerate(inst) == [((1, 0), (1.0, -math.inf))]
+        assert not dominated_in_product(inst, (1, 0))
+        assert dominated_in_product(inst, (0, 0))
+
     def test_min_slack_pareto_selection_is_optimal(self):
         # the nondominated selection with the least leftover budget among the
         # feasible ones always attains the exact optimum
@@ -610,3 +626,83 @@ class TestDominatedInProduct:
                 assert dominated_in_product(inst, sel) == (
                     (f1, f2) not in pareto_images
                 )
+
+
+class TestDeepInstance:
+    """1,503 categories and eight selections: the enumeration oracles used to
+    recurse once per category and raise ``RecursionError`` here."""
+
+    def test_brute_force_equals_dp(self):
+        inst = deep_instance()
+        result = brute_force(inst)
+        assert result == ExactResult(1510.0, (0,) * 1501 + (1, 1), Method.BRUTE)
+        assert result.optimum_profit == dp_solve(inst).optimum_profit
+
+    def test_pareto_and_dominance_match_the_scan(self):
+        inst = deep_instance()
+        want = sorted(
+            ((sel, evaluate(inst, sel)) for sel in pareto_selections_by_scan(inst)),
+            key=lambda r: (r[1].f1, -r[1].f2, r[0]),
+        )
+        assert pareto_enumerate(inst) == want
+        pareto = {sel for sel, _ in want}
+        for sel, _, _ in enumerate_images(inst):
+            assert dominated_in_product(inst, sel) == (sel not in pareto)
+
+    def test_certify_returns_a_bool(self):
+        inst = deep_instance()
+        assert isinstance(certify(inst, kissa(inst, bissa(inst))), bool)
+
+
+# 2**53 + 1 rounds to 2**53; 1e308 and the float maximum overflow in pairs
+EDGE_VALUES = (
+    0.0, -0.0, 5e-324, 0.1, 1.0, 2**53 - 1, 2**53, 2**53 + 1, 1e308, sys.float_info.max,
+)
+EDGE_BUDGETS = (5e-324, 0.1, 1.0, 2.0**53, 1e308, sys.float_info.max)
+
+
+@st.composite
+def edge_instances(draw):
+    """Up to four categories of up to three items with coefficients from
+    :data:`EDGE_VALUES`; the budget is the cost of a drawn selection when
+    that is positive and finite, or one of :data:`EDGE_BUDGETS`."""
+    value = st.sampled_from(EDGE_VALUES)
+    cats = draw(
+        st.lists(st.lists(st.tuples(value, value), min_size=1, max_size=3), min_size=1, max_size=4)
+    )
+    sel = tuple(draw(st.integers(0, len(cat) - 1)) for cat in cats)
+    cost = -evaluate(Instance(cats, 1.0), sel).f2
+    if 0 < cost < math.inf and draw(st.booleans()):
+        return Instance(cats, cost)
+    return Instance(cats, draw(st.sampled_from(EDGE_BUDGETS)))
+
+
+class TestImageTable:
+    """The oracles' one table of images against ``helpers.enumerate_images``,
+    which sums each selection in Python in category order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_instances())
+    def test_bit_for_bit_at_the_float_edges(self, inst):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy overflow warning fails
+            f1, f2 = oracle._images(inst, oracle.ENUMERATION_LIMIT, "test")
+            images = list(enumerate_images(inst))
+            assert [x.hex() for x in f1.tolist()] == [p1.hex() for _, p1, _ in images]
+            assert [x.hex() for x in f2.tolist()] == [p2.hex() for _, _, p2 in images]
+
+            profit, selection = brute_optimum(inst)
+            if selection is None:
+                with pytest.raises(InfeasibleInstanceError):
+                    brute_force(inst)
+            else:
+                result = brute_force(inst)
+                assert result.optimum_profit.hex() == profit.hex()
+                assert result.optimum_selection == selection
+                assert all(type(i) is int for i in result.optimum_selection)
+
+            pareto = [sel for sel, _ in pareto_enumerate(inst)]
+            assert len(pareto) == len(set(pareto))
+            assert set(pareto) == set(pareto_selections_by_scan(inst))
+            for sel, _, _ in images:
+                assert dominated_in_product(inst, sel) == (sel not in pareto)

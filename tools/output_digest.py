@@ -15,10 +15,15 @@ malformed files, one for each error of the instance reader's line parser,
 plus a file with comments and blank lines that parses. Last, a
 ``collinear`` sweep of small instances with profit = cost, where every
 reduced cost of the dynamic program's LP relaxation is 0, runs ``exact``
-and ``exact --method brute``.
+and ``exact --method brute``. An ``edge`` sweep of small instances with
+coefficients at the float edges (2^53 - 1 and 2^53 + 1, 1e308 pairs whose
+sums overflow, the smallest subnormal, 0.1 and -0.0) runs ``solve`` and
+``exact --method brute``, and a ``deep`` sweep runs both on a few instances
+of 1,000 to 1,500 categories, only a few of which hold two items.
 Prints one sha256 per (workload, command) over each run's exit code,
-stdout and stderr; the ``gen`` digests cover the instance file bytes as
-well. The ``bench`` digest covers its exit code, stderr and CSV with the
+stdout and stderr (an uncaught exception is recorded as the run's exit
+code, and the digest goes on); the ``gen`` digests cover the instance
+file bytes as well. The ``bench`` digest covers its exit code, stderr and CSV with the
 two timing cells blanked, and leaves out stdout, whose table prints
 timings. ``mckp`` is imported from this checkout's ``src``, so running the
 script in two checkouts and comparing the lines is the "outputs unchanged"
@@ -35,6 +40,7 @@ import csv
 import hashlib
 import io
 import itertools
+import math
 import os
 import random
 import sys
@@ -82,6 +88,15 @@ COLLINEAR_COMMANDS = tuple(
     (label, argv) for label, argv in SMALL_COMMANDS
     if label in ("exact", "exact --method brute")
 )
+# Sums of these reach 2**53 and round there, overflow to inf, or stay subnormal.
+FLOAT_EDGE_VALUES = (0.0, -0.0, 5e-324, 0.1, 1.0, 2**53 - 1, 2**53 + 1, 1e308)
+# the commands of the ``edge`` and ``deep`` sweeps
+FLOAT_EDGE_COMMANDS = (
+    ("solve", ["solve", "small.mckp"]),
+    ("exact --method brute", ["exact", "small.mckp", "--method", "brute"]),
+)
+# instances in the ``deep`` sweep, each past Python's recursion limit
+DEEP_INSTANCES = 4
 WORKLOAD_COMMANDS = (("solve", ["solve"]), ("exact", ["exact"]))
 RULE_COMMANDS = (
     ("solve --rule first", ["solve", "--rule", "first"]),
@@ -135,6 +150,8 @@ def capture(argv: list[str]) -> tuple[str, str, str]:
             code = cli.main(argv)
         except SystemExit as exc:  # argparse rejects a usage error this way
             code = exc.code
+        except Exception as exc:  # a crash is this run's outcome; the digest goes on
+            code = f"uncaught {type(exc).__name__}: {exc}"
     return str(code), out.getvalue(), err.getvalue()
 
 
@@ -213,21 +230,51 @@ def collinear_instance(rng: random.Random) -> Instance:
     return Instance(cats, max((low + high) // 2, 1))
 
 
-def drawn_digests(workload: str, seed: int, draw, commands):
-    """(workload, command, runs, digest) over ``DRAWN_INSTANCES`` instances
+def float_edge_instance(rng: random.Random) -> Instance:
+    """m and every category size in 1-4, each coefficient from
+    ``FLOAT_EDGE_VALUES``, and the budget the cost of a random selection,
+    or 1 where that is 0 or past the float range."""
+    cats = [
+        [(rng.choice(FLOAT_EDGE_VALUES), rng.choice(FLOAT_EDGE_VALUES))
+         for _ in range(rng.randint(1, 4))]
+        for _ in range(rng.randint(1, 4))
+    ]
+    cost = 0.0
+    for cat in cats:
+        cost += rng.choice(cat)[1]
+    return Instance(cats, cost if 0 < cost < math.inf else 1)
+
+
+def deep_instance(rng: random.Random) -> Instance:
+    """1,000 to 1,500 categories, 2 to 12 of them with two items and the rest
+    with one, each coefficient in 0-99, and the budget at the midpoint
+    between the cheapest and the costliest selection (at least 1)."""
+    m = rng.randint(1000, 1500)
+    pairs = set(rng.sample(range(m), rng.randint(2, 12)))
+    cats = [
+        [(rng.randint(0, 99), rng.randint(0, 99)) for _ in range(2 if j in pairs else 1)]
+        for j in range(m)
+    ]
+    low = sum(min(c for _, c in cat) for cat in cats)
+    high = sum(max(c for _, c in cat) for cat in cats)
+    return Instance(cats, max((low + high) // 2, 1))
+
+
+def drawn_digests(workload: str, seed: int, draw, commands, instances=DRAWN_INSTANCES):
+    """(workload, command, runs, digest) over ``instances`` instances
     ``draw(rng)``, with ``rng = random.Random(seed)``."""
     rng = random.Random(seed)
     gen = hashlib.sha256()
     digests = {label: hashlib.sha256() for label, _ in commands}
-    for _ in range(DRAWN_INSTANCES):
+    for _ in range(instances):
         text = write_instance(draw(rng))
         Path("small.mckp").write_text(text, encoding="utf-8")
         gen.update(text.encode())
         for label, argv in commands:
             run(digests[label], argv)
-    yield workload, "gen", DRAWN_INSTANCES, gen
+    yield workload, "gen", instances, gen
     for label, digest in digests.items():
-        yield workload, label, DRAWN_INSTANCES, digest
+        yield workload, label, instances, digest
 
 
 def bench_digest():
@@ -285,6 +332,10 @@ def main(argv=None) -> int:
                 bench_digest(),
                 malformed_digest(),
                 drawn_digests("collinear", args.seed, collinear_instance, COLLINEAR_COMMANDS),
+                drawn_digests("edge", args.seed, float_edge_instance, FLOAT_EDGE_COMMANDS),
+                drawn_digests(
+                    "deep", args.seed, deep_instance, FLOAT_EDGE_COMMANDS, DEEP_INSTANCES
+                ),
             ):
                 print(f"{workload:<13} {command:<24} {runs:>4} {digest.hexdigest()}", flush=True)
         finally:
