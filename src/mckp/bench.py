@@ -9,6 +9,7 @@ across runs except for the two wall-time columns.
 
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bissa import bissa
 from .generate import GenSpec, generate
@@ -16,21 +17,33 @@ from .kissa import KissaConfig, kissa
 from .model import MCKPError, evaluate
 from .oracle import dp_solve
 
-CSV_COLUMNS = (
-    "id",
-    "m",
-    "n",
-    "corr",
-    "seed",
-    "exact",
-    "bissa",
-    "kissa",
-    "gap_bissa_pct",
-    "gap_kissa_pct",
-    "improvements",
-    "ms_bissa",
-    "ms_kissa",
+
+class _Column(NamedTuple):
+    csv: str  # CSV header
+    field: str  # GapRow attribute
+    csv_format: str  # CSV cell format spec; "num" prints a profit
+    head: str  # text header
+    width: int  # text column width
+    text_format: str  # text cell format spec, before padding to the width
+
+
+_COLUMNS = (
+    _Column("id", "id", "", "id", 4, ""),
+    _Column("m", "m", "", "m", 5, ""),
+    _Column("n", "n", "", "n", 5, ""),
+    _Column("corr", "corr", "", "corr", 6, ""),
+    _Column("seed", "seed", "", "seed", 6, ""),
+    _Column("exact", "exact", "num", "exact", 10, "num"),
+    _Column("bissa", "bissa_profit", "num", "bissa", 10, "num"),
+    _Column("kissa", "kissa_profit", "num", "kissa", 10, "num"),
+    _Column("gap_bissa_pct", "gap_bissa_pct", ".6f", "gap_b%", 9, ".4f"),
+    _Column("gap_kissa_pct", "gap_kissa_pct", ".6f", "gap_k%", 9, ".4f"),
+    _Column("improvements", "improvements", "", "impr", 5, ""),
+    _Column("ms_bissa", "ms_bissa", ".3f", "ms_b", 8, ".2f"),
+    _Column("ms_kissa", "ms_kissa", ".3f", "ms_k", 8, ".2f"),
 )
+_IDENTITY = _COLUMNS[:5]  # the cells that an error row fills
+CSV_COLUMNS = tuple(column.csv for column in _COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -58,63 +71,32 @@ class GapReport:
     def to_csv(self) -> str:
         lines = [",".join(CSV_COLUMNS)]
         for r in self.rows:
-            lines.append(
-                ",".join(
-                    [
-                        str(r.id),
-                        str(r.m),
-                        str(r.n),
-                        r.corr,
-                        str(r.seed),
-                        _num(r.exact),
-                        _num(r.bissa_profit),
-                        _num(r.kissa_profit),
-                        _pct(r.gap_bissa_pct),
-                        _pct(r.gap_kissa_pct),
-                        "" if r.improvements is None else str(r.improvements),
-                        _ms(r.ms_bissa),
-                        _ms(r.ms_kissa),
-                    ]
-                )
-            )
+            lines.append(",".join(_cell(getattr(r, c.field), c.csv_format) for c in _COLUMNS))
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
-        header = (
-            f"{'id':>4} {'m':>5} {'n':>5} {'corr':>6} {'seed':>6} {'exact':>10} "
-            f"{'bissa':>10} {'kissa':>10} {'gap_b%':>9} {'gap_k%':>9} {'impr':>5} "
-            f"{'ms_b':>8} {'ms_k':>8}"
-        )
+        header = " ".join(f"{c.head:>{c.width}}" for c in _COLUMNS)
         lines = [header, "-" * len(header)]
         for r in self.rows:
             if r.error is not None:
-                lines.append(
-                    f"{r.id:>4} {r.m:>5} {r.n:>5} {r.corr:>6} {r.seed:>6} "
-                    f"error: {r.error}"
-                )
-                continue
-            lines.append(
-                f"{r.id:>4} {r.m:>5} {r.n:>5} {r.corr:>6} {r.seed:>6} "
-                f"{_num(r.exact):>10} {_num(r.bissa_profit):>10} "
-                f"{_num(r.kissa_profit):>10} {r.gap_bissa_pct:>9.4f} "
-                f"{r.gap_kissa_pct:>9.4f} {r.improvements:>5} "
-                f"{r.ms_bissa:>8.2f} {r.ms_kissa:>8.2f}"
-            )
+                lines.append(f"{_text_cells(r, _IDENTITY)} error: {r.error}")
+            else:
+                lines.append(_text_cells(r, _COLUMNS))
         return "\n".join(lines) + "\n"
 
 
-def _num(x) -> str:
-    if x is None:
+def _cell(value, spec: str) -> str:
+    if value is None:
         return ""
-    return str(int(x)) if float(x).is_integer() else repr(float(x))
+    if spec == "num":
+        return str(int(value)) if float(value).is_integer() else repr(float(value))
+    return format(value, spec)
 
 
-def _pct(x) -> str:
-    return "" if x is None else f"{x:.6f}"
-
-
-def _ms(x) -> str:
-    return "" if x is None else f"{x:.3f}"
+def _text_cells(row: GapRow, columns) -> str:
+    return " ".join(
+        f"{_cell(getattr(row, c.field), c.text_format):>{c.width}}" for c in columns
+    )
 
 
 def solve_one(spec: GenSpec, config: KissaConfig, row_id: int) -> GapRow:

@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="items per category")
     p.add_argument("--corr", choices=sorted(_CORR), required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--budget-ratio", type=float, default=0.5)
+    p.add_argument("--budget-ratio", type=float, default=GenSpec.budget_ratio)
     p.add_argument("-o", "--output", required=True, metavar="FILE")
     p.set_defaults(func=_cmd_gen)
 
@@ -165,7 +165,7 @@ def parse_specfile(text: str) -> list[GenSpec]:
                 n=int(fields.pop("n")),
                 correlation=corr,
                 seed=int(fields.pop("seed")),
-                budget_ratio=float(fields.pop("budget_ratio", 0.5)),
+                budget_ratio=float(fields.pop("budget_ratio", GenSpec.budget_ratio)),
             )
         except (KeyError, ValueError) as exc:
             raise InstanceFormatError(f"bad spec line: {exc}", no) from None

@@ -115,8 +115,11 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
     away; the first weight is the reciprocal profit gap of the current
     component, the second the reciprocal cost gap of the anchor component.
     Both the reference point and the second weight stay fixed for the run,
-    so they are taken up front; where epsilon pushes one past the float
-    range, :class:`ObjectiveOverflowError` is raised before any iteration.
+    so they are taken up front. Where epsilon pushes the sum of a
+    category's largest profit gap and largest cost gap to its reference
+    point past the float range (a reference point or an item's Chebyshev
+    value would overflow, or the second weight fall to 0),
+    :class:`ObjectiveOverflowError` is raised before any iteration.
     The subproblem scans the category's frontier (``Instance.frontiers``)
     from its most profitable item down, so a tie goes to the most profitable
     tied item and the run does not depend on the order of items within a
@@ -158,13 +161,13 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
         a = starts[j]
         items = [Item(profits[a + i], costs[a + i]) for i in reversed(instance.frontiers[j])]
         reference = (above(items[0].profit), above(-items[-1].cost))
-        w2 = 1.0 / (reference[1] + costs[a + xb[j]])
-        if not (math.isfinite(reference[0]) and w2 > 0):
+        # the largest gaps to the reference point bound every item's g1 + g2
+        if not math.isfinite((reference[0] - items[-1].profit) + (reference[1] + items[0].cost)):
             raise ObjectiveOverflowError(
-                f"epsilon {config.epsilon:g} puts the reference point of category {j}"
+                f"epsilon {config.epsilon:g} puts category {j}'s Chebyshev values"
                 " past the float range"
             )
-        subproblems[j] = items, reference, w2
+        subproblems[j] = items, reference, 1.0 / (reference[1] + costs[a + xb[j]])
 
     improving: dict[int, int] = {}
     exact = exact_cost_sums(instance)

@@ -2,7 +2,7 @@ import csv
 import io
 
 from mckp import Correlation, GenSpec, KissaConfig, oracle, run_benchmark
-from mckp.bench import CSV_COLUMNS
+from mckp.bench import CSV_COLUMNS, GapReport, GapRow
 
 
 def small_specs():
@@ -93,3 +93,42 @@ class TestRunBenchmark:
         assert row.improvements >= 1
         assert row.gap_kissa_pct < row.gap_bissa_pct
         assert row.kissa_profit > row.bissa_profit
+
+
+class TestReportBytes:
+    """Both report formats, byte for byte, on fixed rows."""
+
+    ROWS = [
+        GapRow(
+            id=0, m=3, n=3, corr="uncorr", seed=5, exact=2478.0, bissa_profit=2478.0,
+            kissa_profit=2478.0, gap_bissa_pct=0.0, gap_kissa_pct=0.0, improvements=0,
+            ms_bissa=0.5, ms_kissa=0.25,
+        ),
+        GapRow(
+            id=1, m=20, n=20, corr="weak", seed=1, exact=8000.0, bissa_profit=7990.5,
+            kissa_profit=7999.25, gap_bissa_pct=0.11875, gap_kissa_pct=0.009375,
+            improvements=3, ms_bissa=12.34567, ms_kissa=1234.5,
+        ),
+        GapRow(id=2, m=60000, n=2, corr="weak", seed=2, error="dp table too large"),
+    ]
+
+    def test_csv(self):
+        assert GapReport(self.ROWS).to_csv() == (
+            "id,m,n,corr,seed,exact,bissa,kissa,gap_bissa_pct,gap_kissa_pct,"
+            "improvements,ms_bissa,ms_kissa\n"
+            "0,3,3,uncorr,5,2478,2478,2478,0.000000,0.000000,0,0.500,0.250\n"
+            "1,20,20,weak,1,8000,7990.5,7999.25,0.118750,0.009375,3,12.346,1234.500\n"
+            "2,60000,2,weak,2,,,,,,,,\n"
+        )
+
+    def test_text(self):
+        assert GapReport(self.ROWS).to_text() == (
+            "  id     m     n   corr   seed      exact      bissa      kissa"
+            "    gap_b%    gap_k%  impr     ms_b     ms_k\n"
+            + "-" * 107 + "\n"
+            "   0     3     3 uncorr      5       2478       2478       2478"
+            "    0.0000    0.0000     0     0.50     0.25\n"
+            "   1    20    20   weak      1       8000     7990.5    7999.25"
+            "    0.1187    0.0094     3    12.35  1234.50\n"
+            "   2 60000     2   weak      2 error: dp table too large\n"
+        )

@@ -221,11 +221,12 @@ class TestSolve:
         # used to exit 1 with "weights must be strictly positive"
         path = tmp_path / "eps.mckp"
         path.write_text("MCKP 1\nm=2 b=3\ncat 2\n0 1\n1e307 2\ncat 2\n0 1\n1e307 2\n")
-        assert main(["solve", str(path), "--eps", "1.7e308"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: epsilon 1.7e+308 puts the reference point")
-        assert "weights" not in err
-        assert main(["solve", str(path), "--eps", "1e308"]) == 0
+        for eps in ("1.7e308", "1e308"):
+            assert main(["solve", str(path), "--eps", eps]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: epsilon {float(eps):g} puts category 0's Chebyshev")
+            assert "weights" not in err
+        assert main(["solve", str(path), "--eps", "5e307"]) == 0
         out = capsys.readouterr().out
         assert "profit: 1e+307\n" in out and "certificate: true\n" in out
 

@@ -416,8 +416,9 @@ class TestExtremeCoefficients:
 
 
 class TestEpsilonOverflow:
-    """An epsilon that pushes a reference point, or the second weight's gap,
-    past the float range is refused before any iteration, by name."""
+    """An epsilon that pushes a reference point, the second weight's gap or
+    the sum of an item's two gaps past the float range is refused before any
+    iteration, by name."""
 
     # BISSA accepts it: twice the max-profit probe's sums stay finite.
     CATS = [[(0, 1), (1e307, 2)], [(0, 1), (1e307, 2)]]
@@ -434,9 +435,19 @@ class TestEpsilonOverflow:
         with pytest.raises(ObjectiveOverflowError, match="epsilon"):
             kissa(inst, bissa(inst), KissaConfig(epsilon=1.7e308))
 
-    def test_largest_epsilon_that_fits_still_solves(self):
+    def test_gap_sum_past_the_float_range(self):
+        # The reference point and the second weight are finite, but an
+        # item's two gaps sum past the float range, so every Chebyshev
+        # value would be inf and the subproblem would compare none.
         inst = Instance(self.CATS, 3)
-        run = kissa(inst, bissa(inst), KissaConfig(epsilon=1e308))
+        with pytest.raises(ObjectiveOverflowError, match="epsilon 1e\\+308 puts category 0's"):
+            kissa(inst, bissa(inst), KissaConfig(epsilon=1e308))
+
+    def test_largest_epsilon_that_fits_still_solves(self):
+        # The two items score 0.9999999999999999 and 1.0: a comparison, not
+        # the tie rule, picks the winner.
+        inst = Instance(self.CATS, 3)
+        run = kissa(inst, bissa(inst), KissaConfig(epsilon=5e307))
         assert evaluate(inst, run.final).f1 == 1e307 == brute_force(inst).optimum_profit
 
 

@@ -195,7 +195,7 @@ class TestDpSolve:
     @pytest.mark.xfail(
         strict=True,
         raises=OracleGuardError,
-        reason="ROADMAP item 3, 'Also open': no elimination once integer profits "
+        reason="ROADMAP item 5, 'Past 2^53': no elimination once integer profits "
         "sum to 2**53, and the full-width table exceeds the memory guard",
     )
     def test_reduced_table_fits_with_profits_past_2_pow_53(self):

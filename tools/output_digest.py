@@ -24,8 +24,9 @@ Prints one sha256 per (workload, command) over each run's exit code,
 stdout and stderr (an uncaught exception is recorded as the run's exit
 code, and the digest goes on); the ``gen`` digests cover the instance
 file bytes as well. The ``bench`` digest covers its exit code, stderr and CSV with the
-two timing cells blanked, and leaves out stdout, whose table prints
-timings. ``mckp`` is imported from this checkout's ``src``, so running the
+two timing cells blanked, and the ``bench stdout`` digest its exit code and
+its text table, each data row cut before its two timing cells, with the
+``wrote`` line. ``mckp`` is imported from this checkout's ``src``, so running the
 script in two checkouts and comparing the lines is the "outputs unchanged"
 check::
 
@@ -278,9 +279,10 @@ def drawn_digests(workload: str, seed: int, draw, commands, instances=DRAWN_INST
 
 
 def bench_digest():
-    """(workload, command, runs, digest) of one ``mckp bench`` on ``BENCH_SPECS``."""
+    """(workload, command, runs, digest) of one ``mckp bench`` on ``BENCH_SPECS``:
+    its exit code, stderr and CSV, then its exit code and stdout."""
     Path("specs.txt").write_text("\n".join(BENCH_SPECS) + "\n", encoding="utf-8")
-    code, _, err = capture(["bench", "--spec", "specs.txt", "--out", "bench.csv"])
+    code, out, err = capture(["bench", "--spec", "specs.txt", "--out", "bench.csv"])
     rows = []
     if code == "0":
         rows = list(csv.reader(Path("bench.csv").read_text(encoding="utf-8").splitlines()))
@@ -291,6 +293,15 @@ def bench_digest():
     digest = hashlib.sha256()
     feed(digest, (code, err, "\n".join(",".join(row) for row in rows)))
     yield "bench", "bench", len(BENCH_SPECS), digest
+    # Below the header and its rule, every row but the last ("wrote ...")
+    # is a table row; a data row's last two cells are its timings.
+    lines = out.splitlines()
+    for k in range(2, len(lines) - 1):
+        if lines[k].split()[5] != "error:":
+            lines[k] = lines[k].rsplit(maxsplit=2)[0]
+    digest = hashlib.sha256()
+    feed(digest, (code, "\n".join(lines)))
+    yield "bench", "bench stdout", len(BENCH_SPECS), digest
 
 
 def malformed_digest():
