@@ -2,7 +2,7 @@
 
 The linear scalarization w*profit - (1-w)*cost is additively separable, so
 its maximizer over the selection space is a per-category argmax, taken over
-each category's nondominated items (``Instance.frontiers``). Sweeping w
+each category's nondominated items (``Instance.frontier_view``). Sweeping w
 from 0 to 1 walks the supported (convex-hull) nondominated selections from
 cheapest to most profitable. ``bissa`` bisects on w until it either proves
 optimality (the max-profit selection fits the budget, or some supported
@@ -20,6 +20,8 @@ known pair; rounded sums can also put it outside the bracket.
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .model import (
     InfeasibleInstanceError,
@@ -73,24 +75,22 @@ class BissaResult:
 def solve_linear(instance: Instance, w: float) -> Selection:
     """Per-category argmax of w*profit - (1-w)*cost over the category's frontier.
 
-    Costs rise strictly along a frontier, so the first maximum is the
-    cheapest one. The result is nondominated at every w in [0, 1], and
-    supported nondominated for w strictly inside (0, 1).
+    All frontier items are scored at once (``Instance.frontier_view``), each
+    with the same two products and one difference. Costs rise strictly
+    along a frontier, so the first maximum is the cheapest one. The result
+    is nondominated at every w in [0, 1], and supported nondominated for w
+    strictly inside (0, 1).
     """
     if not 0.0 <= w <= 1.0:
         raise ValueError("weight must lie in [0, 1]")
-    cw = 1.0 - w
-    profits, costs = instance.profits, instance.costs
-    chosen = []
-    for a, frontier in zip(instance.starts, instance.frontiers):
-        best = frontier[0]
-        best_score = w * profits[a + best] - cw * costs[a + best]
-        for i in frontier[1:]:
-            score = w * profits[a + i] - cw * costs[a + i]
-            if score > best_score:
-                best, best_score = i, score
-        chosen.append(best)
-    return tuple(chosen)
+    view = instance.frontier_view
+    score = w * view.profit - (1.0 - w) * view.cost
+    top = np.maximum.reduceat(score, view.starts[:-1])
+    hits = np.flatnonzero(score == top[view.category])
+    # each category's first hit: the hits are in category order
+    hit_category = view.category[hits]
+    first = hits[np.concatenate(([True], hit_category[1:] != hit_category[:-1]))]
+    return tuple(view.index[first].tolist())
 
 
 def bissa(instance: Instance) -> BissaResult:

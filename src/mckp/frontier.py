@@ -3,16 +3,17 @@
 Everything here works in objective space, where an item maps to the point
 (profit, -cost) and both coordinates are maximized, and compares items only
 within their own category. The nondominated items of a category come from
-``model.pareto_filter``, which ``Instance.frontiers`` caches per instance;
-this module adds:
+``model.pareto_filter``, which ``Instance.frontiers`` caches per instance,
+and ``Instance.frontier_view`` holds them as flat arrays; this module adds:
 
 * ``delta_bound``        -- a computable lower bound on the trade-off ratios
   of frontier item pairs, taken over every category of the instance at once;
   any augmentation factor below it makes the augmented Chebyshev
   scalarization characterize exactly the nondominated items. A pair's ratio
   is ``1 / (s - 1)`` for its slope ``s``, and costs and profits rise strictly
-  along a frontier, so the steepest slope lies between frontier neighbours
-  and one pass over them gives the bound in O(n),
+  along a frontier, so the steepest slope lies between frontier neighbours,
+  and one vectorized division over the neighbour pairs of the flat view
+  gives the bound in O(n),
 * ``solve_chebyshev_subproblem`` -- argmin of the augmented weighted
   Chebyshev distance to a reference point that strictly dominates the
   given items.
@@ -20,6 +21,8 @@ this module adds:
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .model import Category, Instance, MCKPError
 
@@ -53,7 +56,7 @@ def delta_bound(instance: Instance, rho: float = DEFAULT_RHO) -> RhoBound:
     """Conservative trade-off bound over all categories and the rho to run with.
 
     ``delta`` is the smallest ratio, over ordered pairs (t, u) of frontier
-    items of one category (``Instance.frontiers``) with ``sum(d_u - d_t) > 0``
+    items of one category (``Instance.frontier_view``) with ``sum(d_u - d_t) > 0``
     in (profit, -cost) coordinates, of the smallest strictly positive
     coordinate of ``d_t - d_u`` to ``sum(d_u - d_t)``. Along a frontier both
     profit and cost rise strictly, so a pair rising by ``dp`` in profit and
@@ -61,9 +64,11 @@ def delta_bound(instance: Instance, rho: float = DEFAULT_RHO) -> RhoBound:
     ``dp != dc``, and none otherwise. That is ``1 / (s - 1)`` for its slope
     ``s = max(dp, dc) / min(dp, dc)``, and the steepest slopes lie between
     frontier neighbours (any longer rise averages the neighbouring ones), so
-    one pass over neighbours gives ``delta``. Each ratio is the division the
-    pairwise definition makes, so on integer coefficients ``delta`` has the
-    same bits as a scan over all frontier pairs.
+    ``delta`` is the least ratio over neighbours, taken in one array
+    division over the view's neighbour pairs that lie in one category and
+    have ``dp != dc``. Each ratio is the division the pairwise definition
+    makes, so on integer coefficients ``delta`` has the same bits as a scan
+    over all frontier pairs.
 
     ``rho`` defaults to 1e-7 and is clipped to ``delta / 2`` whenever the
     bound is finite (floored as :class:`RhoBound` says), keeping the strict
@@ -74,14 +79,14 @@ def delta_bound(instance: Instance, rho: float = DEFAULT_RHO) -> RhoBound:
     """
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError("rho must be positive and finite")
-    delta = math.inf
-    profits, costs = instance.profits, instance.costs
-    for start, f in zip(instance.starts, instance.frontiers):
-        for a, b in zip(f, f[1:]):
-            dp = profits[start + b] - profits[start + a]
-            dc = costs[start + b] - costs[start + a]
-            if dp != dc:
-                delta = min(delta, min(dp, dc) / abs(dp - dc))
+    view = instance.frontier_view
+    # neighbours within one category, rising by dp in profit and dc in cost
+    inner = view.category[1:] == view.category[:-1]
+    dp = (view.profit[1:] - view.profit[:-1])[inner]
+    dc = (view.cost[1:] - view.cost[:-1])[inner]
+    unequal = dp != dc
+    dp, dc = dp[unequal], dc[unequal]
+    delta = float(np.min(np.minimum(dp, dc) / np.abs(dp - dc))) if dp.size else math.inf
     used = rho if math.isinf(delta) else max(min(rho, delta / 2.0), math.ulp(0.0))
     return RhoBound(delta=delta, rho=used)
 

@@ -118,7 +118,8 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
     so they are taken up front. Where epsilon pushes the sum of a
     category's largest profit gap and largest cost gap to its reference
     point past the float range (a reference point or an item's Chebyshev
-    value would overflow, or the second weight fall to 0),
+    value would overflow, or the second weight fall to 0), or the anchor's
+    own cost gap (larger where the anchor is a dominated item),
     :class:`ObjectiveOverflowError` is raised before any iteration.
     The subproblem scans the category's frontier (``Instance.frontiers``)
     from its most profitable item down, so a tie goes to the most profitable
@@ -167,7 +168,14 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
                 f"epsilon {config.epsilon:g} puts category {j}'s Chebyshev values"
                 " past the float range"
             )
-        subproblems[j] = items, reference, 1.0 / (reference[1] + costs[a + xb[j]])
+        # a hand-built straddle may anchor on a dominated item costlier still
+        anchor_gap = reference[1] + costs[a + xb[j]]
+        if not math.isfinite(anchor_gap):
+            raise ObjectiveOverflowError(
+                f"epsilon {config.epsilon:g} puts category {j}'s anchor cost gap"
+                " past the float range"
+            )
+        subproblems[j] = items, reference, 1.0 / anchor_gap
 
     improving: dict[int, int] = {}
     exact = exact_cost_sums(instance)

@@ -4,10 +4,11 @@ An instance is a list of item categories plus a budget; a solution picks
 exactly one item per category. The solver stack works on the bi-objective
 image of a selection: total profit and negated total cost, both maximized.
 This module holds the types (an ``Instance`` is stored as flat profit and
-cost tuples), each category's Pareto filter (which every layer reads
-through ``Instance.frontiers``), the rule under which float cost sums are
-exact, the objective/feasibility evaluators and the line-oriented instance
-file format.
+cost tuples), each category's Pareto filter (``Instance.frontiers``, and
+the same items as flat numpy arrays in ``Instance.frontier_view``, which
+the probes, ``delta_bound`` and the DP read), the rule under which float
+cost sums are exact, the objective/feasibility evaluators and the
+line-oriented instance file format.
 """
 
 import itertools
@@ -16,6 +17,8 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
+
+import numpy as np
 
 
 class MCKPError(Exception):
@@ -70,7 +73,11 @@ def pareto_filter(cat: Category) -> tuple[int, ...]:
     """
     if not cat:
         raise ValueError("category must be non-empty")
-    profits, costs = zip(*cat)
+    return _pareto_filter(*zip(*cat))
+
+
+def _pareto_filter(profits, costs) -> tuple[int, ...]:
+    """:func:`pareto_filter` of the items with ``profits`` and ``costs``."""
     kept: list[int] = []
     best_profit = -math.inf
     for i in sorted(range(len(costs)), key=costs.__getitem__):
@@ -81,6 +88,22 @@ def pareto_filter(cat: Category) -> tuple[int, ...]:
                 kept.append(i)
             best_profit = profits[i]
     return tuple(kept)
+
+
+class FrontierView(NamedTuple):
+    """Every category's frontier items, in category order, as flat arrays.
+
+    Entry ``k`` is item ``index[k]`` of category ``category[k]``, with
+    profit ``profit[k]`` and cost ``cost[k]``. Category ``j``'s frontier,
+    by strictly rising cost, holds the entries ``starts[j]`` to
+    ``starts[j + 1]``.
+    """
+
+    index: np.ndarray
+    profit: np.ndarray
+    cost: np.ndarray
+    category: np.ndarray
+    starts: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -150,6 +173,10 @@ class Instance:
         if not math.isfinite(budget) or budget <= 0:
             raise ValueError("budget must be positive and finite")
 
+    def __getstate__(self):
+        # ``categories`` and the frontier caches are rebuilt on first use.
+        return {name: vars(self)[name] for name in ("budget", "profits", "costs", "starts")}
+
     def __getattr__(self, name):
         # Called only for attributes not yet set: ``categories`` of a fresh instance.
         if name != "categories":
@@ -176,9 +203,34 @@ class Instance:
 
         Not a field, so equality, hashing and ``dataclasses.replace`` ignore it.
         """
+        profits, costs = self.profits, self.costs
         return tuple(
-            pareto_filter(tuple(zip(self.profits[a:b], self.costs[a:b])))
+            _pareto_filter(profits[a:b], costs[a:b])
             for a, b in zip(self.starts, self.starts[1:])
+        )
+
+    @cached_property
+    def frontier_view(self) -> FrontierView:
+        """The items of ``frontiers`` as one :class:`FrontierView`, built on
+        first use; not a field, like ``frontiers``."""
+        frontiers = self.frontiers
+        sizes = np.fromiter(map(len, frontiers), np.int64, self.m)
+        starts = np.zeros(self.m + 1, np.int64)
+        np.cumsum(sizes, out=starts[1:])
+        index = np.fromiter(itertools.chain.from_iterable(frontiers), np.int64, int(starts[-1]))
+        category = np.repeat(np.arange(self.m), sizes)
+        profits, costs, item_starts = self._item_arrays
+        positions = item_starts[category] + index
+        return FrontierView(index, profits[positions], costs[positions], category, starts)
+
+    @cached_property
+    def _item_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``profits``, ``costs`` and ``starts`` as numpy arrays."""
+        n = len(self.profits)
+        return (
+            np.fromiter(self.profits, np.float64, n),
+            np.fromiter(self.costs, np.float64, n),
+            np.array(self.starts, np.int64),
         )
 
 
@@ -193,18 +245,29 @@ def exact_cost_sums(instance: Instance) -> bool:
     falls when one of its terms rises. BISSA's zero-slack proof, KISSA's O(1)
     swap check and the DP's precondition all rest on this rule.
     """
-    costs = instance.costs
-    pairs = tuple(zip(instance.starts, instance.frontiers))
-    return all(costs[a + i].is_integer() for a, f in pairs for i in f) and (
-        instance.budget < 2**53 or sum(int(costs[a + f[-1]]) for a, f in pairs) <= 2**53
+    view = instance.frontier_view
+    # A frontier's last item is its costliest.
+    return bool(np.all(view.cost == np.floor(view.cost))) and (
+        instance.budget < 2**53
+        or sum(map(int, view.cost[view.starts[1:] - 1].tolist())) <= 2**53
     )
 
 
-def _check_selection(instance: Instance, sel: Selection) -> None:
+def _positions(instance: Instance, sel: Selection) -> np.ndarray:
+    """Each component's position in ``profits`` and ``costs``, or
+    :class:`InvalidSelectionError` on a wrong length or index."""
     if len(sel) != instance.m:
         raise InvalidSelectionError(
             f"selection has {len(sel)} components, instance has {instance.m} categories"
         )
+    starts = instance._item_arrays[2]
+    try:
+        # operator.index refuses a non-integer, which fromiter would truncate
+        k = np.fromiter(map(operator.index, sel), np.int64, len(sel)) + starts[:-1]
+        if np.all((k >= starts[:-1]) & (k < starts[1:])):
+            return k
+    except OverflowError:
+        pass
     for j, (i, n) in enumerate(zip(sel, instance.sizes)):
         if not 0 <= i < n:
             raise InvalidSelectionError(f"component {j} is {i}, valid range is [0, {n})")
@@ -213,16 +276,17 @@ def _check_selection(instance: Instance, sel: Selection) -> None:
 def evaluate(instance: Instance, sel: Selection) -> ObjectivePoint:
     """Bi-objective image of ``sel``: (sum of profits, minus sum of costs).
 
-    Sums run in category order, so the result is exactly the component-wise
-    sum of single-category evaluations (additive separability holds bitwise).
+    Sums run in category order from 0.0, one rounded addition at a time (an
+    accumulation, not ``np.sum``'s pairwise sum), so the result is exactly
+    the component-wise sum of single-category evaluations (additive
+    separability holds bitwise). A sum past the float range is infinite.
     """
-    _check_selection(instance, sel)
-    f1 = 0.0
-    f2 = 0.0
-    for k in map(operator.add, instance.starts, sel):
-        f1 += instance.profits[k]
-        f2 -= instance.costs[k]
-    return ObjectivePoint(f1, f2)
+    k = _positions(instance, sel)
+    profits, costs, _ = instance._item_arrays
+    with np.errstate(over="ignore"):
+        f1 = np.add.accumulate(np.concatenate(([0.0], profits[k])))[-1]
+        f2 = np.subtract.accumulate(np.concatenate(([0.0], costs[k])))[-1]
+    return ObjectivePoint(float(f1), float(f2))
 
 
 def is_feasible(instance: Instance, sel: Selection) -> bool:

@@ -341,11 +341,12 @@ def dp_solve(instance: Instance) -> ExactResult:
         raise NonIntegerInstanceError(f"non-integer budget {instance.budget}")
 
     budget = int(instance.budget)
-    profits, costs = instance.profits, instance.costs
+    view = instance.frontier_view
+    index, profits, costs = view.index.tolist(), view.profit.tolist(), view.cost.tolist()
     # per category: its Pareto rows (index, profit, int cost), by increasing cost
     pareto = [
-        [(i, profits[a + i], int(costs[a + i])) for i in frontier]
-        for a, frontier in zip(instance.starts, instance.frontiers)
+        list(zip(index[a:b], profits[a:b], map(int, costs[a:b])))
+        for a, b in itertools.pairwise(view.starts.tolist())
     ]
     floor_cost = sum(rows[0][2] for rows in pareto)
     if floor_cost > budget:

@@ -193,6 +193,79 @@ def solve_linear_all_items(instance: Instance, w: float) -> tuple[int, ...]:
     return tuple(chosen)
 
 
+def solve_linear_by_scan(instance: Instance, w: float) -> tuple[int, ...]:
+    """``solve_linear`` as a scalar loop over each category's frontier.
+
+    Test-only reference for the flat probe: the same scores, and each
+    category's first maximum, the cheapest one.
+    """
+    cw = 1.0 - w
+    profits, costs = instance.profits, instance.costs
+    chosen = []
+    for a, frontier in zip(instance.starts, instance.frontiers):
+        best = frontier[0]
+        best_score = w * profits[a + best] - cw * costs[a + best]
+        for i in frontier[1:]:
+            score = w * profits[a + i] - cw * costs[a + i]
+            if score > best_score:
+                best, best_score = i, score
+        chosen.append(best)
+    return tuple(chosen)
+
+
+def evaluate_by_loop(instance: Instance, sel) -> tuple[float, float]:
+    """``evaluate`` as a Python loop: one rounded addition per category, in
+    category order, from 0.0."""
+    f1 = 0.0
+    f2 = 0.0
+    for cat, i in zip(instance.categories, sel):
+        f1 += cat[i].profit
+        f2 -= cat[i].cost
+    return f1, f2
+
+
+def delta_by_neighbour_scan(instance: Instance) -> float:
+    """``delta_bound``'s ``delta`` as a scalar loop over frontier neighbours."""
+    delta = math.inf
+    for cat, f in zip(instance.categories, instance.frontiers):
+        for a, b in zip(f, f[1:]):
+            dp = cat[b].profit - cat[a].profit
+            dc = cat[b].cost - cat[a].cost
+            if dp != dc:
+                delta = min(delta, min(dp, dc) / abs(dp - dc))
+    return delta
+
+
+def exact_cost_sums_by_scan(instance: Instance) -> bool:
+    """``exact_cost_sums`` as a scalar loop over the frontier items."""
+    frontier_costs = [
+        [cat[i].cost for i in f] for cat, f in zip(instance.categories, instance.frontiers)
+    ]
+    return all(c.is_integer() for costs in frontier_costs for c in costs) and (
+        instance.budget < 2**53 or sum(int(costs[-1]) for costs in frontier_costs) <= 2**53
+    )
+
+
+# 2**53 - 1 and 2**53 + 1 round apart and together; 1e300 and 1e308 overflow in sums
+FLOAT_EDGES = (0.0, -0.0, 5e-324, 0.1, 2**53 - 1, 2**53 + 1, 1e300, 1e308)
+
+
+def float_edge_instance(rng: random.Random, max_m: int = 4, max_n: int = 4) -> Instance:
+    """Up to ``max_m`` categories of up to ``max_n`` items, each coefficient
+    from :data:`FLOAT_EDGES`; the budget is the cost of a random selection
+    half the time where that is positive and finite, else 1, 2**53 or 1e308."""
+    cats = [
+        [(rng.choice(FLOAT_EDGES), rng.choice(FLOAT_EDGES)) for _ in range(rng.randint(1, max_n))]
+        for _ in range(rng.randint(1, max_m))
+    ]
+    cost = 0.0
+    for cat in cats:
+        cost += rng.choice(cat)[1]
+    if 0 < cost < math.inf and rng.random() < 0.5:
+        return Instance(cats, cost)
+    return Instance(cats, rng.choice((1.0, 2.0**53, 1e308)))
+
+
 def enumerate_images(instance: Instance):
     """(selection, f1, f2) for the whole selection space, summed in category
     order like the package evaluator."""

@@ -8,6 +8,7 @@ from mckp import (
     GenSpec,
     InfeasibleInstanceError,
     Instance,
+    MCKPError,
     bissa,
     generate,
     evaluate,
@@ -20,14 +21,57 @@ from mckp.bissa import BisectionLimitError
 
 from helpers import (
     absorbed_profits_instance,
+    float_edge_instance,
     linear_sweep_weights,
     random_instance,
     solve_linear_all_items,
+    solve_linear_by_scan,
 )
 
 # ``mckp.bissa`` is the function once the package is imported; the module
 # holds the step limit and the name the bisection looks ``solve_linear`` up by.
 bissa_module = importlib.import_module("mckp.bissa")
+
+
+class TestFlatProbes:
+    """``solve_linear`` scores every frontier item at once; it must pick what
+    the scalar loop over each frontier picks (``helpers.solve_linear_by_scan``)
+    at every weight BISSA probes and at random ones."""
+
+    @staticmethod
+    def check(inst, weights):
+        for w in weights:
+            got = solve_linear(inst, w)
+            assert got == solve_linear_by_scan(inst, w), (inst, w)
+            assert all(type(i) is int for i in got)
+
+    def test_float_edges(self):
+        rng = random.Random(16)
+        bisected = 0
+        for _ in range(1500):
+            inst = float_edge_instance(rng)
+            try:
+                trace = [step.weight for step in bissa(inst).trace]
+            except MCKPError:
+                trace = []
+            bisected += len(trace) > 2
+            self.check(inst, trace + [0.0, 0.5, 1.0] + [rng.random() for _ in range(8)])
+        assert bisected >= 50  # the weights cover bisection steps, not only endpoints
+
+    @pytest.mark.parametrize("correlation", list(Correlation))
+    def test_generated(self, correlation):
+        rng = random.Random(f"flat-probes:{correlation.value}")
+        for seed in range(8):
+            spec = GenSpec(
+                m=rng.randint(1, 60),
+                n=rng.randint(1, 60),
+                correlation=correlation,
+                seed=seed,
+                budget_ratio=rng.uniform(0.2, 0.8),
+            )
+            inst = generate(spec)
+            trace = [step.weight for step in bissa(inst).trace]
+            self.check(inst, trace + [rng.random() for _ in range(20)])
 
 
 class TestSolveLinear:

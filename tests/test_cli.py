@@ -1,7 +1,13 @@
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import mckp
 
 from mckp import (
     Correlation,
@@ -230,6 +236,20 @@ class TestSolve:
         out = capsys.readouterr().out
         assert "profit: 1e+307\n" in out and "certificate: true\n" in out
 
+    def test_overflowing_sums_print_only_the_error(self, tmp_path):
+        # evaluate's numpy sums reach inf here; a RuntimeWarning would reach
+        # stderr ahead of the error line
+        path = tmp_path / "edge.mckp"
+        path.write_text(write_instance(Instance([[(1e308, 1e308)], [(1e308, 1e308)]], 1)))
+        env = dict(os.environ, PYTHONPATH=str(Path(mckp.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "mckp.cli", "solve", str(path)],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr == "error: sums too large for floats: profit inf, cost inf\n"
+
     def test_internal_guard_exit_code(self, appendix_file, capsys, monkeypatch):
         def limit(instance):
             raise BisectionLimitError("no convergence within 200 bisection steps")
@@ -409,19 +429,19 @@ class TestBench:
 
 
 class TestOneFrontierViewPerInstance:
-    """Every layer reads ``Instance.frontiers``, so a command filters each
-    category of its instance once."""
+    """Every layer reads ``Instance.frontiers`` or the ``frontier_view``
+    built from it, so a command filters each category of its instance once."""
 
     @staticmethod
     def count_filters(monkeypatch):
         calls = []
-        real = model.pareto_filter
+        real = model._pareto_filter
 
-        def counting(cat):
-            calls.append(cat)
-            return real(cat)
+        def counting(profits, costs):
+            calls.append((profits, costs))
+            return real(profits, costs)
 
-        monkeypatch.setattr(model, "pareto_filter", counting)
+        monkeypatch.setattr(model, "_pareto_filter", counting)
         return calls
 
     def test_solve(self, tmp_path, monkeypatch, capsys):

@@ -13,6 +13,8 @@ from mckp.frontier import InvalidReferencePointError, chebyshev_value
 from mckp.oracle import _upper_hull
 
 from helpers import (
+    delta_by_neighbour_scan,
+    float_edge_instance,
     pareto_items_by_pairwise_scan,
     random_category,
     trade_off_bound_by_definition,
@@ -229,6 +231,19 @@ class TestDeltaBound:
             c = random_category(rng, max_n=7, max_coeff=9)
             got = delta_bound(Instance((c,), budget=1.0)).delta
             want = frontier_bound_by_definition(c)
+            if math.isinf(want):
+                assert math.isinf(got)
+            else:
+                assert got == pytest.approx(want)
+
+    def test_matches_definition_scan_at_the_float_edges(self):
+        # several categories: the bound is the minimum over them
+        rng = random.Random(17)
+        for _ in range(1500):
+            inst = float_edge_instance(rng)
+            got = delta_bound(inst).delta
+            assert got.hex() == delta_by_neighbour_scan(inst).hex(), inst
+            want = min(frontier_bound_by_definition(c) for c in inst.categories)
             if math.isinf(want):
                 assert math.isinf(got)
             else:

@@ -26,7 +26,7 @@ from mckp import (
     kissa,
     pareto_filter,
 )
-from mckp.bissa import ObjectiveOverflowError
+from mckp.bissa import BissaResult, ObjectiveOverflowError
 from mckp.kissa import _select
 from mckp.model import exact_cost_sums
 from mckp.oracle import ENUMERATION_LIMIT
@@ -416,9 +416,9 @@ class TestExtremeCoefficients:
 
 
 class TestEpsilonOverflow:
-    """An epsilon that pushes a reference point, the second weight's gap or
-    the sum of an item's two gaps past the float range is refused before any
-    iteration, by name."""
+    """An epsilon that pushes a reference point, the second weight's gap
+    (the anchor's own, on the frontier or not) or the sum of an item's two
+    gaps past the float range is refused before any iteration, by name."""
 
     # BISSA accepts it: twice the max-profit probe's sums stay finite.
     CATS = [[(0, 1), (1e307, 2)], [(0, 1), (1e307, 2)]]
@@ -442,6 +442,17 @@ class TestEpsilonOverflow:
         inst = Instance(self.CATS, 3)
         with pytest.raises(ObjectiveOverflowError, match="epsilon 1e\\+308 puts category 0's"):
             kissa(inst, bissa(inst), KissaConfig(epsilon=1e308))
+
+    def test_dominated_anchor_cost_gap_past_the_float_range(self):
+        # A hand-built straddle anchored on a dominated item costlier than
+        # the frontier's largest cost: every frontier gap is finite, but the
+        # anchor's cost gap is not, so the second weight would be 0.
+        inst = Instance([[(0, 0), (1, 5e307), (1, 1.7e308)], [(0, 0)]], 1)
+        straddle = BissaResult(xa=(0, 0), xb=(2, 0), certificate=None, trace=[])
+        with pytest.raises(
+            ObjectiveOverflowError, match="epsilon 1e\\+307 puts category 0's anchor cost gap"
+        ):
+            kissa(inst, straddle, KissaConfig(epsilon=1e307))
 
     def test_largest_epsilon_that_fits_still_solves(self):
         # The two items score 0.9999999999999999 and 1.0: a comparison, not

@@ -1,6 +1,9 @@
 import dataclasses
+import itertools
 import math
+import pickle
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 
 import mckp
 from mckp import model
+from mckp.model import exact_cost_sums
 from mckp import (
     Instance,
     InstanceFormatError,
@@ -19,7 +23,13 @@ from mckp import (
     write_instance,
 )
 
-from helpers import pareto_items_by_pairwise_scan, random_instance
+from helpers import (
+    evaluate_by_loop,
+    exact_cost_sums_by_scan,
+    float_edge_instance,
+    pareto_items_by_pairwise_scan,
+    random_instance,
+)
 
 
 def test_public_names_resolve_once():
@@ -45,6 +55,59 @@ class TestEvaluate:
             evaluate(appendix, (0, 2))
         with pytest.raises(InvalidSelectionError):
             evaluate(appendix, (0,))
+
+    @pytest.mark.parametrize(
+        "sel, message",
+        [
+            ((0,), "selection has 1 components, instance has 2 categories"),
+            ((0, 0, 0), "selection has 3 components, instance has 2 categories"),
+            ((0, -1), "component 1 is -1, valid range is [0, 2)"),
+            ((-3, 0), "component 0 is -3, valid range is [0, 2)"),
+            ((0, 2), "component 1 is 2, valid range is [0, 2)"),
+            ((2**70, 0), f"component 0 is {2**70}, valid range is [0, 2)"),
+            ((0, -(2**70)), f"component 1 is {-(2**70)}, valid range is [0, 2)"),
+        ],
+    )
+    def test_invalid_selection_messages(self, appendix, sel, message):
+        # numpy would wrap a negative index and refuses 2**70 with OverflowError
+        with pytest.raises(InvalidSelectionError) as info:
+            evaluate(appendix, sel)
+        assert str(info.value) == message
+
+    def test_non_integer_component_is_refused(self, appendix):
+        with pytest.raises(TypeError):
+            evaluate(appendix, (0, 1.0))
+
+    @pytest.mark.parametrize(
+        "cats, image",
+        [
+            # 0.0 + -0.0 is 0.0, and so is 0.0 - -0.0
+            ([[(-0.0, -0.0)], [(-0.0, -0.0)]], (0.0, 0.0)),
+            ([[(5e-324, 5e-324)], [(5e-324, 5e-324)]], (1e-323, -1e-323)),
+            # in category order 2**53 + 1 rounds to 2**53 at every step;
+            # np.sum's pairwise sum would add ones together and pass 2**53
+            ([[(2**53, 2**53)]] + [[(1, 1)]] * 30, (2.0**53, -(2.0**53))),
+            ([[(1e308, 1e308)], [(1e308, 1e308)], [(0, 0)]], (math.inf, -math.inf)),
+        ],
+        ids=["negative-zero", "subnormal", "past-2-pow-53", "overflow"],
+    )
+    def test_pinned_bits(self, cats, image):
+        inst = Instance(cats, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy overflow warning fails
+            got = evaluate(inst, (0,) * len(cats))
+        assert [v.hex() for v in got] == [v.hex() for v in image]
+        assert all(type(v) is float for v in got)
+
+    def test_bits_match_the_category_order_loop_at_the_float_edges(self):
+        rng = random.Random(18)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(1000):
+                inst = float_edge_instance(rng, max_m=6)
+                sel = tuple(rng.randrange(n) for n in inst.sizes)
+                got = evaluate(inst, sel)
+                assert [v.hex() for v in got] == [v.hex() for v in evaluate_by_loop(inst, sel)]
 
     def test_additively_separable(self):
         rng = random.Random(71)
@@ -100,16 +163,67 @@ class TestFrontiers:
     def test_computed_once(self, appendix):
         assert appendix.frontiers is appendix.frontiers
 
+    CACHES = {"frontiers", "frontier_view", "_item_arrays"}
+
     def test_equality_hash_and_replace_ignore_the_view(self, appendix):
+        # pickle too, and every cache: ``frontiers``, the view, the numpy copies
         twin = Instance(appendix.categories, appendix.budget)
-        appendix.frontiers  # noqa: B018 -- fill the cache on one side only
-        assert "frontiers" in vars(appendix) and "frontiers" not in vars(twin)
-        assert appendix == twin
+        evaluate(appendix, (0, 0))
+        appendix.frontier_view  # noqa: B018 -- fill the caches on one side only
+        assert self.CACHES <= vars(appendix).keys()
+        assert not self.CACHES & vars(twin).keys()
+        assert appendix == twin and twin == appendix
         assert hash(appendix) == hash(twin)
         copy = dataclasses.replace(appendix)
-        assert copy == appendix and "frontiers" not in vars(copy)
+        assert copy == appendix and not self.CACHES & vars(copy).keys()
+        loaded = pickle.loads(pickle.dumps(appendix))
+        assert loaded == appendix and not self.CACHES & vars(loaded).keys()
+        assert loaded.frontiers == appendix.frontiers
+        assert evaluate(loaded, (1, 0)) == evaluate(appendix, (1, 0))
         cheaper = dataclasses.replace(appendix, categories=(((9.0, 0.5), (1.0, 0.5)),))
         assert cheaper.frontiers == ((0,),)
+        assert cheaper.frontier_view.index.tolist() == [0]
+
+    def test_view_holds_the_frontier_items(self):
+        rng = random.Random(19)
+        for _ in range(100):
+            inst = random_instance(rng, max_m=6, max_n=8, max_coeff=9)
+            view = inst.frontier_view
+            rows = [
+                (i, cat[i].profit, cat[i].cost, j)
+                for j, (cat, f) in enumerate(zip(inst.categories, inst.frontiers))
+                for i in f
+            ]
+            assert list(zip(*(a.tolist() for a in view[:4]))) == rows
+            assert view.starts.tolist() == [0, *itertools.accumulate(map(len, inst.frontiers))]
+
+
+class TestExactCostSums:
+    def test_matches_the_scalar_scan_at_the_float_edges(self):
+        rng = random.Random(20)
+        seen = set()
+        for _ in range(1500):
+            inst = float_edge_instance(rng)
+            want = exact_cost_sums_by_scan(inst)
+            assert exact_cost_sums(inst) is want, inst
+            seen.add((want, inst.budget < 2**53))
+        assert len(seen) == 4  # both verdicts on both sides of 2**53
+
+    @pytest.mark.parametrize(
+        "cats, budget, exact",
+        [
+            ([[(0, 5e-324)]], 1.0, False),  # a subnormal cost is no integer
+            ([[(0, -0.0), (1, 0.1)]], 1.0, False),
+            ([[(0, -0.0), (1, 2**53 + 1)]], 1.0, True),
+            # the largest frontier costs sum to exactly 2**53, then past it
+            ([[(0, 2**52)], [(0, 2**52)]], 2.0**53, True),
+            ([[(0, 2**52)], [(0, 2**52 + 2)]], 2.0**53, False),
+            ([[(0, 1e308)], [(0, 0)]], 1.0, True),
+            ([[(0, 1e308)], [(0, 0)]], 1e308, False),
+        ],
+    )
+    def test_pinned_cases(self, cats, budget, exact):
+        assert exact_cost_sums(Instance(cats, budget)) is exact
 
 
 class TestFileFormat:
