@@ -12,6 +12,7 @@ usage), 3 infeasible instance, 4 oracle guard or oracle precondition failure.
 """
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -39,7 +40,11 @@ _CORR = {corr.value: corr for corr in Correlation}
 _RULES = {rule.value: rule for rule in SelectionRule}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process: each
+    ``parse_args`` call fills a fresh namespace, so one parser serves every
+    call."""
     parser = argparse.ArgumentParser(
         prog="mckp", description="Multiple-choice knapsack toolkit"
     )

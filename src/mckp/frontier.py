@@ -2,9 +2,11 @@
 
 Everything here works in objective space, where an item maps to the point
 (profit, -cost) and both coordinates are maximized, and compares items only
-within their own category. The nondominated items of a category come from
-``model.pareto_filter``, which ``Instance.frontiers`` caches per instance,
-and ``Instance.frontier_view`` holds them as flat arrays; this module adds:
+within their own category. The nondominated items of every category are
+in ``Instance.frontier_view``, flat numpy arrays that ``mckp.model``
+builds once per instance from the item arrays (``Instance.frontiers`` is
+its index segments, and ``model.pareto_filter`` runs the same builder on
+one category); this module adds:
 
 * ``delta_bound``        -- a computable lower bound on the trade-off ratios
   of frontier item pairs, taken over every category of the instance at once;
@@ -118,9 +120,10 @@ def solve_chebyshev_subproblem(
     """Position in ``cat`` minimizing the augmented Chebyshev value; ties to
     the lowest position.
 
-    ``cat`` is any non-empty sequence of items, such as a category or the
-    items of its frontier. The reference point must strictly dominate every
-    given item's (profit, -cost) pair and weights/rho must be positive,
+    ``cat`` is any non-empty sequence of (profit, cost) pairs, such as a
+    category, the items of its frontier or the rows of its segment of
+    ``Instance.frontier_view``. The reference point must strictly dominate
+    every given item's (profit, -cost) pair and weights/rho must be positive,
     otherwise :class:`InvalidReferencePointError` is raised. With any
     positive rho the winner is nondominated among the given items; with
     ``rho < delta_bound`` every nondominated item is reachable by a suitable
@@ -134,12 +137,12 @@ def solve_chebyshev_subproblem(
         raise InvalidReferencePointError("rho must be strictly positive and finite")
     best_index = 0
     best_value = math.inf
-    for i, item in enumerate(cat):
-        if item.profit >= reference[0] or -item.cost >= reference[1]:
+    for i, (profit, cost) in enumerate(cat):
+        if profit >= reference[0] or -cost >= reference[1]:
             raise InvalidReferencePointError(
                 "reference point must strictly dominate every item of the category"
             )
-        value = chebyshev_value(item.profit, item.cost, weights, reference, rho)
+        value = chebyshev_value(profit, cost, weights, reference, rho)
         if value < best_value:
             best_value = value
             best_index = i

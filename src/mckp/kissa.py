@@ -18,11 +18,12 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .bissa import BissaResult, ObjectiveOverflowError
 from .frontier import DEFAULT_RHO, delta_bound, solve_chebyshev_subproblem
 from .model import (
     Instance,
-    Item,
     ObjectivePoint,
     Selection,
     evaluate,
@@ -121,11 +122,12 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
     value would overflow, or the second weight fall to 0), or the anchor's
     own cost gap (larger where the anchor is a dominated item),
     :class:`ObjectiveOverflowError` is raised before any iteration.
-    The subproblem scans the category's frontier (``Instance.frontiers``)
-    from its most profitable item down, so a tie goes to the most profitable
-    tied item and the run does not depend on the order of items within a
-    category; at positive rho a dominated item never wins anyway. A winner
-    counts only if it strictly out-profits the current component.
+    The subproblem scans the category's frontier (its segment of
+    ``Instance.frontier_view``, as (profit, cost) rows) from its most
+    profitable item down, so a tie goes to the most profitable tied item
+    and the run does not depend on the order of items within a category;
+    at positive rho a dominated item never wins anyway. A winner counts
+    only if it strictly out-profits the current component.
 
     A category's subproblem depends only on its own current component, its
     anchor component and its maxima, so the improving map is kept across
@@ -154,28 +156,33 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
     def above(top):
         return max(top + config.epsilon, math.nextafter(top, math.inf))
 
-    # A candidate's subproblem items (its frontier, most profitable first, so
-    # that ties go to the most profitable item), reference point and second
-    # weight stay fixed for the run.
+    # A candidate's subproblem items (the (profit, cost) rows of its frontier,
+    # most profitable first, so that ties go to the most profitable item),
+    # reference point and second weight stay fixed for the run, and so does
+    # the view entry of its item 0, the last of its segment.
+    view = instance.frontier_view
+    rows = np.column_stack((view.profit, view.cost))
+    segments = view.starts.tolist()
     subproblems = {}
     for j in candidates:
-        a = starts[j]
-        items = [Item(profits[a + i], costs[a + i]) for i in reversed(instance.frontiers[j])]
-        reference = (above(items[0].profit), above(-items[-1].cost))
+        a, b = segments[j], segments[j + 1]
+        items = rows[a:b][::-1].tolist()
+        (top_profit, top_cost), (low_profit, low_cost) = items[0], items[-1]
+        reference = (above(top_profit), above(-low_cost))
         # the largest gaps to the reference point bound every item's g1 + g2
-        if not math.isfinite((reference[0] - items[-1].profit) + (reference[1] + items[0].cost)):
+        if not math.isfinite((reference[0] - low_profit) + (reference[1] + top_cost)):
             raise ObjectiveOverflowError(
                 f"epsilon {config.epsilon:g} puts category {j}'s Chebyshev values"
                 " past the float range"
             )
         # a hand-built straddle may anchor on a dominated item costlier still
-        anchor_gap = reference[1] + costs[a + xb[j]]
+        anchor_gap = reference[1] + costs[starts[j] + xb[j]]
         if not math.isfinite(anchor_gap):
             raise ObjectiveOverflowError(
                 f"epsilon {config.epsilon:g} puts category {j}'s anchor cost gap"
                 " past the float range"
             )
-        subproblems[j] = items, reference, 1.0 / anchor_gap
+        subproblems[j] = items, reference, 1.0 / anchor_gap, b - 1
 
     improving: dict[int, int] = {}
     exact = exact_cost_sums(instance)
@@ -186,12 +193,12 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
         return is_feasible(instance, (*xa[:j], i, *xa[j + 1:]))
 
     def solve(j):
-        items, reference, w2 = subproblems[j]
+        items, reference, w2, last = subproblems[j]
         current = profits[starts[j] + xa[j]]
         w1 = 1.0 / (reference[0] - current)
         position = solve_chebyshev_subproblem(items, (w1, w2), reference, rho)
-        if items[position].profit > current:
-            improving[j] = instance.frontiers[j][-1 - position]
+        if items[position][0] > current:
+            improving[j] = int(view.index[last - position])
 
     for j in candidates:
         solve(j)

@@ -4,14 +4,15 @@ An instance is a list of item categories plus a budget; a solution picks
 exactly one item per category. The solver stack works on the bi-objective
 image of a selection: total profit and negated total cost, both maximized.
 This module holds the types (an ``Instance`` is stored as flat profit and
-cost tuples), each category's Pareto filter (``Instance.frontiers``, and
-the same items as flat numpy arrays in ``Instance.frontier_view``, which
-the probes, ``delta_bound`` and the DP read), the rule under which float
-cost sums are exact, the objective/feasibility evaluators and the
-line-oriented instance file format.
+cost tuples, with numpy arrays of the same values), each category's Pareto
+filter (``Instance.frontier_view``, flat numpy arrays built from the item
+arrays with no per-item Python loop, which the probes, ``delta_bound``,
+KISSA and the DP read, and ``Instance.frontiers``, its index segments as
+tuples), the rule under which float cost sums are exact, the
+objective/feasibility evaluators and the line-oriented instance file
+format.
 """
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -63,31 +64,18 @@ class ObjectivePoint(NamedTuple):
 def pareto_filter(cat: Category) -> tuple[int, ...]:
     """Nondominated item indices of a category under (max profit, min cost).
 
-    ``cat`` is any non-empty sequence of (profit, cost) pairs. The items are
-    taken in the order (cost, -profit, index), and each is kept whose profit
-    beats every item before it, so costs and profits rise strictly along the
-    tuple. Items with identical objective pairs collapse to the lowest index.
-    One stable sort by cost gives that order up to the items of equal cost,
-    of which only the first most profitable one can be kept: a later kept
-    item of the same cost replaces the one before it.
+    ``cat`` is any non-empty sequence of (profit, cost) pairs, compared as
+    floats. The items are taken in the order (cost, -profit, index), and
+    each is kept whose profit beats every item before it, so costs and
+    profits rise strictly along the tuple. Items with identical objective
+    pairs collapse to the lowest index, and of several items of equal cost
+    only the first most profitable one can be kept. This is the builder of
+    ``Instance.frontier_view`` run on one category.
     """
     if not cat:
         raise ValueError("category must be non-empty")
-    return _pareto_filter(*zip(*cat))
-
-
-def _pareto_filter(profits, costs) -> tuple[int, ...]:
-    """:func:`pareto_filter` of the items with ``profits`` and ``costs``."""
-    kept: list[int] = []
-    best_profit = -math.inf
-    for i in sorted(range(len(costs)), key=costs.__getitem__):
-        if profits[i] > best_profit:
-            if kept and costs[kept[-1]] == costs[i]:
-                kept[-1] = i
-            else:
-                kept.append(i)
-            best_profit = profits[i]
-    return tuple(kept)
+    profits, costs = np.array(cat, np.float64).T
+    return tuple(_frontier_view(profits, costs, np.array([0, len(cat)])).index.tolist())
 
 
 class FrontierView(NamedTuple):
@@ -104,6 +92,46 @@ class FrontierView(NamedTuple):
     cost: np.ndarray
     category: np.ndarray
     starts: np.ndarray
+
+
+def _frontier_view(profits, costs, starts) -> FrontierView:
+    """The :class:`FrontierView` of the items with the float arrays
+    ``profits`` and ``costs``, category ``j`` at positions ``starts[j]`` to
+    ``starts[j + 1]``.
+
+    Categories are grouped by the ceiling of the log2 of their size, and
+    each group is one dense block padded to its own largest size with
+    entries of profit -inf and cost +inf. One stable ``np.lexsort`` sorts
+    every row by cost, then profit down, then index, and an entry is kept
+    when its profit is strictly above the running maximum of the entries
+    before it. Coefficients are only compared, never combined, so -0.0
+    equals 0.0 and ties fall as :func:`pareto_filter` says.
+    """
+    sizes = np.diff(starts)
+    # ceil(log2(n)) is the bit length of n - 1, frexp's exponent
+    buckets = np.frexp(sizes - 1)[1]
+    categories, indices = [], []
+    for bucket in np.unique(buckets):
+        rows = np.flatnonzero(buckets == bucket)
+        cols = np.arange(sizes[rows].max())
+        real = cols < sizes[rows, None]
+        at = np.where(real, starts[rows, None] + cols, 0)
+        p = np.where(real, profits[at], -np.inf)
+        order = np.lexsort((-p, np.where(real, costs[at], np.inf)), axis=-1)
+        p = np.take_along_axis(p, order, axis=1)
+        keep = np.ones(p.shape, bool)
+        np.greater(p[:, 1:], np.maximum.accumulate(p, axis=1)[:, :-1], out=keep[:, 1:])
+        categories.append(np.repeat(rows, np.count_nonzero(keep, axis=1)))
+        indices.append(order[keep])
+    category, index = np.concatenate(categories), np.concatenate(indices)
+    if len(categories) > 1:
+        # each group lists its categories in order: merge the runs
+        by_category = np.argsort(category, kind="stable")
+        category, index = category[by_category], index[by_category]
+    view_starts = np.zeros(len(sizes) + 1, np.int64)
+    np.cumsum(np.bincount(category, minlength=len(sizes)), out=view_starts[1:])
+    positions = starts[category] + index
+    return FrontierView(index, profits[positions], costs[positions], category, view_starts)
 
 
 @dataclass(frozen=True)
@@ -156,13 +184,17 @@ class Instance:
             ("starts", tuple(starts)), ("budget", budget),
         ):
             object.__setattr__(self, name, value)
-        bounds = tuple(zip(self.starts, self.starts[1:]))
-        if not bounds:
+        # built here to validate on; a pickle leaves them out to be rebuilt
+        profit_array, cost_array, start_array = self._item_arrays
+        if len(start_array) < 2:
             raise ValueError("instance must have at least one category")
-        values = self.profits + self.costs
-        # One pass over sums and minima; the ordered scan only finds the culprit.
-        if not (math.isfinite(sum(values)) and min(values) >= 0 and all(a < b for a, b in bounds)):
-            for j, (a, b) in enumerate(bounds):
+        # Array reductions check every item; the ordered scan only finds the culprit.
+        if not (
+            np.all(start_array[1:] > start_array[:-1])
+            and profit_array.min() >= 0 and cost_array.min() >= 0
+            and profit_array.max() < math.inf and cost_array.max() < math.inf
+        ):
+            for j, (a, b) in enumerate(zip(self.starts, self.starts[1:])):
                 if a == b:
                     raise ValueError(f"category {j} is empty")
                 for i, (p, c) in enumerate(zip(self.profits[a:b], self.costs[a:b])):
@@ -174,7 +206,8 @@ class Instance:
             raise ValueError("budget must be positive and finite")
 
     def __getstate__(self):
-        # ``categories`` and the frontier caches are rebuilt on first use.
+        # ``categories``, the numpy arrays and the frontier caches are rebuilt
+        # on first use.
         return {name: vars(self)[name] for name in ("budget", "profits", "costs", "starts")}
 
     def __getattr__(self, name):
@@ -199,37 +232,28 @@ class Instance:
 
     @cached_property
     def frontiers(self) -> tuple[tuple[int, ...], ...]:
-        """Each category's :func:`pareto_filter` indices, computed on first use.
+        """Each category's :func:`pareto_filter` indices: the segments of
+        ``frontier_view.index``, computed on first use.
 
         Not a field, so equality, hashing and ``dataclasses.replace`` ignore it.
         """
-        profits, costs = self.profits, self.costs
-        return tuple(
-            _pareto_filter(profits[a:b], costs[a:b])
-            for a, b in zip(self.starts, self.starts[1:])
-        )
+        view = self.frontier_view
+        index, starts = view.index.tolist(), view.starts.tolist()
+        return tuple(tuple(index[a:b]) for a, b in zip(starts, starts[1:]))
 
     @cached_property
     def frontier_view(self) -> FrontierView:
-        """The items of ``frontiers`` as one :class:`FrontierView`, built on
-        first use; not a field, like ``frontiers``."""
-        frontiers = self.frontiers
-        sizes = np.fromiter(map(len, frontiers), np.int64, self.m)
-        starts = np.zeros(self.m + 1, np.int64)
-        np.cumsum(sizes, out=starts[1:])
-        index = np.fromiter(itertools.chain.from_iterable(frontiers), np.int64, int(starts[-1]))
-        category = np.repeat(np.arange(self.m), sizes)
-        profits, costs, item_starts = self._item_arrays
-        positions = item_starts[category] + index
-        return FrontierView(index, profits[positions], costs[positions], category, starts)
+        """Every category's frontier as one :class:`FrontierView`, built from
+        the numpy arrays of the items on first use, with no per-item Python
+        loop; not a field, like ``frontiers``."""
+        return _frontier_view(*self._item_arrays)
 
     @cached_property
     def _item_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``profits``, ``costs`` and ``starts`` as numpy arrays."""
-        n = len(self.profits)
         return (
-            np.fromiter(self.profits, np.float64, n),
-            np.fromiter(self.costs, np.float64, n),
+            np.array(self.profits, np.float64),
+            np.array(self.costs, np.float64),
             np.array(self.starts, np.int64),
         )
 
@@ -309,6 +333,8 @@ def is_feasible(instance: Instance, sel: Selection) -> bool:
 # ---------------------------------------------------------------------------
 
 _MAGIC = "MCKP 1"
+# every byte but the space and the newline, which the reader's bulk path keeps
+_NOT_MARKS = bytes(b for b in range(256) if b not in b" \n")
 
 
 def _fmt(x: float) -> str:
@@ -358,11 +384,13 @@ def _read_blocks(lines: list[str]) -> Instance | None:
     The shape is the header line, the ``m= b=`` line, then per category a
     ``cat <n>`` line and ``n`` item lines with exactly one space each, and
     nothing else: every line is one the line parser reads, in the same role.
-    The item lines are joined and split at the spaces, and the tokens go
-    through one ``map(float, ...)``, which strips the whitespace the line
-    parser splits at. A token ``float`` refuses (a comment, say), or a value
-    the instance refuses (a negative cost), sends the file to the line
-    parser too.
+    The item lines hold no newline, so once they are joined with newlines,
+    one space per line means that the spaces and newlines of the joined
+    text alternate, starting and ending with a space. The text is split at
+    both, and the tokens go through one ``map(float, ...)``, which strips
+    the whitespace the line parser splits at. A token ``float`` refuses (a
+    comment, say), or a value the instance refuses (a negative cost), sends
+    the file to the line parser too.
     """
     try:
         if lines[0] != _MAGIC:
@@ -379,9 +407,11 @@ def _read_blocks(lines: list[str]) -> Instance | None:
             items += lines[pos + 1:pos + 1 + n]
             pos += 1 + n
             starts.append(len(items))
-        if pos != len(lines) or set(map(str.count, items, itertools.repeat(" "))) != {1}:
+        text = "\n".join(items)
+        marks = text.encode().translate(None, _NOT_MARKS)
+        if pos != len(lines) or marks != b" \n" * (len(items) - 1) + b" ":
             return None
-        values = list(map(float, " ".join(items).split(" ")))
+        values = list(map(float, text.replace("\n", " ").split(" ")))
         return Instance.from_flat(values[0::2], values[1::2], starts, float(b_token[2:]))
     except (IndexError, ValueError):
         return None

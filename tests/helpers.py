@@ -153,6 +153,22 @@ def pareto_items_by_pairwise_scan(cat) -> set[int]:
     return kept
 
 
+def pareto_filter_by_loop(profits, costs) -> tuple[int, ...]:
+    """``pareto_filter`` of the items with ``profits`` and ``costs`` as a
+    Python loop: one stable sort by cost, then each item kept whose profit
+    beats every item before it, replacing a kept item of equal cost."""
+    kept: list[int] = []
+    best_profit = -math.inf
+    for i in sorted(range(len(costs)), key=costs.__getitem__):
+        if profits[i] > best_profit:
+            if kept and costs[kept[-1]] == costs[i]:
+                kept[-1] = i
+            else:
+                kept.append(i)
+            best_profit = profits[i]
+    return tuple(kept)
+
+
 def linear_sweep_weights(instance: Instance) -> list[float]:
     """Every weight at which some category's scalarization argmax can switch,
     plus midpoints and near-endpoints; solve_linear is constant between

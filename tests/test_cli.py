@@ -41,6 +41,14 @@ def appendix_file(tmp_path, appendix):
     return path
 
 
+@pytest.fixture(scope="module")
+def weak_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("weak") / "weak.mckp"
+    inst = generate(GenSpec(m=40, n=200, correlation=Correlation.WEAK, seed=1))
+    path.write_text(write_instance(inst), encoding="utf-8")
+    return path
+
+
 class TestGen:
     def test_writes_parseable_deterministic_file(self, tmp_path, capsys):
         out1 = tmp_path / "a.mckp"
@@ -429,53 +437,46 @@ class TestBench:
 
 
 class TestOneFrontierViewPerInstance:
-    """Every layer reads ``Instance.frontiers`` or the ``frontier_view``
-    built from it, so a command filters each category of its instance once."""
+    """Every layer reads the ``frontier_view`` or ``Instance.frontiers``
+    taken from it, so a command builds the view of its instance once."""
 
     @staticmethod
-    def count_filters(monkeypatch):
+    def count_views(monkeypatch):
         calls = []
-        real = model._pareto_filter
+        real = model._frontier_view
 
-        def counting(profits, costs):
-            calls.append((profits, costs))
-            return real(profits, costs)
+        def counting(profits, costs, starts):
+            calls.append(starts)
+            return real(profits, costs, starts)
 
-        monkeypatch.setattr(model, "_pareto_filter", counting)
+        monkeypatch.setattr(model, "_frontier_view", counting)
         return calls
 
     def test_solve(self, tmp_path, monkeypatch, capsys):
         inst = generate(GenSpec(m=6, n=8, correlation=Correlation.WEAK, seed=3))
         path = tmp_path / "w.mckp"
         path.write_text(write_instance(inst), encoding="utf-8")
-        calls = self.count_filters(monkeypatch)
+        calls = self.count_views(monkeypatch)
         assert main(["solve", str(path)]) == 0
         # bissa, kissa and certify all ran on the instance
         assert "termination: budget-blocked" in capsys.readouterr().out
-        assert len(calls) == inst.m
+        assert len(calls) == 1 and calls[0].tolist() == list(inst.starts)
 
     def test_bench_row(self, tmp_path, monkeypatch, capsys):
         spec = tmp_path / "specs.txt"
         spec.write_text("m=20 n=20 corr=weak seed=3\n", encoding="utf-8")
         out = tmp_path / "report.csv"
-        calls = self.count_filters(monkeypatch)
+        calls = self.count_views(monkeypatch)
         assert main(["bench", "--spec", str(spec), "--out", str(out)]) == 0
         row = dict(zip(*csv.reader(io.StringIO(out.read_text()))))
         # dp_solve, bissa and kissa all ran on the generated instance
         assert row["exact"] and row["kissa"] and row["ms_kissa"] != "0.000"
-        assert len(calls) == 20
+        assert len(calls) == 1 and len(calls[0]) == 21
 
 
 class TestParsedOnce:
     """``mckp solve`` and ``mckp exact`` read the flat view that
     ``read_instance`` fills and never build ``Instance.categories``."""
-
-    @pytest.fixture(scope="class")
-    def weak_file(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("parsed-once") / "weak.mckp"
-        inst = generate(GenSpec(m=40, n=200, correlation=Correlation.WEAK, seed=1))
-        path.write_text(write_instance(inst), encoding="utf-8")
-        return path
 
     @pytest.mark.parametrize(
         "command, options",
@@ -499,8 +500,50 @@ class TestParsedOnce:
         assert main([command, str(weak_file), *options]) == 0
         out = capsys.readouterr().out
         (inst,) = read
-        assert "frontiers" in vars(inst)  # the solve layers ran on it
+        assert "frontier_view" in vars(inst)  # the solve layers ran on it
         assert "categories" not in vars(inst)
         if command == "solve":
             # BISSA proves nothing here, so KISSA and certify ran too
             assert "certificate: false" in out and "improvements: 0" not in out
+
+
+class TestParserBuiltOnce:
+    """``main`` builds its argument parser once per process, and a parse
+    leaves nothing behind for the next one."""
+
+    def test_one_build_across_subcommands(self, tmp_path, appendix_file, capsys):
+        # the cache counts each run of the parser's body as a miss
+        cli.build_parser.cache_clear()
+        out = str(tmp_path / "g.mckp")
+        assert main(["gen", "--m", "3", "--n", "3", "--corr", "weak", "--seed", "1",
+                     "-o", out]) == 0
+        assert main(["solve", out, "--rule", "first"]) == 0
+        assert main(["exact", str(appendix_file), "--method", "brute"]) == 0
+        assert main(["solve", str(appendix_file)]) == 0
+        with pytest.raises(SystemExit):
+            main(["exact", str(appendix_file), "--method", "simplex"])
+        assert main(["exact", out]) == 0
+        assert cli.build_parser.cache_info().misses == 1
+
+    def test_no_option_leaks_into_the_next_parse(self, weak_file, capsys):
+        # on this instance the two rules end at different profits
+        sequence = (
+            ["solve", str(weak_file), "--rule", "first"],
+            ["solve", str(weak_file)],
+            ["solve", str(weak_file), "--trace", "--rule", "best-slack"],
+            ["solve", str(weak_file)],
+        )
+        in_process = []
+        for argv in sequence:
+            assert main(argv) == 0
+            in_process.append(capsys.readouterr().out)
+        env = dict(os.environ, PYTHONPATH=str(Path(mckp.__file__).parents[1]))
+        fresh = [
+            subprocess.run(
+                [sys.executable, "-m", "mckp.cli", *argv],
+                capture_output=True, text=True, env=env, check=True,
+            ).stdout
+            for argv in sequence[:3]
+        ]
+        assert in_process == [*fresh, fresh[1]]
+        assert in_process[0] != in_process[1]

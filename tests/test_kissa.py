@@ -354,8 +354,8 @@ class TestAbsorbedEpsilon:
         kissa(inst, bissa(inst), KissaConfig(epsilon=1e-3))
         assert references
         for cat, (ref1, ref2) in references:
-            assert ref1 == max(item.profit for item in cat) + 1e-3
-            assert ref2 == max(-item.cost for item in cat) + 1e-3
+            assert ref1 == max(profit for profit, _ in cat) + 1e-3
+            assert ref2 == max(-cost for _, cost in cat) + 1e-3
 
 
 class TestExtremeCoefficients:

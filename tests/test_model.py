@@ -27,6 +27,7 @@ from helpers import (
     evaluate_by_loop,
     exact_cost_sums_by_scan,
     float_edge_instance,
+    pareto_filter_by_loop,
     pareto_items_by_pairwise_scan,
     random_instance,
 )
@@ -163,21 +164,23 @@ class TestFrontiers:
     def test_computed_once(self, appendix):
         assert appendix.frontiers is appendix.frontiers
 
-    CACHES = {"frontiers", "frontier_view", "_item_arrays"}
+    # built on first use; the numpy arrays of the items are filled at
+    # construction, and a pickle leaves them out too
+    CACHES = {"frontiers", "frontier_view"}
 
     def test_equality_hash_and_replace_ignore_the_view(self, appendix):
         # pickle too, and every cache: ``frontiers``, the view, the numpy copies
         twin = Instance(appendix.categories, appendix.budget)
-        evaluate(appendix, (0, 0))
-        appendix.frontier_view  # noqa: B018 -- fill the caches on one side only
+        appendix.frontiers  # noqa: B018 -- fill the caches on one side only
         assert self.CACHES <= vars(appendix).keys()
         assert not self.CACHES & vars(twin).keys()
+        assert "_item_arrays" in vars(twin)
         assert appendix == twin and twin == appendix
         assert hash(appendix) == hash(twin)
         copy = dataclasses.replace(appendix)
         assert copy == appendix and not self.CACHES & vars(copy).keys()
         loaded = pickle.loads(pickle.dumps(appendix))
-        assert loaded == appendix and not self.CACHES & vars(loaded).keys()
+        assert loaded == appendix and not {*self.CACHES, "_item_arrays"} & vars(loaded).keys()
         assert loaded.frontiers == appendix.frontiers
         assert evaluate(loaded, (1, 0)) == evaluate(appendix, (1, 0))
         cheaper = dataclasses.replace(appendix, categories=(((9.0, 0.5), (1.0, 0.5)),))
@@ -367,6 +370,46 @@ class TestFlatFrontiers:
                 assert all(cat[a].cost < cat[b].cost for a, b in zip(f, f[1:]))
 
 
+@st.composite
+def ragged_tie_categories(draw):
+    """Categories of sizes 1-40 in random order, so that many size groups
+    fill, each coefficient from a random part of :data:`TIE_COEFFICIENTS`,
+    so that equal costs and equal profits abound."""
+    sizes = draw(
+        st.one_of(st.lists(st.integers(1, 40), min_size=1, max_size=24),
+                  st.permutations(range(1, 41)))
+    )
+    rng = draw(st.randoms(use_true_random=False))
+    palette = rng.sample(TIE_COEFFICIENTS, rng.randint(1, len(TIE_COEFFICIENTS)))
+    return [[(rng.choice(palette), rng.choice(palette)) for _ in range(n)] for n in sizes]
+
+
+class TestFrontierViewMatchesLoop:
+    """The numpy frontier builder keeps the items and ties of the Python
+    loop it replaced, :func:`pareto_filter_by_loop`, read from a file or not."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ragged_tie_categories())
+    def test_frontiers_and_view(self, cats):
+        built = Instance(cats, 1.0)
+        for inst in (built, read_instance(write_instance(built))):
+            bounds = list(zip(inst.starts, inst.starts[1:]))
+            want = tuple(pareto_filter_by_loop(inst.profits[a:b], inst.costs[a:b]) for a, b in bounds)
+            assert inst.frontiers == want
+            assert tuple(map(pareto_filter, inst.categories)) == want
+            view = inst.frontier_view
+            rows = [
+                (j, i, inst.profits[a + i].hex(), inst.costs[a + i].hex())
+                for j, ((a, _), f) in enumerate(zip(bounds, want))
+                for i in f
+            ]
+            assert list(zip(
+                view.category.tolist(), view.index.tolist(),
+                map(float.hex, view.profit.tolist()), map(float.hex, view.cost.tolist()),
+            )) == rows
+            assert view.starts.tolist() == [0, *itertools.accumulate(map(len, want))]
+
+
 def _bits(parse, data):
     """The parsed instance with its floats as hex, or the error's message and line."""
     try:
@@ -468,3 +511,41 @@ class TestReaderFastPath:
     @given(instance_files())
     def test_fast_path_agrees_with_the_line_parser(self, data):
         assert_fast_path_agrees(data)
+
+
+# An item line's single space kept, doubled, dropped or joined by a tab or a
+# form feed, which ``splitlines`` takes for a line break.
+ITEM_LINE_EDITS = (
+    "{} {}", "{}{}", "{}  {}", " {} {}", "{} {} ", "{}\t{}", "{} \t{}", "\t{} {}",
+    "{} {}\t", "{}\x0c{}", "{} {}\x0c", "\x0c{} {}", "{} \x0c{}",
+)
+
+
+class TestReaderShapeCheck:
+    """The reader's bulk path takes a file exactly where every item line has
+    one space and the lines are the written ones, as the per-line count of
+    spaces it replaced did, and agrees with the line parser on every file."""
+
+    @staticmethod
+    def check(lines, item_rows, edits):
+        edited = list(lines)
+        for k, edit in edits:
+            edited[k] = ITEM_LINE_EDITS[edit].format(*lines[k].split(" "))
+        text = "\n".join(edited) + "\n"
+        split = text.splitlines()
+        one_space = len(split) == len(lines) and all(split[k].count(" ") == 1 for k in item_rows)
+        assert (model._read_blocks(split) is not None) == one_space, text
+        assert_fast_path_agrees(text)
+
+    def test_item_line_whitespace(self):
+        rng = random.Random(23)
+        for _ in range(30):
+            lines = write_instance(random_instance(rng, max_m=3, max_n=3)).splitlines()
+            item_rows = [k for k in range(2, len(lines)) if not lines[k].startswith("cat ")]
+            for k in item_rows:
+                for edit in range(len(ITEM_LINE_EDITS)):
+                    self.check(lines, item_rows, [(k, edit)])
+            for _ in range(20):
+                edits = [(rng.choice(item_rows), rng.randrange(len(ITEM_LINE_EDITS)))
+                         for _ in range(rng.randint(2, 3))]
+                self.check(lines, item_rows, edits)

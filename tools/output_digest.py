@@ -19,7 +19,9 @@ and ``exact --method brute``. An ``edge`` sweep of small instances with
 coefficients at the float edges (2^53 - 1 and 2^53 + 1, 1e308 pairs whose
 sums overflow, the smallest subnormal, 0.1 and -0.0) runs ``solve`` and
 ``exact --method brute``, and a ``deep`` sweep runs both on a few instances
-of 1,000 to 1,500 categories, only a few of which hold two items.
+of 1,000 to 1,500 categories, only a few of which hold two items. A
+``ragged`` sweep of instances whose categories hold 1 to 12 items each, with
+coefficients 0-9, runs ``solve --trace`` and ``exact``.
 Prints one sha256 per (workload, command) over each run's exit code,
 stdout and stderr (an uncaught exception is recorded as the run's exit
 code, and the digest goes on); the ``gen`` digests cover the instance
@@ -261,6 +263,19 @@ def deep_instance(rng: random.Random) -> Instance:
     return Instance(cats, max((low + high) // 2, 1))
 
 
+def ragged_instance(rng: random.Random) -> Instance:
+    """m in 2-8, every category size in 1-12, so that sizes mix within an
+    instance, each coefficient in 0-9, and the budget at the midpoint
+    between the cheapest and the costliest selection (at least 1)."""
+    cats = [
+        [(rng.randint(0, 9), rng.randint(0, 9)) for _ in range(rng.randint(1, 12))]
+        for _ in range(rng.randint(2, 8))
+    ]
+    low = sum(min(c for _, c in cat) for cat in cats)
+    high = sum(max(c for _, c in cat) for cat in cats)
+    return Instance(cats, max((low + high) / 2, 1))
+
+
 def drawn_digests(workload: str, seed: int, draw, commands, instances=DRAWN_INSTANCES):
     """(workload, command, runs, digest) over ``instances`` instances
     ``draw(rng)``, with ``rng = random.Random(seed)``."""
@@ -347,6 +362,7 @@ def main(argv=None) -> int:
                 drawn_digests(
                     "deep", args.seed, deep_instance, FLOAT_EDGE_COMMANDS, DEEP_INSTANCES
                 ),
+                drawn_digests("ragged", args.seed, ragged_instance, TIES_COMMANDS),
             ):
                 print(f"{workload:<13} {command:<24} {runs:>4} {digest.hexdigest()}", flush=True)
         finally:
