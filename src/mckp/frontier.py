@@ -4,9 +4,8 @@ Everything here works in objective space, where an item maps to the point
 (profit, -cost) and both coordinates are maximized, and compares items only
 within their own category. The nondominated items of every category are
 in ``Instance.frontier_view``, flat numpy arrays that ``mckp.model``
-builds once per instance from the item arrays (``Instance.frontiers`` is
-its index segments, and ``model.pareto_filter`` runs the same builder on
-one category); this module adds:
+builds once per instance from the item arrays (``model.pareto_filter``
+runs the same builder on one category); this module adds:
 
 * ``delta_bound``        -- a computable lower bound on the trade-off ratios
   of frontier item pairs, taken over every category of the instance at once;
@@ -17,8 +16,8 @@ one category); this module adds:
   and one vectorized division over the neighbour pairs of the flat view
   gives the bound in O(n),
 * ``solve_chebyshev_subproblem`` -- argmin of the augmented weighted
-  Chebyshev distance to a reference point that strictly dominates the
-  given items.
+  Chebyshev distance (``chebyshev_value``, one formula for a float or an
+  array) to a reference point that strictly dominates the given items.
 """
 
 import math
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Category, Instance, MCKPError
+from .model import Instance, MCKPError
 
 DEFAULT_RHO = 1e-7
 
@@ -94,25 +93,29 @@ def delta_bound(instance: Instance, rho: float = DEFAULT_RHO) -> RhoBound:
 
 
 def chebyshev_value(
-    item_profit: float,
-    item_cost: float,
+    item_profit,
+    item_cost,
     weights: tuple[float, float],
     reference: tuple[float, float],
     rho: float,
-) -> float:
-    """Augmented weighted Chebyshev value of one item against a reference point.
+):
+    """Augmented weighted Chebyshev value of items against a reference point.
 
     ``max_l  w_l * ((y*_l - d_l) + rho * sum_s (y*_s - d_s))`` with
-    d = (profit, -cost). Smaller is better.
+    d = (profit, -cost). Smaller is better. ``item_profit`` and
+    ``item_cost`` are floats or arrays of them; an array gives each item
+    the bits of the float formula, and values past the float range are
+    infinite, without a warning.
     """
-    g1 = reference[0] - item_profit
-    g2 = reference[1] + item_cost
-    aug = rho * (g1 + g2)
-    return max(weights[0] * (g1 + aug), weights[1] * (g2 + aug))
+    with np.errstate(over="ignore"):
+        g1 = reference[0] - item_profit
+        g2 = reference[1] + item_cost
+        aug = rho * (g1 + g2)
+        return np.maximum(weights[0] * (g1 + aug), weights[1] * (g2 + aug))
 
 
 def solve_chebyshev_subproblem(
-    cat: Category,
+    cat,
     weights: tuple[float, float],
     reference: tuple[float, float],
     rho: float,
@@ -120,30 +123,25 @@ def solve_chebyshev_subproblem(
     """Position in ``cat`` minimizing the augmented Chebyshev value; ties to
     the lowest position.
 
-    ``cat`` is any non-empty sequence of (profit, cost) pairs, such as a
-    category, the items of its frontier or the rows of its segment of
-    ``Instance.frontier_view``. The reference point must strictly dominate
-    every given item's (profit, -cost) pair and weights/rho must be positive,
+    ``cat`` is any non-empty sequence of (profit, cost) pairs or an (n, 2)
+    array of them, such as a category, the items of its frontier or the
+    rows of its segment of ``Instance.frontier_view``. The reference point
+    must strictly dominate every given item's (profit, -cost) pair (a NaN
+    coordinate never does) and weights/rho must be positive (a NaN is not),
     otherwise :class:`InvalidReferencePointError` is raised. With any
     positive rho the winner is nondominated among the given items; with
-    ``rho < delta_bound`` every nondominated item is reachable by a suitable
-    weight vector.
+    ``rho < delta_bound`` every nondominated item wins for some weights.
     """
-    if not cat:
+    items = np.asarray(cat, np.float64)
+    if not len(items):
         raise ValueError("category must be non-empty")
-    if weights[0] <= 0 or weights[1] <= 0:
+    if not (weights[0] > 0 and weights[1] > 0):
         raise InvalidReferencePointError("weights must be strictly positive")
     if not (math.isfinite(rho) and rho > 0):
         raise InvalidReferencePointError("rho must be strictly positive and finite")
-    best_index = 0
-    best_value = math.inf
-    for i, (profit, cost) in enumerate(cat):
-        if profit >= reference[0] or -cost >= reference[1]:
-            raise InvalidReferencePointError(
-                "reference point must strictly dominate every item of the category"
-            )
-        value = chebyshev_value(profit, cost, weights, reference, rho)
-        if value < best_value:
-            best_value = value
-            best_index = i
-    return best_index
+    profit, cost = items.T
+    if not ((profit < reference[0]).all() and (-cost < reference[1]).all()):
+        raise InvalidReferencePointError(
+            "reference point must strictly dominate every item of the category"
+        )
+    return int(chebyshev_value(profit, cost, weights, reference, rho).argmin())

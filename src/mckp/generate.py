@@ -96,4 +96,4 @@ def generate(spec: GenSpec) -> Instance:
         high += int(max(costs[start:]))
     budget = float(math.floor(low + spec.budget_ratio * (high - low) + 0.5))
     starts = range(0, spec.m * spec.n + 1, spec.n)
-    return Instance.from_flat(profits, costs, starts, budget)
+    return Instance._from_floats(profits, costs, starts, budget)

@@ -122,12 +122,12 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
     value would overflow, or the second weight fall to 0), or the anchor's
     own cost gap (larger where the anchor is a dominated item),
     :class:`ObjectiveOverflowError` is raised before any iteration.
-    The subproblem scans the category's frontier (its segment of
-    ``Instance.frontier_view``, as (profit, cost) rows) from its most
-    profitable item down, so a tie goes to the most profitable tied item
-    and the run does not depend on the order of items within a category;
-    at positive rho a dominated item never wins anyway. A winner counts
-    only if it strictly out-profits the current component.
+    The subproblem reads the category's frontier (its segment of
+    ``Instance.frontier_view``, as a reversed array slice of (profit, cost)
+    rows) from its most profitable item down, so a tie goes to the most
+    profitable tied item and the run does not depend on the order of items
+    within a category; at positive rho a dominated item never wins anyway.
+    A winner counts only if it strictly out-profits the current component.
 
     A category's subproblem depends only on its own current component, its
     anchor component and its maxima, so the improving map is kept across
@@ -156,18 +156,19 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
     def above(top):
         return max(top + config.epsilon, math.nextafter(top, math.inf))
 
-    # A candidate's subproblem items (the (profit, cost) rows of its frontier,
-    # most profitable first, so that ties go to the most profitable item),
-    # reference point and second weight stay fixed for the run, and so does
-    # the view entry of its item 0, the last of its segment.
+    # A candidate's subproblem items (a reversed slice of its frontier's
+    # (profit, cost) rows, most profitable first, so that ties go to the most
+    # profitable item), reference point and second weight stay fixed for the
+    # run, and so does the view entry of its item 0, the last of its segment.
     view = instance.frontier_view
     rows = np.column_stack((view.profit, view.cost))
     segments = view.starts.tolist()
     subproblems = {}
     for j in candidates:
         a, b = segments[j], segments[j + 1]
-        items = rows[a:b][::-1].tolist()
-        (top_profit, top_cost), (low_profit, low_cost) = items[0], items[-1]
+        items = rows[a:b][::-1]
+        top_profit, top_cost = map(float, items[0])
+        low_profit, low_cost = map(float, items[-1])
         reference = (above(top_profit), above(-low_cost))
         # the largest gaps to the reference point bound every item's g1 + g2
         if not math.isfinite((reference[0] - low_profit) + (reference[1] + top_cost)):
@@ -197,7 +198,7 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
         current = profits[starts[j] + xa[j]]
         w1 = 1.0 / (reference[0] - current)
         position = solve_chebyshev_subproblem(items, (w1, w2), reference, rho)
-        if items[position][0] > current:
+        if items[position, 0] > current:
             improving[j] = int(view.index[last - position])
 
     for j in candidates:

@@ -7,9 +7,8 @@ This module holds the types (an ``Instance`` is stored as flat profit and
 cost tuples, with numpy arrays of the same values), each category's Pareto
 filter (``Instance.frontier_view``, flat numpy arrays built from the item
 arrays with no per-item Python loop, which the probes, ``delta_bound``,
-KISSA and the DP read, and ``Instance.frontiers``, its index segments as
-tuples), the rule under which float cost sums are exact, the
-objective/feasibility evaluators and the line-oriented instance file
+KISSA and the DP read), the rule under which float cost sums are exact,
+the objective/feasibility evaluators and the line-oriented instance file
 format.
 """
 
@@ -172,32 +171,41 @@ class Instance:
     @classmethod
     def from_flat(cls, profits, costs, starts, budget) -> "Instance":
         """The instance with the flat view ``profits``, ``costs``, ``starts``
-        (see the class docstring), validated as the constructor validates."""
+        (see the class docstring), validated as the constructor validates.
+        Coefficients are converted with ``float``, as the constructor
+        converts them, so an integer past 2**53 is stored as its float, and
+        starts with ``operator.index``, which refuses a non-integer."""
+        return cls._from_floats(
+            [*map(float, profits)], [*map(float, costs)], [*map(operator.index, starts)], budget
+        )
+
+    @classmethod
+    def _from_floats(cls, profits, costs, starts, budget) -> "Instance":
+        """:meth:`from_flat` for coefficients that are Python floats already
+        (the reader's and the generator's), stored with no conversion."""
         instance = object.__new__(cls)
         instance._set_flat(profits, costs, starts, budget)
         return instance
 
     def _set_flat(self, profits, costs, starts, budget) -> None:
         budget = float(budget)
-        for name, value in (
-            ("profits", tuple(profits)), ("costs", tuple(costs)),
-            ("starts", tuple(starts)), ("budget", budget),
-        ):
-            object.__setattr__(self, name, value)
-        # built here to validate on; a pickle leaves them out to be rebuilt
-        profit_array, cost_array, start_array = self._item_arrays
-        if len(start_array) < 2:
+        profits, costs, starts = tuple(profits), tuple(costs), tuple(starts)
+        if len(profits) != len(costs):
+            raise ValueError(f"{len(profits)} profits but {len(costs)} costs")
+        if len(starts) < 2:
             raise ValueError("instance must have at least one category")
-        # Array reductions check every item; the ordered scan only finds the culprit.
-        if not (
-            np.all(start_array[1:] > start_array[:-1])
-            and profit_array.min() >= 0 and cost_array.min() >= 0
-            and profit_array.max() < math.inf and cost_array.max() < math.inf
-        ):
-            for j, (a, b) in enumerate(zip(self.starts, self.starts[1:])):
-                if a == b:
-                    raise ValueError(f"category {j} is empty")
-                for i, (p, c) in enumerate(zip(self.profits[a:b], self.costs[a:b])):
+        if starts[0] != 0 or starts[-1] != len(profits):
+            raise ValueError(f"starts must run from 0 to {len(profits)}, the item count")
+        vars(self).update(profits=profits, costs=costs, starts=starts, budget=budget)
+        # The fast checks test every category, then every item on the numpy
+        # arrays, built here only once the starts rise (a pickle leaves them
+        # out to be rebuilt); the ordered scan only names the culprit.
+        arrays = all(map(operator.lt, starts, starts[1:])) and self._item_arrays
+        if not (arrays and all(a.min() >= 0 and a.max() < math.inf for a in arrays[:2])):
+            for j, (a, b) in enumerate(zip(starts, starts[1:])):
+                if a >= b:
+                    raise ValueError(f"category {j} is {'empty' if a == b else 'of negative size'}")
+                for i, (p, c) in enumerate(zip(profits[a:b], costs[a:b])):
                     if not (math.isfinite(p) and math.isfinite(c)):
                         raise ValueError(f"non-finite coefficient at category {j} item {i}")
                     if p < 0 or c < 0:
@@ -206,7 +214,7 @@ class Instance:
             raise ValueError("budget must be positive and finite")
 
     def __getstate__(self):
-        # ``categories``, the numpy arrays and the frontier caches are rebuilt
+        # ``categories``, the numpy arrays and the frontier view are rebuilt
         # on first use.
         return {name: vars(self)[name] for name in ("budget", "profits", "costs", "starts")}
 
@@ -231,21 +239,12 @@ class Instance:
         return tuple(map(operator.sub, self.starts[1:], self.starts))
 
     @cached_property
-    def frontiers(self) -> tuple[tuple[int, ...], ...]:
-        """Each category's :func:`pareto_filter` indices: the segments of
-        ``frontier_view.index``, computed on first use.
-
-        Not a field, so equality, hashing and ``dataclasses.replace`` ignore it.
-        """
-        view = self.frontier_view
-        index, starts = view.index.tolist(), view.starts.tolist()
-        return tuple(tuple(index[a:b]) for a, b in zip(starts, starts[1:]))
-
-    @cached_property
     def frontier_view(self) -> FrontierView:
         """Every category's frontier as one :class:`FrontierView`, built from
         the numpy arrays of the items on first use, with no per-item Python
-        loop; not a field, like ``frontiers``."""
+        loop. Category ``j``'s :func:`pareto_filter` indices are its segment
+        of ``frontier_view.index``. Not a field, so equality, hashing and
+        ``dataclasses.replace`` ignore it."""
         return _frontier_view(*self._item_arrays)
 
     @cached_property
@@ -412,7 +411,7 @@ def _read_blocks(lines: list[str]) -> Instance | None:
         if pos != len(lines) or marks != b" \n" * (len(items) - 1) + b" ":
             return None
         values = list(map(float, text.replace("\n", " ").split(" ")))
-        return Instance.from_flat(values[0::2], values[1::2], starts, float(b_token[2:]))
+        return Instance._from_floats(values[0::2], values[1::2], starts, float(b_token[2:]))
     except (IndexError, ValueError):
         return None
 

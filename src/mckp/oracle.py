@@ -299,7 +299,7 @@ def _round(pareto, reduced, cut: int, budget: int) -> tuple[float, list[int]] | 
 def dp_solve(instance: Instance) -> ExactResult:
     """Dynamic program over (category, residual budget) for integer instances.
 
-    Only the budget and the costs of frontier items (``Instance.frontiers``)
+    Only the budget and the costs of frontier items (``Instance.frontier_view``)
     must be integers; profit may be fractional. Raises
     :class:`NonIntegerInstanceError` otherwise, or when the budget is at
     least 2**53 and the categories' largest frontier costs sum past 2**53

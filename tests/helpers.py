@@ -218,7 +218,7 @@ def solve_linear_by_scan(instance: Instance, w: float) -> tuple[int, ...]:
     cw = 1.0 - w
     profits, costs = instance.profits, instance.costs
     chosen = []
-    for a, frontier in zip(instance.starts, instance.frontiers):
+    for a, frontier in zip(instance.starts, map(pareto_filter, instance.categories)):
         best = frontier[0]
         best_score = w * profits[a + best] - cw * costs[a + best]
         for i in frontier[1:]:
@@ -227,6 +227,13 @@ def solve_linear_by_scan(instance: Instance, w: float) -> tuple[int, ...]:
                 best, best_score = i, score
         chosen.append(best)
     return tuple(chosen)
+
+
+def view_segments(instance: Instance) -> tuple[tuple[int, ...], ...]:
+    """Each category's segment of ``instance.frontier_view.index``, as a tuple."""
+    view = instance.frontier_view
+    index, starts = view.index.tolist(), view.starts.tolist()
+    return tuple(tuple(index[a:b]) for a, b in zip(starts, starts[1:]))
 
 
 def evaluate_by_loop(instance: Instance, sel) -> tuple[float, float]:
@@ -243,7 +250,8 @@ def evaluate_by_loop(instance: Instance, sel) -> tuple[float, float]:
 def delta_by_neighbour_scan(instance: Instance) -> float:
     """``delta_bound``'s ``delta`` as a scalar loop over frontier neighbours."""
     delta = math.inf
-    for cat, f in zip(instance.categories, instance.frontiers):
+    for cat in instance.categories:
+        f = pareto_filter(cat)
         for a, b in zip(f, f[1:]):
             dp = cat[b].profit - cat[a].profit
             dc = cat[b].cost - cat[a].cost
@@ -254,9 +262,7 @@ def delta_by_neighbour_scan(instance: Instance) -> float:
 
 def exact_cost_sums_by_scan(instance: Instance) -> bool:
     """``exact_cost_sums`` as a scalar loop over the frontier items."""
-    frontier_costs = [
-        [cat[i].cost for i in f] for cat, f in zip(instance.categories, instance.frontiers)
-    ]
+    frontier_costs = [[cat[i].cost for i in pareto_filter(cat)] for cat in instance.categories]
     return all(c.is_integer() for costs in frontier_costs for c in costs) and (
         instance.budget < 2**53 or sum(int(costs[-1]) for costs in frontier_costs) <= 2**53
     )

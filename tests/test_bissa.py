@@ -132,7 +132,7 @@ class TestSolveLinearMatchesAllItems:
         for w in weights:
             if w > 0.0:
                 assert solve_linear(inst, w) == solve_linear_all_items(inst, w), w
-        assert solve_linear(inst, 0.0) == tuple(f[0] for f in inst.frontiers)
+        assert solve_linear(inst, 0.0) == tuple(pareto_filter(c)[0] for c in inst.categories)
 
     @staticmethod
     def trace_weights(inst):
@@ -240,7 +240,7 @@ class TestBissaExactCases:
                 continue
             anchored += 1
             assert res.trace[1].weight == 0.0
-            assert res.trace[1].selection == tuple(f[0] for f in inst.frontiers)
+            assert res.trace[1].selection == tuple(pareto_filter(c)[0] for c in inst.categories)
         assert anchored > 50
 
     def test_infeasible_instance(self):

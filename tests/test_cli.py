@@ -437,8 +437,8 @@ class TestBench:
 
 
 class TestOneFrontierViewPerInstance:
-    """Every layer reads the ``frontier_view`` or ``Instance.frontiers``
-    taken from it, so a command builds the view of its instance once."""
+    """Every layer reads the instance's ``frontier_view``, its only frontier,
+    so a command builds the view of its instance once."""
 
     @staticmethod
     def count_views(monkeypatch):

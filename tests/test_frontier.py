@@ -1,6 +1,8 @@
 import math
 import random
+import warnings
 
+import numpy as np
 import pytest
 
 from mckp import (
@@ -338,6 +340,108 @@ class TestChebyshevSubproblem:
         with pytest.raises(InvalidReferencePointError, match=message):
             solve_chebyshev_subproblem(c, (1, 1), (4.0, -3.0), 1e-7)
         assert solve_chebyshev_subproblem(c, (1, 1), (4.0, -2.0), 1e-7) == 2
+
+
+def chebyshev_by_floats(profit, cost, weights, reference, rho):
+    """The augmented Chebyshev value as a Python float expression."""
+    g1 = reference[0] - profit
+    g2 = reference[1] + cost
+    aug = rho * (g1 + g2)
+    return max(weights[0] * (g1 + aug), weights[1] * (g2 + aug))
+
+
+def kissa_like_setting(rng, items):
+    """A reference point strictly above the items' maxima and weights from
+    the gaps of two random items, as KISSA sets them, and a random rho."""
+    eps = rng.choice((1e-300, 1e-4, 1.0, 1e300))
+    top1 = max(p for p, _ in items)
+    top2 = max(-c for _, c in items)
+    reference = (
+        max(top1 + eps, math.nextafter(top1, math.inf)),
+        max(top2 + eps, math.nextafter(top2, math.inf)),
+    )
+    weights = (
+        1.0 / (reference[0] - rng.choice(items)[0]),
+        1.0 / (reference[1] + rng.choice(items)[1]),
+    )
+    return weights, reference, rng.choice((5e-324, 1e-7, 0.5, 1e300))
+
+
+class TestChebyshevOverArrays:
+    """One formula for a float and an array: the array gives each item the
+    bits of the float expression, and the subproblem takes its first minimum."""
+
+    @staticmethod
+    def check(items, weights, reference, rho):
+        want = [chebyshev_by_floats(p, c, weights, reference, rho) for p, c in items]
+        profit, cost = np.array(items, np.float64).T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # overflow to inf warns nowhere
+            got = chebyshev_value(profit, cost, weights, reference, rho).tolist()
+            one = [float(chebyshev_value(p, c, weights, reference, rho)) for p, c in items]
+            position = solve_chebyshev_subproblem(items, weights, reference, rho)
+        assert list(map(float.hex, got)) == list(map(float.hex, want))
+        assert list(map(float.hex, one)) == list(map(float.hex, want))
+        assert position == want.index(min(want))
+
+    def test_float_edge_coefficients(self):
+        rng = random.Random(45)
+        for _ in range(400):
+            for items in float_edge_instance(rng).categories:
+                self.check(items, *kissa_like_setting(rng, items))
+
+    def test_tied_items_go_to_the_lowest_position(self):
+        rng = random.Random(46)
+        tied = 0
+        for _ in range(400):
+            items = [(float(p), float(c)) for p, c in ties(rng, rng.randint(1, 10))]
+            weights, reference, rho = kissa_like_setting(rng, items)
+            want = [chebyshev_by_floats(p, c, weights, reference, rho) for p, c in items]
+            tied += want.count(min(want)) > 1
+            self.check(items, weights, reference, rho)
+        assert tied > 100
+
+    def test_items_pairs_and_arrays_agree(self):
+        rng = random.Random(47)
+        for _ in range(200):
+            items = random_category(rng, max_n=12, max_coeff=30)
+            weights, reference, rho = kissa_like_setting(rng, items)
+            rows = np.array(items)
+            want = solve_chebyshev_subproblem(items, weights, reference, rho)
+            for given in ([tuple(item) for item in items], [list(item) for item in items], rows):
+                assert solve_chebyshev_subproblem(given, weights, reference, rho) == want
+            # a reversed slice, as KISSA passes a frontier segment
+            flipped = solve_chebyshev_subproblem(items[::-1], weights, reference, rho)
+            assert solve_chebyshev_subproblem(rows[::-1], weights, reference, rho) == flipped
+
+    @pytest.mark.parametrize(
+        "items",
+        [
+            [(math.nan, 1.0)],
+            [(1.0, math.nan)],
+            [(1.0, 2.0), (2.0, 3.0), (math.nan, 4.0)],
+            [(1.0, 2.0), (2.0, 3.0), (3.0, math.nan)],
+        ],
+    )
+    def test_nan_item_fails_the_precondition(self, items):
+        # a NaN coordinate is never strictly dominated, so the reference fails
+        with pytest.raises(InvalidReferencePointError, match="strictly dominate"):
+            solve_chebyshev_subproblem(items, (1.0, 1.0), (5.0, 0.0), 1e-7)
+
+    @pytest.mark.parametrize("reference", [(math.nan, 0.0), (5.0, math.nan)])
+    def test_nan_reference_fails_the_precondition(self, reference):
+        with pytest.raises(InvalidReferencePointError, match="strictly dominate"):
+            solve_chebyshev_subproblem([(1.0, 2.0)], (1.0, 1.0), reference, 1e-7)
+
+    @pytest.mark.parametrize("weights", [(math.nan, 1.0), (1.0, math.nan)])
+    def test_nan_weight_fails_the_precondition(self, weights):
+        with pytest.raises(InvalidReferencePointError, match="weights must be strictly positive"):
+            solve_chebyshev_subproblem([(1.0, 2.0), (2.0, 3.0)], weights, (5.0, 0.0), 1e-7)
+
+    def test_empty_input(self):
+        for empty in ((), [], np.empty((0, 2))):
+            with pytest.raises(ValueError, match="non-empty"):
+                solve_chebyshev_subproblem(empty, (1.0, 1.0), (5.0, 0.0), 1e-7)
 
 
 class TestChebyshevTheorems:

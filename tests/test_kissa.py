@@ -4,6 +4,7 @@ import random
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from mckp import (
@@ -356,6 +357,26 @@ class TestAbsorbedEpsilon:
         for cat, (ref1, ref2) in references:
             assert ref1 == max(profit for profit, _ in cat) + 1e-3
             assert ref2 == max(-cost for _, cost in cat) + 1e-3
+
+
+    def test_subproblems_read_reversed_slices_of_the_view(self, monkeypatch):
+        # each candidate's frontier rows, most profitable first, as an array
+        # view rather than a copied list
+        seen = []
+        solve = kissa_module.solve_chebyshev_subproblem
+
+        def recording(cat, weights, reference, rho):
+            seen.append(cat)
+            return solve(cat, weights, reference, rho)
+
+        monkeypatch.setattr(kissa_module, "solve_chebyshev_subproblem", recording)
+        inst = generate(GenSpec(m=6, n=8, correlation=Correlation.WEAK, seed=3))
+        kissa(inst, bissa(inst))
+        frontiers = [[tuple(cat[i]) for i in reversed(pareto_filter(cat))] for cat in inst.categories]
+        assert seen
+        for cat in seen:
+            assert isinstance(cat, np.ndarray) and cat.base is not None
+            assert list(map(tuple, cat.tolist())) in frontiers
 
 
 class TestExtremeCoefficients:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import pickle
@@ -13,10 +14,13 @@ import mckp
 from mckp import model
 from mckp.model import exact_cost_sums
 from mckp import (
+    Correlation,
+    GenSpec,
     Instance,
     InstanceFormatError,
     InvalidSelectionError,
     evaluate,
+    generate,
     is_feasible,
     pareto_filter,
     read_instance,
@@ -30,6 +34,7 @@ from helpers import (
     pareto_filter_by_loop,
     pareto_items_by_pairwise_scan,
     random_instance,
+    view_segments,
 )
 
 
@@ -157,21 +162,87 @@ class TestInstanceValidation:
             Instance((((math.inf, 2.0),),), budget=1.0)
 
 
+class TestFromFlat:
+    """``Instance.from_flat`` builds only what the constructor can build."""
+
+    @staticmethod
+    def counting():
+        """An ``Instance`` subclass that records the ``starts`` of each build
+        of its numpy arrays, and the list it records them in."""
+        built = []
+
+        class Counting(Instance):
+            @functools.cached_property
+            def _item_arrays(self):
+                built.append(self.starts)
+                return Instance._item_arrays.func(self)
+
+        return Counting, built
+
+    @pytest.mark.parametrize(
+        "profits, costs, starts, message",
+        [
+            ([1.0, 2.0, 3.0], [1.0, 1.0], [0, 3], "3 profits but 2 costs"),
+            ([1.0], [1.0], [0, 5], "starts must run from 0 to 1"),  # a 'cat 5' of one item
+            ([1.0, 2.0], [1.0, 1.0], [1, 2], "starts must run from 0 to 2"),  # item 0 orphaned
+            ([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], [0, 2, 1, 3], "category 1 is of negative size"),
+        ],
+    )
+    def test_refuses_a_view_no_categories_give(self, profits, costs, starts, message):
+        counting, built = self.counting()
+        with pytest.raises(ValueError, match=message):
+            counting.from_flat(profits, costs, starts, 5.0)
+        assert not built  # refused before any cache is built
+
+    def test_counting_sees_a_valid_build(self):
+        counting, built = self.counting()
+        inst = counting.from_flat([1.0, 2.0], [1.0, 1.0], [0, 1, 2], 5.0)
+        assert built == [(0, 1, 2)]
+        assert inst.sizes == (1, 1) and inst.profits == (1.0, 2.0)
+
+    def test_integers_are_stored_as_their_floats(self):
+        inst = Instance.from_flat([2**53 + 1], [1], [0, 1], 5)
+        built = Instance([[(2**53 + 1, 1)]], 5)
+        assert inst == built and hash(inst) == hash(built)
+        assert inst.profits == (2.0**53,) and inst.costs == (1.0,)
+        assert [type(v) for v in inst.profits + inst.costs] == [float, float]
+        assert inst._item_arrays[0].tolist() == list(inst.profits)
+
+    def test_starts_must_be_integers(self):
+        with pytest.raises(TypeError):
+            Instance.from_flat([1.0, 2.0], [1.0, 1.0], [0, 1.5, 2], 5.0)
+        inst = Instance.from_flat([1.0, 2.0], [1.0, 1.0], (0, True, 2), 5.0)
+        assert [type(a) for a in inst.starts] == [int, int, int]
+
+    def test_reader_and_generator_pass_their_floats_as_they_are(self, monkeypatch, appendix):
+        def unreachable(*args):
+            raise AssertionError("from_flat converts every coefficient again")
+
+        monkeypatch.setattr(Instance, "from_flat", unreachable)
+        assert read_instance(write_instance(appendix)) == appendix
+        inst = generate(GenSpec(m=3, n=4, correlation=Correlation.WEAK, seed=1))
+        assert {type(v) for v in inst.profits + inst.costs} == {float}
+
+
 class TestFrontiers:
     def test_each_category_pareto_filter(self, appendix):
-        assert appendix.frontiers == tuple(pareto_filter(c) for c in appendix.categories)
+        assert view_segments(appendix) == tuple(pareto_filter(c) for c in appendix.categories)
 
     def test_computed_once(self, appendix):
-        assert appendix.frontiers is appendix.frontiers
+        assert appendix.frontier_view is appendix.frontier_view
+
+    def test_no_second_frontier_cache(self, appendix):
+        # the view is the only frontier an instance holds
+        assert not hasattr(appendix, "frontiers")
 
     # built on first use; the numpy arrays of the items are filled at
     # construction, and a pickle leaves them out too
-    CACHES = {"frontiers", "frontier_view"}
+    CACHES = {"frontier_view"}
 
     def test_equality_hash_and_replace_ignore_the_view(self, appendix):
-        # pickle too, and every cache: ``frontiers``, the view, the numpy copies
+        # pickle too, and every cache: the view, the numpy copies
         twin = Instance(appendix.categories, appendix.budget)
-        appendix.frontiers  # noqa: B018 -- fill the caches on one side only
+        appendix.frontier_view  # noqa: B018 -- fill the cache on one side only
         assert self.CACHES <= vars(appendix).keys()
         assert not self.CACHES & vars(twin).keys()
         assert "_item_arrays" in vars(twin)
@@ -181,10 +252,9 @@ class TestFrontiers:
         assert copy == appendix and not self.CACHES & vars(copy).keys()
         loaded = pickle.loads(pickle.dumps(appendix))
         assert loaded == appendix and not {*self.CACHES, "_item_arrays"} & vars(loaded).keys()
-        assert loaded.frontiers == appendix.frontiers
+        assert view_segments(loaded) == view_segments(appendix)
         assert evaluate(loaded, (1, 0)) == evaluate(appendix, (1, 0))
         cheaper = dataclasses.replace(appendix, categories=(((9.0, 0.5), (1.0, 0.5)),))
-        assert cheaper.frontiers == ((0,),)
         assert cheaper.frontier_view.index.tolist() == [0]
 
     def test_view_holds_the_frontier_items(self):
@@ -194,11 +264,13 @@ class TestFrontiers:
             view = inst.frontier_view
             rows = [
                 (i, cat[i].profit, cat[i].cost, j)
-                for j, (cat, f) in enumerate(zip(inst.categories, inst.frontiers))
-                for i in f
+                for j, cat in enumerate(inst.categories)
+                for i in pareto_filter(cat)
             ]
             assert list(zip(*(a.tolist() for a in view[:4]))) == rows
-            assert view.starts.tolist() == [0, *itertools.accumulate(map(len, inst.frontiers))]
+            assert view.starts.tolist() == [
+                0, *itertools.accumulate(len(pareto_filter(cat)) for cat in inst.categories)
+            ]
 
 
 class TestExactCostSums:
@@ -339,8 +411,8 @@ TIE_COEFFICIENTS = (0, 0.0, -0.0, 1, 2, 3, 2**53 - 1, 2**53, 2**53 + 1, 2**53 + 
 
 
 class TestFlatFrontiers:
-    """``Instance.frontiers`` comes from the flat view; it must be
-    :func:`pareto_filter` of each category, read from a file or not."""
+    """Each category's segment of the flat view must be :func:`pareto_filter`
+    of the category, read from a file or not."""
 
     @given(
         st.lists(
@@ -364,8 +436,8 @@ class TestFlatFrontiers:
             v.hex() for v in built.profits + built.costs
         ]
         for inst in (built, read):
-            assert inst.frontiers == tuple(pareto_filter(c) for c in inst.categories)
-            for cat, f in zip(inst.categories, inst.frontiers):
+            assert view_segments(inst) == tuple(pareto_filter(c) for c in inst.categories)
+            for cat, f in zip(inst.categories, view_segments(inst)):
                 assert set(f) == pareto_items_by_pairwise_scan(cat)
                 assert all(cat[a].cost < cat[b].cost for a, b in zip(f, f[1:]))
 
@@ -395,7 +467,7 @@ class TestFrontierViewMatchesLoop:
         for inst in (built, read_instance(write_instance(built))):
             bounds = list(zip(inst.starts, inst.starts[1:]))
             want = tuple(pareto_filter_by_loop(inst.profits[a:b], inst.costs[a:b]) for a, b in bounds)
-            assert inst.frontiers == want
+            assert view_segments(inst) == want
             assert tuple(map(pareto_filter, inst.categories)) == want
             view = inst.frontier_view
             rows = [

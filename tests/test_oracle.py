@@ -411,7 +411,7 @@ class TestDpSolveMatchesFullWidth:
         wide = tuple((k + 0.5, float(k)) for k in range(rows))
         small = ((0.25, 0.0), (1.75, 3.0))
         inst = Instance((wide, small, wide), budget=2.0 * (rows - 1))
-        assert [len(f) for f in inst.frontiers] == [rows, 2, rows]
+        assert [len(pareto_filter(c)) for c in inst.categories] == [rows, 2, rows]
         assert matches_full_width(inst)
         assert dp_solve(inst).optimum_selection == (rows - 1, 0, rows - 1)
 

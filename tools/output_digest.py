@@ -21,7 +21,11 @@ sums overflow, the smallest subnormal, 0.1 and -0.0) runs ``solve`` and
 ``exact --method brute``, and a ``deep`` sweep runs both on a few instances
 of 1,000 to 1,500 categories, only a few of which hold two items. A
 ``ragged`` sweep of instances whose categories hold 1 to 12 items each, with
-coefficients 0-9, runs ``solve --trace`` and ``exact``.
+coefficients 0-9, runs ``solve --trace`` and ``exact``. Last, a
+``chebyshev`` sweep of small instances with coefficients 0-99 runs ``solve
+--trace`` with KISSA's options: an ``--eps`` that rounds away against any
+nonzero coefficient, a large one, a ``--rho`` below the delta bound, and an
+``--eps`` of 1e308, which KISSA refuses with exit 1 wherever it runs.
 Prints one sha256 per (workload, command) over each run's exit code,
 stdout and stderr (an uncaught exception is recorded as the run's exit
 code, and the digest goes on); the ``gen`` digests cover the instance
@@ -100,6 +104,15 @@ FLOAT_EDGE_COMMANDS = (
 )
 # instances in the ``deep`` sweep, each past Python's recursion limit
 DEEP_INSTANCES = 4
+# Any two coefficients in 0-99 have a trade-off ratio of at least 1/98, so
+# rho 5e-3 lies below every delta bound of the ``chebyshev`` sweep, and eps
+# 1e-20 rounds away against any nonzero maximum, whose reference point is
+# then the next float up.
+CHEBYSHEV_COMMANDS = tuple(
+    (f"solve --trace {option} {value}", ["solve", "small.mckp", "--trace", option, value])
+    for option, value in (("--eps", "1e-20"), ("--eps", "1e6"), ("--rho", "5e-3"),
+                          ("--eps", "1e308"))
+)
 WORKLOAD_COMMANDS = (("solve", ["solve"]), ("exact", ["exact"]))
 RULE_COMMANDS = (
     ("solve --rule first", ["solve", "--rule", "first"]),
@@ -363,6 +376,11 @@ def main(argv=None) -> int:
                     "deep", args.seed, deep_instance, FLOAT_EDGE_COMMANDS, DEEP_INSTANCES
                 ),
                 drawn_digests("ragged", args.seed, ragged_instance, TIES_COMMANDS),
+                drawn_digests(
+                    "chebyshev", args.seed,
+                    lambda rng: drawn_instance(rng, lambda r: r.randint(0, 99)),
+                    CHEBYSHEV_COMMANDS,
+                ),
             ):
                 print(f"{workload:<13} {command:<24} {runs:>4} {digest.hexdigest()}", flush=True)
         finally:
