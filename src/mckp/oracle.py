@@ -3,10 +3,12 @@
 ``brute_force`` and ``pareto_enumerate`` (every nondominated selection)
 read one guarded numpy table of every selection's image. ``dp_solve`` is a
 pseudo-polynomial dynamic program over the cost dimension for integer
-instances (on integral profits it fills the core of the LP relaxation
-first and a second, wider table only when the first cannot decide; each
-table is guarded). These exist to check the heuristics and each other,
-not to compete with them; guards fail loudly instead of degrading.
+instances. On integral profits it first takes the LP relaxation in array
+passes over the flat frontier view, exact in int64 or, past that range, in
+Python integers; then it fills the core of the relaxation and a second,
+wider table only when the first cannot decide, each table guarded. These
+exist to check the heuristics and each other, not to compete with them;
+guards fail loudly instead of degrading.
 """
 
 import enum
@@ -126,33 +128,55 @@ def dominated_in_product(instance: Instance, sel: Selection) -> bool:
     return bool(np.any((f1 >= p1) & (f2 >= p2) & ((f1 != p1) | (f2 != p2))))
 
 
-def _upper_hull(rows: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Upper hull of a category's frontier rows ``(profit, cost)``.
+def _exact_integers(values: np.ndarray, int64: bool) -> np.ndarray:
+    """Integer-valued floats as int64, or else as Python integers (objects)."""
+    if int64:
+        return values.astype(np.int64)
+    return np.array([int(v) for v in values.tolist()], dtype=object)
 
-    ``rows`` are integers sorted by strictly increasing cost and profit, as
-    ``pareto_filter`` orders them. A row is dropped when it lies strictly
-    below the chord of its neighbours, so collinear rows are kept and the
-    slopes ``dp / dc`` do not increase along the hull. The cross products
-    are Python integers, so the hull is exact at any size.
+
+def _integer_arrays(view) -> tuple[np.ndarray, np.ndarray]:
+    """The view's integer-valued profits and costs for :func:`_lp_relaxation`.
+
+    They are int64 when the largest profit ``P`` and cost ``C`` are below
+    2**53 and ``2*P*C < 2**63``: then every product and difference there is
+    exact, and a slope ``rise / run`` is the correctly rounded quotient that
+    Python's int/int gives. Elsewhere they are Python integers, exact at any
+    size, which the same expressions run on.
     """
-    hull: list[tuple[int, int]] = []
-    for p, c in rows:
-        while len(hull) >= 2:
-            (p1, c1), (p2, c2) = hull[-2], hull[-1]
-            if (p - p2) * (c2 - c1) > (p2 - p1) * (c - c2):
-                hull.pop()
-            else:
-                break
-        hull.append((p, c))
-    return hull
+    top_profit, top_cost = int(view.profit.max()), int(view.cost.max())
+    int64 = max(top_profit, top_cost) < 2**53 and 2 * top_profit * top_cost < 2**63
+    return _exact_integers(view.profit, int64), _exact_integers(view.cost, int64)
 
 
-def _lp_relaxation(rows, budget: int) -> tuple[list[list[int]], int, int, int]:
+def _upper_hull(category: np.ndarray, profit: np.ndarray, cost: np.ndarray) -> np.ndarray:
+    """The positions of every category's upper-hull rows, in order.
+
+    The arrays hold frontier rows as :class:`~mckp.model.FrontierView` lays
+    them out: each category's rows by strictly increasing cost and profit,
+    with exact integer coefficients. Each pass drops, in every category at
+    once, each row strictly below the chord of its two surviving neighbours;
+    the passes stop when one drops nothing. A row below such a chord is off
+    the hull, and a chain with no such row has slopes ``dp / dc`` that do
+    not increase, so the survivors are the hull, collinear rows included.
+    """
+    keep = np.arange(len(profit))
+    while True:
+        j, p, c = category[keep], profit[keep], cost[keep]
+        below = (j[:-2] == j[2:]) & (
+            (p[2:] - p[1:-1]) * (c[1:-1] - c[:-2]) > (p[1:-1] - p[:-2]) * (c[2:] - c[1:-1])
+        )
+        if not below.any():
+            return keep
+        keep = np.delete(keep, np.flatnonzero(below) + 1)
+
+
+def _lp_relaxation(view, profit, cost, budget: int) -> tuple[np.ndarray, int, int, int]:
     """The LP relaxation of an integral instance: ``(reduced, ub, lb, unit)``.
 
-    ``rows`` holds each category's Pareto rows ``(index, profit, int cost)``
-    by increasing cost, as :func:`dp_solve` builds them, and every profit is
-    an integer.
+    ``profit`` and ``cost`` are the frontier ``view``'s coefficients as
+    exact integer arrays (int64, or objects holding Python integers) in
+    which every product and difference below is exact.
 
     A greedy walk over all upper-hull edges (:func:`_upper_hull`), steepest
     first, starts from the cheapest selection and takes each edge that fits
@@ -165,41 +189,45 @@ def _lp_relaxation(rows, budget: int) -> tuple[list[list[int]], int, int, int]:
     the reduced costs ``max(p - lam*c) - (p - lam*c)`` of its rows. So a row
     whose reduced cost exceeds ``UB - z`` is in no selection of profit ``z``
     or more (Dyer, Kayal and Walker 1984). Everything is scaled by
-    ``unit = dc``, the scaled size of one profit unit, so ``reduced[j][r]``
-    and ``ub`` are exact integers.
+    ``unit = dc``, the scaled size of one profit unit, so ``reduced[k]``,
+    the reduced cost of view row ``k``, and ``ub`` are exact integers.
     """
-    edges = []
-    for j, category_rows in enumerate(rows):
-        hull = _upper_hull([(int(p), c) for _, p, c in category_rows])
-        for k, ((p1, c1), (p2, c2)) in enumerate(zip(hull, hull[1:])):
-            edges.append((p2 - p1, c2 - c1, j, k))
+    firsts = view.starts[:-1]
+    hull = _upper_hull(view.category, profit, cost)
+    j, p, c = view.category[hull], profit[hull], cost[hull]
+    edge = np.flatnonzero(j[:-1] == j[1:])
+    rise, run = p[edge + 1] - p[edge], c[edge + 1] - c[edge]
     # Int/int division is correctly rounded, so the float slopes of a hull
     # do not increase and the stable sort keeps each hull's edges in order.
-    edges.sort(key=lambda e: -e[0] / e[1])
-    residual = budget - sum(category_rows[0][2] for category_rows in rows)
-    lb = sum(int(category_rows[0][1]) for category_rows in rows)
+    order = np.argsort(-(rise / run).astype(np.float64), kind="stable")
+    residual = budget - sum(cost[firsts].tolist())
+    lb = sum(profit[firsts].tolist())
     critical = None
-    reached = [0] * len(rows)  # next hull edge of each category; -1 once stopped
-    for rise, run, j, k in edges:
-        if reached[j] != k:
+    stopped = [False] * len(firsts)
+    edges = zip(rise[order].tolist(), run[order].tolist(), j[edge[order]].tolist())
+    for dp, dc, category in edges:
+        if stopped[category]:
             continue
-        if run > residual:
-            critical = critical or (rise, run)
-            reached[j] = -1
+        if dc > residual:
+            critical = critical or (dp, dc)
+            stopped[category] = True
         else:
-            residual -= run
-            lb += rise
-            reached[j] = k + 1
+            residual -= dc
+            lb += dp
     lam_p, unit = critical or (0, 1)
 
-    reduced = []
-    ub = lam_p * budget
-    for category_rows in rows:
-        values = [unit * int(p) - lam_p * c for _, p, c in category_rows]
-        best = max(values)
-        ub += best
-        reduced.append([best - v for v in values])
-    return reduced, ub, lb, unit
+    values = unit * profit - lam_p * cost
+    best = np.maximum.reduceat(values, firsts)
+    return best[view.category] - values, lam_p * budget + sum(best.tolist()), lb, unit
+
+
+def _rows(view, cost, positions: np.ndarray, sizes: np.ndarray) -> list[list[tuple]]:
+    """The rows ``(index, profit, int cost)`` at the view's ``positions``,
+    ``sizes[j]`` of them in the ``j``-th list, with costs from ``cost``."""
+    index = view.index[positions].tolist()
+    profits, costs = view.profit[positions].tolist(), cost[positions].tolist()
+    bounds = itertools.pairwise([0, *itertools.accumulate(sizes.tolist())])
+    return [list(zip(index[a:b], profits[a:b], costs[a:b])) for a, b in bounds]
 
 
 def _table(pareto, budget: int) -> tuple[float, list[int]] | None:
@@ -273,27 +301,33 @@ def _table(pareto, budget: int) -> tuple[float, list[int]] | None:
     return float(dp[width - 1]), selection
 
 
-def _round(pareto, reduced, cut: int, budget: int) -> tuple[float, list[int]] | None:
-    """:func:`_table` over the rows whose reduced cost is at most ``cut``.
+def _round(view, cost, kept: np.ndarray, budget: int) -> tuple[float, list[int]] | None:
+    """:func:`_table` over the view rows where ``kept`` is true (some in
+    each category).
 
     A category left with one row is folded out of the table: its profit
-    and cost are added outside it. Every sum on this path is an exact
-    integer, so the optimum is that of the table over all of them.
+    and cost are added outside it, and no row of it is built. Every sum on
+    this path is an exact integer, so the optimum is that of the table over
+    all of them.
     """
-    kept = [
-        [row for row, r in zip(rows, rs) if r <= cut]
-        for rows, rs in zip(pareto, reduced)
-    ]
-    free = [j for j, rows in enumerate(kept) if len(rows) > 1]
-    fixed = [rows[0] for rows in kept if len(rows) == 1]
-    result = _table([kept[j] for j in free], budget - sum(c for _, _, c in fixed))
+    positions = np.flatnonzero(kept)
+    category = view.category[positions]
+    sizes = np.bincount(category, minlength=len(view.starts) - 1)
+    free = sizes > 1
+    # each category's first kept row: its only one where it is not free
+    firsts = positions[np.flatnonzero(np.diff(category, prepend=-1))]
+    fixed = firsts[~free]
+    result = _table(
+        _rows(view, cost, positions[free[category]], sizes[free]),
+        budget - sum(cost[fixed].tolist()),
+    )
     if result is None:
         return None
     optimum, picks = result
-    selection = [rows[0][0] for rows in kept]
-    for j, index in zip(free, picks):
+    selection = view.index[firsts].tolist()
+    for j, index in zip(np.flatnonzero(free).tolist(), picks):
         selection[j] = index
-    return sum(p for _, p, _ in fixed) + optimum, selection
+    return sum(view.profit[fixed].tolist()) + optimum, selection
 
 
 def dp_solve(instance: Instance) -> ExactResult:
@@ -318,8 +352,10 @@ def dp_solve(instance: Instance) -> ExactResult:
 
     When every frontier profit is an integer and the largest profits sum
     below 2**53, every sum is exact, and the LP relaxation
-    (:func:`_lp_relaxation`) is computed once: the bound ``UB``, the greedy
-    walk's profit ``LB`` and each row's reduced cost. Then at most two
+    (:func:`_lp_relaxation`) is computed once, in array passes over the
+    frontier view with exact integers (:func:`_integer_arrays`): the bound
+    ``UB``, the greedy walk's profit ``LB`` and each row's reduced cost.
+    Then at most two
     tables run. Round 1 fills the core, the rows whose reduced cost is at
     most one profit unit (and at most ``UB - LB``), with optimum ``z``
     (none when its cheapest selection does not fit). Round 2 runs only when
@@ -342,31 +378,28 @@ def dp_solve(instance: Instance) -> ExactResult:
 
     budget = int(instance.budget)
     view = instance.frontier_view
-    index, profits, costs = view.index.tolist(), view.profit.tolist(), view.cost.tolist()
-    # per category: its Pareto rows (index, profit, int cost), by increasing cost
-    pareto = [
-        list(zip(index[a:b], profits[a:b], map(int, costs[a:b])))
-        for a, b in itertools.pairwise(view.starts.tolist())
-    ]
-    floor_cost = sum(rows[0][2] for rows in pareto)
+    floor_cost = sum(map(int, view.cost[view.starts[:-1]].tolist()))
     if floor_cost > budget:
         raise InfeasibleInstanceError(
             f"minimum selection cost {floor_cost} exceeds budget {budget}"
         )
 
-    integral = all(p.is_integer() for rows in pareto for _, p, _ in rows)
     # The top Pareto row holds a category's largest profit.
-    if integral and sum(int(rows[-1][1]) for rows in pareto) < 2**53:
-        reduced, ub, lb, unit = _lp_relaxation(pareto, budget)
+    if np.all(view.profit == np.floor(view.profit)) and (
+        sum(map(int, view.profit[view.starts[1:] - 1].tolist())) < 2**53
+    ):
+        profit, cost = _integer_arrays(view)
+        reduced, ub, lb, unit = _lp_relaxation(view, profit, cost, budget)
         # round 1: rows within one profit unit, never past UB - LB
         core = min(unit, ub - unit * lb)
-        result = _round(pareto, reduced, core, budget)
+        result = _round(view, cost, reduced <= core, budget)
         best = lb if result is None else max(lb, int(result[0]))
         cut = ub - unit * best
         # round 2: only if a row outside the core could be in an optimal selection
-        if any(core < r <= cut for rs in reduced for r in rs):
-            result = _round(pareto, reduced, cut, budget)
+        if np.any((reduced > core) & (reduced <= cut)):
+            result = _round(view, cost, reduced <= cut, budget)
     else:
-        result = _table(pareto, budget)
+        cost = _exact_integers(view.cost, view.cost.max() < 2**53)
+        result = _table(_rows(view, cost, np.arange(len(cost)), np.diff(view.starts)), budget)
     optimum, selection = result
     return ExactResult(optimum, tuple(selection), Method.DP)

@@ -498,3 +498,81 @@ def dp_solve_full_width(instance: Instance) -> ExactResult:
         selection[j] = index
         w -= cost
     return ExactResult(float(dp[width - 1]), tuple(selection), Method.DP)
+
+
+def pareto_rows(instance: Instance) -> list[list[tuple[int, float, int]]]:
+    """Each category's Pareto rows ``(index, profit, int cost)`` by
+    increasing cost, from ``pareto_filter``."""
+    return [
+        [(i, cat[i].profit, int(cat[i].cost)) for i in pareto_filter(cat)]
+        for cat in instance.categories
+    ]
+
+
+def upper_hull_by_loop(rows: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Upper hull of a category's frontier rows ``(profit, cost)``, by one
+    monotone-chain loop.
+
+    ``rows`` are integers sorted by strictly increasing cost and profit, as
+    ``pareto_filter`` orders them. A row is dropped when it lies strictly
+    below the chord of its neighbours, so collinear rows are kept and the
+    slopes ``dp / dc`` do not increase along the hull. The cross products
+    are Python integers, so the hull is exact at any size.
+    """
+    hull: list[tuple[int, int]] = []
+    for p, c in rows:
+        while len(hull) >= 2:
+            (p1, c1), (p2, c2) = hull[-2], hull[-1]
+            if (p - p2) * (c2 - c1) > (p2 - p1) * (c - c2):
+                hull.pop()
+            else:
+                break
+        hull.append((p, c))
+    return hull
+
+
+def lp_relaxation_by_loop(rows, budget: int) -> tuple[list[list[int]], int, int, int]:
+    """The LP relaxation ``(reduced, ub, lb, unit)`` of an integral instance,
+    in Python integers, with ``reduced`` per category.
+
+    ``rows`` holds each category's Pareto rows as :func:`pareto_rows` gives
+    them. A greedy walk over all hull edges (:func:`upper_hull_by_loop`),
+    steepest first by their float slopes in a stable sort, starts from the
+    cheapest selection and takes each edge that fits the remaining budget;
+    a category stops at its first edge that does not fit. The first edge
+    that does not fit, ``(dp, dc)``, gives ``lam = dp`` and ``unit = dc``
+    (``0`` and ``1`` when every edge fits), and the walk's selection the
+    profit ``lb``. Row ``r`` of category ``j`` has reduced cost
+    ``reduced[j][r] = max(unit*p - lam*c) - (unit*p - lam*c)`` over the
+    category, and ``ub = sum_j max(unit*p - lam*c) + lam*budget``.
+    """
+    edges = []
+    for j, category_rows in enumerate(rows):
+        hull = upper_hull_by_loop([(int(p), c) for _, p, c in category_rows])
+        for k, ((p1, c1), (p2, c2)) in enumerate(zip(hull, hull[1:])):
+            edges.append((p2 - p1, c2 - c1, j, k))
+    edges.sort(key=lambda e: -e[0] / e[1])
+    residual = budget - sum(category_rows[0][2] for category_rows in rows)
+    lb = sum(int(category_rows[0][1]) for category_rows in rows)
+    critical = None
+    reached = [0] * len(rows)  # next hull edge of each category; -1 once stopped
+    for rise, run, j, k in edges:
+        if reached[j] != k:
+            continue
+        if run > residual:
+            critical = critical or (rise, run)
+            reached[j] = -1
+        else:
+            residual -= run
+            lb += rise
+            reached[j] = k + 1
+    lam_p, unit = critical or (0, 1)
+
+    reduced = []
+    ub = lam_p * budget
+    for category_rows in rows:
+        values = [unit * int(p) - lam_p * c for _, p, c in category_rows]
+        best = max(values)
+        ub += best
+        reduced.append([best - v for v in values])
+    return reduced, ub, lb, unit

@@ -12,7 +12,7 @@ from mckp import (
     solve_chebyshev_subproblem,
 )
 from mckp.frontier import InvalidReferencePointError, chebyshev_value
-from mckp.oracle import _upper_hull
+from mckp.oracle import _integer_arrays, _upper_hull
 
 from helpers import (
     delta_by_neighbour_scan,
@@ -128,10 +128,9 @@ def supported_by_weight_probe(frontier, c) -> set[int]:
 
 def hull_items(c) -> tuple[int, ...]:
     """Item indices on the exact oracle's integer upper hull of ``c``."""
-    items = pareto_filter(c)
-    rows = [(int(c[i].profit), int(c[i].cost)) for i in items]
-    by_row = dict(zip(rows, items))  # frontier rows are distinct
-    return tuple(by_row[row] for row in _upper_hull(rows))
+    view = Instance((c,), 1.0).frontier_view
+    profit, cost = _integer_arrays(view)
+    return tuple(view.index[_upper_hull(view.category, profit, cost)].tolist())
 
 
 class TestSupportedFilter:

@@ -1,8 +1,10 @@
+import itertools
 import math
 import random
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,15 +31,18 @@ from mckp import (
 )
 from mckp import oracle
 from mckp.model import MCKPError
-from mckp.oracle import MEMORY_LIMIT_BYTES, _lp_relaxation, _upper_hull, dominated_in_product
+from mckp.oracle import MEMORY_LIMIT_BYTES, dominated_in_product
 
 from helpers import (
     brute_optimum,
     deep_instance,
     dp_solve_full_width,
     enumerate_images,
+    lp_relaxation_by_loop,
+    pareto_rows,
     pareto_selections_by_scan,
     random_instance,
+    upper_hull_by_loop,
     walk_gap_instance,
 )
 
@@ -322,22 +327,25 @@ def dp_outcome(solver, inst):
         return type(err), str(err)
 
 
-def pareto_rows(inst):
-    """Each category's Pareto rows ``(index, profit, int cost)``, as ``dp_solve``
-    builds them for ``_lp_relaxation``."""
-    return [
-        [(i, cat[i].profit, int(cat[i].cost)) for i in pareto_filter(cat)]
-        for cat in inst.categories
-    ]
+def lp_relaxation(inst):
+    """``oracle._lp_relaxation`` of ``inst``, on the integer arrays that
+    ``dp_solve`` gives it."""
+    view = inst.frontier_view
+    profit, cost = oracle._integer_arrays(view)
+    return oracle._lp_relaxation(view, profit, cost, int(inst.budget))
 
 
 def survivors(inst, profit=0):
-    """Each category's Pareto rows whose reduced cost is at most ``UB -
-    max(LB, profit)``: every row that a selection of that profit can hold."""
-    rows = pareto_rows(inst)
-    reduced, ub, lb, unit = _lp_relaxation(rows, int(inst.budget))
-    cut = ub - unit * max(lb, profit)
-    return [[row for row, r in zip(kept, rs) if r <= cut] for kept, rs in zip(rows, reduced)]
+    """Each category's Pareto item indices whose reduced cost is at most
+    ``UB - max(LB, profit)``: every row that a selection of that profit can
+    hold."""
+    view = inst.frontier_view
+    reduced, ub, lb, unit = lp_relaxation(inst)
+    kept = reduced <= ub - unit * max(lb, profit)
+    return [
+        view.index[a:b][kept[a:b]].tolist()
+        for a, b in itertools.pairwise(view.starts.tolist())
+    ]
 
 
 def matches_full_width(inst):
@@ -433,10 +441,7 @@ class TestReducedCostSoundness:
             if want is None:
                 continue
             frontiers = [pareto_filter(cat) for cat in inst.categories]
-            kept = [
-                {index for index, _, _ in rows}
-                for rows in survivors(inst, int(want))
-            ]
+            kept = [set(rows) for rows in survivors(inst, int(want))]
             for sel, f1, f2 in enumerate_images(inst):
                 if f1 != want or f2 < -inst.budget:
                     continue
@@ -457,10 +462,14 @@ class TestReducedCostSoundness:
         sp, base = 1157624360293364, 2237230312868223
         cat = ((0, 0), (sp, base), (2 * sp - 2, 2 * base - 4))
         inst = Instance((cat,), float(base - 4))
-        assert _upper_hull(list(cat)) == [cat[0], cat[2]]
+        assert upper_hull_by_loop(list(cat)) == [cat[0], cat[2]]
+        # the cross products pass 2**63: the hull runs on Python integers
+        view = inst.frontier_view
+        profit, cost = oracle._integer_arrays(view)
+        assert profit.dtype == cost.dtype == object
+        assert oracle._upper_hull(view.category, profit, cost).tolist() == [0, 2]
         assert brute_force(inst).optimum_selection == (0,)
-        kept = survivors(inst)[0]
-        assert 0 in [index for index, _, _ in kept]
+        assert 0 in survivors(inst)[0]
         assert dp_outcome(dp_solve, inst) == dp_outcome(dp_solve_full_width, inst)
 
 
@@ -514,8 +523,10 @@ class TestRounds:
         rise, run = 3 * 2**51 + 2, 3 * 2**71
         assert q / (2**20 * q - 1) == rise / run
         inst = Instance([[(0, 0), (q, 2**20 * q - 1)], [(0, 0), (rise, run)]], 1)
-        reduced, _, _, unit = _lp_relaxation(pareto_rows(inst), 1)
-        assert reduced[0] == [0, 0] and reduced[1][1] == 0 and reduced[1][0] > unit
+        # the runs pass 2**53: the relaxation runs on Python integers
+        reduced, _, _, unit = lp_relaxation(inst)
+        assert reduced.dtype == object
+        assert reduced[:2].tolist() == [0, 0] and reduced[3] == 0 and reduced[2] > unit
         got = dp_solve(inst)
         assert got == dp_solve_full_width(inst)
         assert got == ExactResult(0.0, (0, 0), Method.DP)
@@ -532,6 +543,101 @@ class TestRounds:
         assert len(kept) * (int(inst.budget) + 1) > MEMORY_LIMIT_BYTES
         assert dp_solve(inst) == ExactResult(float(optimum), selection, Method.DP)
         assert tables == [2]
+
+
+# profit and cost scales: the first two keep int64 for the relaxation,
+# 2**40 products and 2**75 coefficients need Python integers
+LP_SCALES = (10, 2**20, 2**40, 2**75)
+
+
+@st.composite
+def integral_instances(draw):
+    """Up to six categories of 1 to 8 items, each random, collinear (profit
+    = cost) or tied (coefficients from 0, 1, half the scale and the scale),
+    with integers up to a profit and a cost scale from :data:`LP_SCALES`,
+    and a budget from 1 to the costliest selection's cost."""
+    profit_scale = draw(st.sampled_from(LP_SCALES))
+    cost_scale = draw(st.sampled_from(LP_SCALES))
+    cats = []
+    for _ in range(draw(st.integers(1, 6))):
+        size = st.integers(1, 8)
+        kind = draw(st.sampled_from(["random", "collinear", "ties"]))
+        if kind == "collinear":
+            costs = draw(st.lists(st.integers(0, cost_scale), min_size=1, max_size=8))
+            cats.append([(c, c) for c in costs])
+            continue
+        if kind == "ties":
+            profit = st.sampled_from([0, 1, profit_scale // 2, profit_scale])
+            cost = st.sampled_from([0, 1, cost_scale // 2, cost_scale])
+        else:
+            profit, cost = st.integers(0, profit_scale), st.integers(0, cost_scale)
+        cats.append([(draw(profit), draw(cost)) for _ in range(draw(size))])
+    high = sum(max(c for _, c in cat) for cat in cats)
+    return Instance(cats, float(draw(st.integers(1, max(1, high)))))
+
+
+def check_relaxation(inst):
+    """The numpy hull and relaxation equal the Python-integer loops; returns
+    the dtype of the integer arrays they ran on."""
+    view = inst.frontier_view
+    profit, cost = oracle._integer_arrays(view)
+    rows = pareto_rows(inst)
+    hull = oracle._upper_hull(view.category, profit, cost)
+    assert list(zip(profit[hull].tolist(), cost[hull].tolist())) == [
+        row for cat in rows for row in upper_hull_by_loop([(int(p), c) for _, p, c in cat])
+    ]
+    reduced, ub, lb, unit = oracle._lp_relaxation(view, profit, cost, int(inst.budget))
+    want, *bounds = lp_relaxation_by_loop(rows, int(inst.budget))
+    assert reduced.tolist() == [r for rs in want for r in rs]
+    assert [ub, lb, unit] == bounds
+    assert all(type(x) is int for x in (ub, lb, unit, *reduced.tolist()))
+    return profit.dtype
+
+
+class TestLpRelaxationMatchesLoop:
+    """``_upper_hull``'s passes and ``_lp_relaxation`` over the flat view
+    give the Python-integer loop's hull, bounds and reduced costs."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(integral_instances())
+    def test_drawn_instances(self, inst):
+        check_relaxation(inst)
+
+    @pytest.mark.parametrize("top_cost, dtype", [(2**31 - 1, np.int64), (2**31, object)])
+    def test_at_the_int64_bound(self, top_cost, dtype):
+        # 2 * P * C is 2**63 - 2**32 below the bound and 2**63 at it. The
+        # walk takes category 1's steep edge and stops at category 0's, so
+        # lam = P and unit = C, and category 1's end rows have reduced cost
+        # about P*C/2.
+        top = 2**31
+        inst = Instance(
+            [[(0, 0), (top, top_cost)], [(0, 0), (top - 1, top_cost // 2), (top, top_cost)]],
+            top_cost - 1,
+        )
+        assert check_relaxation(inst) == dtype
+        reduced, _, _, unit = lp_relaxation(inst)
+        assert unit == top_cost and reduced.max() > top * (top_cost // 2 - 2)
+
+    def test_agrees_with_brute_force_past_the_int64_products(self):
+        # Costs near 2**50 with a few units of slack keep the table small;
+        # profits below 2**12 stay in int64, larger ones pass 2**63.
+        rng = random.Random(212)
+        dtypes = []
+        for _ in range(200):
+            top = rng.choice([2**12 - 1, 2**20, 2**40])
+            cats = [
+                [(rng.randint(0, top), 2**50 + rng.randint(0, 40))
+                 for _ in range(rng.randint(1, 5))]
+                for _ in range(rng.randint(1, 5))
+            ]
+            low = sum(min(c for _, c in cat) for cat in cats)
+            inst = Instance(cats, low + rng.randint(0, 60))
+            dtypes.append(oracle._integer_arrays(inst.frontier_view)[0].dtype)
+            got = dp_outcome(dp_solve, inst)
+            assert got == dp_outcome(dp_solve_full_width, inst)
+            if isinstance(got, ExactResult):
+                assert got.optimum_profit == brute_force(inst).optimum_profit
+        assert set(dtypes) == {np.dtype(np.int64), np.dtype(object)}
 
 
 class TestParetoEnumerate:

@@ -26,6 +26,9 @@ coefficients 0-9, runs ``solve --trace`` and ``exact``. Last, a
 --trace`` with KISSA's options: an ``--eps`` that rounds away against any
 nonzero coefficient, a large one, a ``--rho`` below the delta bound, and an
 ``--eps`` of 1e308, which KISSA refuses with exit 1 wherever it runs.
+A ``wide`` sweep of small integral instances with costs near 2^50, whose
+profit-cost products either cross 2^63 or stay just inside the int64
+bound of the dynamic program's LP relaxation, runs ``exact``.
 Prints one sha256 per (workload, command) over each run's exit code,
 stdout and stderr (an uncaught exception is recorded as the run's exit
 code, and the digest goes on); the ``gen`` digests cover the instance
@@ -113,6 +116,12 @@ CHEBYSHEV_COMMANDS = tuple(
     for option, value in (("--eps", "1e-20"), ("--eps", "1e6"), ("--rho", "5e-3"),
                           ("--eps", "1e308"))
 )
+# Costs 2**50 to 2**50 + 99 with profits up to 2**12 - 1 keep 2 * profit *
+# cost below 2**63, where the LP relaxation runs in int64; larger profits
+# cross it, and the relaxation runs on Python integers.
+WIDE_COST_BASE = 2**50
+WIDE_PROFIT_TOPS = (2**12 - 1, 2**20, 2**40)
+WIDE_COMMANDS = (("exact", ["exact", "small.mckp"]),)
 WORKLOAD_COMMANDS = (("solve", ["solve"]), ("exact", ["exact"]))
 RULE_COMMANDS = (
     ("solve --rule first", ["solve", "--rule", "first"]),
@@ -289,6 +298,22 @@ def ragged_instance(rng: random.Random) -> Instance:
     return Instance(cats, max((low + high) / 2, 1))
 
 
+def wide_instance(rng: random.Random) -> Instance:
+    """m and every category size in 2-6, each profit up to a top drawn from
+    ``WIDE_PROFIT_TOPS``, each cost ``WIDE_COST_BASE`` plus 0-99, and the
+    budget at the midpoint between the cheapest and the costliest selection,
+    rounded down."""
+    top = rng.choice(WIDE_PROFIT_TOPS)
+    cats = [
+        [(rng.randint(0, top), WIDE_COST_BASE + rng.randint(0, 99))
+         for _ in range(rng.randint(2, 6))]
+        for _ in range(rng.randint(2, 6))
+    ]
+    low = sum(min(c for _, c in cat) for cat in cats)
+    high = sum(max(c for _, c in cat) for cat in cats)
+    return Instance(cats, (low + high) // 2)
+
+
 def drawn_digests(workload: str, seed: int, draw, commands, instances=DRAWN_INSTANCES):
     """(workload, command, runs, digest) over ``instances`` instances
     ``draw(rng)``, with ``rng = random.Random(seed)``."""
@@ -381,6 +406,7 @@ def main(argv=None) -> int:
                     lambda rng: drawn_instance(rng, lambda r: r.randint(0, 99)),
                     CHEBYSHEV_COMMANDS,
                 ),
+                drawn_digests("wide", args.seed, wide_instance, WIDE_COMMANDS),
             ):
                 print(f"{workload:<13} {command:<24} {runs:>4} {digest.hexdigest()}", flush=True)
         finally:
