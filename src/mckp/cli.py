@@ -87,7 +87,7 @@ def _config(args) -> KissaConfig:
 
 
 def _load_instance(path: str):
-    return read_instance(Path(path).read_text(encoding="utf-8"))
+    return read_instance(Path(path).read_bytes())
 
 
 def _cmd_gen(args) -> int:
@@ -127,7 +127,7 @@ def _cmd_solve(args) -> int:
     # certify enumerates; BISSA's proofs need no check
     certificate = straddle.exact or certify(instance, run)
     point = evaluate(instance, run.final)
-    print("selection:", " ".join(str(i) for i in run.final))
+    print("selection:", " ".join(map(str, run.final)))
     print(f"profit: {point.f1:g}")
     print(f"cost: {abs(point.f2):g}")  # -f2 prints -0 for a free selection
     print(f"improvements: {run.improvements}")
@@ -140,7 +140,7 @@ def _cmd_exact(args) -> int:
     instance = _load_instance(args.file)
     solver = dp_solve if args.method == "dp" else brute_force
     result = solver(instance)
-    print("selection:", " ".join(str(i) for i in result.optimum_selection))
+    print("selection:", " ".join(map(str, result.optimum_selection)))
     print(f"profit: {result.optimum_profit:g}")
     print(f"method: {result.method.value}")
     return 0

@@ -12,6 +12,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import Instance
 
 _MASK64 = (1 << 64) - 1
@@ -78,8 +80,8 @@ def generate(spec: GenSpec) -> Instance:
     floor(x + 0.5).
     """
     rng = SplitMix64(spec.seed)
-    profits: list[float] = []
-    costs: list[float] = []
+    profits: list[int] = []
+    costs: list[int] = []
     low = high = 0
     for _ in range(spec.m):
         start = len(costs)
@@ -90,10 +92,12 @@ def generate(spec: GenSpec) -> Instance:
             else:
                 cost = rng.randint(COEFF_LO, COEFF_HI)
                 profit = max(1, cost + rng.randint(-WEAK_NOISE, WEAK_NOISE))
-            profits.append(float(profit))
-            costs.append(float(cost))
-        low += int(min(costs[start:]))
-        high += int(max(costs[start:]))
+            profits.append(profit)
+            costs.append(cost)
+        low += min(costs[start:])
+        high += max(costs[start:])
     budget = float(math.floor(low + spec.budget_ratio * (high - low) + 0.5))
-    starts = range(0, spec.m * spec.n + 1, spec.n)
-    return Instance._from_floats(profits, costs, starts, budget)
+    starts = np.arange(0, spec.m * spec.n + 1, spec.n)
+    return Instance._from_arrays(
+        np.array(profits, np.float64), np.array(costs, np.float64), starts, budget
+    )

@@ -175,16 +175,22 @@ class Instance:
         Coefficients are converted with ``float``, as the constructor
         converts them, so an integer past 2**53 is stored as its float, and
         starts with ``operator.index``, which refuses a non-integer."""
-        return cls._from_floats(
+        instance = object.__new__(cls)
+        instance._set_flat(
             [*map(float, profits)], [*map(float, costs)], [*map(operator.index, starts)], budget
         )
+        return instance
 
     @classmethod
-    def _from_floats(cls, profits, costs, starts, budget) -> "Instance":
-        """:meth:`from_flat` for coefficients that are Python floats already
-        (the reader's and the generator's), stored with no conversion."""
+    def _from_arrays(cls, profits, costs, starts, budget) -> "Instance":
+        """:meth:`from_flat` for the float64 arrays of the coefficients and
+        the int64 array of the starts (the reader's and the generator's).
+        They become the instance's numpy arrays as they are, never built
+        again, and the tuples are read from them with ``tolist``, so they
+        hold Python floats of the same bits."""
         instance = object.__new__(cls)
-        instance._set_flat(profits, costs, starts, budget)
+        vars(instance)["_item_arrays"] = (profits, costs, starts)
+        instance._set_flat(profits.tolist(), costs.tolist(), starts.tolist(), budget)
         return instance
 
     def _set_flat(self, profits, costs, starts, budget) -> None:
@@ -198,8 +204,9 @@ class Instance:
             raise ValueError(f"starts must run from 0 to {len(profits)}, the item count")
         vars(self).update(profits=profits, costs=costs, starts=starts, budget=budget)
         # The fast checks test every category, then every item on the numpy
-        # arrays, built here only once the starts rise (a pickle leaves them
-        # out to be rebuilt); the ordered scan only names the culprit.
+        # arrays, built here only once the starts rise unless the caller gave
+        # them (a pickle leaves them out to be rebuilt); the ordered scan
+        # only names the culprit.
         arrays = all(map(operator.lt, starts, starts[1:])) and self._item_arrays
         if not (arrays and all(a.min() >= 0 and a.max() < math.inf for a in arrays[:2])):
             for j, (a, b) in enumerate(zip(starts, starts[1:])):
@@ -332,8 +339,16 @@ def is_feasible(instance: Instance, sel: Selection) -> bool:
 # ---------------------------------------------------------------------------
 
 _MAGIC = "MCKP 1"
-# every byte but the space and the newline, which the reader's bulk path keeps
-_NOT_MARKS = bytes(b for b in range(256) if b not in b" \n")
+# the bytes a number token of the reader's bulk path may hold
+_NUMBER_BYTES = b"0123456789.eE+-"
+# every byte the bulk path reads in a file's body: number tokens, the
+# 'cat' of each category line, and the spaces and newlines between tokens
+_BODY_BYTES = _NUMBER_BYTES + b"cat \n"
+# the mark after the first and after the second token of a line
+_MARKS = np.frombuffer(b" \n", np.uint8)
+# A run of at most 15 digits is below 10**15 < 2**53, and so is every sum
+# of its digits times their place values: the bulk path sums it exactly.
+_PLACES = 10.0 ** np.arange(15)
 
 
 def _fmt(x: float) -> str:
@@ -365,55 +380,100 @@ def _parse_number(token: str, what: str, line: int) -> float:
 def read_instance(data: str | bytes) -> Instance:
     """Parse the instance file format; raises InstanceFormatError with a line number.
 
-    A file in the written shape is read in a few bulk passes
-    (:func:`_read_blocks`). Any other file, one with a comment or a blank
-    line included, goes to the line parser, which accepts what the format
-    allows and gives each error its message and line. Both read every
-    number with ``float``, so where both accept a file they agree bit for bit.
+    A file in the written shape is read in one vectorized pass over its
+    bytes (:func:`_read_blocks`), and a str is encoded for it first. Any
+    other file, one with a comment, a blank line or a non-ASCII character
+    included, goes to the line parser, which decodes bytes as UTF-8, accepts
+    what the format allows and gives each error its message and line. Where
+    both accept a file they give the same instance bit for bit.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    lines = data.splitlines()
-    return _read_blocks(lines) or _read_lines(lines)
+    raw = data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
+    instance = _read_blocks(raw)
+    if instance is None:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+        instance = _read_lines(text.splitlines())
+    return instance
 
 
-def _read_blocks(lines: list[str]) -> Instance | None:
+def _read_blocks(data: bytes) -> Instance | None:
     """The instance of a file in the written shape, or None for any other file.
 
-    The shape is the header line, the ``m= b=`` line, then per category a
-    ``cat <n>`` line and ``n`` item lines with exactly one space each, and
-    nothing else: every line is one the line parser reads, in the same role.
-    The item lines hold no newline, so once they are joined with newlines,
-    one space per line means that the spaces and newlines of the joined
-    text alternate, starting and ending with a space. The text is split at
-    both, and the tokens go through one ``map(float, ...)``, which strips
-    the whitespace the line parser splits at. A token ``float`` refuses (a
-    comment, say), or a value the instance refuses (a negative cost), sends
-    the file to the line parser too.
+    The shape is the line ``MCKP 1``, the line ``m=<digits> b=<number>``,
+    then a body of lines ``x y`` of two non-empty tokens each, every line
+    ended by a newline. A line whose first token is ``cat`` is a category
+    line: its size must be a run of digits, at least 1, and equal the number
+    of item lines before the next category line or the end, and there must
+    be ``m`` category lines, the first one first. The body may hold only the
+    bytes of ``cat``, the number bytes ``[0-9.eE+-]``, spaces and newlines,
+    and its spaces and newlines must alternate. So every line is one the
+    line parser reads, in the same role, and no byte is one at which
+    ``splitlines`` or ``float`` would read the file otherwise (a tab, a
+    carriage return, a form feed, a non-ASCII byte, ``_``).
+
+    Tokens that are runs of 1 to 15 digits are summed in numpy, one digit
+    place at a time, which is exactly their ``float``; any other token goes
+    through ``float`` on its own. A token ``float`` refuses, or a value the
+    instance refuses (a negative cost, a zero budget), sends the file to the
+    line parser too.
     """
-    try:
-        if lines[0] != _MAGIC:
-            return None
-        m_token, b_token = lines[1].split()
-        if not (m_token.startswith("m=") and b_token.startswith("b=")):
-            return None
-        starts, items, pos = [0], [], 2
-        for _ in range(int(m_token[2:])):
-            word, n = lines[pos].split()
-            n = int(n)
-            if word != "cat" or n < 1:
-                return None
-            items += lines[pos + 1:pos + 1 + n]
-            pos += 1 + n
-            starts.append(len(items))
-        text = "\n".join(items)
-        marks = text.encode().translate(None, _NOT_MARKS)
-        if pos != len(lines) or marks != b" \n" * (len(items) - 1) + b" ":
-            return None
-        values = list(map(float, text.replace("\n", " ").split(" ")))
-        return Instance._from_floats(values[0::2], values[1::2], starts, float(b_token[2:]))
-    except (IndexError, ValueError):
+    head, _, rest = data.partition(b"\n")
+    line, _, body = rest.partition(b"\n")
+    m_token, _, b_token = line.partition(b" ")
+    if not (
+        head == _MAGIC.encode()
+        and m_token[:2] == b"m=" and m_token[2:].isdigit()
+        and b_token[:2] == b"b=" and b_token[2:] and not b_token[2:].translate(None, _NUMBER_BYTES)
+        and body.endswith(b"\n") and not body.translate(None, _BODY_BYTES)
+    ):
         return None
+    try:
+        return _read_body(body, int(m_token[2:]), float(b_token[2:]))
+    except ValueError:
+        return None
+
+
+def _read_body(body: bytes, m: int, budget: float) -> Instance | None:
+    """:func:`_read_blocks` past the first two lines: the instance of the
+    ``body`` of bytes it allows, or None. Raises ``ValueError`` where
+    ``float`` or the instance refuses a value."""
+    raw = np.frombuffer(body, np.uint8)
+    # Token k ends at mark k, a space after the first token of a line and a
+    # newline after the second. Digits are 0-9 and every other byte is above.
+    ends = np.flatnonzero(raw <= ord(" "))
+    lengths = np.diff(ends, prepend=-1) - 1
+    if len(ends) % 2 or not (lengths.all() and np.all(raw[ends].reshape(-1, 2) == _MARKS)):
+        return None
+    # A plain token is a run of at most 15 digits. The column of place k
+    # holds each token's k-th digit from the right, or 0 past its length;
+    # the sums of the other tokens are replaced below.
+    digits = raw - np.uint8(ord("0"))
+    plain = lengths <= len(_PLACES)
+    plain[np.searchsorted(ends, np.flatnonzero((digits > 9) & (raw > ord(" "))))] = False
+    values = np.zeros(len(ends))
+    for place in range(lengths[plain].max(initial=0)):
+        column = np.take(digits, ends - (place + 1), mode="clip")
+        column *= lengths > place
+        values += column * _PLACES[place]
+    # A first token of 3 bytes is the 3 bytes before its mark; a shorter
+    # one's test reads other bytes, which its length test outvotes.
+    first = ends[0::2]
+    header = (
+        (lengths[0::2] == 3) & (raw[first - 3] == ord("c"))
+        & (raw[first - 2] == ord("a")) & (raw[first - 1] == ord("t"))
+    )
+    lines = np.flatnonzero(header)
+    sizes = np.diff(lines, append=len(header)) - 1
+    if not (
+        len(lines) == m and header[0] and sizes.all()
+        and plain[1::2][lines].all() and np.array_equal(values[1::2][lines], sizes)
+    ):
+        return None
+    items = ~header
+    for k in np.flatnonzero(~plain & np.repeat(items, 2)).tolist():
+        values[k] = float(body[ends[k] - lengths[k]:ends[k]])
+    starts = np.zeros(m + 1, np.int64)
+    np.cumsum(sizes, out=starts[1:])
+    return Instance._from_arrays(values[0::2][items], values[1::2][items], starts, budget)
 
 
 def _read_lines(lines: list[str]) -> Instance:

@@ -158,6 +158,16 @@ class TestSolve:
         assert main(["solve", str(bad)]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "exact"])
+    def test_file_not_in_utf8_exits_2(self, tmp_path, capsys, command):
+        # the bytes are read as they are; the line parser's decode refuses them
+        bad = tmp_path / "latin1.mckp"
+        bad.write_bytes(b"MCKP 1\nm=1 b=5\ncat 1\n1 \xff\n")
+        assert main([command, str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            "error: 'utf-8' codec can't decode byte 0xff in position 23: invalid start byte\n"
+        )
+
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.mckp")]) == 2
         # a directory is an unreadable instance path too, for both commands

@@ -6,6 +6,7 @@ import pickle
 import random
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -548,8 +549,8 @@ def instance_files(draw):
 def assert_fast_path_agrees(data):
     expected = _bits(_line_parser, data)
     assert _bits(read_instance, data) == expected
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-    fast = model._read_blocks(text.splitlines())
+    raw = data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
+    fast = model._read_blocks(raw)
     if fast is not None:
         assert _bits(lambda _: fast, data) == expected
 
@@ -570,8 +571,7 @@ class TestReaderFastPath:
         rng = random.Random(3)
         for _ in range(50):
             inst = random_instance(rng)
-            lines = write_instance(inst).splitlines()
-            assert model._read_blocks(lines) == inst
+            assert model._read_blocks(write_instance(inst).encode()) == inst
 
     def test_every_single_edit_of_a_file(self, appendix):
         lines = write_instance(appendix).splitlines()
@@ -595,8 +595,8 @@ ITEM_LINE_EDITS = (
 
 class TestReaderShapeCheck:
     """The reader's bulk path takes a file exactly where every item line has
-    one space and the lines are the written ones, as the per-line count of
-    spaces it replaced did, and agrees with the line parser on every file."""
+    one space and no other whitespace and the lines are the written ones,
+    and agrees with the line parser on every file."""
 
     @staticmethod
     def check(lines, item_rows, edits):
@@ -605,8 +605,11 @@ class TestReaderShapeCheck:
             edited[k] = ITEM_LINE_EDITS[edit].format(*lines[k].split(" "))
         text = "\n".join(edited) + "\n"
         split = text.splitlines()
-        one_space = len(split) == len(lines) and all(split[k].count(" ") == 1 for k in item_rows)
-        assert (model._read_blocks(split) is not None) == one_space, text
+        one_space = len(split) == len(lines) and all(
+            split[k].count(" ") == 1 and split[k].split(" ") == split[k].split()
+            for k in item_rows
+        )
+        assert (model._read_blocks(text.encode()) is not None) == one_space, text
         assert_fast_path_agrees(text)
 
     def test_item_line_whitespace(self):
@@ -621,3 +624,190 @@ class TestReaderShapeCheck:
                 edits = [(rng.choice(item_rows), rng.randrange(len(ITEM_LINE_EDITS)))
                          for _ in range(rng.randint(2, 3))]
                 self.check(lines, item_rows, edits)
+
+
+# Number tokens at the edges of the bulk path's digit sums and of ``float``
+# that the bulk path reads in an item line: digit runs of 15 digits, which
+# it sums in numpy, and of 16 or more (2**53 - 1, 2**53, 2**53 + 1), which
+# ``float`` reads, with leading zeros, signed zeros, signs, exponents and
+# bare points.
+BULK_TOKENS = (
+    "999999999999999", "9999999999999999", str(2**53 - 1), str(2**53), str(2**53 + 1),
+    "007", "000000000000000000001", "0", "-0", "-0.0", "+5", "1e3", ".5", "5.", "1e-400",
+)
+# Tokens the bulk path leaves to the line parser: ones ``float`` reads but
+# the written shape never holds (an underscore, Arabic-Indic digits), and
+# ones the line parser refuses.
+LINE_TOKENS = ("1_000", "\u0663", "\u0661\u0662", "inf", "nan", "1e400", "-1", "e5", "1e", "5..")
+# Every character but '\n' and '\r' at which ``splitlines`` breaks a line.
+LINE_BOUNDARIES = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+def _recount(lines: list[str], count) -> list[str]:
+    """``lines`` with each category line's size ``n`` written as ``count(n)``."""
+    return [f"cat {count(line[4:])}" if line.startswith("cat ") else line for line in lines]
+
+
+def _with_m(lines: list[str], m) -> list[str]:
+    """``lines`` with the category count ``m`` written as ``m(m)``."""
+    m_token, b_token = lines[1].split(" ")
+    return [lines[0], f"m={m(int(m_token[2:]))} {b_token}", *lines[2:]]
+
+
+# Edits of a written file's lines, each with whether the bulk path still
+# reads the file: leading zeros in the category sizes, an empty category,
+# an m one off, trailing content, and sizes as a signed or a float token,
+# which only the line parser reads or refuses.
+STRUCTURE_EDITS = (
+    (lambda ls: _recount(ls, lambda n: "0" + n), True),
+    (lambda ls: [*ls[:2], "cat 0", *ls[2:]], False),
+    (lambda ls: _with_m(ls, lambda m: m + 1), False),
+    (lambda ls: _with_m(ls, lambda m: m - 1), False),
+    (lambda ls: [*ls, "1 2"], False),
+    (lambda ls: [*ls, "cat 1", "1 2"], False),
+    (lambda ls: _recount(ls, lambda n: "+" + n), False),
+    (lambda ls: _recount(ls, lambda n: n + ".0"), False),
+    (lambda ls: ls, True),
+)
+
+
+def _item_lines(lines: list[str]) -> list[int]:
+    return [k for k in range(2, len(lines)) if not lines[k].startswith("cat ")]
+
+
+@st.composite
+def edge_files(draw):
+    """A written file with edge tokens in its item lines, then perhaps a
+    structure edit, a line-boundary character in an item line or in the
+    ``m=`` line, a missing final newline, a last line of one token and no
+    newline, CRLF newlines or a byte-order mark; as text or bytes, with
+    whether the bulk path reads it."""
+    cats = draw(st.lists(st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)),
+                                  min_size=1, max_size=3), min_size=1, max_size=3))
+    budget = draw(st.sampled_from((1, 7, 250.5, 0.1)))
+    lines = write_instance(Instance(cats, budget)).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        k, side = draw(st.sampled_from(_item_lines(lines))), draw(st.integers(0, 1))
+        parts = lines[k].split(" ")
+        parts[side] = draw(st.sampled_from(BULK_TOKENS + LINE_TOKENS))
+        lines[k] = " ".join(parts)
+    # the written coefficients are digit runs
+    bulk = all(t in BULK_TOKENS or t.isascii() and t.isdigit()
+               for k in _item_lines(lines) for t in lines[k].split(" "))
+    edit, keeps = draw(st.sampled_from(STRUCTURE_EDITS))
+    lines, bulk = edit(lines), bulk and keeps
+    if draw(st.booleans()):
+        k = draw(st.sampled_from([1, *_item_lines(lines)]))
+        at = draw(st.integers(0, len(lines[k])))
+        lines[k] = lines[k][:at] + draw(st.sampled_from(LINE_BOUNDARIES)) + lines[k][at:]
+        bulk = False
+    newline, end, bom = draw(st.sampled_from(
+        (("\n", "\n", ""), ("\n", "", ""), ("\n", "\n7", ""), ("\r\n", "\r\n", ""),
+         ("\n", "\n", "\ufeff"))
+    ))
+    text = bom + newline.join(lines) + end
+    bulk = bulk and (newline, end, bom) == ("\n", "\n", "")
+    return (text.encode() if draw(st.booleans()) else text), bulk
+
+
+class TestReaderTokenEdges:
+    """The bulk path reads every token the written shape may hold as
+    ``float`` does, and leaves every other file to the line parser."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(edge_files())
+    def test_agrees_with_the_line_parser(self, case):
+        data, bulk = case
+        assert_fast_path_agrees(data)
+        raw = data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
+        assert (model._read_blocks(raw) is not None) == bulk
+
+    @pytest.mark.parametrize("token", BULK_TOKENS)
+    def test_bulk_tokens_read_as_float_reads_them(self, token):
+        text = f"MCKP 1\nm=2 b=3\ncat 2\n{token} 1\n2 {token}\ncat 1\n{token} {token}\n"
+        inst = model._read_blocks(text.encode())
+        assert inst is not None
+        value = float(token).hex()
+        assert [v.hex() for v in inst.profits + inst.costs] == [
+            value, (2.0).hex(), value, (1.0).hex(), value, value
+        ]
+        assert_fast_path_agrees(text)
+
+    @pytest.mark.parametrize("budget", ["42.0102521480581", "1e3", "007", "5.", str(2**53 + 1)])
+    def test_budget_tokens(self, budget):
+        text = f"MCKP 1\nm=1 b={budget}\ncat 1\n1 1\n"
+        inst = model._read_blocks(text.encode())
+        assert inst is not None and inst.budget.hex() == float(budget).hex()
+
+    @pytest.mark.parametrize("budget", ["0", "-0", "-1", "1e-400", "1e400", "inf", "1_0", "x"])
+    def test_budgets_the_instance_refuses_go_to_the_line_parser(self, budget):
+        text = f"MCKP 1\nm=1 b={budget}\ncat 1\n1 1\n"
+        assert model._read_blocks(text.encode()) is None
+        assert_fast_path_agrees(text)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            # one byte off, in the bytes an item token may hold or not
+            "1at 1", "c1t 1", "ca1 1", "aat 1", "cct 1", "cae 1", "cot 1", "Cat 1", "caT 1",
+            "tac 1", "ca 1", "cats 1", "catt 1", "1cat 1", "ccat 1",
+            # sizes past 15 digits, whose last digits are the size
+            "cat 1000000000000001", "cat 0000000000000001",
+        ],
+    )
+    def test_category_lines(self, line):
+        text = f"MCKP 1\nm=1 b=5\n{line}\n1 2\n"
+        assert model._read_blocks(text.encode()) is None
+        assert_fast_path_agrees(text)
+
+    @pytest.mark.parametrize("boundary", LINE_BOUNDARIES)
+    def test_line_boundaries(self, boundary):
+        text = "MCKP 1\nm=1 b=5\ncat 2\n1 2\n3 4\n"
+        for at in range(len("MCKP 1\n"), len(text)):
+            edited = text[:at] + boundary + text[at:]
+            assert model._read_blocks(edited.encode()) is None
+            assert_fast_path_agrees(edited)
+            assert_fast_path_agrees(edited.encode())
+
+
+class TestReaderArrays:
+    """The reader hands its float64 arrays to the instance, which keeps them."""
+
+    def test_item_arrays_are_the_readers(self, monkeypatch):
+        def unreachable(self):
+            raise AssertionError("the item arrays were built again")
+
+        rebuild = functools.cached_property(unreachable)
+        rebuild.__set_name__(Instance, "_item_arrays")
+        spec = GenSpec(m=5, n=7, correlation=Correlation.WEAK, seed=2)
+        built = generate(spec)
+        text = write_instance(built)
+        monkeypatch.setattr(Instance, "_item_arrays", rebuild)
+        for inst in (read_instance(text), read_instance(text.encode()), generate(spec)):
+            profits, costs, starts = vars(inst)["_item_arrays"]
+            assert profits.dtype == costs.dtype == np.float64 and starts.dtype == np.int64
+            assert profits.tobytes() == np.array(inst.profits).tobytes()
+            assert costs.tobytes() == np.array(inst.costs).tobytes()
+            assert starts.tolist() == list(inst.starts)
+            assert {type(v) for v in inst.profits + inst.costs} == {float}
+            assert inst == built
+
+    def test_no_per_token_float_for_digit_runs(self, monkeypatch):
+        calls = []
+
+        def counting(value):
+            calls.append(value)
+            return float(value)
+
+        built = generate(GenSpec(m=40, n=50, correlation=Correlation.WEAK, seed=1))
+        text = write_instance(built)
+        monkeypatch.setattr(model, "float", counting, raising=False)
+        assert read_instance(text.encode()) == built
+        # only the budget, once read and once stored
+        assert calls == [str(int(built.budget)).encode(), built.budget]
+        calls.clear()
+        lines = text.splitlines()
+        for k in (3, 4, 5):  # the first items of category 0
+            lines[k] = "1.5 " + lines[k].split(" ")[1]
+        read_instance(("\n".join(lines) + "\n").encode())
+        assert calls.count(b"1.5") == 3

@@ -29,6 +29,14 @@ nonzero coefficient, a large one, a ``--rho`` below the delta bound, and an
 A ``wide`` sweep of small integral instances with costs near 2^50, whose
 profit-cost products either cross 2^63 or stay just inside the int64
 bound of the dynamic program's LP relaxation, runs ``exact``.
+Last, a ``reader`` sweep calls ``read_instance`` on the text and on the
+bytes of written files of every family above, then of edits of two files:
+number tokens at the edges of ``float`` and of 2^53, category sizes and
+category counts that do not match, trailing content, a missing final
+newline, CRLF newlines, a byte-order mark, and each character at which
+``splitlines`` breaks a line, put at every place of the file. Its digests
+cover each read's profits and costs by ``float.hex``, its starts and budget,
+or its error line.
 Prints one sha256 per (workload, command) over each run's exit code,
 stdout and stderr (an uncaught exception is recorded as the run's exit
 code, and the digest goes on); the ``gen`` digests cover the instance
@@ -60,7 +68,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from mckp import Instance, cli, write_instance  # noqa: E402
+from mckp import (  # noqa: E402
+    Instance, MCKPError, cli, generate, read_instance, write_instance,
+)
 from workloads import WORKLOADS, instance_specs, write_instances  # noqa: E402
 
 SMALL_CORRELATIONS = ("uncorr", "weak")
@@ -164,6 +174,22 @@ MALFORMED_EDITS = (
     ("2 1\n", "2 1\n5 5\n"),  # trailing content
     ("2 1\n", ""),  # unexpected end of file
     ("cat 2\n2 1.9", "# comment\n\ncat 2\n  # indented\n2 1.9\n"),
+)
+
+
+# Number tokens at the edges of ``float`` and of 2**53, put in the place of
+# every coefficient and budget of the ``reader`` sweep's edited files.
+READER_TOKENS = (
+    "999999999999999", "9999999999999999", str(2**53 - 1), str(2**53), str(2**53 + 1),
+    "007", "-0", "-0.0", "+5", "1e3", ".5", "5.", "1e-400", "1e400", "1_000", "\u0663",
+    "inf", "nan", "-1", "x",
+)
+# Every character at which ``splitlines`` breaks a line, and a tab.
+READER_BREAKS = (
+    "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\t",
+)
+READER_BASES = (
+    MALFORMED_BASE, "MCKP 1\nm=3 b=17\ncat 1\n5 5\ncat 3\n1 2\n8 9\n0 0\ncat 2\n6 7\n3 1\n",
 )
 
 
@@ -368,6 +394,70 @@ def malformed_digest():
     yield "malformed", "solve + exact", len(MALFORMED_EDITS), digest
 
 
+def read_outcome(data: str | bytes) -> str:
+    """``read_instance(data)``'s starts, budget, profits and costs, the
+    floats by ``float.hex``, or its error line."""
+    try:
+        inst = read_instance(data)
+    except (MCKPError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    floats = (inst.budget, *inst.profits, *inst.costs)
+    return f"{inst.starts} " + " ".join(map(float.hex, floats))
+
+
+def edited_files(text: str):
+    """Edits of the written file ``text``: each :data:`READER_TOKENS` in the
+    place of each coefficient and of the budget, category sizes with a
+    leading zero, zero, a sign or a point, an ``m`` one off, trailing
+    content, no final newline, CRLF newlines, a byte-order mark, and each
+    of :data:`READER_BREAKS` at every place after the first line."""
+    lines = text.splitlines()
+    for k, line in enumerate(lines[1:], 1):
+        head, tail = line.split(" ")
+        if k == 1:
+            m = int(head[2:])
+            edits = [f"{head} b={t}" for t in READER_TOKENS]
+            edits += [f"m={m + d} {tail}" for d in (-1, 1)]
+        elif head == "cat":
+            edits = [f"cat {size}" for size in ("0" + tail, "0", "+" + tail, tail + ".0")]
+        else:
+            edits = [edit for t in READER_TOKENS for edit in (f"{t} {tail}", f"{head} {t}")]
+        yield from ("\n".join([*lines[:k], edit, *lines[k + 1:]]) + "\n" for edit in edits)
+    yield from (text + "1 2\n", text + "cat 1\n1 2\n", text[:-1], text.replace("\n", "\r\n"),
+                "\ufeff" + text)
+    for at in range(len(lines[0]) + 1, len(text) + 1):
+        yield from (text[:at] + mark + text[at:] for mark in READER_BREAKS)
+
+
+def reader_digests(seed: int):
+    """(workload, command, runs, digest) of ``read_instance`` on the text and
+    the bytes of written files of every family, then of :func:`edited_files`
+    of :data:`READER_BASES`."""
+    digest, runs = hashlib.sha256(), 0
+    for name, workload in WORKLOADS.items():
+        for spec in instance_specs(workload, seed)[:3]:
+            text = write_instance(generate(spec))
+            feed(digest, (read_outcome(text), read_outcome(text.encode())))
+            runs += 1
+    families = (
+        lambda rng: drawn_instance(rng, lambda r: r.randint(0, 9)),
+        lambda rng: drawn_instance(rng, lambda r: r.randint(0, 99) / 10),
+        collinear_instance, float_edge_instance, deep_instance, ragged_instance, wide_instance,
+    )
+    rng = random.Random(seed)
+    for draw in families:
+        for _ in range(DEEP_INSTANCES if draw is deep_instance else 40):
+            text = write_instance(draw(rng))
+            feed(digest, (read_outcome(text), read_outcome(text.encode())))
+            runs += 1
+    yield "reader", "written", runs, digest
+    digest, runs = hashlib.sha256(), 0
+    for text in itertools.chain.from_iterable(map(edited_files, READER_BASES)):
+        feed(digest, (read_outcome(text), read_outcome(text.encode())))
+        runs += 1
+    yield "reader", "edited", runs, digest
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
@@ -407,6 +497,7 @@ def main(argv=None) -> int:
                     CHEBYSHEV_COMMANDS,
                 ),
                 drawn_digests("wide", args.seed, wide_instance, WIDE_COMMANDS),
+                reader_digests(args.seed),
             ):
                 print(f"{workload:<13} {command:<24} {runs:>4} {digest.hexdigest()}", flush=True)
         finally:
