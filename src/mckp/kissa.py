@@ -26,6 +26,7 @@ from .model import (
     Instance,
     ObjectivePoint,
     Selection,
+    _positions,
     evaluate,
     exact_cost_sums,
     is_feasible,
@@ -91,13 +92,10 @@ class KissaRun:
 
 
 def improvable_categories(instance: Instance, xa: Selection, xb: Selection) -> set[int]:
-    """Categories where the anchor component strictly out-profits the current one."""
-    profits = instance.profits
-    return {
-        j
-        for j, a in enumerate(instance.starts[:-1])
-        if profits[a + xa[j]] < profits[a + xb[j]]
-    }
+    """Categories where the anchor component strictly out-profits the current
+    one; :class:`InvalidSelectionError` where a selection does not fit."""
+    lead = instance.profits[_positions(instance, xa)] < instance.profits[_positions(instance, xb)]
+    return set(np.flatnonzero(lead).tolist())
 
 
 def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None = None) -> KissaRun:
@@ -141,16 +139,22 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
         return KissaRun(final=straddle.xa, termination=Termination(straddle.certificate))
     config = config or KissaConfig()
     rho = delta_bound(instance, rho=config.rho).rho
-    profits, costs, starts = instance.profits, instance.costs, instance.starts
     xa = list(straddle.xa)
-    xb = straddle.xb
     point = evaluate(instance, straddle.xa)
     run = KissaRun(final=straddle.xa)
 
-    candidates = improvable_categories(instance, straddle.xa, xb)
+    candidates = improvable_categories(instance, straddle.xa, straddle.xb)
     if not candidates:
         raise AssertionError("straddle endpoints must differ in profit somewhere")
-    if any(not costs[starts[j] + xa[j]] < costs[starts[j] + xb[j]] for j in candidates):
+    # Each candidate's current and anchor (profit, cost), read once as Python
+    # floats: the loop's scalar arithmetic stays off numpy scalars.
+    def item(j, i):
+        k = instance.starts.item(j) + i
+        return instance.profits.item(k), instance.costs.item(k)
+
+    current = {j: item(j, xa[j]) for j in candidates}
+    anchor = {j: item(j, straddle.xb[j]) for j in candidates}
+    if any(not current[j][1] < anchor[j][1] for j in candidates):
         raise AssertionError("feasible component must be cheaper where the anchor out-profits it")
 
     def above(top):
@@ -177,7 +181,7 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
                 " past the float range"
             )
         # a hand-built straddle may anchor on a dominated item costlier still
-        anchor_gap = reference[1] + costs[starts[j] + xb[j]]
+        anchor_gap = reference[1] + anchor[j][1]
         if not math.isfinite(anchor_gap):
             raise ObjectiveOverflowError(
                 f"epsilon {config.epsilon:g} puts category {j}'s anchor cost gap"
@@ -185,28 +189,30 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
             )
         subproblems[j] = items, reference, 1.0 / anchor_gap, b - 1
 
-    improving: dict[int, int] = {}
+    # each category's winner that beats its current component: (index, (profit, cost))
+    improving: dict[int, tuple[int, tuple[float, float]]] = {}
     exact = exact_cost_sums(instance)
 
-    def fits(j, i):
+    def fits(j):
+        i, (_, new_cost) = improving[j]
         if exact:
-            return -point.f2 - costs[starts[j] + xa[j]] + costs[starts[j] + i] <= instance.budget
+            return -point.f2 - current[j][1] + new_cost <= instance.budget
         return is_feasible(instance, (*xa[:j], i, *xa[j + 1:]))
 
     def solve(j):
         items, reference, w2, last = subproblems[j]
-        current = profits[starts[j] + xa[j]]
-        w1 = 1.0 / (reference[0] - current)
+        w1 = 1.0 / (reference[0] - current[j][0])
         position = solve_chebyshev_subproblem(items, (w1, w2), reference, rho)
-        if items[position, 0] > current:
-            improving[j] = int(view.index[last - position])
+        winner = tuple(items[position].tolist())
+        if winner[0] > current[j][0]:
+            improving[j] = int(view.index[last - position]), winner
 
     for j in candidates:
         solve(j)
 
     for index in itertools.count(1):
         head = (index, frozenset(candidates), frozenset(improving))
-        affordable = frozenset(j for j, i in improving.items() if fits(j, i))
+        affordable = frozenset(filter(fits, improving))
         if not affordable:
             run.termination = (
                 Termination.BUDGET_BLOCKED if improving else Termination.NO_IMPROVEMENT
@@ -214,10 +220,9 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
             run.iterations.append(KissaIteration(*head, affordable, None, point))
             break
 
-        chosen = _select(instance, xa, improving, affordable, config.rule)
-        xa[chosen] = improving.pop(chosen)
-        a = starts[chosen]
-        if profits[a + xa[chosen]] < profits[a + xb[chosen]]:
+        chosen = _select(current, improving, affordable, config.rule)
+        xa[chosen], current[chosen] = improving.pop(chosen)
+        if current[chosen][0] < anchor[chosen][0]:
             solve(chosen)
         else:
             candidates.discard(chosen)
@@ -229,18 +234,16 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
     return run
 
 
-def _select(instance, xa, improving, affordable, rule):
-    """The affordable category to swap under ``rule``; ties go to the lowest."""
-
-    def rise(j, values):
-        a = instance.starts[j]
-        return values[a + improving[j]] - values[a + xa[j]]
+def _select(current, improving, affordable, rule):
+    """The affordable category to swap under ``rule``; ties go to the lowest.
+    ``current`` and ``improving`` map categories as :func:`kissa`'s do."""
 
     def key(j):
+        (profit, cost), (_, (new_profit, new_cost)) = current[j], improving[j]
         if rule is SelectionRule.MAX_PROFIT:
-            return -rise(j, instance.profits), j  # the largest resulting total profit
+            return -(new_profit - profit), j  # the largest resulting total profit
         if rule is SelectionRule.BEST_SLACK:
-            return rise(j, instance.costs), j  # the most budget left after the swap
+            return new_cost - cost, j  # the most budget left after the swap
         return j
 
     return min(affordable, key=key)

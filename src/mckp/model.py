@@ -3,13 +3,13 @@
 An instance is a list of item categories plus a budget; a solution picks
 exactly one item per category. The solver stack works on the bi-objective
 image of a selection: total profit and negated total cost, both maximized.
-This module holds the types (an ``Instance`` is stored as flat profit and
-cost tuples, with numpy arrays of the same values), each category's Pareto
-filter (``Instance.frontier_view``, flat numpy arrays built from the item
-arrays with no per-item Python loop, which the probes, ``delta_bound``,
-KISSA and the DP read), the rule under which float cost sums are exact,
-the objective/feasibility evaluators and the line-oriented instance file
-format.
+This module holds the types (an ``Instance`` is stored as flat, read-only
+numpy arrays of the profits, the costs and the category starts), each
+category's Pareto filter (``Instance.frontier_view``, flat numpy arrays
+built from the item arrays with no per-item Python loop, which the probes,
+``delta_bound``, KISSA and the DP read), the rule under which float cost
+sums are exact, the objective/feasibility evaluators and the line-oriented
+instance file format.
 """
 
 import math
@@ -133,7 +133,7 @@ def _frontier_view(profits, costs, starts) -> FrontierView:
     return FrontierView(index, profits[positions], costs[positions], category, view_starts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instance:
     """Immutable problem instance: categories of (profit, cost) items and a budget.
 
@@ -141,19 +141,20 @@ class Instance:
     invariant violations (empty instance, empty category, negative or
     non-finite coefficients, non-positive budget).
 
-    The instance is stored flat: ``profits`` and ``costs`` are tuples of
-    floats over all items, category by category, and category ``j`` holds
-    the positions ``starts[j]`` to ``starts[j + 1]`` of them. Every solver
-    layer reads that view. ``categories``, the same items as tuples of
-    :class:`Item`, is built from it on first access only; equality and
-    hashing compare the flat view, so they never build it.
+    The instance is stored flat, in read-only numpy arrays, its only store
+    of the items: ``profits`` and ``costs`` (float64) over all items,
+    category by category, and ``starts`` (int64), category ``j`` holding
+    positions ``starts[j]`` to ``starts[j + 1]``. ``categories``, the same
+    items as tuples of :class:`Item` of Python floats, is built from them on
+    first access only. Equality and hashing compare the budget and the
+    arrays by value (-0.0 equals 0.0), so they never build it.
     """
 
-    categories: tuple[Category, ...] = field(compare=False)
+    categories: tuple[Category, ...]
     budget: float
-    profits: tuple[float, ...] = field(init=False, repr=False)
-    costs: tuple[float, ...] = field(init=False, repr=False)
-    starts: tuple[int, ...] = field(init=False, repr=False)
+    profits: np.ndarray = field(init=False, repr=False)
+    costs: np.ndarray = field(init=False, repr=False)
+    starts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         profits: list[float] = []
@@ -164,75 +165,78 @@ class Instance:
                 profits.append(float(p))
                 costs.append(float(c))
             starts.append(len(costs))
-        # Dropped so that ``categories`` is rebuilt from the flat view.
+        # Dropped so that ``categories`` is rebuilt from the arrays.
         object.__delattr__(self, "categories")
-        self._set_flat(profits, costs, starts, self.budget)
+        self._set_flat(np.array(profits), np.array(costs), np.array(starts), self.budget)
 
     @classmethod
     def from_flat(cls, profits, costs, starts, budget) -> "Instance":
-        """The instance with the flat view ``profits``, ``costs``, ``starts``
+        """The instance with the flat ``profits``, ``costs`` and ``starts``
         (see the class docstring), validated as the constructor validates.
         Coefficients are converted with ``float``, as the constructor
         converts them, so an integer past 2**53 is stored as its float, and
         starts with ``operator.index``, which refuses a non-integer."""
-        instance = object.__new__(cls)
-        instance._set_flat(
-            [*map(float, profits)], [*map(float, costs)], [*map(operator.index, starts)], budget
-        )
-        return instance
+        try:
+            starts = np.array([*map(operator.index, starts)], np.int64)
+        except OverflowError:  # a start past int64 is past the item count
+            raise ValueError(f"starts must run from 0 to {len(profits)}, the item count") from None
+        profits, costs = np.array([*map(float, profits)]), np.array([*map(float, costs)])
+        return cls._from_arrays(profits, costs, starts, budget)
 
     @classmethod
     def _from_arrays(cls, profits, costs, starts, budget) -> "Instance":
-        """:meth:`from_flat` for the float64 arrays of the coefficients and
-        the int64 array of the starts (the reader's and the generator's).
-        They become the instance's numpy arrays as they are, never built
-        again, and the tuples are read from them with ``tolist``, so they
-        hold Python floats of the same bits."""
+        """:meth:`from_flat` for float64 arrays of the coefficients and an int64
+        array of the starts that no one else holds, which it keeps as they are."""
         instance = object.__new__(cls)
-        vars(instance)["_item_arrays"] = (profits, costs, starts)
-        instance._set_flat(profits.tolist(), costs.tolist(), starts.tolist(), budget)
+        instance._set_flat(profits, costs, starts, budget)
         return instance
 
     def _set_flat(self, profits, costs, starts, budget) -> None:
         budget = float(budget)
-        profits, costs, starts = tuple(profits), tuple(costs), tuple(starts)
         if len(profits) != len(costs):
             raise ValueError(f"{len(profits)} profits but {len(costs)} costs")
         if len(starts) < 2:
             raise ValueError("instance must have at least one category")
         if starts[0] != 0 or starts[-1] != len(profits):
             raise ValueError(f"starts must run from 0 to {len(profits)}, the item count")
-        vars(self).update(profits=profits, costs=costs, starts=starts, budget=budget)
-        # The fast checks test every category, then every item on the numpy
-        # arrays, built here only once the starts rise unless the caller gave
-        # them (a pickle leaves them out to be rebuilt); the ordered scan
-        # only names the culprit.
-        arrays = all(map(operator.lt, starts, starts[1:])) and self._item_arrays
-        if not (arrays and all(a.min() >= 0 and a.max() < math.inf for a in arrays[:2])):
-            for j, (a, b) in enumerate(zip(starts, starts[1:])):
+        valid = np.isfinite(profits) & np.isfinite(costs) & (profits >= 0) & (costs >= 0)
+        if not (np.diff(starts).min() > 0 and valid.all()):
+            # the ordered scan only names the culprit
+            for j, (a, b) in enumerate(zip(starts.tolist(), starts[1:].tolist())):
                 if a >= b:
                     raise ValueError(f"category {j} is {'empty' if a == b else 'of negative size'}")
-                for i, (p, c) in enumerate(zip(profits[a:b], costs[a:b])):
+                for i, (p, c) in enumerate(zip(profits[a:b].tolist(), costs[a:b].tolist())):
                     if not (math.isfinite(p) and math.isfinite(c)):
                         raise ValueError(f"non-finite coefficient at category {j} item {i}")
                     if p < 0 or c < 0:
                         raise ValueError(f"negative coefficient at category {j} item {i}")
         if not math.isfinite(budget) or budget <= 0:
             raise ValueError("budget must be positive and finite")
+        for values in (profits, costs, starts):
+            values.flags.writeable = False
+        vars(self).update(profits=profits, costs=costs, starts=starts, budget=budget)
 
-    def __getstate__(self):
-        # ``categories``, the numpy arrays and the frontier view are rebuilt
-        # on first use.
-        return {name: vars(self)[name] for name in ("budget", "profits", "costs", "starts")}
+    def _key(self) -> tuple:
+        # -0.0 + 0 is 0.0, so equal coefficients give equal bytes
+        return self.budget, *((a + 0).tobytes() for a in (self.profits, self.costs, self.starts))
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        # a pickle or a copy holds only the fields, its arrays made read-only again
+        return type(self)._from_arrays, (self.profits, self.costs, self.starts, self.budget)
 
     def __getattr__(self, name):
         # Called only for attributes not yet set: ``categories`` of a fresh instance.
         if name != "categories":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        categories = tuple(
-            tuple(map(Item, self.profits[a:b], self.costs[a:b]))
-            for a, b in zip(self.starts, self.starts[1:])
-        )
+        items = [*map(Item, self.profits.tolist(), self.costs.tolist())]
+        starts = self.starts.tolist()
+        categories = tuple(tuple(items[a:b]) for a, b in zip(starts, starts[1:]))
         object.__setattr__(self, "categories", categories)
         return categories
 
@@ -243,25 +247,16 @@ class Instance:
 
     @property
     def sizes(self) -> tuple[int, ...]:
-        return tuple(map(operator.sub, self.starts[1:], self.starts))
+        return tuple(np.diff(self.starts).tolist())
 
     @cached_property
     def frontier_view(self) -> FrontierView:
         """Every category's frontier as one :class:`FrontierView`, built from
-        the numpy arrays of the items on first use, with no per-item Python
-        loop. Category ``j``'s :func:`pareto_filter` indices are its segment
-        of ``frontier_view.index``. Not a field, so equality, hashing and
+        the item arrays on first use, with no per-item Python loop. Category
+        ``j``'s :func:`pareto_filter` indices are its segment of
+        ``frontier_view.index``. Not a field, so equality, hashing and
         ``dataclasses.replace`` ignore it."""
-        return _frontier_view(*self._item_arrays)
-
-    @cached_property
-    def _item_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``profits``, ``costs`` and ``starts`` as numpy arrays."""
-        return (
-            np.array(self.profits, np.float64),
-            np.array(self.costs, np.float64),
-            np.array(self.starts, np.int64),
-        )
+        return _frontier_view(self.profits, self.costs, self.starts)
 
 
 def exact_cost_sums(instance: Instance) -> bool:
@@ -290,7 +285,7 @@ def _positions(instance: Instance, sel: Selection) -> np.ndarray:
         raise InvalidSelectionError(
             f"selection has {len(sel)} components, instance has {instance.m} categories"
         )
-    starts = instance._item_arrays[2]
+    starts = instance.starts
     try:
         # operator.index refuses a non-integer, which fromiter would truncate
         k = np.fromiter(map(operator.index, sel), np.int64, len(sel)) + starts[:-1]
@@ -312,10 +307,9 @@ def evaluate(instance: Instance, sel: Selection) -> ObjectivePoint:
     separability holds bitwise). A sum past the float range is infinite.
     """
     k = _positions(instance, sel)
-    profits, costs, _ = instance._item_arrays
     with np.errstate(over="ignore"):
-        f1 = np.add.accumulate(np.concatenate(([0.0], profits[k])))[-1]
-        f2 = np.subtract.accumulate(np.concatenate(([0.0], costs[k])))[-1]
+        f1 = np.add.accumulate(np.concatenate(([0.0], instance.profits[k])))[-1]
+        f2 = np.subtract.accumulate(np.concatenate(([0.0], instance.costs[k])))[-1]
     return ObjectivePoint(float(f1), float(f2))
 
 
@@ -360,8 +354,10 @@ def _fmt(x: float) -> str:
 
 def write_instance(instance: Instance) -> str:
     lines = [_MAGIC, f"m={instance.m} b={_fmt(instance.budget)}"]
-    rows = [f"{_fmt(p)} {_fmt(c)}" for p, c in zip(instance.profits, instance.costs)]
-    for a, b in zip(instance.starts, instance.starts[1:]):
+    pairs = zip(instance.profits.tolist(), instance.costs.tolist())  # a numpy scalar's repr differs
+    rows = [f"{_fmt(p)} {_fmt(c)}" for p, c in pairs]
+    starts = instance.starts.tolist()
+    for a, b in zip(starts, starts[1:]):
         lines.append(f"cat {b - a}")
         lines += rows[a:b]
     return "\n".join(lines) + "\n"

@@ -65,7 +65,7 @@ def _images(instance: Instance, limit: int, what: str) -> tuple[np.ndarray, np.n
     count = math.prod(instance.sizes)
     if count > limit:
         raise OracleGuardError(f"{what}: selection space {count} exceeds guard {limit}")
-    profits, costs, starts = instance.profits, instance.costs, instance.starts
+    profits, costs, starts = instance.profits, instance.costs, instance.starts.tolist()
     f1 = f2 = np.zeros(1)
     with np.errstate(over="ignore"):
         for a, b in zip(starts, starts[1:]):

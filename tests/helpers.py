@@ -216,9 +216,9 @@ def solve_linear_by_scan(instance: Instance, w: float) -> tuple[int, ...]:
     category's first maximum, the cheapest one.
     """
     cw = 1.0 - w
-    profits, costs = instance.profits, instance.costs
+    profits, costs = instance.profits.tolist(), instance.costs.tolist()
     chosen = []
-    for a, frontier in zip(instance.starts, map(pareto_filter, instance.categories)):
+    for a, frontier in zip(instance.starts.tolist(), map(pareto_filter, instance.categories)):
         best = frontier[0]
         best_score = w * profits[a + best] - cw * costs[a + best]
         for i in frontier[1:]:
@@ -389,7 +389,10 @@ def kissa_full_resolve(instance: Instance, straddle, config: KissaConfig | None 
         }
         chosen = None
         if affordable:
-            chosen = _select(instance, xa, improving, affordable, config.rule)
+            chosen = _select(
+                {j: cats[j][xa[j]] for j in improving},
+                {j: (i, cats[j][i]) for j, i in improving.items()}, affordable, config.rule,
+            )
             xa[chosen] = improving[chosen]
             point = evaluate(instance, tuple(xa))
             profit, cost = point.f1, -point.f2

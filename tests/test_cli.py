@@ -470,7 +470,7 @@ class TestOneFrontierViewPerInstance:
         assert main(["solve", str(path)]) == 0
         # bissa, kissa and certify all ran on the instance
         assert "termination: budget-blocked" in capsys.readouterr().out
-        assert len(calls) == 1 and calls[0].tolist() == list(inst.starts)
+        assert len(calls) == 1 and calls[0].tolist() == inst.starts.tolist()
 
     def test_bench_row(self, tmp_path, monkeypatch, capsys):
         spec = tmp_path / "specs.txt"

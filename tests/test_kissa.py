@@ -12,6 +12,7 @@ from mckp import (
     GenSpec,
     Instance,
     InfeasibleInstanceError,
+    InvalidSelectionError,
     KissaConfig,
     KissaRun,
     SelectionRule,
@@ -53,6 +54,21 @@ class TestImprovableCategories:
     def test_singleton_categories_no_candidates(self):
         inst = Instance((((3, 2),), ((4, 1),)), budget=10.0)
         assert improvable_categories(inst, (0, 0), (0, 0)) == set()
+
+    @pytest.mark.parametrize(
+        "xa, xb, message",
+        [
+            ((0,), (1, 1), "selection has 1 components, instance has 2 categories"),
+            ((0, 0), (1, 1, 1), "selection has 3 components, instance has 2 categories"),
+            # -1 would read the last item of category 0
+            ((0, 0), (1, -1), "component 1 is -1, valid range is \\[0, 2\\)"),
+            ((0, 2), (1, 1), "component 1 is 2, valid range is \\[0, 2\\)"),
+        ],
+    )
+    def test_refuses_a_selection_that_does_not_fit(self, xa, xb, message):
+        inst = Instance([[(1, 1), (2, 2)], [(1, 1), (3, 3)]], 4)
+        with pytest.raises(InvalidSelectionError, match=message):
+            improvable_categories(inst, xa, xb)
 
 
 class TestKissaAppendix:
@@ -258,8 +274,10 @@ class TestSelectTies:
     )
 
     def select(self, affordable, rule):
-        improving = {j: 1 for j in range(4)}
-        return _select(self.INST, [0, 0, 0, 0], improving, frozenset(affordable), rule)
+        cats = self.INST.categories
+        current = {j: cat[0] for j, cat in enumerate(cats)}
+        improving = {j: (1, cat[1]) for j, cat in enumerate(cats)}
+        return _select(current, improving, frozenset(affordable), rule)
 
     def test_max_profit(self):
         assert self.select({1, 2, 3}, SelectionRule.MAX_PROFIT) == 1

@@ -1,5 +1,5 @@
+import copy as copy_module
 import dataclasses
-import functools
 import itertools
 import math
 import pickle
@@ -166,20 +166,6 @@ class TestInstanceValidation:
 class TestFromFlat:
     """``Instance.from_flat`` builds only what the constructor can build."""
 
-    @staticmethod
-    def counting():
-        """An ``Instance`` subclass that records the ``starts`` of each build
-        of its numpy arrays, and the list it records them in."""
-        built = []
-
-        class Counting(Instance):
-            @functools.cached_property
-            def _item_arrays(self):
-                built.append(self.starts)
-                return Instance._item_arrays.func(self)
-
-        return Counting, built
-
     @pytest.mark.parametrize(
         "profits, costs, starts, message",
         [
@@ -187,33 +173,49 @@ class TestFromFlat:
             ([1.0], [1.0], [0, 5], "starts must run from 0 to 1"),  # a 'cat 5' of one item
             ([1.0, 2.0], [1.0, 1.0], [1, 2], "starts must run from 0 to 2"),  # item 0 orphaned
             ([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], [0, 2, 1, 3], "category 1 is of negative size"),
+            ([1.0], [1.0], [0, 2**70, 1], "starts must run from 0 to 1"),  # past int64
         ],
     )
     def test_refuses_a_view_no_categories_give(self, profits, costs, starts, message):
-        counting, built = self.counting()
         with pytest.raises(ValueError, match=message):
-            counting.from_flat(profits, costs, starts, 5.0)
-        assert not built  # refused before any cache is built
+            Instance.from_flat(profits, costs, starts, 5.0)
 
-    def test_counting_sees_a_valid_build(self):
-        counting, built = self.counting()
-        inst = counting.from_flat([1.0, 2.0], [1.0, 1.0], [0, 1, 2], 5.0)
-        assert built == [(0, 1, 2)]
-        assert inst.sizes == (1, 1) and inst.profits == (1.0, 2.0)
+    @pytest.mark.parametrize(
+        "profits, costs, starts, message",
+        [
+            # the first culprit in category order, items before a later category
+            ([math.nan, 1.0], [1.0, 1.0], [0, 1, 1, 2],
+             "non-finite coefficient at category 0 item 0"),
+            ([1.0, -1.0, 1.0], [1.0, 1.0, 1.0], [0, 1, 1, 3], "category 1 is empty"),
+            ([1.0, 1.0, -1.0], [1.0, 1.0, 1.0], [0, 2, 3],
+             "negative coefficient at category 1 item 0"),
+            ([1.0, 1.0, 1.0], [1.0, -1.0, math.inf], [0, 3],
+             "negative coefficient at category 0 item 1"),
+            ([-1.0], [math.inf], [0, 1], "non-finite coefficient at category 0 item 0"),
+            ([1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [0, 2, 2, 1, 3], "category 1 is empty"),
+        ],
+    )
+    def test_names_the_first_culprit(self, profits, costs, starts, message):
+        with pytest.raises(ValueError, match=message):
+            Instance.from_flat(profits, costs, starts, 5.0)
+
+    def test_valid_build(self):
+        inst = Instance.from_flat([1.0, 2.0], [1.0, 1.0], [0, 1, 2], 5.0)
+        assert inst.sizes == (1, 1) and inst.profits.tolist() == [1.0, 2.0]
+        assert inst == Instance([[(1.0, 1.0)], [(2.0, 1.0)]], 5.0)
 
     def test_integers_are_stored_as_their_floats(self):
         inst = Instance.from_flat([2**53 + 1], [1], [0, 1], 5)
         built = Instance([[(2**53 + 1, 1)]], 5)
         assert inst == built and hash(inst) == hash(built)
-        assert inst.profits == (2.0**53,) and inst.costs == (1.0,)
-        assert [type(v) for v in inst.profits + inst.costs] == [float, float]
-        assert inst._item_arrays[0].tolist() == list(inst.profits)
+        assert inst.profits.tolist() == [2.0**53] and inst.costs.tolist() == [1.0]
+        assert inst.profits.dtype == inst.costs.dtype == np.float64
 
     def test_starts_must_be_integers(self):
         with pytest.raises(TypeError):
             Instance.from_flat([1.0, 2.0], [1.0, 1.0], [0, 1.5, 2], 5.0)
         inst = Instance.from_flat([1.0, 2.0], [1.0, 1.0], (0, True, 2), 5.0)
-        assert [type(a) for a in inst.starts] == [int, int, int]
+        assert inst.starts.dtype == np.int64 and inst.starts.tolist() == [0, 1, 2]
 
     def test_reader_and_generator_pass_their_floats_as_they_are(self, monkeypatch, appendix):
         def unreachable(*args):
@@ -222,7 +224,64 @@ class TestFromFlat:
         monkeypatch.setattr(Instance, "from_flat", unreachable)
         assert read_instance(write_instance(appendix)) == appendix
         inst = generate(GenSpec(m=3, n=4, correlation=Correlation.WEAK, seed=1))
-        assert {type(v) for v in inst.profits + inst.costs} == {float}
+        assert inst.profits.dtype == inst.costs.dtype == np.float64
+
+
+class TestStore:
+    """The read-only numpy arrays are an instance's only store of its items."""
+
+    @staticmethod
+    def assert_read_only(inst):
+        for values in (inst.profits, inst.costs, inst.starts):
+            assert not values.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 1
+
+    def test_arrays_are_read_only(self, appendix):
+        spec = GenSpec(m=3, n=4, correlation=Correlation.WEAK, seed=1)
+        text = write_instance(appendix)
+        for inst in (
+            appendix, Instance.from_flat([1.0], [1.0], [0, 1], 1.0), generate(spec),
+            read_instance(text), read_instance(text.encode()),
+            model._read_lines(text.splitlines()),
+            pickle.loads(pickle.dumps(appendix)), dataclasses.replace(appendix),
+            dataclasses.replace(appendix, budget=9.0),
+        ):
+            self.assert_read_only(inst)
+            assert inst.profits.dtype == inst.costs.dtype == np.float64
+            assert inst.starts.dtype == np.int64
+
+    def test_a_pickle_carries_only_the_fields(self, appendix):
+        appendix.frontier_view  # noqa: B018 -- fill the caches
+        appendix.categories  # noqa: B018
+        data = pickle.dumps(appendix)
+        assert b"frontier_view" not in data and b"Item" not in data
+        for copy in (pickle.loads(data), copy_module.copy(appendix), copy_module.deepcopy(appendix)):
+            assert vars(copy).keys() == {"budget", "profits", "costs", "starts"}
+            assert copy == appendix
+            self.assert_read_only(copy)
+
+    def test_negative_zero_equals_and_hashes_like_zero(self):
+        negative = Instance([[(-0.0, 1.0), (1.0, -0.0)]], 1.0)
+        positive = Instance([[(0.0, 1.0), (1.0, 0.0)]], 1.0)
+        assert negative == positive and hash(negative) == hash(positive)
+        assert math.copysign(1.0, negative.profits[0]) == -1.0  # kept, not normalized
+        assert negative != Instance([[(0.0, 1.0), (1.0, 0.5)]], 1.0)
+        assert negative != Instance([[(0.0, 1.0)], [(1.0, 0.0)]], 1.0)
+        assert negative != Instance([[(0.0, 1.0), (1.0, 0.0)]], 2.0)
+
+    def test_categories_hold_python_floats(self):
+        for inst in (
+            Instance([[(1, 2), (3.5, 4)], [(5, 6)]], 10),
+            read_instance(b"MCKP 1\nm=2 b=10\ncat 2\n1 2\n3.5 4\ncat 1\n5 6\n"),
+        ):
+            assert inst.categories == (((1.0, 2.0), (3.5, 4.0)), ((5.0, 6.0),))
+            items = [value for cat in inst.categories for item in cat for value in item]
+            assert {type(value) for value in items} == {float}
+            assert type(inst.m) is int and {type(n) for n in inst.sizes} == {int}
+
+    def test_no_item_arrays_cache(self, appendix):
+        assert not hasattr(appendix, "_item_arrays")
 
 
 class TestFrontiers:
@@ -236,23 +295,21 @@ class TestFrontiers:
         # the view is the only frontier an instance holds
         assert not hasattr(appendix, "frontiers")
 
-    # built on first use; the numpy arrays of the items are filled at
-    # construction, and a pickle leaves them out too
+    # built on first use, and a pickle leaves it out
     CACHES = {"frontier_view"}
 
     def test_equality_hash_and_replace_ignore_the_view(self, appendix):
-        # pickle too, and every cache: the view, the numpy copies
+        # pickle too
         twin = Instance(appendix.categories, appendix.budget)
         appendix.frontier_view  # noqa: B018 -- fill the cache on one side only
         assert self.CACHES <= vars(appendix).keys()
         assert not self.CACHES & vars(twin).keys()
-        assert "_item_arrays" in vars(twin)
         assert appendix == twin and twin == appendix
         assert hash(appendix) == hash(twin)
         copy = dataclasses.replace(appendix)
         assert copy == appendix and not self.CACHES & vars(copy).keys()
         loaded = pickle.loads(pickle.dumps(appendix))
-        assert loaded == appendix and not {*self.CACHES, "_item_arrays"} & vars(loaded).keys()
+        assert loaded == appendix and not self.CACHES & vars(loaded).keys()
         assert view_segments(loaded) == view_segments(appendix)
         assert evaluate(loaded, (1, 0)) == evaluate(appendix, (1, 0))
         cheaper = dataclasses.replace(appendix, categories=(((9.0, 0.5), (1.0, 0.5)),))
@@ -317,6 +374,12 @@ class TestFileFormat:
         assert lines[2] == "cat 2"
         assert text.endswith("\n") and not text.endswith("\n\n")
         assert all(line == line.rstrip() for line in lines)
+
+    def test_writes_python_float_reprs(self):
+        # the repr of a numpy scalar would write np.float64(0.1)
+        data = "MCKP 1\nm=1 b=1.5\ncat 2\n0.1 -0.0\n-0.0 2\n"
+        for inst in (read_instance(data), read_instance(data.encode())):
+            assert write_instance(inst) == data
 
     @given(
         st.lists(
@@ -433,8 +496,8 @@ class TestFlatFrontiers:
             f"cat {len(cat)}\n" + "".join(f"{p!r} {c!r}\n" for p, c in cat) for cat in cats
         )
         read = read_instance(f"MCKP 1\nm={len(cats)} b=1\n{text}")
-        assert [v.hex() for v in read.profits + read.costs] == [
-            v.hex() for v in built.profits + built.costs
+        assert [v.hex() for v in np.concatenate((read.profits, read.costs)).tolist()] == [
+            v.hex() for v in np.concatenate((built.profits, built.costs)).tolist()
         ]
         for inst in (built, read):
             assert view_segments(inst) == tuple(pareto_filter(c) for c in inst.categories)
@@ -466,13 +529,15 @@ class TestFrontierViewMatchesLoop:
     def test_frontiers_and_view(self, cats):
         built = Instance(cats, 1.0)
         for inst in (built, read_instance(write_instance(built))):
-            bounds = list(zip(inst.starts, inst.starts[1:]))
-            want = tuple(pareto_filter_by_loop(inst.profits[a:b], inst.costs[a:b]) for a, b in bounds)
+            profits, costs = inst.profits.tolist(), inst.costs.tolist()
+            starts = inst.starts.tolist()
+            bounds = list(zip(starts, starts[1:]))
+            want = tuple(pareto_filter_by_loop(profits[a:b], costs[a:b]) for a, b in bounds)
             assert view_segments(inst) == want
             assert tuple(map(pareto_filter, inst.categories)) == want
             view = inst.frontier_view
             rows = [
-                (j, i, inst.profits[a + i].hex(), inst.costs[a + i].hex())
+                (j, i, profits[a + i].hex(), costs[a + i].hex())
                 for j, ((a, _), f) in enumerate(zip(bounds, want))
                 for i in f
             ]
@@ -489,7 +554,8 @@ def _bits(parse, data):
         inst = parse(data)
     except InstanceFormatError as exc:
         return str(exc), exc.line
-    return inst.starts, [v.hex() for v in inst.profits + inst.costs], inst.budget.hex()
+    floats = np.concatenate((inst.profits, inst.costs)).tolist()
+    return inst.starts.tolist(), [v.hex() for v in floats], inst.budget.hex()
 
 
 def _line_parser(data):
@@ -728,7 +794,7 @@ class TestReaderTokenEdges:
         inst = model._read_blocks(text.encode())
         assert inst is not None
         value = float(token).hex()
-        assert [v.hex() for v in inst.profits + inst.costs] == [
+        assert [v.hex() for v in np.concatenate((inst.profits, inst.costs)).tolist()] == [
             value, (2.0).hex(), value, (1.0).hex(), value, value
         ]
         assert_fast_path_agrees(text)
@@ -771,25 +837,25 @@ class TestReaderTokenEdges:
 
 
 class TestReaderArrays:
-    """The reader hands its float64 arrays to the instance, which keeps them."""
+    """The reader and the generator hand their float64 arrays to the instance,
+    which keeps them as they are."""
 
-    def test_item_arrays_are_the_readers(self, monkeypatch):
-        def unreachable(self):
-            raise AssertionError("the item arrays were built again")
+    def test_the_arrays_are_the_readers(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the coefficients were converted again")
 
-        rebuild = functools.cached_property(unreachable)
-        rebuild.__set_name__(Instance, "_item_arrays")
         spec = GenSpec(m=5, n=7, correlation=Correlation.WEAK, seed=2)
         built = generate(spec)
         text = write_instance(built)
-        monkeypatch.setattr(Instance, "_item_arrays", rebuild)
+        monkeypatch.setattr(Instance, "__post_init__", unreachable)
+        monkeypatch.setattr(Instance, "from_flat", unreachable)
         for inst in (read_instance(text), read_instance(text.encode()), generate(spec)):
-            profits, costs, starts = vars(inst)["_item_arrays"]
-            assert profits.dtype == costs.dtype == np.float64 and starts.dtype == np.int64
-            assert profits.tobytes() == np.array(inst.profits).tobytes()
-            assert costs.tobytes() == np.array(inst.costs).tobytes()
-            assert starts.tolist() == list(inst.starts)
-            assert {type(v) for v in inst.profits + inst.costs} == {float}
+            assert inst.profits.dtype == inst.costs.dtype == np.float64
+            assert inst.starts.dtype == np.int64
+            assert inst.profits.tobytes() == built.profits.tobytes()
+            assert inst.costs.tobytes() == built.costs.tobytes()
+            assert inst.starts.tolist() == [7 * j for j in range(6)]
+            assert not inst.profits.flags.writeable
             assert inst == built
 
     def test_no_per_token_float_for_digit_runs(self, monkeypatch):

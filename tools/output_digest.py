@@ -401,8 +401,8 @@ def read_outcome(data: str | bytes) -> str:
         inst = read_instance(data)
     except (MCKPError, ValueError) as exc:
         return f"{type(exc).__name__}: {exc}"
-    floats = (inst.budget, *inst.profits, *inst.costs)
-    return f"{inst.starts} " + " ".join(map(float.hex, floats))
+    floats = (inst.budget, *inst.profits.tolist(), *inst.costs.tolist())
+    return f"{tuple(inst.starts.tolist())} " + " ".join(map(float.hex, floats))
 
 
 def edited_files(text: str):
