@@ -186,7 +186,7 @@ class Instance:
     @classmethod
     def _from_arrays(cls, profits, costs, starts, budget) -> "Instance":
         """:meth:`from_flat` for float64 arrays of the coefficients and an int64
-        array of the starts that no one else holds, which it keeps as they are."""
+        array of the starts, which it keeps as they are and makes read-only."""
         instance = object.__new__(cls)
         instance._set_flat(profits, costs, starts, budget)
         return instance

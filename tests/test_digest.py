@@ -19,6 +19,6 @@ def test_output_digest_matches_the_checked_in_lines():
         [sys.executable, str(ROOT / "tools" / "output_digest.py"), "--seed", "1"],
         capture_output=True, cwd=ROOT, check=False,
     )
-    assert run.returncode == 0, run.stderr.decode(errors="replace")
+    assert run.returncode == 0 and not run.stderr, run.stderr.decode(errors="replace")
     assert run.stdout.decode().splitlines() == expected.decode().splitlines()
     assert run.stdout == expected
