@@ -5,11 +5,14 @@ coefficient stream is SplitMix64 (documented reference constants), uniform
 integers are taken as ``lo + next_u64() % span``, and draws happen in a
 fixed order (categories outermost, items inner; per item the uncorrelated
 family draws profit then cost, the weakly correlated family draws cost then
-the additive noise).
+the additive noise). SplitMix64's state after ``k`` draws is ``seed + k *
+gamma`` mod 2**64, so :func:`_draws` computes the whole stream at once, in
+counter form, with no loop over the draws.
 """
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +42,31 @@ class SplitMix64:
         return lo + self.next_u64() % (hi - lo + 1)
 
 
+def _draws(seed: int, count: int) -> np.ndarray:
+    """The first ``count`` outputs of ``SplitMix64(seed)``, as a uint64 array.
+
+    Draw ``k`` (from 1) mixes the state ``seed + k * gamma``. Array
+    arithmetic wraps modulo 2**64 silently, where numpy's uint64 scalars
+    warn, so every step runs on the array.
+    """
+    z = np.uint64(seed & _MASK64) + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    return z
+
+
+def _uniform(draws: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """:meth:`SplitMix64.randint` of each draw, as a float64 array of
+    integers. The remainder is taken in place, in uint64."""
+    draws %= np.uint64(hi - lo + 1)
+    values = draws.astype(np.float64)
+    values += lo
+    return values
+
+
 class Correlation(enum.Enum):
     UNCORRELATED = "uncorr"
     WEAK = "weak"
@@ -61,6 +89,9 @@ class GenSpec:
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise ValueError("m and n must be at least 1")
+        # a non-integer size such as 2.0 gets the TypeError range gives
+        operator.index(self.m)
+        operator.index(self.n)
         if not 0.0 <= self.budget_ratio <= 1.0:
             raise ValueError("budget_ratio must lie in [0, 1]")
 
@@ -79,25 +110,18 @@ def generate(spec: GenSpec) -> Instance:
     (U - L)) with L/U the minimum/maximum selection cost and round meaning
     floor(x + 0.5).
     """
-    rng = SplitMix64(spec.seed)
-    profits: list[int] = []
-    costs: list[int] = []
-    low = high = 0
-    for _ in range(spec.m):
-        start = len(costs)
-        for _ in range(spec.n):
-            if spec.correlation is Correlation.UNCORRELATED:
-                profit = rng.randint(COEFF_LO, COEFF_HI)
-                cost = rng.randint(COEFF_LO, COEFF_HI)
-            else:
-                cost = rng.randint(COEFF_LO, COEFF_HI)
-                profit = max(1, cost + rng.randint(-WEAK_NOISE, WEAK_NOISE))
-            profits.append(profit)
-            costs.append(cost)
-        low += min(costs[start:])
-        high += max(costs[start:])
+    m, n = spec.m, spec.n
+    # draws 2k and 2k + 1 belong to item k: row 0 and row 1 of column k
+    first, second = _draws(spec.seed, 2 * m * n).reshape(-1, 2).T.copy()
+    if spec.correlation is Correlation.UNCORRELATED:
+        profits = _uniform(first, COEFF_LO, COEFF_HI)
+        costs = _uniform(second, COEFF_LO, COEFF_HI)
+    else:
+        costs = _uniform(first, COEFF_LO, COEFF_HI)
+        profits = _uniform(second, -WEAK_NOISE, WEAK_NOISE)
+        profits += costs
+        np.maximum(profits, 1.0, out=profits)
+    by_category = costs.reshape(m, n)
+    low, high = int(by_category.min(1).sum()), int(by_category.max(1).sum())
     budget = float(math.floor(low + spec.budget_ratio * (high - low) + 0.5))
-    starts = np.arange(0, spec.m * spec.n + 1, spec.n)
-    return Instance._from_arrays(
-        np.array(profits, np.float64), np.array(costs, np.float64), starts, budget
-    )
+    return Instance._from_arrays(profits, costs, np.arange(0, m * n + 1, n), budget)

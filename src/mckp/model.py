@@ -345,22 +345,61 @@ _MARKS = np.frombuffer(b" \n", np.uint8)
 _PLACES = 10.0 ** np.arange(15)
 
 
-def _fmt(x: float) -> str:
-    # int() drops the sign of -0.0, so repr writes it
-    if x == int(x) and abs(x) < 1e16 and math.copysign(1.0, x) > 0:
-        return str(int(x))
-    return repr(x)
-
-
 def write_instance(instance: Instance) -> str:
-    lines = [_MAGIC, f"m={instance.m} b={_fmt(instance.budget)}"]
-    pairs = zip(instance.profits.tolist(), instance.costs.tolist())  # a numpy scalar's repr differs
-    rows = [f"{_fmt(p)} {_fmt(c)}" for p, c in pairs]
-    starts = instance.starts.tolist()
-    for a, b in zip(starts, starts[1:]):
-        lines.append(f"cat {b - a}")
-        lines += rows[a:b]
-    return "\n".join(lines) + "\n"
+    """The instance file of ``instance``, in the format above.
+
+    Every number in it is a token: the budget, then two per body line, line
+    ``starts[j] + j`` being category ``j``'s ``cat <size>`` and the items
+    following it. A plain token, an integer value in ``0 <= x < 1e16`` with
+    its sign bit clear, is written as ``str(int(x))``: its digits are taken
+    in numpy, one digit place at a time, the inverse of :func:`_read_body`.
+    Any other token (``-0.0``, a fraction, a value from 1e16 up, a
+    subnormal) is written as its ``repr``, the shortest decimal that reads
+    back to it, by a loop over those tokens alone.
+    """
+    m, starts = instance.m, instance.starts
+    tokens = np.empty(1 + 2 * (m + len(instance.profits)))
+    tokens[0] = instance.budget
+    lines = tokens[1:].reshape(-1, 2)
+    headers = starts[:-1] + np.arange(m)
+    items = np.ones(len(lines), bool)
+    items[headers] = False
+    lines[headers, 0] = 0.0  # written as 'cat' below
+    lines[headers, 1] = np.diff(starts)
+    lines[items, 0] = instance.profits
+    lines[items, 1] = instance.costs
+    # no token is negative or non-finite
+    plain = (tokens < 1e16) & (tokens == np.floor(tokens)) & ~np.signbit(tokens)
+    others = np.flatnonzero(~plain)
+    texts = [repr(x).encode() for x in tokens[others].tolist()]  # a numpy scalar's repr differs
+    tokens[others] = 0.0
+    # the digits are taken in the narrowest unsigned type that holds them all
+    top = int(tokens.max())
+    values = tokens.astype(np.min_scalar_type(top))
+    places = len(str(top))
+    # Row k holds token k right-aligned before its mark, a newline after the
+    # budget and after the second token of a line and a space after the
+    # first, with zero bytes before it; dropping the zero bytes joins them.
+    width = 1 + max(3, places, *map(len, texts))
+    head = f"{_MAGIC}\nm={m} b=".encode()
+    out = bytearray(len(head) + len(tokens) * width)
+    out[: len(head)] = head
+    rows = np.frombuffer(out, np.uint8, offset=len(head)).reshape(-1, width)
+    rows[:, -1] = ord("\n")
+    rows[1::2, -1] = ord(" ")
+    for place in range(places):
+        above = values // 10
+        digit = (values - above * 10).astype(np.uint8)
+        digit += ord("0")
+        if place:
+            digit *= values > 0  # a zero byte before a token's leading digit
+        rows[:, -2 - place] = digit
+        values = above
+    rows[1 + 2 * headers, -4:-1] = np.frombuffer(b"cat", np.uint8)
+    for k, text in zip(others.tolist(), texts):
+        end = len(head) + (k + 1) * width - 1
+        out[end - len(text) : end] = text
+    return out.translate(None, b"\0").decode("ascii")
 
 
 def _parse_number(token: str, what: str, line: int) -> float:

@@ -12,7 +12,9 @@ import random
 import numpy as np
 
 from mckp import (
+    Correlation,
     ExactResult,
+    GenSpec,
     InfeasibleInstanceError,
     Instance,
     Item,
@@ -23,12 +25,14 @@ from mckp import (
     NonIntegerInstanceError,
     ObjectivePoint,
     OracleGuardError,
+    SplitMix64,
     Termination,
     delta_bound,
     evaluate,
     pareto_filter,
     solve_chebyshev_subproblem,
 )
+from mckp.generate import COEFF_HI, COEFF_LO, WEAK_NOISE
 from mckp.kissa import _select
 from mckp.oracle import MEMORY_LIMIT_BYTES
 
@@ -579,3 +583,57 @@ def lp_relaxation_by_loop(rows, budget: int) -> tuple[list[list[int]], int, int,
         ub += best
         reduced.append([best - v for v in values])
     return reduced, ub, lb, unit
+
+
+def generate_by_stream(spec: GenSpec) -> Instance:
+    """``generate`` as first written: one :class:`SplitMix64` draw at a time,
+    categories outermost and items inner, two draws per item.
+
+    Test-only reference for the counter-form stream: the uncorrelated family
+    draws profit then cost, the weakly correlated one cost then the noise,
+    and the budget rounds ``L + ratio * (U - L)`` half up over Python
+    integers ``L`` and ``U``.
+    """
+    rng = SplitMix64(spec.seed)
+    profits: list[int] = []
+    costs: list[int] = []
+    low = high = 0
+    for _ in range(spec.m):
+        start = len(costs)
+        for _ in range(spec.n):
+            if spec.correlation is Correlation.UNCORRELATED:
+                profit = rng.randint(COEFF_LO, COEFF_HI)
+                cost = rng.randint(COEFF_LO, COEFF_HI)
+            else:
+                cost = rng.randint(COEFF_LO, COEFF_HI)
+                profit = max(1, cost + rng.randint(-WEAK_NOISE, WEAK_NOISE))
+            profits.append(profit)
+            costs.append(cost)
+        low += min(costs[start:])
+        high += max(costs[start:])
+    budget = float(math.floor(low + spec.budget_ratio * (high - low) + 0.5))
+    return Instance.from_flat(profits, costs, range(0, spec.m * spec.n + 1, spec.n), budget)
+
+
+def _fmt(x: float) -> str:
+    # int() drops the sign of -0.0, so repr writes it
+    if x == int(x) and abs(x) < 1e16 and math.copysign(1.0, x) > 0:
+        return str(int(x))
+    return repr(x)
+
+
+def write_instance_by_loop(instance: Instance) -> str:
+    """``write_instance`` as first written: one f-string per line, each
+    number an integer's ``str`` where it is a plain one and its ``repr``
+    otherwise.
+
+    Test-only reference for the numpy writer.
+    """
+    lines = ["MCKP 1", f"m={instance.m} b={_fmt(instance.budget)}"]
+    pairs = zip(instance.profits.tolist(), instance.costs.tolist())
+    rows = [f"{_fmt(p)} {_fmt(c)}" for p, c in pairs]
+    starts = instance.starts.tolist()
+    for a, b in zip(starts, starts[1:]):
+        lines.append(f"cat {b - a}")
+        lines += rows[a:b]
+    return "\n".join(lines) + "\n"

@@ -1,4 +1,7 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mckp import (
     Correlation,
@@ -10,6 +13,9 @@ from mckp import (
     is_feasible,
     solve_linear,
 )
+from mckp.generate import _draws
+
+from helpers import generate_by_stream
 
 
 class TestSplitMix64:
@@ -19,6 +25,11 @@ class TestSplitMix64:
         assert rng.next_u64() == 0xE220A8397B1DCDAF
         assert rng.next_u64() == 0x6E789E6AA1B965F4
         assert rng.next_u64() == 0x06C45D188009454F
+
+    def test_counter_form_gives_the_reference_vectors(self):
+        assert _draws(0, 3).tolist() == [
+            0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F
+        ]
 
     def test_seed_wraps_to_64_bits(self):
         assert SplitMix64(2**64).next_u64() == SplitMix64(0).next_u64()
@@ -97,3 +108,43 @@ class TestGenerate:
             GenSpec(m=0, n=1, correlation=Correlation.WEAK, seed=1)
         with pytest.raises(ValueError):
             GenSpec(m=1, n=1, correlation=Correlation.WEAK, seed=1, budget_ratio=2.0)
+
+    @pytest.mark.parametrize("m, n", [(2.0, 3), (2, np.float64(3)), (2, 3.5)])
+    def test_refuses_a_non_integer_size_at_construction(self, m, n):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            GenSpec(m=m, n=n, correlation=Correlation.WEAK, seed=1)
+
+    def test_accepts_numpy_integer_sizes(self):
+        sized = spec(m=np.int64(3), n=np.int32(4))
+        assert generate(sized) == generate(spec(m=3, n=4))
+
+
+# 0, a negative seed, the largest 64-bit seed and seeds that wrap past it
+SEEDS = st.sampled_from([0, -1, 2**64 - 1, 2**64, 2**64 + 7]) | st.integers(-(2**70), 2**70)
+
+
+def assert_same_instance(got, want):
+    assert got == want and got.budget == want.budget
+    for name in ("profits", "costs", "starts"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+class TestCounterFormStream:
+    """``generate`` against the scalar stream it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=st.integers(1, 60),
+        n=st.integers(1, 60),
+        correlation=st.sampled_from(Correlation),
+        seed=SEEDS,
+        budget_ratio=st.sampled_from([0, 0.0, 1, 1.0]) | st.floats(0, 1),
+    )
+    def test_equals_the_scalar_stream(self, m, n, correlation, seed, budget_ratio):
+        spec = GenSpec(m, n, correlation, seed, budget_ratio)
+        assert_same_instance(generate(spec), generate_by_stream(spec))
+
+    def test_equals_the_scalar_stream_at_the_largest_baseline_shape(self):
+        spec = GenSpec(10000, 20, Correlation.WEAK, 1)
+        assert_same_instance(generate(spec), generate_by_stream(spec))

@@ -36,6 +36,7 @@ from helpers import (
     pareto_items_by_pairwise_scan,
     random_instance,
     view_segments,
+    write_instance_by_loop,
 )
 
 
@@ -877,3 +878,86 @@ class TestReaderArrays:
             lines[k] = "1.5 " + lines[k].split(" ")[1]
         read_instance(("\n".join(lines) + "\n").encode())
         assert calls.count(b"1.5") == 3
+
+
+# integer values about 2**53, 1e16 and the float edges of FLOAT_EDGES
+WRITER_EDGES = (
+    0.0, -0.0, 1.0, 5e-324, 2.2250738585072014e-308, 0.1, 0.5, 2.0**53, 2.0**53 + 2,
+    2.0**60, 9999999999999998.0, 1e16, 1e300, 1.7976931348623157e308,
+)
+
+
+@st.composite
+def writer_instances(draw):
+    """Instances of up to 5 categories of up to 5 items, each coefficient a
+    writer edge, an integer-valued float up to 10**17 or any finite float
+    from 0, the budget likewise but positive."""
+    number = (
+        st.sampled_from(WRITER_EDGES)
+        | st.integers(0, 10**17).map(float)
+        | st.floats(min_value=0, allow_infinity=False)
+    )
+    cats = draw(st.lists(st.lists(st.tuples(number, number), min_size=1, max_size=5),
+                         min_size=1, max_size=5))
+    budget = draw(number.filter(lambda b: b > 0))
+    return Instance(cats, budget)
+
+
+def assert_written_as_by_loop(inst):
+    text = write_instance(inst)
+    assert text == write_instance_by_loop(inst)
+    assert _bits(read_instance, text) == _bits(lambda data: data, inst)
+
+
+class TestWriterMatchesLoop:
+    """``write_instance`` against the per-line loop it replaced, byte for
+    byte, and read back bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(writer_instances())
+    def test_edge_coefficients(self, inst):
+        assert_written_as_by_loop(inst)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_float_edge_instances(self, seed):
+        assert_written_as_by_loop(float_edge_instance(random.Random(seed), max_m=6, max_n=6))
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        m=st.integers(1, 60),
+        n=st.integers(1, 60),
+        correlation=st.sampled_from(Correlation),
+        seed=st.integers(0, 2**64),
+        budget_ratio=st.floats(0, 1),
+    )
+    def test_generated_instances(self, m, n, correlation, seed, budget_ratio):
+        assert_written_as_by_loop(generate(GenSpec(m, n, correlation, seed, budget_ratio)))
+
+    @pytest.mark.parametrize(
+        "value, token",
+        [
+            (-0.0, "-0.0"),
+            (9999999999999998.0, "9999999999999998"),
+            (1e16, "1e+16"),
+            (2.0**53 + 2, "9007199254740994"),
+            (0.1, "0.1"),
+            (5e-324, "5e-324"),
+        ],
+    )
+    def test_pinned_tokens(self, value, token):
+        inst = Instance([[(value, 7.0)]], 1.0)
+        assert write_instance(inst) == f"MCKP 1\nm=1 b=1\ncat 1\n{token} 7\n"
+        assert_written_as_by_loop(inst)
+        if value > 0:
+            budgeted = Instance([[(7.0, value)]], value)
+            assert write_instance(budgeted) == f"MCKP 1\nm=1 b={token}\ncat 1\n7 {token}\n"
+            assert_written_as_by_loop(budgeted)
+
+    def test_category_mixing_integer_and_fractional_items(self):
+        inst = Instance([[(3, 0.5), (0.25, 2**60), (1e300, 12)], [(10, 0)]], 2.5)
+        assert write_instance(inst) == (
+            "MCKP 1\nm=2 b=2.5\ncat 3\n3 0.5\n0.25 1.152921504606847e+18\n"
+            "1e+300 12\ncat 1\n10 0\n"
+        )
+        assert_written_as_by_loop(inst)
