@@ -92,6 +92,8 @@ class GenSpec:
         # a non-integer size such as 2.0 gets the TypeError range gives
         operator.index(self.m)
         operator.index(self.n)
+        if not isinstance(self.correlation, Correlation):
+            raise TypeError(f"correlation must be a Correlation, not {self.correlation!r}")
         if not 0.0 <= self.budget_ratio <= 1.0:
             raise ValueError("budget_ratio must lie in [0, 1]")
 

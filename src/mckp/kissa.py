@@ -62,6 +62,8 @@ class KissaConfig:
             raise ValueError("rho must be positive and finite")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError("epsilon must be positive and finite")
+        if not isinstance(self.rule, SelectionRule):
+            raise TypeError(f"rule must be a SelectionRule, not {self.rule!r}")
 
 
 @dataclass(frozen=True)

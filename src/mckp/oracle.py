@@ -6,7 +6,8 @@ pseudo-polynomial dynamic program over the cost dimension for integer
 instances. On integral profits it first takes the LP relaxation in array
 passes over the flat frontier view, exact in int64 or, past that range, in
 Python integers; then it fills the core of the relaxation and a second,
-wider table only when the first cannot decide, each table guarded. These
+wider table only when the first cannot decide, each table guarded. Every
+table reads its rows in place, as positions in that view. These
 exist to check the heuristics and each other, not to compete with them;
 guards fail loudly instead of degrading.
 """
@@ -221,34 +222,33 @@ def _lp_relaxation(view, profit, cost, budget: int) -> tuple[np.ndarray, int, in
     return best[view.category] - values, lam_p * budget + sum(best.tolist()), lb, unit
 
 
-def _rows(view, cost, positions: np.ndarray, sizes: np.ndarray) -> list[list[tuple]]:
-    """The rows ``(index, profit, int cost)`` at the view's ``positions``,
-    ``sizes[j]`` of them in the ``j``-th list, with costs from ``cost``."""
-    index = view.index[positions].tolist()
-    profits, costs = view.profit[positions].tolist(), cost[positions].tolist()
-    bounds = itertools.pairwise([0, *itertools.accumulate(sizes.tolist())])
-    return [list(zip(index[a:b], profits[a:b], costs[a:b])) for a, b in bounds]
-
-
-def _table(pareto, budget: int) -> tuple[float, list[int]] | None:
-    """The table over each category's rows ``(index, profit, int cost)``,
-    sorted by cost: the optimum and each category's chosen index, or None
-    when the cheapest selection exceeds ``budget``.
+def _table(view, cost, rows: np.ndarray, budget: int) -> tuple[float, np.ndarray] | None:
+    """The table over the view rows at the ascending positions ``rows``, so
+    that each category's rows come by increasing cost, with integer costs
+    from ``cost``: the optimum and the view position chosen in each
+    category, or None when the cheapest selection exceeds ``budget``.
 
     Raises :class:`OracleGuardError` when the estimate of the table it
     would allocate exceeds 2 GiB.
     """
-    floor_cost = sum(rows[0][2] for rows in pareto)
+    # where each category's rows start, then where the last one's end
+    padded = np.concatenate(([-1], view.category[rows], [-1]))
+    edges = np.flatnonzero(padded[:-1] != padded[1:])
+    heads, sizes = edges[:-1], edges[1:] - edges[:-1]
+    costs = cost[rows]
+    floor_cost = sum(costs[heads].tolist())
     if floor_cost > budget:
         return None
-    # per category: its rows (index, profit, cost above the cheapest)
-    shifted = [[(i, p, c - rows[0][2]) for i, p, c in rows] for rows in pareto]
-    slack_cap = sum(rows[-1][2] for rows in shifted)
+    shifted = (costs - np.repeat(costs[heads], sizes)).tolist()
+    profits = view.profit[rows].tolist()
+    bounds = list(itertools.pairwise(edges.tolist()))
+    slacks = [shifted[b - 1] for _, b in bounds]
+    slack_cap = sum(slacks)
 
     width = min(budget - floor_cost, slack_cap) + 1
-    m = len(shifted)
+    m = len(bounds)
     # the narrowest unsigned type that holds a row index
-    choice_dtype = np.min_scalar_type(max(map(len, shifted), default=1) - 1).type
+    choice_dtype = np.min_scalar_type(int(sizes.max(initial=1)) - 1).type
 
     # the choice table, three float64 rows and a bool mask
     estimate = m * width * np.dtype(choice_dtype).itemsize + 3 * width * 8 + width
@@ -267,21 +267,19 @@ def _table(pareto, budget: int) -> tuple[float, list[int]] | None:
     choices = np.zeros((m, width), dtype=choice_dtype)
     later = slack_cap
     top = 1
-    for j, rows in enumerate(shifted):
-        slack = rows[-1][2]
+    for (a, b), slack, crow in zip(bounds, slacks, choices):
         later -= slack
         low = max(0, width - 1 - later)
         dp[top:top + slack] = dp[top - 1]  # the previous row's flat cells
         top = min(width, top + slack)
-        np.add(dp[low:top], rows[0][1], out=new[low:top])
-        crow = choices[j]
-        for r in range(1, len(rows)):
-            _, profit, cost = rows[r]
-            start = max(low, cost)
+        np.add(dp[low:top], profits[a], out=new[low:top])
+        for r in range(1, b - a):
+            profit, lift = profits[a + r], shifted[a + r]
+            start = max(low, lift)
             if start >= top:
                 continue
             span = top - start
-            np.add(dp[start - cost:top - cost], profit, out=seg[:span])
+            np.add(dp[start - lift:top - lift], profit, out=seg[:span])
             np.greater(seg[:span], new[start:top], out=mask[:span])
             np.copyto(new[start:top], seg[:span], where=mask[:span])
             np.copyto(crow[start:top], choice_dtype(r), where=mask[:span])
@@ -291,43 +289,35 @@ def _table(pareto, budget: int) -> tuple[float, list[int]] | None:
     # each cell to the top of its category's band.
     w = width - 1
     reach = slack_cap
-    selection = [0] * m
+    chosen = [0] * m
     for j in range(m - 1, -1, -1):
         w = min(w, reach)
-        index, _, cost = shifted[j][int(choices[j, w])]
-        selection[j] = index
-        w -= cost
-        reach -= shifted[j][-1][2]
-    return float(dp[width - 1]), selection
+        chosen[j] = k = bounds[j][0] + int(choices[j, w])
+        w -= shifted[k]
+        reach -= slacks[j]
+    return float(dp[width - 1]), rows[chosen]
 
 
-def _round(view, cost, kept: np.ndarray, budget: int) -> tuple[float, list[int]] | None:
+def _round(view, cost, kept: np.ndarray, budget: int) -> tuple[float, np.ndarray] | None:
     """:func:`_table` over the view rows where ``kept`` is true (some in
-    each category).
+    each category): the optimum and each category's chosen view position.
 
     A category left with one row is folded out of the table: its profit
-    and cost are added outside it, and no row of it is built. Every sum on
+    and cost are added outside it, and its position is chosen. Every sum on
     this path is an exact integer, so the optimum is that of the table over
     all of them.
     """
     positions = np.flatnonzero(kept)
     category = view.category[positions]
-    sizes = np.bincount(category, minlength=len(view.starts) - 1)
-    free = sizes > 1
+    free = np.bincount(category, minlength=len(view.starts) - 1) > 1
     # each category's first kept row: its only one where it is not free
-    firsts = positions[np.flatnonzero(np.diff(category, prepend=-1))]
-    fixed = firsts[~free]
-    result = _table(
-        _rows(view, cost, positions[free[category]], sizes[free]),
-        budget - sum(cost[fixed].tolist()),
-    )
+    chosen = positions[np.flatnonzero(np.diff(category, prepend=-1))]
+    fixed = chosen[~free]
+    result = _table(view, cost, positions[free[category]], budget - sum(cost[fixed].tolist()))
     if result is None:
         return None
-    optimum, picks = result
-    selection = view.index[firsts].tolist()
-    for j, index in zip(np.flatnonzero(free).tolist(), picks):
-        selection[j] = index
-    return sum(view.profit[fixed].tolist()) + optimum, selection
+    optimum, chosen[free] = result
+    return sum(view.profit[fixed].tolist()) + optimum, chosen
 
 
 def dp_solve(instance: Instance) -> ExactResult:
@@ -342,13 +332,13 @@ def dp_solve(instance: Instance) -> ExactResult:
     not fit, and :class:`OracleGuardError` when the estimate of a table it
     would allocate exceeds 2 GiB; the guard is taken on each table.
 
-    The table holds float64 sums, added in category order like
-    ``evaluate``, over each category's Pareto rows. Costs are shifted by
-    their per-category minimum, so the budget axis spans only the slack
-    above the cheapest selection. Category ``j`` fills only the cells the
-    final cell can reach: from the budget minus the slack of the later
-    categories up to the slack of categories ``0..j``, above which every
-    cell equals the top one. Ties go to the lowest row.
+    The table holds float64 sums, added in category order like ``evaluate``,
+    over each category's Pareto rows, read in place as positions in the
+    frontier view. Costs are shifted by their per-category minimum, so the
+    budget axis spans only the slack above the cheapest selection. Category
+    ``j`` fills only the cells the final cell can reach: from the budget minus
+    the slack of the later categories up to the slack of categories ``0..j``,
+    above which every cell equals the top one. Ties go to the lowest row.
 
     When every frontier profit is an integer and the largest profits sum
     below 2**53, every sum is exact, and the LP relaxation
@@ -400,6 +390,6 @@ def dp_solve(instance: Instance) -> ExactResult:
             result = _round(view, cost, reduced <= cut, budget)
     else:
         cost = _exact_integers(view.cost, view.cost.max() < 2**53)
-        result = _table(_rows(view, cost, np.arange(len(cost)), np.diff(view.starts)), budget)
-    optimum, selection = result
-    return ExactResult(optimum, tuple(selection), Method.DP)
+        result = _table(view, cost, np.arange(len(cost)), budget)
+    optimum, chosen = result
+    return ExactResult(optimum, tuple(view.index[chosen].tolist()), Method.DP)

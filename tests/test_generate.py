@@ -114,6 +114,12 @@ class TestGenerate:
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             GenSpec(m=m, n=n, correlation=Correlation.WEAK, seed=1)
 
+    @pytest.mark.parametrize("correlation", ["uncorr", "weak", None])
+    def test_refuses_a_correlation_that_is_no_correlation(self, correlation):
+        # a correlation's value is no correlation: generate would draw "uncorr" as weak
+        with pytest.raises(TypeError, match="Correlation"):
+            GenSpec(m=3, n=3, correlation=correlation, seed=1)
+
     def test_accepts_numpy_integer_sizes(self):
         sized = spec(m=np.int64(3), n=np.int32(4))
         assert generate(sized) == generate(spec(m=3, n=4))

@@ -108,6 +108,12 @@ class TestKissaContracts:
         assert straddle.exact
         assert kissa(inst, straddle) == KissaRun(final=straddle.xa, termination=termination)
 
+    @pytest.mark.parametrize("rule", ["max-profit", "bogus", None])
+    def test_config_refuses_a_rule_that_is_no_selection_rule(self, rule):
+        # a rule's value is no rule: _select would run any non-member as "first"
+        with pytest.raises(TypeError, match="SelectionRule"):
+            KissaConfig(rule=rule)
+
     def test_certify_false_for_dominated_final(self, appendix):
         run = KissaRun(final=(1, 1), termination=Termination.NO_IMPROVEMENT)
         assert certify(appendix, run) is False

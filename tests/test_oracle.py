@@ -423,6 +423,21 @@ class TestDpSolveMatchesFullWidth:
         assert matches_full_width(inst)
         assert dp_solve(inst).optimum_selection == (rows - 1, 0, rows - 1)
 
+    @pytest.mark.parametrize("rows", [256, 257])
+    def test_core_rows_at_the_uint8_edge(self, rows, tables):
+        # Integral profits on one line of slope 1. The small category's edge
+        # does not fit and sets that slope, so every reduced cost is 0 and
+        # round 1's core holds every row. The budget fits the wide
+        # category's top row alone: index 255 or 256, either side of uint8.
+        wide = tuple((k, k) for k in range(rows))
+        small = ((0, 0), (2, 2))
+        inst = Instance((wide, small), budget=rows - 1)
+        reduced, _, _, _ = lp_relaxation(inst)
+        assert not reduced.any()
+        assert matches_full_width(inst)
+        assert tables == [2]
+        assert dp_solve(inst).optimum_selection == (rows - 1, 0)
+
     def test_every_item_on_the_critical_line(self):
         # the memory-guard shape, scaled down: all reduced costs are 0
         inst = Instance(tuple(((1.0, 1.0), (2.0, 1001.0)) for _ in range(50)), budget=20_000.0)
@@ -479,9 +494,9 @@ def tables(monkeypatch):
     calls = []
     table = oracle._table
 
-    def counting(pareto, budget):
-        calls.append(len(pareto))
-        return table(pareto, budget)
+    def counting(view, cost, rows, budget):
+        calls.append(len(np.unique(view.category[rows])))
+        return table(view, cost, rows, budget)
 
     monkeypatch.setattr(oracle, "_table", counting)
     return calls
