@@ -17,7 +17,9 @@ runs the same builder on one category); this module adds:
   gives the bound in O(n),
 * ``solve_chebyshev_subproblem`` -- argmin of the augmented weighted
   Chebyshev distance (``chebyshev_value``, one formula for a float or an
-  array) to a reference point that strictly dominates the given items.
+  array) to a reference point that strictly dominates the given items,
+* ``chebyshev_winners`` -- the same argmin for several categories'
+  frontiers at once, in one array pass over their rows of the view.
 """
 
 import math
@@ -145,3 +147,32 @@ def solve_chebyshev_subproblem(
             "reference point must strictly dominate every item of the category"
         )
     return int(chebyshev_value(profit, cost, weights, reference, rho).argmin())
+
+
+def chebyshev_winners(view, categories, weights, references, rho: float) -> np.ndarray:
+    """Each category's Chebyshev winner among its frontier rows: the view
+    position minimizing :func:`chebyshev_value`, ties to the most profitable.
+
+    ``view`` is an ``Instance.frontier_view`` and ``categories`` a
+    non-empty sequence of its categories. Category
+    ``categories[k]`` is scored with the weights ``(weights[0][k],
+    weights[1][k])`` and the reference point ``(references[0][k],
+    references[1][k])``, which must strictly dominate each of its rows, with
+    positive weights and a positive, finite rho (unchecked). Every row of
+    these categories is scored in one array pass, with each row's bits of
+    the float formula, and the winner is the last row of its segment (the
+    most profitable) holding the segment's minimum: the row
+    :func:`solve_chebyshev_subproblem` picks from the segment's rows
+    reversed, the most profitable first.
+    """
+    categories = np.asarray(categories)
+    starts = view.starts[categories]
+    sizes = view.starts[categories + 1] - starts
+    # where each segment ends and starts among the scored rows
+    ends = np.cumsum(sizes)
+    heads = ends - sizes
+    rows = np.repeat(starts - heads, sizes) + np.arange(ends.item(-1))
+    w1, w2, r1, r2 = np.repeat(np.array((*weights, *references)), sizes, axis=1)
+    values = chebyshev_value(view.profit[rows], view.cost[rows], (w1, w2), (r1, r2), rho)
+    low = np.repeat(np.minimum.reduceat(values, heads), sizes)
+    return np.maximum.reduceat(np.where(values == low, rows, -1), heads)

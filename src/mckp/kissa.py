@@ -7,8 +7,10 @@ frontier items (reference point: per-category maxima plus epsilon; weights
 derived from the current ``xa`` component and the fixed anchor component;
 ties to the most profitable item), and each iteration swaps in one
 improving component that keeps the selection within budget, a check in O(1)
-where float cost sums are exact. Only the swapped category's subproblem
-changes, so each accepted swap costs one re-solve. Profit strictly rises at
+where float cost sums are exact. Every candidate's first subproblem is
+solved in one array pass; only the swapped category's subproblem changes,
+so each accepted swap costs one re-solve, and it moves the objective point
+in O(1) where the profit and cost sums are exact. Profit strictly rises at
 every accepted swap; the loop stops when no subproblem improves profit or
 no improvement fits the budget.
 """
@@ -21,11 +23,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bissa import BissaResult, ObjectiveOverflowError
-from .frontier import DEFAULT_RHO, delta_bound, solve_chebyshev_subproblem
+from .frontier import DEFAULT_RHO, chebyshev_winners, delta_bound, solve_chebyshev_subproblem
 from .model import (
     Instance,
     ObjectivePoint,
     Selection,
+    _objective,
     _positions,
     evaluate,
     exact_cost_sums,
@@ -96,8 +99,13 @@ class KissaRun:
 def improvable_categories(instance: Instance, xa: Selection, xb: Selection) -> set[int]:
     """Categories where the anchor component strictly out-profits the current
     one; :class:`InvalidSelectionError` where a selection does not fit."""
-    lead = instance.profits[_positions(instance, xa)] < instance.profits[_positions(instance, xb)]
-    return set(np.flatnonzero(lead).tolist())
+    return set(_leads(instance, _positions(instance, xa), _positions(instance, xb)).tolist())
+
+
+def _leads(instance: Instance, ka: np.ndarray, kb: np.ndarray) -> np.ndarray:
+    """:func:`improvable_categories` of the selections at the positions
+    ``ka`` and ``kb``, ascending."""
+    return np.flatnonzero(instance.profits[ka] < instance.profits[kb])
 
 
 def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None = None) -> KissaRun:
@@ -121,60 +129,68 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
     point past the float range (a reference point or an item's Chebyshev
     value would overflow, or the second weight fall to 0), or the anchor's
     own cost gap (larger where the anchor is a dominated item),
-    :class:`ObjectiveOverflowError` is raised before any iteration.
+    :class:`ObjectiveOverflowError` is raised before any iteration, naming
+    the lowest such category.
     The subproblem reads the category's frontier (its segment of
-    ``Instance.frontier_view``, as a reversed array slice of (profit, cost)
-    rows) from its most profitable item down, so a tie goes to the most
-    profitable tied item and the run does not depend on the order of items
-    within a category; at positive rho a dominated item never wins anyway.
-    A winner counts only if it strictly out-profits the current component.
+    ``Instance.frontier_view``) from its most profitable item down, so a
+    tie goes to the most profitable tied item and the run does not depend
+    on the order of items within a category; at positive rho a dominated
+    item never wins anyway. Every candidate's first subproblem is solved in
+    one array pass over the candidates' rows of the view
+    (:func:`chebyshev_winners`). A winner counts only if it strictly
+    out-profits the current component.
 
     A category's subproblem depends only on its own current component, its
     anchor component and its maxima, so the improving map is kept across
-    iterations and only the swapped category is solved again. A swap is
-    affordable when :func:`is_feasible` accepts the swapped selection. Where
+    iterations and only the swapped category is solved again, by
+    :func:`solve_chebyshev_subproblem` on a reversed array slice of the
+    segment's (profit, cost) rows. A swap is affordable when
+    :func:`is_feasible` accepts the swapped selection. Where
     :func:`exact_cost_sums` holds, the working selection (feasible, frontier
     items only) has an exact float cost, so ``cost - old + new <= budget``
-    gives that verdict in O(1).
+    gives that verdict in O(1). Where the frontier profits are integers as
+    well, and the largest ones sum below 2**53, every profit sum is exact
+    too, so a swap moves the objective point by the difference of the two
+    items, in O(1), with the bits of :func:`evaluate`; elsewhere the point
+    is evaluated again. That rule is decided at the first swap.
     """
     if straddle.exact:
         return KissaRun(final=straddle.xa, termination=Termination(straddle.certificate))
     config = config or KissaConfig()
     rho = delta_bound(instance, rho=config.rho).rho
+    # each endpoint's positions, looked up once: the start point and the
+    # candidates come from them
+    ka, kb = _positions(instance, straddle.xa), _positions(instance, straddle.xb)
+    point = _objective(instance, ka)
+    lead = _leads(instance, ka, kb)
+    if not lead.size:
+        raise AssertionError("straddle endpoints must differ in profit somewhere")
+    order = lead.tolist()
+    candidates = set(order)
     xa = list(straddle.xa)
-    point = evaluate(instance, straddle.xa)
     run = KissaRun(final=straddle.xa)
 
-    candidates = improvable_categories(instance, straddle.xa, straddle.xb)
-    if not candidates:
-        raise AssertionError("straddle endpoints must differ in profit somewhere")
     # Each candidate's current and anchor (profit, cost), read once as Python
     # floats: the loop's scalar arithmetic stays off numpy scalars.
-    def item(j, i):
-        k = instance.starts.item(j) + i
-        return instance.profits.item(k), instance.costs.item(k)
+    def items(k):
+        return zip(instance.profits[k].tolist(), instance.costs[k].tolist())
 
-    current = {j: item(j, xa[j]) for j in candidates}
-    anchor = {j: item(j, straddle.xb[j]) for j in candidates}
-    if any(not current[j][1] < anchor[j][1] for j in candidates):
+    current = dict(zip(order, items(ka[lead])))
+    anchor = dict(zip(order, items(kb[lead])))
+    if any(not current[j][1] < anchor[j][1] for j in order):
         raise AssertionError("feasible component must be cheaper where the anchor out-profits it")
 
     def above(top):
         return max(top + config.epsilon, math.nextafter(top, math.inf))
 
-    # A candidate's subproblem items (a reversed slice of its frontier's
-    # (profit, cost) rows, most profitable first, so that ties go to the most
-    # profitable item), reference point and second weight stay fixed for the
-    # run, and so does the view entry of its item 0, the last of its segment.
+    # A candidate's reference point and second weight stay fixed for the
+    # run, and so does its segment of the view, a to b, most profitable last.
     view = instance.frontier_view
-    rows = np.column_stack((view.profit, view.cost))
-    segments = view.starts.tolist()
     subproblems = {}
-    for j in candidates:
-        a, b = segments[j], segments[j + 1]
-        items = rows[a:b][::-1]
-        top_profit, top_cost = map(float, items[0])
-        low_profit, low_cost = map(float, items[-1])
+    for j in order:
+        a, b = view.starts.item(j), view.starts.item(j + 1)
+        top_profit, top_cost = view.profit.item(b - 1), view.cost.item(b - 1)
+        low_profit, low_cost = view.profit.item(a), view.cost.item(a)
         reference = (above(top_profit), above(-low_cost))
         # the largest gaps to the reference point bound every item's g1 + g2
         if not math.isfinite((reference[0] - low_profit) + (reference[1] + top_cost)):
@@ -189,32 +205,47 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
                 f"epsilon {config.epsilon:g} puts category {j}'s anchor cost gap"
                 " past the float range"
             )
-        subproblems[j] = items, reference, 1.0 / anchor_gap, b - 1
+        subproblems[j] = reference, 1.0 / anchor_gap, a, b
 
     # each category's winner that beats its current component: (index, (profit, cost))
     improving: dict[int, tuple[int, tuple[float, float]]] = {}
-    exact = exact_cost_sums(instance)
 
-    def fits(j):
-        i, (_, new_cost) = improving[j]
-        if exact:
-            return -point.f2 - current[j][1] + new_cost <= instance.budget
-        return is_feasible(instance, (*xa[:j], i, *xa[j + 1:]))
+    def offer(j, k):
+        # the winner at view position k, where it out-profits the current component
+        profit = view.profit.item(k)
+        if profit > current[j][0]:
+            improving[j] = view.index.item(k), (profit, view.cost.item(k))
+
+    def first_weight(j):  # it follows the current component
+        return 1.0 / (subproblems[j][0][0] - current[j][0])
+
+    # a re-solve reads a reversed slice of these, the most profitable row first
+    rows = np.column_stack((view.profit, view.cost))
 
     def solve(j):
-        items, reference, w2, last = subproblems[j]
-        w1 = 1.0 / (reference[0] - current[j][0])
-        position = solve_chebyshev_subproblem(items, (w1, w2), reference, rho)
-        winner = tuple(items[position].tolist())
-        if winner[0] > current[j][0]:
-            improving[j] = int(view.index[last - position]), winner
+        reference, w2, a, b = subproblems[j]
+        position = solve_chebyshev_subproblem(rows[a:b][::-1], (first_weight(j), w2), reference, rho)
+        offer(j, b - 1 - position)
 
-    for j in candidates:
-        solve(j)
+    weights = [first_weight(j) for j in order], [subproblems[j][1] for j in order]
+    references = [subproblems[j][0][0] for j in order], [subproblems[j][0][1] for j in order]
+    for j, k in zip(order, chebyshev_winners(view, lead, weights, references, rho).tolist()):
+        offer(j, k)
 
+    exact = exact_cost_sums(instance)
+    exact_points = None  # whether a swap moves the point in O(1), decided at the first
     for index in itertools.count(1):
         head = (index, frozenset(candidates), frozenset(improving))
-        affordable = frozenset(filter(fits, improving))
+        if exact:
+            affordable = frozenset(
+                j for j, (_, (_, new_cost)) in improving.items()
+                if -point.f2 - current[j][1] + new_cost <= instance.budget
+            )
+        else:
+            affordable = frozenset(
+                j for j, (i, _) in improving.items()
+                if is_feasible(instance, (*xa[:j], i, *xa[j + 1:]))
+            )
         if not affordable:
             run.termination = (
                 Termination.BUDGET_BLOCKED if improving else Termination.NO_IMPROVEMENT
@@ -223,12 +254,25 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
             break
 
         chosen = _select(current, improving, affordable, config.rule)
-        xa[chosen], current[chosen] = improving.pop(chosen)
-        if current[chosen][0] < anchor[chosen][0]:
+        i, (new_profit, new_cost) = improving.pop(chosen)
+        old_profit, old_cost = current[chosen]
+        xa[chosen], current[chosen] = i, (new_profit, new_cost)
+        if new_profit < anchor[chosen][0]:
             solve(chosen)
         else:
             candidates.discard(chosen)
-        point = evaluate(instance, tuple(xa))
+        if exact_points is None:
+            # integral frontier profits whose largest ones sum below 2**53:
+            # a float sum of nonnegative integers reaches 2**53 exactly when
+            # the integer sum does, and below it every sum is exact
+            exact_points = exact and bool(
+                np.all(view.profit == np.floor(view.profit))
+                and view.profit[view.starts[1:] - 1].sum() < 2**53
+            )
+        if exact_points:
+            point = ObjectivePoint(point.f1 - old_profit + new_profit, point.f2 + old_cost - new_cost)
+        else:
+            point = evaluate(instance, tuple(xa))
         run.improvements += 1
         run.iterations.append(KissaIteration(*head, affordable, chosen, point))
 
@@ -240,15 +284,11 @@ def _select(current, improving, affordable, rule):
     """The affordable category to swap under ``rule``; ties go to the lowest.
     ``current`` and ``improving`` map categories as :func:`kissa`'s do."""
 
-    def key(j):
-        (profit, cost), (_, (new_profit, new_cost)) = current[j], improving[j]
-        if rule is SelectionRule.MAX_PROFIT:
-            return -(new_profit - profit), j  # the largest resulting total profit
-        if rule is SelectionRule.BEST_SLACK:
-            return new_cost - cost, j  # the most budget left after the swap
-        return j
-
-    return min(affordable, key=key)
+    if rule is SelectionRule.MAX_PROFIT:  # the largest resulting total profit
+        return min((-(improving[j][1][0] - current[j][0]), j) for j in affordable)[1]
+    if rule is SelectionRule.BEST_SLACK:  # the most budget left after the swap
+        return min((improving[j][1][1] - current[j][1], j) for j in affordable)[1]
+    return min(affordable)
 
 
 def certify(instance: Instance, run: KissaRun) -> bool:

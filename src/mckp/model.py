@@ -306,7 +306,12 @@ def evaluate(instance: Instance, sel: Selection) -> ObjectivePoint:
     the component-wise sum of single-category evaluations (additive
     separability holds bitwise). A sum past the float range is infinite.
     """
-    k = _positions(instance, sel)
+    return _objective(instance, _positions(instance, sel))
+
+
+def _objective(instance: Instance, k: np.ndarray) -> ObjectivePoint:
+    """:func:`evaluate` of the selection at the positions ``k`` of
+    :func:`_positions`."""
     with np.errstate(over="ignore"):
         f1 = np.add.accumulate(np.concatenate(([0.0], instance.profits[k])))[-1]
         f2 = np.subtract.accumulate(np.concatenate(([0.0], instance.costs[k])))[-1]
@@ -475,7 +480,8 @@ def _read_body(body: bytes, m: int, budget: float) -> Instance | None:
     # Token k ends at mark k, a space after the first token of a line and a
     # newline after the second. Digits are 0-9 and every other byte is above.
     ends = np.flatnonzero(raw <= ord(" "))
-    lengths = np.diff(ends, prepend=-1) - 1
+    lengths = ends.copy()
+    lengths[1:] -= ends[:-1] + 1
     if len(ends) % 2 or not (lengths.all() and np.all(raw[ends].reshape(-1, 2) == _MARKS)):
         return None
     # A plain token is a run of at most 15 digits. The column of place k
@@ -497,7 +503,10 @@ def _read_body(body: bytes, m: int, budget: float) -> Instance | None:
         & (raw[first - 2] == ord("a")) & (raw[first - 1] == ord("t"))
     )
     lines = np.flatnonzero(header)
-    sizes = np.diff(lines, append=len(header)) - 1
+    # each category line's items run to the next one, or to the end
+    sizes = -1 - lines
+    sizes[:-1] += lines[1:]
+    sizes[-1:] += len(header)
     if not (
         len(lines) == m and header[0] and sizes.all()
         and plain[1::2][lines].all() and np.array_equal(values[1::2][lines], sizes)

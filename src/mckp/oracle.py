@@ -311,7 +311,9 @@ def _round(view, cost, kept: np.ndarray, budget: int) -> tuple[float, np.ndarray
     category = view.category[positions]
     free = np.bincount(category, minlength=len(view.starts) - 1) > 1
     # each category's first kept row: its only one where it is not free
-    chosen = positions[np.flatnonzero(np.diff(category, prepend=-1))]
+    first = np.ones(len(category), bool)
+    np.not_equal(category[1:], category[:-1], out=first[1:])
+    chosen = positions[first]
     fixed = chosen[~free]
     result = _table(view, cost, positions[free[category]], budget - sum(cost[fixed].tolist()))
     if result is None:

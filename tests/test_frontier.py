@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mckp import (
     Instance,
@@ -11,7 +13,7 @@ from mckp import (
     pareto_filter,
     solve_chebyshev_subproblem,
 )
-from mckp.frontier import InvalidReferencePointError, chebyshev_value
+from mckp.frontier import InvalidReferencePointError, chebyshev_value, chebyshev_winners
 from mckp.oracle import _integer_arrays, _upper_hull
 
 from helpers import (
@@ -441,6 +443,95 @@ class TestChebyshevOverArrays:
         for empty in ((), [], np.empty((0, 2))):
             with pytest.raises(ValueError, match="non-empty"):
                 solve_chebyshev_subproblem(empty, (1.0, 1.0), (5.0, 0.0), 1e-7)
+
+
+# Few distinct values, so that rows tie, and large ones, whose Chebyshev
+# values overflow to inf at a large rho or epsilon.
+PASS_VALUES = (0.0, -0.0, 5e-324, 0.5, 1.0, 2.0, 3.0, 1e300)
+PASS_EPSILONS = (5e-324, 1e-4, 1.0, 1e300)
+PASS_RHOS = (5e-324, 1e-7, 0.5, 1e300)
+
+
+@st.composite
+def first_passes(draw):
+    """An instance of up to six categories of 1 to 8 items from
+    :data:`PASS_VALUES`, some of its categories, and for each a reference
+    point above its frontier maxima and weights from the gaps of two of its
+    frontier rows, as KISSA sets them, and a rho."""
+    value = st.sampled_from(PASS_VALUES)
+    cats = draw(st.lists(
+        st.lists(st.tuples(value, value), min_size=1, max_size=8), min_size=1, max_size=6
+    ))
+    inst = Instance(cats, 1.0)
+    view = inst.frontier_view
+    categories = sorted(draw(st.sets(st.integers(0, len(cats) - 1), min_size=1)))
+    weights, references = ([], []), ([], [])
+    for j in categories:
+        a, b = view.starts[j], view.starts[j + 1]
+        eps = draw(st.sampled_from(PASS_EPSILONS))
+        top, low_cost = float(view.profit[b - 1]), float(view.cost[a])
+        reference = (
+            max(top + eps, math.nextafter(top, math.inf)),
+            max(-low_cost + eps, math.nextafter(-low_cost, math.inf)),
+        )
+        rows = st.integers(a, b - 1)
+        w = (
+            1.0 / (reference[0] - float(view.profit[draw(rows)])),
+            1.0 / (reference[1] + float(view.cost[draw(rows)])),
+        )
+        assume(all(math.isfinite(r) for r in reference) and w[0] > 0 and w[1] > 0)
+        for into, pair in ((weights, w), (references, reference)):
+            into[0].append(pair[0])
+            into[1].append(pair[1])
+    return inst, categories, weights, references, draw(st.sampled_from(PASS_RHOS))
+
+
+class TestChebyshevWinners:
+    """KISSA's first pass against one :func:`solve_chebyshev_subproblem`
+    call per category, on its rows of the view reversed."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(first_passes())
+    def test_matches_one_subproblem_per_category(self, drawn):
+        inst, categories, weights, references, rho = drawn
+        view = inst.frontier_view
+        rows = np.column_stack((view.profit, view.cost))
+        want = []
+        for k, j in enumerate(categories):
+            a, b = view.starts[j], view.starts[j + 1]
+            setting = (weights[0][k], weights[1][k]), (references[0][k], references[1][k]), rho
+            want.append(b - 1 - solve_chebyshev_subproblem(rows[a:b][::-1], *setting))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # overflow to inf warns nowhere
+            got = chebyshev_winners(view, categories, weights, references, rho)
+        assert got.tolist() == want
+
+    def test_ties_and_infinite_values_are_drawn(self):
+        # the strategy reaches both cases the tie rule decides
+        seen = {"tie": 0, "inf": 0}
+
+        @settings(max_examples=200, deadline=None, database=None)
+        @given(first_passes())
+        def count(drawn):
+            inst, categories, weights, references, rho = drawn
+            view = inst.frontier_view
+            for k, j in enumerate(categories):
+                a, b = view.starts[j], view.starts[j + 1]
+                setting = (weights[0][k], weights[1][k]), (references[0][k], references[1][k]), rho
+                values = chebyshev_value(view.profit[a:b], view.cost[a:b], *setting).tolist()
+                seen["tie"] += values.count(min(values)) > 1
+                seen["inf"] += math.inf in values
+
+        count()
+        assert min(seen.values()) > 10, seen
+
+    def test_tie_goes_to_the_most_profitable_row(self):
+        # Two rows rising by (1, 1) score the same at these weights; each
+        # category's winner is its last row, the most profitable.
+        inst = Instance([[(0, 0), (1, 1)], [(5, 5)], [(2, 2), (3, 3)]], 1.0)
+        view = inst.frontier_view
+        got = chebyshev_winners(view, [0, 2], ([0.5, 0.5], [0.5, 0.5]), ([2.0, 4.0], [1.0, -1.0]), 1e-7)
+        assert got.tolist() == [1, 4]
 
 
 class TestChebyshevTheorems:

@@ -365,42 +365,64 @@ class TestAbsorbedEpsilon:
             )
             self.assert_improves_on_bissa(inst, KissaConfig())
 
-    def test_unabsorbed_shift_keeps_max_plus_epsilon(self, monkeypatch):
-        # the reference of every solved subproblem is exactly max + epsilon
-        references = []
-        solve = kissa_module.solve_chebyshev_subproblem
+    # four candidates solved in the first pass, then seven re-solves
+    RESOLVED = GenSpec(m=6, n=100, correlation=Correlation.WEAK, seed=6, budget_ratio=0.5)
 
-        def recording(cat, weights, reference, rho):
-            references.append((cat, reference))
+    @staticmethod
+    def record_subproblems(monkeypatch):
+        """Lists of every subproblem KISSA solves, as (source, rows,
+        reference), and of the (view, categories) of each first pass. A
+        category of the first pass gives the rows of its segment of the
+        view, most profitable first, and a re-solve the rows it is given."""
+        calls, passes = [], []
+        solve = kissa_module.solve_chebyshev_subproblem
+        winners = kissa_module.chebyshev_winners
+
+        def recording_solve(cat, weights, reference, rho):
+            calls.append(("re-solve", cat, reference))
             return solve(cat, weights, reference, rho)
 
-        monkeypatch.setattr(kissa_module, "solve_chebyshev_subproblem", recording)
-        inst = generate(GenSpec(m=6, n=8, correlation=Correlation.WEAK, seed=3))
+        def recording_pass(view, categories, weights, references, rho):
+            passes.append((view, np.asarray(categories).tolist()))
+            for k, j in enumerate(passes[-1][1]):
+                a, b = view.starts[j], view.starts[j + 1]
+                rows = np.column_stack((view.profit[a:b], view.cost[a:b]))[::-1]
+                calls.append(("first", rows, (references[0][k], references[1][k])))
+            return winners(view, categories, weights, references, rho)
+
+        monkeypatch.setattr(kissa_module, "solve_chebyshev_subproblem", recording_solve)
+        monkeypatch.setattr(kissa_module, "chebyshev_winners", recording_pass)
+        return calls, passes
+
+    def test_unabsorbed_shift_keeps_max_plus_epsilon(self, monkeypatch):
+        # the reference of every solved subproblem is exactly max + epsilon,
+        # in the first pass and in each re-solve
+        references, _ = self.record_subproblems(monkeypatch)
+        inst = generate(self.RESOLVED)
         kissa(inst, bissa(inst), KissaConfig(epsilon=1e-3))
         assert references
-        for cat, (ref1, ref2) in references:
+        assert {source for source, _, _ in references} == {"first", "re-solve"}
+        for _, cat, (ref1, ref2) in references:
             assert ref1 == max(profit for profit, _ in cat) + 1e-3
             assert ref2 == max(-cost for _, cost in cat) + 1e-3
 
-
     def test_subproblems_read_reversed_slices_of_the_view(self, monkeypatch):
-        # each candidate's frontier rows, most profitable first, as an array
-        # view rather than a copied list
-        seen = []
-        solve = kissa_module.solve_chebyshev_subproblem
-
-        def recording(cat, weights, reference, rho):
-            seen.append(cat)
-            return solve(cat, weights, reference, rho)
-
-        monkeypatch.setattr(kissa_module, "solve_chebyshev_subproblem", recording)
-        inst = generate(GenSpec(m=6, n=8, correlation=Correlation.WEAK, seed=3))
+        # each candidate's frontier rows, most profitable first: the first
+        # pass reads them in the view itself, and a re-solve gets them as an
+        # array view rather than a copied list
+        calls, passes = self.record_subproblems(monkeypatch)
+        inst = generate(self.RESOLVED)
         kissa(inst, bissa(inst))
         frontiers = [[tuple(cat[i]) for i in reversed(pareto_filter(cat))] for cat in inst.categories]
+        seen = [cat for source, cat, _ in calls if source == "re-solve"]
         assert seen
         for cat in seen:
             assert isinstance(cat, np.ndarray) and cat.base is not None
             assert list(map(tuple, cat.tolist())) in frontiers
+        [(view, categories)] = passes
+        assert view is inst.frontier_view and categories == [0, 1, 2, 3]
+        first = [rows for source, rows, _ in calls if source == "first"]
+        assert [list(map(tuple, rows.tolist())) for rows in first] == [frontiers[j] for j in categories]
 
 
 class TestExtremeCoefficients:
@@ -499,12 +521,163 @@ class TestEpsilonOverflow:
         ):
             kissa(inst, straddle, KissaConfig(epsilon=1e307))
 
+    @pytest.mark.parametrize(
+        "cat3, cat8, epsilon, message",
+        [
+            (CATS[0], CATS[0], 1e308, "category 3's Chebyshev values"),
+            (
+                [(0, 0), (1, 5e307), (1, 1.7e308)], [(0, 0), (1.7e308, 1.7e308)], 1e307,
+                "category 3's anchor cost gap",
+            ),
+        ],
+    )
+    def test_names_the_lowest_overflowing_category(self, cat3, cat8, epsilon, message):
+        # Categories 3 and 8 both overflow, and a set of the two lists 8
+        # first. Category 3 fails on its gap sum in the first case; in the
+        # second it fails on its anchor's cost gap (the anchor its costliest,
+        # dominated item) and category 8 on its gap sum.
+        assert list({3, 8}) == [8, 3]
+        cats = [[(0, 0)]] * 9
+        cats[3], cats[8] = cat3, cat8
+        xb = [0] * 9
+        xb[3], xb[8] = len(cat3) - 1, 1
+        straddle = BissaResult(xa=(0,) * 9, xb=tuple(xb), certificate=None, trace=[])
+        with pytest.raises(ObjectiveOverflowError, match=message):
+            kissa(Instance(cats, 3), straddle, KissaConfig(epsilon=epsilon))
+
     def test_largest_epsilon_that_fits_still_solves(self):
         # The two items score 0.9999999999999999 and 1.0: a comparison, not
         # the tie rule, picks the winner.
         inst = Instance(self.CATS, 3)
         run = kissa(inst, bissa(inst), KissaConfig(epsilon=5e307))
         assert evaluate(inst, run.final).f1 == 1e307 == brute_force(inst).optimum_profit
+
+
+class TestObjectiveBits:
+    """Each iteration's objective has the bits of :func:`evaluate` on that
+    iteration's selection: a swap moves it in O(1) where the frontier costs
+    and profits are integers whose sums are exact, and ``evaluate`` sums it
+    again elsewhere."""
+
+    @staticmethod
+    def evaluations(monkeypatch, inst):
+        """Run KISSA from ``bissa(inst)`` under every rule, replay each run's
+        swaps and check every objective against :func:`evaluate` by
+        ``float.hex``; the number of ``evaluate`` calls KISSA made, and of
+        its swaps."""
+        swaps, calls = [], []
+        select, real = kissa_module._select, kissa_module.evaluate
+
+        def recording_select(current, improving, affordable, rule):
+            chosen = select(current, improving, affordable, rule)
+            swaps.append((chosen, improving[chosen][0]))
+            return chosen
+
+        def counting(instance, sel):
+            calls.append(sel)
+            return real(instance, sel)
+
+        monkeypatch.setattr(kissa_module, "_select", recording_select)
+        monkeypatch.setattr(kissa_module, "evaluate", counting)
+        straddle = bissa(inst)
+        improvements = 0
+        for rule in SelectionRule:
+            run = kissa(inst, straddle, KissaConfig(rule=rule))
+            sel = list(straddle.xa)
+            for it in run.iterations:
+                if it.chosen is not None:
+                    j, i = swaps.pop(0)
+                    assert j == it.chosen
+                    sel[j] = i
+                want = real(inst, tuple(sel))
+                assert (it.objective.f1.hex(), it.objective.f2.hex()) == (
+                    want.f1.hex(), want.f2.hex()
+                ), (inst, rule, it.index)
+            assert not swaps and tuple(sel) == run.final
+            improvements += run.improvements
+        return len(calls), improvements
+
+    def test_generated_integer_families_move_in_o1(self, monkeypatch):
+        # uncorrelated instances rarely swap, weakly correlated ones often
+        rng = random.Random("kissa-objective")
+        swaps = 0
+        for correlation in Correlation:
+            for _ in range(10):
+                spec = GenSpec(
+                    m=rng.randint(2, 40), n=rng.randint(2, 200), correlation=correlation,
+                    seed=rng.getrandbits(32), budget_ratio=rng.uniform(0.3, 0.7),
+                )
+                calls, improvements = self.evaluations(monkeypatch, generate(spec))
+                assert calls == 0
+                swaps += improvements
+        assert swaps > 50
+
+    @staticmethod
+    def with_top_profit_sum(base: Instance, total: int) -> Instance:
+        """``base`` with one more category, of one item of cost 0, whose
+        profit puts the sum of every category's largest profit at ``total``."""
+        tops = sum(max(item.profit for item in cat) for cat in base.categories)
+        return Instance((*base.categories, ((total - tops, 0),)), base.budget)
+
+    def test_largest_profits_summing_to_2_pow_53_evaluate_each_swap(self, monkeypatch):
+        base = generate(TestAbsorbedEpsilon.RESOLVED)
+        below = self.with_top_profit_sum(base, 2**53 - 1)
+        assert self.evaluations(monkeypatch, below)[0] == 0
+        at = self.with_top_profit_sum(base, 2**53)
+        calls, improvements = self.evaluations(monkeypatch, at)
+        assert calls == improvements > 0
+
+    def test_profit_sums_past_2_pow_53_evaluate_each_swap(self, monkeypatch):
+        # the profit sums round, and the fallback keeps evaluate's bits
+        base = generate(TestAbsorbedEpsilon.RESOLVED)
+        for scale in (2**45, 2**52 + 1):
+            inst = Instance(
+                tuple(tuple((p * scale, c) for p, c in cat) for cat in base.categories),
+                base.budget,
+            )
+            calls, improvements = self.evaluations(monkeypatch, inst)
+            assert calls == improvements > 0
+
+    @pytest.mark.parametrize("profit_unit, cost_unit", [(10, 10), (10, 1), (1, 10)])
+    def test_fractional_coefficients(self, monkeypatch, profit_unit, cost_unit):
+        # coefficients in tenths: integral costs keep the swap check O(1),
+        # and integral profits alone do not make the point's sums exact
+        rng = random.Random(65)
+        swaps = 0
+        for _ in range(300):
+            cats = [
+                [(rng.randint(0, 99) / profit_unit, rng.randint(0, 99) / cost_unit)
+                 for _ in range(rng.randint(2, 6))]
+                for _ in range(rng.randint(2, 6))
+            ]
+            low = sum(min(c for _, c in cat) for cat in cats)
+            high = sum(max(c for _, c in cat) for cat in cats)
+            inst = Instance(cats, max((low + high) / 2, 1))
+            try:
+                calls, improvements = self.evaluations(monkeypatch, inst)
+            except InfeasibleInstanceError:
+                continue
+            assert calls == improvements
+            swaps += improvements
+        assert swaps > 20
+
+    def test_negative_zero_coefficients(self, monkeypatch):
+        # -0.0 is an integer: the O(1) path runs and keeps evaluate's +0.0
+        rng = random.Random(66)
+        swaps = 0
+        for _ in range(400):
+            base = random_instance(rng, max_m=5, max_n=6, max_coeff=3)
+            inst = Instance(
+                tuple(tuple((p or -0.0, c or -0.0) for p, c in cat) for cat in base.categories),
+                base.budget,
+            )
+            try:
+                calls, improvements = self.evaluations(monkeypatch, inst)
+            except InfeasibleInstanceError:
+                continue
+            assert calls == 0
+            swaps += improvements
+        assert swaps > 20
 
 
 class TestIncrementalMatchesFullResolve:

@@ -36,7 +36,12 @@ category counts that do not match, trailing content, a missing final
 newline, CRLF newlines, a byte-order mark, and each character at which
 ``splitlines`` breaks a line, put at every place of the file. Its digests
 cover each read's profits and costs by ``float.hex``, its starts and budget,
-or its error line.
+or its error line. Last, a ``kissa`` sweep calls ``bissa`` and ``kissa``
+under each selection rule in the library, on the weak-refine and
+uncorr-exact instances and on the instances of the ``fractional`` and
+``edge`` sweeps. Its digests cover each run's final selection, termination
+and improvements, and every iteration's index, sets, chosen category and
+objective by ``float.hex``, or the error that ended the run.
 Prints one sha256 per (workload, command) over each run's exit code,
 stdout and stderr (an uncaught exception is recorded as the run's exit
 code, and the digest goes on); the ``gen`` digests cover the instance
@@ -69,7 +74,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from mckp import (  # noqa: E402
-    Instance, MCKPError, cli, generate, read_instance, write_instance,
+    Instance, KissaConfig, MCKPError, SelectionRule, bissa, cli, generate, kissa, read_instance,
+    write_instance,
 )
 from workloads import WORKLOADS, instance_specs, write_instances  # noqa: E402
 
@@ -458,6 +464,55 @@ def reader_digests(seed: int):
     yield "reader", "edited", runs, digest
 
 
+def kissa_outcome(inst: Instance) -> str:
+    """``kissa`` of ``bissa(inst)`` under each selection rule: each run's
+    final selection, termination, improvements and iterations, every
+    objective by ``float.hex``, or the error that ended it."""
+    try:
+        straddle = bissa(inst)
+    except MCKPError as exc:
+        return f"bissa {type(exc).__name__}: {exc}"
+    runs = []
+    for rule in SelectionRule:
+        try:
+            run = kissa(inst, straddle, KissaConfig(rule=rule))
+        except MCKPError as exc:
+            runs.append(f"{rule.value} {type(exc).__name__}: {exc}")
+            continue
+        iterations = [
+            f"{it.index} {sorted(it.candidates)} {sorted(it.gains)} {sorted(it.affordable)} "
+            f"{it.chosen} {it.objective.f1.hex()} {it.objective.f2.hex()}"
+            for it in run.iterations
+        ]
+        runs.append(
+            f"{rule.value} {run.final} {run.termination.value} {run.improvements} "
+            + "; ".join(iterations)
+        )
+    return "\n".join(runs)
+
+
+def kissa_digests(seed: int):
+    """(workload, command, runs, digest) of :func:`kissa_outcome` on each
+    workload's instances for ``seed`` and on the instances of the
+    ``fractional`` and ``edge`` sweeps."""
+    for name, workload in WORKLOADS.items():
+        specs = instance_specs(workload, seed)
+        digest = hashlib.sha256()
+        for spec in specs:
+            feed(digest, (kissa_outcome(generate(spec)),))
+        yield "kissa", name, len(specs), digest
+    families = (
+        ("fractional", lambda rng: drawn_instance(rng, lambda r: r.randint(0, 99) / 10)),
+        ("edge", float_edge_instance),
+    )
+    for name, draw in families:
+        rng = random.Random(seed)
+        digest = hashlib.sha256()
+        for _ in range(DRAWN_INSTANCES):
+            feed(digest, (kissa_outcome(draw(rng)),))
+        yield "kissa", name, DRAWN_INSTANCES, digest
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
@@ -498,6 +553,7 @@ def main(argv=None) -> int:
                 ),
                 drawn_digests("wide", args.seed, wide_instance, WIDE_COMMANDS),
                 reader_digests(args.seed),
+                kissa_digests(args.seed),
             ):
                 print(f"{workload:<13} {command:<24} {runs:>4} {digest.hexdigest()}", flush=True)
         finally:
