@@ -250,20 +250,25 @@ def _table(view, cost, rows: np.ndarray, budget: int) -> tuple[float, np.ndarray
     # the narrowest unsigned type that holds a row index
     choice_dtype = np.min_scalar_type(int(sizes.max(initial=1)) - 1).type
 
-    # the choice table, three float64 rows and a bool mask
-    estimate = m * width * np.dtype(choice_dtype).itemsize + 3 * width * 8 + width
+    # the choice table, one row of wins in its dtype and three float64 rows
+    estimate = (m + 1) * width * np.dtype(choice_dtype).itemsize + 3 * width * 8
     if estimate > MEMORY_LIMIT_BYTES:
         raise OracleGuardError(f"dp table estimate {estimate} bytes exceeds guard")
 
     # Rolling rows: each category takes a running elementwise maximum over
-    # its items' shifted-and-lifted copies of the previous row. Ties keep the
-    # lowest item (strict greater-than), rows sorted by cost.
+    # its items' shifted-and-lifted copies of the previous row, rows sorted
+    # by cost. Row r wins a cell only where it is strictly greater than rows
+    # 0..r-1, so ties keep the lowest row, and every choice stored before it
+    # is below r: max(choice, wins * r) stores r exactly where r wins. For
+    # row 1 every choice is still 0, so the wins are its choices. The values
+    # take max(row r, best) with the bits of either where they tie: sums
+    # start at +0.0 and profits are at least 0, so none is NaN or -0.0.
     # Category j fills cells [low, top): ``later`` is the slack of categories
     # j+1.., and cells at or above ``top`` would all equal cell ``top - 1``.
     dp = np.zeros(width)
     new = np.empty_like(dp)
     seg = np.empty_like(dp)
-    mask = np.empty(width, dtype=bool)
+    wins = np.empty(width, dtype=choice_dtype)
     choices = np.zeros((m, width), dtype=choice_dtype)
     later = slack_cap
     top = 1
@@ -280,9 +285,13 @@ def _table(view, cost, rows: np.ndarray, budget: int) -> tuple[float, np.ndarray
                 continue
             span = top - start
             np.add(dp[start - lift:top - lift], profit, out=seg[:span])
-            np.greater(seg[:span], new[start:top], out=mask[:span])
-            np.copyto(new[start:top], seg[:span], where=mask[:span])
-            np.copyto(crow[start:top], choice_dtype(r), where=mask[:span])
+            if r == 1:
+                np.greater(seg[:span], new[start:top], out=crow[start:top])
+            else:
+                np.greater(seg[:span], new[start:top], out=wins[:span])
+                np.multiply(wins[:span], choice_dtype(r), out=wins[:span])
+                np.maximum(crow[start:top], wins[:span], out=crow[start:top])
+            np.maximum(seg[:span], new[start:top], out=new[start:top])
         dp, new = new, dp
 
     # Walk the choice table backwards from the full slack budget, clamping

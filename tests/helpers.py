@@ -507,6 +507,80 @@ def dp_solve_full_width(instance: Instance) -> ExactResult:
     return ExactResult(float(dp[width - 1]), tuple(selection), Method.DP)
 
 
+def table_by_masked_copy(view, cost, rows: np.ndarray, budget: int):
+    """``oracle._table`` as it filled its rows before, with one bool mask
+    and two masked copies per row: the same arguments and result.
+
+    Test-only reference for the fill. Its guard estimate counts the mask
+    at one byte a cell.
+    """
+    # where each category's rows start, then where the last one's end
+    padded = np.concatenate(([-1], view.category[rows], [-1]))
+    edges = np.flatnonzero(padded[:-1] != padded[1:])
+    heads, sizes = edges[:-1], edges[1:] - edges[:-1]
+    costs = cost[rows]
+    floor_cost = sum(costs[heads].tolist())
+    if floor_cost > budget:
+        return None
+    shifted = (costs - np.repeat(costs[heads], sizes)).tolist()
+    profits = view.profit[rows].tolist()
+    bounds = list(itertools.pairwise(edges.tolist()))
+    slacks = [shifted[b - 1] for _, b in bounds]
+    slack_cap = sum(slacks)
+
+    width = min(budget - floor_cost, slack_cap) + 1
+    m = len(bounds)
+    # the narrowest unsigned type that holds a row index
+    choice_dtype = np.min_scalar_type(int(sizes.max(initial=1)) - 1).type
+
+    # the choice table, three float64 rows and a bool mask
+    estimate = m * width * np.dtype(choice_dtype).itemsize + 3 * width * 8 + width
+    if estimate > MEMORY_LIMIT_BYTES:
+        raise OracleGuardError(f"dp table estimate {estimate} bytes exceeds guard")
+
+    # Rolling rows: each category takes a running elementwise maximum over
+    # its items' shifted-and-lifted copies of the previous row. Ties keep the
+    # lowest item (strict greater-than), rows sorted by cost.
+    # Category j fills cells [low, top): ``later`` is the slack of categories
+    # j+1.., and cells at or above ``top`` would all equal cell ``top - 1``.
+    dp = np.zeros(width)
+    new = np.empty_like(dp)
+    seg = np.empty_like(dp)
+    mask = np.empty(width, dtype=bool)
+    choices = np.zeros((m, width), dtype=choice_dtype)
+    later = slack_cap
+    top = 1
+    for (a, b), slack, crow in zip(bounds, slacks, choices):
+        later -= slack
+        low = max(0, width - 1 - later)
+        dp[top:top + slack] = dp[top - 1]  # the previous row's flat cells
+        top = min(width, top + slack)
+        np.add(dp[low:top], profits[a], out=new[low:top])
+        for r in range(1, b - a):
+            profit, lift = profits[a + r], shifted[a + r]
+            start = max(low, lift)
+            if start >= top:
+                continue
+            span = top - start
+            np.add(dp[start - lift:top - lift], profit, out=seg[:span])
+            np.greater(seg[:span], new[start:top], out=mask[:span])
+            np.copyto(new[start:top], seg[:span], where=mask[:span])
+            np.copyto(crow[start:top], choice_dtype(r), where=mask[:span])
+        dp, new = new, dp
+
+    # Walk the choice table backwards from the full slack budget, clamping
+    # each cell to the top of its category's band.
+    w = width - 1
+    reach = slack_cap
+    chosen = [0] * m
+    for j in range(m - 1, -1, -1):
+        w = min(w, reach)
+        chosen[j] = k = bounds[j][0] + int(choices[j, w])
+        w -= shifted[k]
+        reach -= slacks[j]
+    return float(dp[width - 1]), rows[chosen]
+
+
 def pareto_rows(instance: Instance) -> list[list[tuple[int, float, int]]]:
     """Each category's Pareto rows ``(index, profit, int cost)`` by
     increasing cost, from ``pareto_filter``."""

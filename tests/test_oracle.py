@@ -3,6 +3,7 @@ import math
 import random
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from helpers import (
     pareto_rows,
     pareto_selections_by_scan,
     random_instance,
+    table_by_masked_copy,
     upper_hull_by_loop,
     walk_gap_instance,
 )
@@ -558,6 +560,147 @@ class TestRounds:
         assert len(kept) * (int(inst.budget) + 1) > MEMORY_LIMIT_BYTES
         assert dp_solve(inst) == ExactResult(float(optimum), selection, Method.DP)
         assert tables == [2]
+
+
+def table_outcome(table, view, cost, rows, budget):
+    """``table(view, cost, rows, budget)``: the optimum by ``float.hex`` and
+    the chosen view positions, None, or the guard's message."""
+    try:
+        result = table(view, cost, rows, budget)
+    except OracleGuardError as err:
+        return str(err)
+    if result is None:
+        return None
+    return float.hex(result[0]), result[1].tolist()
+
+
+def solve_outcome(inst):
+    """``dp_solve(inst)``: the optimum by ``float.hex`` and the selection, or the error."""
+    try:
+        result = dp_solve(inst)
+    except MCKPError as err:
+        return type(err), str(err)
+    return float.hex(result.optimum_profit), result.optimum_selection
+
+
+@st.composite
+def table_cases(draw):
+    """``(inst, rows, cost, budget)``: up to six categories of 1 to 8 items,
+    each tie-heavy (integers 0-3), collinear (profit = cost, up to 20) or
+    with profits in tenths up to 9.9 and integer costs up to 20, a budget
+    from 1 to 3 past the costliest selection's cost, every view row or a
+    drawn subset of them, and the view's costs as int64 or as Python
+    integers."""
+    cats = []
+    for _ in range(draw(st.integers(1, 6))):
+        size = draw(st.integers(1, 8))
+        kind = draw(st.sampled_from(["ties", "collinear", "tenths"]))
+        if kind == "collinear":
+            costs = draw(st.lists(st.integers(0, 20), min_size=size, max_size=size))
+            cats.append([(c, c) for c in costs])
+            continue
+        if kind == "ties":
+            profit, cost = st.integers(0, 3), st.integers(0, 3)
+        else:
+            profit, cost = st.integers(0, 99).map(lambda k: k / 10), st.integers(0, 20)
+        cats.append([(draw(profit), draw(cost)) for _ in range(size)])
+    budget = draw(st.integers(1, sum(max(c for _, c in cat) for cat in cats) + 3))
+    inst = Instance(cats, float(budget))
+    view = inst.frontier_view
+    rows = np.arange(len(view.cost))
+    if draw(st.booleans()):
+        rows = rows[draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))]
+    return inst, rows, oracle._exact_integers(view.cost, draw(st.booleans())), budget
+
+
+def two_wide_categories(rows):
+    """Two categories of ``rows`` rows ``(k + 0.5, k)`` around one of two,
+    all of them Pareto rows, with the budget ``2 * (rows - 1)``: the
+    optimum takes the top row of both wide ones. The fractional profits
+    make ``dp_solve`` fill one table over every row."""
+    wide = tuple((k + 0.5, float(k)) for k in range(rows))
+    small = ((0.25, 0.0), (1.75, 3.0))
+    return Instance((wide, small, wide), budget=2.0 * (rows - 1))
+
+
+class TestTableMatchesMaskedCopy:
+    """``_table``'s fill against the masked-copy loop it replaced
+    (``helpers.table_by_masked_copy``): the optimum to the bit and the
+    chosen view positions, ties included."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(table_cases())
+    def test_drawn_tables(self, case):
+        inst, rows, cost, budget = case
+        view = inst.frontier_view
+        assert table_outcome(oracle._table, view, cost, rows, budget) == table_outcome(
+            table_by_masked_copy, view, cost, rows, budget
+        )
+        got = solve_outcome(inst)
+        with mock.patch.object(oracle, "_table", table_by_masked_copy):
+            assert got == solve_outcome(inst)
+
+    def test_skipped_and_later_rows_are_drawn(self):
+        # The strategy reaches rows whose lift is at or past the table's
+        # width, which the fill skips, and categories of three or more
+        # rows, whose rows from 2 on merge their wins into the choice row.
+        seen = {"skipped": 0, "row 2": 0}
+
+        @settings(max_examples=200, deadline=None, database=None)
+        @given(table_cases())
+        def count(case):
+            inst, rows, cost, budget = case
+            category, costs = inst.frontier_view.category[rows], cost[rows]
+            heads = np.searchsorted(category, category)  # each row's category's first
+            floor_cost = sum(costs[np.unique(heads)].tolist())
+            # a lift past the slack above the floor is at or past the width
+            lifts = costs - costs[heads]
+            seen["skipped"] += floor_cost <= budget and bool(np.any(lifts > budget - floor_cost))
+            seen["row 2"] += bool(np.any(np.bincount(category) > 2))
+
+        count()
+        assert min(seen.values()) > 10, seen
+
+    def test_row_two_tied_with_row_one_keeps_row_one(self):
+        # At the deciding cell, 2, category 1's row 1 wins over row 0 (5.5 +
+        # 1 > 5.5 + 0), and row 2 ties with it (0 + 6.5): row 1 stays.
+        inst = Instance([[(0, 0), (5.5, 1)], [(0, 0), (1, 1), (6.5, 2)]], 2.0)
+        assert evaluate(inst, (1, 1)).f1 == evaluate(inst, (0, 2)).f1 == 6.5
+        view = inst.frontier_view
+        rows, cost = np.arange(5), view.cost.astype(np.int64)
+        got = table_outcome(oracle._table, view, cost, rows, 2)
+        assert got == table_outcome(table_by_masked_copy, view, cost, rows, 2)
+        assert got == (float.hex(6.5), [1, 3])
+        assert dp_solve(inst).optimum_selection == (1, 1)
+
+    @pytest.mark.parametrize("rows", [255, 256, 257])
+    def test_choice_rows_at_the_uint8_edge(self, rows):
+        # Categories of 255 and 256 rows store their choices in uint8, of
+        # 257 in uint16; the budget takes the top row of both wide ones.
+        inst = two_wide_categories(rows)
+        view = inst.frontier_view
+        positions, cost = np.arange(len(view.cost)), view.cost.astype(np.int64)
+        budget = 2 * (rows - 1)
+        got = table_outcome(oracle._table, view, cost, positions, budget)
+        assert got == table_outcome(table_by_masked_copy, view, cost, positions, budget)
+        assert dp_solve(inst).optimum_selection == (rows - 1, 0, rows - 1)
+
+
+class TestGuardBoundary:
+    @pytest.mark.parametrize("rows, itemsize", [(256, 1), (257, 2)])
+    def test_estimate_is_the_limit(self, rows, itemsize, monkeypatch, tables):
+        # Fractional profits: one table over all 3 categories' Pareto rows,
+        # 2 * (rows - 1) + 1 cells wide (the budget is below the slack cap).
+        # Its choices are uint8 for 256 rows and uint16 for 257.
+        inst = two_wide_categories(rows)
+        m, width = 3, 2 * (rows - 1) + 1
+        estimate = m * width * itemsize + 3 * width * 8 + width * itemsize
+        monkeypatch.setattr(oracle, "MEMORY_LIMIT_BYTES", estimate)
+        assert dp_solve(inst).optimum_selection == (rows - 1, 0, rows - 1)
+        monkeypatch.setattr(oracle, "MEMORY_LIMIT_BYTES", estimate - 1)
+        with pytest.raises(OracleGuardError, match=f"estimate {estimate} bytes"):
+            dp_solve(inst)
+        assert tables == [3, 3]
 
 
 # profit and cost scales: the first two keep int64 for the relaxation,

@@ -41,7 +41,13 @@ under each selection rule in the library, on the weak-refine and
 uncorr-exact instances and on the instances of the ``fractional`` and
 ``edge`` sweeps. Its digests cover each run's final selection, termination
 and improvements, and every iteration's index, sets, chosen category and
-objective by ``float.hex``, or the error that ended the run.
+objective by ``float.hex``, or the error that ended the run. Last, a ``dp``
+sweep calls ``dp_solve`` on the weak-refine and uncorr-exact instances, on
+the instances of the ``ties`` and ``ragged`` sweeps, and on copies of weak
+40x200 seeds 0-4 with every profit divided by 3, which run one table over
+all Pareto rows. Its digests cover each optimum by ``float.hex`` and its
+selection, or the error: ``exact`` prints the profit with ``:g``, which
+hides its low bits.
 Prints one sha256 per (workload, command) over each run's exit code,
 stdout and stderr (an uncaught exception is recorded as the run's exit
 code, and the digest goes on); the ``gen`` digests cover the instance
@@ -74,8 +80,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from mckp import (  # noqa: E402
-    Instance, KissaConfig, MCKPError, SelectionRule, bissa, cli, generate, kissa, read_instance,
-    write_instance,
+    Correlation, GenSpec, Instance, KissaConfig, MCKPError, SelectionRule, bissa, cli, dp_solve,
+    generate, kissa, read_instance, write_instance,
 )
 from workloads import WORKLOADS, instance_specs, write_instances  # noqa: E402
 
@@ -138,6 +144,8 @@ CHEBYSHEV_COMMANDS = tuple(
 WIDE_COST_BASE = 2**50
 WIDE_PROFIT_TOPS = (2**12 - 1, 2**20, 2**40)
 WIDE_COMMANDS = (("exact", ["exact", "small.mckp"]),)
+# the weak 40x200 seeds whose profit/3 copies the ``dp`` sweep solves
+DP_FRACTIONAL_SEEDS = range(5)
 WORKLOAD_COMMANDS = (("solve", ["solve"]), ("exact", ["exact"]))
 RULE_COMMANDS = (
     ("solve --rule first", ["solve", "--rule", "first"]),
@@ -491,26 +499,64 @@ def kissa_outcome(inst: Instance) -> str:
     return "\n".join(runs)
 
 
-def kissa_digests(seed: int):
-    """(workload, command, runs, digest) of :func:`kissa_outcome` on each
-    workload's instances for ``seed`` and on the instances of the
-    ``fractional`` and ``edge`` sweeps."""
+def library_digests(sweep: str, outcome, seed: int, families):
+    """(workload, command, runs, digest) of ``outcome(inst)`` on each
+    workload's instances for ``seed``, then on ``DRAWN_INSTANCES``
+    instances ``draw(rng)`` of each ``(name, draw)`` of ``families``, with
+    ``rng = random.Random(seed)``."""
     for name, workload in WORKLOADS.items():
         specs = instance_specs(workload, seed)
         digest = hashlib.sha256()
         for spec in specs:
-            feed(digest, (kissa_outcome(generate(spec)),))
-        yield "kissa", name, len(specs), digest
-    families = (
-        ("fractional", lambda rng: drawn_instance(rng, lambda r: r.randint(0, 99) / 10)),
-        ("edge", float_edge_instance),
-    )
+            feed(digest, (outcome(generate(spec)),))
+        yield sweep, name, len(specs), digest
     for name, draw in families:
         rng = random.Random(seed)
         digest = hashlib.sha256()
         for _ in range(DRAWN_INSTANCES):
-            feed(digest, (kissa_outcome(draw(rng)),))
-        yield "kissa", name, DRAWN_INSTANCES, digest
+            feed(digest, (outcome(draw(rng)),))
+        yield sweep, name, DRAWN_INSTANCES, digest
+
+
+def kissa_digests(seed: int):
+    """:func:`library_digests` of :func:`kissa_outcome` with the instances
+    of the ``fractional`` and ``edge`` sweeps."""
+    families = (
+        ("fractional", lambda rng: drawn_instance(rng, lambda r: r.randint(0, 99) / 10)),
+        ("edge", float_edge_instance),
+    )
+    return library_digests("kissa", kissa_outcome, seed, families)
+
+
+def dp_outcome(inst: Instance) -> str:
+    """``dp_solve(inst)``'s optimum by ``float.hex`` and its selection, or its error."""
+    try:
+        result = dp_solve(inst)
+    except MCKPError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return f"{float.hex(result.optimum_profit)} {result.optimum_selection}"
+
+
+def fractional_weak(seed: int) -> Instance:
+    """Weak 40x200 ``seed`` with every profit divided by 3: fractional
+    profits, so ``dp_solve`` fills one table over all Pareto rows."""
+    base = generate(GenSpec(m=40, n=200, correlation=Correlation.WEAK, seed=seed))
+    return Instance.from_flat(base.profits / 3, base.costs, base.starts, base.budget)
+
+
+def dp_digests(seed: int):
+    """:func:`library_digests` of :func:`dp_outcome` with the instances of
+    the ``ties`` and ``ragged`` sweeps, then the digest of
+    :func:`fractional_weak` of :data:`DP_FRACTIONAL_SEEDS`."""
+    families = (
+        ("ties", lambda rng: drawn_instance(rng, lambda r: r.randint(0, 9))),
+        ("ragged", ragged_instance),
+    )
+    yield from library_digests("dp", dp_outcome, seed, families)
+    digest = hashlib.sha256()
+    for k in DP_FRACTIONAL_SEEDS:
+        feed(digest, (dp_outcome(fractional_weak(k)),))
+    yield "dp", "weak profit/3", len(DP_FRACTIONAL_SEEDS), digest
 
 
 def main(argv=None) -> int:
@@ -554,6 +600,7 @@ def main(argv=None) -> int:
                 drawn_digests("wide", args.seed, wide_instance, WIDE_COMMANDS),
                 reader_digests(args.seed),
                 kissa_digests(args.seed),
+                dp_digests(args.seed),
             ):
                 print(f"{workload:<13} {command:<24} {runs:>4} {digest.hexdigest()}", flush=True)
         finally:
