@@ -6,7 +6,9 @@ image of a selection: total profit and negated total cost, both maximized.
 This module holds the types (an ``Instance`` is stored as flat, read-only
 numpy arrays of the profits, the costs and the category starts), each
 category's Pareto filter (``Instance.frontier_view``, flat numpy arrays
-built from the item arrays with no per-item Python loop, which the probes,
+built from the item arrays with no per-item Python loop, its rows sorted on
+one int64 key per entry where every coefficient is an integer and the key
+fits 63 bits and by ``np.lexsort`` elsewhere, which the probes,
 ``delta_bound``, KISSA and the DP read), the rule under which float cost
 sums are exact, the objective/feasibility evaluators and the line-oriented
 instance file format.
@@ -93,33 +95,70 @@ class FrontierView(NamedTuple):
     starts: np.ndarray
 
 
+def _sort_keys(profits, costs, sizes):
+    """Each item's int64 sort key, before its column is added, and the pad
+    entries' key, the profit field's width and the column's width; or None
+    where a coefficient is not an integer or the key would pass 63 bits.
+
+    The key is ``((cost << profit_bits) | (top_profit - profit)) <<
+    col_bits``, so that keys rise with cost, then fall with profit. A pad
+    key has the cost field one past the largest cost and the profit field
+    all ones, never below a real entry's.
+    """
+    top_profit, top_cost = int(profits.max()), int(costs.max())
+    profit_bits = top_profit.bit_length()
+    col_bits = int(sizes.max() - 1).bit_length()
+    if (top_cost + 1).bit_length() + profit_bits + col_bits > 63:
+        return None
+    # below 2**63, so the casts are exact where the values are integers
+    p, c = profits.astype(np.int64), costs.astype(np.int64)
+    if not (np.array_equal(p, profits) and np.array_equal(c, costs)):
+        return None
+    keys = ((c << profit_bits) | (top_profit - p)) << col_bits
+    pad = (((top_cost + 1) << profit_bits) | ((1 << profit_bits) - 1)) << col_bits
+    return keys, pad, profit_bits, col_bits
+
+
 def _frontier_view(profits, costs, starts) -> FrontierView:
     """The :class:`FrontierView` of the items with the float arrays
     ``profits`` and ``costs``, category ``j`` at positions ``starts[j]`` to
     ``starts[j + 1]``.
 
     Categories are grouped by the ceiling of the log2 of their size, and
-    each group is one dense block padded to its own largest size with
-    entries of profit -inf and cost +inf. One stable ``np.lexsort`` sorts
-    every row by cost, then profit down, then index, and an entry is kept
-    when its profit is strictly above the running maximum of the entries
-    before it. Coefficients are only compared, never combined, so -0.0
-    equals 0.0 and ties fall as :func:`pareto_filter` says.
+    each group is one dense block padded to its own largest size. Every row
+    is sorted by cost, then profit down, then column, and an entry is kept
+    when its profit is strictly above the profits of the entries before it.
+    Where every coefficient is an integer and :func:`_sort_keys` fits, the
+    row sort is ``np.sort`` of one int64 key per entry, the key's column
+    field giving the order and its profit field the comparison. Elsewhere
+    (fractional coefficients, or keys past 63 bits) it is a stable
+    ``np.lexsort`` of the floats, the pads at cost +inf and profit -inf.
+    Coefficients are only compared, never combined, so -0.0 equals 0.0 and
+    ties fall as :func:`pareto_filter` says.
     """
     sizes = np.diff(starts)
     # ceil(log2(n)) is the bit length of n - 1, frexp's exponent
     buckets = np.frexp(sizes - 1)[1]
+    sort_keys = _sort_keys(profits, costs, sizes)
     categories, indices = [], []
     for bucket in np.unique(buckets):
         rows = np.flatnonzero(buckets == bucket)
         cols = np.arange(sizes[rows].max())
         real = cols < sizes[rows, None]
         at = np.where(real, starts[rows, None] + cols, 0)
-        p = np.where(real, profits[at], -np.inf)
-        order = np.lexsort((-p, np.where(real, costs[at], np.inf)), axis=-1)
-        p = np.take_along_axis(p, order, axis=1)
-        keep = np.ones(p.shape, bool)
-        np.greater(p[:, 1:], np.maximum.accumulate(p, axis=1)[:, :-1], out=keep[:, 1:])
+        if sort_keys is not None:
+            keys, pad, profit_bits, col_bits = sort_keys
+            key = np.where(real, keys[at], pad) | cols
+            key.sort(axis=1)
+            order = key & ((1 << col_bits) - 1)
+            # the profit counted down from the top: the lower, the more profit
+            down = (key >> col_bits) & ((1 << profit_bits) - 1)
+        else:
+            down = np.where(real, -profits[at], np.inf)
+            order = np.lexsort((down, np.where(real, costs[at], np.inf)), axis=-1)
+            down = np.take_along_axis(down, order, axis=1)
+        keep = np.ones(down.shape, bool)
+        np.less(down[:, 1:], np.minimum.accumulate(down, axis=1)[:, :-1], out=keep[:, 1:])
         categories.append(np.repeat(rows, np.count_nonzero(keep, axis=1)))
         indices.append(order[keep])
     category, index = np.concatenate(categories), np.concatenate(indices)

@@ -34,6 +34,7 @@ from mckp import (
 )
 from mckp.generate import COEFF_HI, COEFF_LO, WEAK_NOISE
 from mckp.kissa import _select
+from mckp.model import FrontierView
 from mckp.oracle import MEMORY_LIMIT_BYTES
 
 # Two categories of two items; four selections total. Encoded below with the
@@ -505,6 +506,39 @@ def dp_solve_full_width(instance: Instance) -> ExactResult:
         selection[j] = index
         w -= cost
     return ExactResult(float(dp[width - 1]), tuple(selection), Method.DP)
+
+
+def frontier_view_by_lexsort(profits, costs, starts) -> FrontierView:
+    """``model._frontier_view`` as it sorted every row before, with one
+    stable ``np.lexsort`` of the floats: the same arguments and result.
+
+    Test-only reference for the integer sort key.
+    """
+    sizes = np.diff(starts)
+    # ceil(log2(n)) is the bit length of n - 1, frexp's exponent
+    buckets = np.frexp(sizes - 1)[1]
+    categories, indices = [], []
+    for bucket in np.unique(buckets):
+        rows = np.flatnonzero(buckets == bucket)
+        cols = np.arange(sizes[rows].max())
+        real = cols < sizes[rows, None]
+        at = np.where(real, starts[rows, None] + cols, 0)
+        p = np.where(real, profits[at], -np.inf)
+        order = np.lexsort((-p, np.where(real, costs[at], np.inf)), axis=-1)
+        p = np.take_along_axis(p, order, axis=1)
+        keep = np.ones(p.shape, bool)
+        np.greater(p[:, 1:], np.maximum.accumulate(p, axis=1)[:, :-1], out=keep[:, 1:])
+        categories.append(np.repeat(rows, np.count_nonzero(keep, axis=1)))
+        indices.append(order[keep])
+    category, index = np.concatenate(categories), np.concatenate(indices)
+    if len(categories) > 1:
+        # each group lists its categories in order: merge the runs
+        by_category = np.argsort(category, kind="stable")
+        category, index = category[by_category], index[by_category]
+    view_starts = np.zeros(len(sizes) + 1, np.int64)
+    np.cumsum(np.bincount(category, minlength=len(sizes)), out=view_starts[1:])
+    positions = starts[category] + index
+    return FrontierView(index, profits[positions], costs[positions], category, view_starts)
 
 
 def table_by_masked_copy(view, cost, rows: np.ndarray, budget: int):

@@ -5,6 +5,7 @@ import math
 import pickle
 import random
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from helpers import (
     evaluate_by_loop,
     exact_cost_sums_by_scan,
     float_edge_instance,
+    frontier_view_by_lexsort,
     pareto_filter_by_loop,
     pareto_items_by_pairwise_scan,
     random_instance,
@@ -547,6 +549,146 @@ class TestFrontierViewMatchesLoop:
                 map(float.hex, view.profit.tolist()), map(float.hex, view.cost.tolist()),
             )) == rows
             assert view.starts.tolist() == [0, *itertools.accumulate(map(len, want))]
+
+
+def view_bytes(view):
+    """Each array of a :class:`FrontierView` as its dtype and bytes."""
+    return [(a.dtype, a.tobytes()) for a in view]
+
+
+def top_below(bits: int) -> float:
+    """The largest float below ``2**bits``, whose bit length is ``bits``."""
+    return float(2**bits - 2 ** max(0, bits - 53)) if bits else 0.0
+
+
+def next_below(value: float) -> float:
+    """The integer float next below ``value``, or 0.0 at 0."""
+    return max(0.0, value - max(1.0, math.ulp(value)))
+
+
+@st.composite
+def sort_key_cases(draw):
+    """``(profits, costs, starts)``: up to 8 categories of 1 to 300 items, so
+    that several size groups fill, one of them at times past 256 columns,
+    with integer coefficients in 0-9 (with -0.0), in 0-1000, or near the
+    sort key's 63 bits: the key's widths sum to 62, 63 or 64, the last
+    only fitting ``lexsort``; or with profits or costs in thirds, which
+    ``lexsort`` sorts. Some categories copy items onto later ones or share
+    one cost along a run."""
+    sizes = draw(st.lists(st.one_of(st.integers(1, 9), st.integers(1, 300)),
+                          min_size=1, max_size=8))
+    # a seeded Random: hypothesis's draw per call is slow at this many items
+    rng = random.Random(draw(st.integers(0, 2**63)))
+    count = sum(sizes)
+    scale = draw(st.sampled_from(["digits", "thousand", "wide", "thirds"]))
+    if scale == "thirds":  # profits or costs in thirds, the others integers
+        thirds = [k / 3 for k in range(31)]
+        profits = [rng.choice(thirds) for _ in range(count)]
+        costs = [float(rng.randint(0, 9)) for _ in range(count)]
+        if rng.random() < 0.5:
+            profits, costs = costs, profits
+    elif scale == "digits":
+        palette = (0.0, -0.0, *map(float, range(1, 10)))
+        profits = [rng.choice(palette) for _ in range(2 * count)]
+        costs, profits = profits[count:], profits[:count]
+    elif scale == "thousand":
+        profits = [float(rng.randint(0, 1000)) for _ in range(count)]
+        costs = [float(rng.randint(0, 1000)) for _ in range(count)]
+    else:
+        col_bits = (max(sizes) - 1).bit_length()
+        total = draw(st.sampled_from([62, 63, 64]))
+        profit_bits = draw(st.integers(0, total - col_bits - 1))
+        # the cost field holds the largest cost plus one, the pads' cost
+        cost_bits = total - col_bits - profit_bits
+        top_profit = top_below(profit_bits)
+        top_cost = float(2**cost_bits - max(2, 2 ** (cost_bits - 53)))
+        profits = [rng.choice((0.0, -0.0, 1.0, top_profit // 2, next_below(top_profit),
+                               top_profit)) for _ in range(count)]
+        costs = [rng.choice((0.0, -0.0, 1.0, top_cost // 2, next_below(top_cost), top_cost))
+                 for _ in range(count)]
+        profits[rng.randrange(count)], costs[rng.randrange(count)] = top_profit, top_cost
+    starts = [0, *itertools.accumulate(sizes)]
+    for a, b in zip(starts, starts[1:]):
+        if rng.random() < 0.3:  # duplicate items
+            for k in range(a + 1, b):
+                if rng.random() < 0.5:
+                    j = rng.randrange(a, k)
+                    profits[k], costs[k] = profits[j], costs[j]
+        if rng.random() < 0.3:  # a run of equal costs
+            run = rng.randint(a, b - 1)
+            costs[run:b] = [costs[run]] * (b - run)
+    return np.array(profits), np.array(costs), np.array(starts, np.int64)
+
+
+class TestFrontierViewMatchesLexsort:
+    """The view sorted on one int64 key per entry, where the key fits, is
+    the view of the stable ``lexsort`` it replaced
+    (:func:`frontier_view_by_lexsort`), array for array by dtype and bytes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sort_key_cases())
+    def test_drawn_views(self, case):
+        inst = Instance.from_flat(*case, 1.0)
+        want = view_bytes(frontier_view_by_lexsort(inst.profits, inst.costs, inst.starts))
+        assert view_bytes(inst.frontier_view) == want
+
+    def test_the_draws_reach_every_case(self):
+        seen = {"key": 0, "lexsort": 0, "groups": 0, "past 256": 0, "-0.0": 0}
+
+        @settings(max_examples=200, deadline=None, database=None)
+        @given(sort_key_cases())
+        def count(case):
+            profits, costs, starts = case
+            sizes = np.diff(starts)
+            fits = model._sort_keys(profits, costs, sizes) is not None
+            seen["key"] += fits
+            seen["lexsort"] += not fits
+            seen["groups"] += len(np.unique(np.frexp(sizes - 1)[1])) > 2
+            seen["past 256"] += bool(sizes.max() > 256)
+            seen["-0.0"] += bool(np.any(np.signbit(np.concatenate((profits, costs)))))
+
+        count()
+        assert min(seen.values()) > 10, seen
+
+    @pytest.mark.parametrize(
+        "top_profit, top_cost, size, fits",
+        [
+            # profit bits + cost bits (the pads' cost one past the largest)
+            # + column bits: 63 fits the key, 64 is one bit past it
+            (top_below(62), 0.0, 1, True),  # 62 + 1 + 0
+            (2.0**62, 0.0, 1, False),  # 63 + 1 + 0
+            (0.0, top_below(62), 2, True),  # 0 + 62 + 1
+            (0.0, 2.0**62, 2, False),  # 0 + 63 + 1
+            (2.0**42 - 1, 2.0**20 - 2, 2, True),  # 42 + 20 + 1
+            (2.0**42 - 1, 2.0**20 - 1, 2, False),  # 42 + 21 + 1: the pads need bit 21
+            (2.0**31 - 1, 2.0**23 - 2, 512, True),  # 31 + 23 + 9
+            (2.0**31 - 1, 2.0**23 - 2, 513, False),  # 31 + 23 + 10
+        ],
+    )
+    def test_widest_keys_and_one_bit_past(self, top_profit, top_cost, size, fits):
+        rng = random.Random(size)
+        palette = [(p, c) for p in (0.0, -0.0, 1.0, next_below(top_profit), top_profit)
+                   for c in (0.0, 1.0, next_below(top_cost), top_cost)]
+        cats = [[(top_profit, top_cost)] + [rng.choice(palette) for _ in range(size - 1)],
+                [rng.choice(palette) for _ in range(size)]]
+        inst = Instance(cats, 1.0)
+        want = view_bytes(frontier_view_by_lexsort(inst.profits, inst.costs, inst.starts))
+        keys = model._sort_keys(inst.profits, inst.costs, np.diff(inst.starts))
+        assert (keys is not None) == fits
+        with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+            assert view_bytes(inst.frontier_view) == want
+        assert lexsort.called != fits
+
+    @pytest.mark.parametrize(
+        "m, n, correlation", [(40, 200, Correlation.WEAK), (250, 10, Correlation.UNCORRELATED)]
+    )
+    def test_generated_instances_never_reach_lexsort(self, m, n, correlation):
+        for seed in range(3):
+            inst = generate(GenSpec(m=m, n=n, correlation=correlation, seed=seed))
+            read = read_instance(write_instance(inst))
+            want = view_bytes(frontier_view_by_lexsort(inst.profits, inst.costs, inst.starts))
+            with mock.patch.object(np, "lexsort", side_effect=AssertionError("lexsort reached")):
+                assert view_bytes(inst.frontier_view) == view_bytes(read.frontier_view) == want
 
 
 def _bits(parse, data):

@@ -673,6 +673,31 @@ class TestTableMatchesMaskedCopy:
         assert got == (float.hex(6.5), [1, 3])
         assert dp_solve(inst).optimum_selection == (1, 1)
 
+    @pytest.mark.parametrize(
+        "first, wins, want",
+        [
+            # Category 0 costs and profits 0..3: the cells before category 1
+            # hold 0, 1, 2, 3, and its row (1, 1) ties at every cell, 1 to 3.
+            ([(0, 0), (1, 1), (2, 2), (3, 3)], 0, (float.hex(3.0), [3, 4, 6])),
+            # Category 0 stops at 2: the cells hold 0, 1, 2, 2, and the row
+            # is strictly above at cell 3 alone.
+            ([(0, 0), (1, 1), (2, 2)], 1, (float.hex(3.0), [2, 4, 5])),
+        ],
+    )
+    def test_row_that_wins_no_cell_or_one(self, first, wins, want):
+        # Budget 3 makes a table of 4 cells; category 2's slack of 10 puts
+        # all 4 in category 1's band, and its row (10, 10) lifts past them.
+        inst = Instance([first, [(0, 0), (1, 1)], [(0, 0), (10, 10)]], 3.0)
+        before = [max(p for p, c in first if c <= w) for w in range(4)]
+        assert sum(1 + before[w - 1] > before[w] for w in range(1, 4)) == wins
+        view = inst.frontier_view
+        rows, cost = np.arange(len(view.cost)), view.cost.astype(np.int64)
+        got = table_outcome(oracle._table, view, cost, rows, 3)
+        assert got == table_outcome(table_by_masked_copy, view, cost, rows, 3) == want
+        result = solve_outcome(inst)
+        with mock.patch.object(oracle, "_table", table_by_masked_copy):
+            assert result == solve_outcome(inst)
+
     @pytest.mark.parametrize("rows", [255, 256, 257])
     def test_choice_rows_at_the_uint8_edge(self, rows):
         # Categories of 255 and 256 rows store their choices in uint8, of

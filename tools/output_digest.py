@@ -47,7 +47,10 @@ the instances of the ``ties`` and ``ragged`` sweeps, and on copies of weak
 40x200 seeds 0-4 with every profit divided by 3, which run one table over
 all Pareto rows. Its digests cover each optimum by ``float.hex`` and its
 selection, or the error: ``exact`` prints the profit with ``:g``, which
-hides its low bits.
+hides its low bits. Last, a ``view`` sweep builds ``Instance.frontier_view``
+of the weak-refine and uncorr-exact instances and of the instances of the
+``ties``, ``ragged``, ``fractional`` and ``edge`` sweeps. Its digests cover
+the dtype and the bytes of each of the view's five arrays.
 Prints one sha256 per (workload, command) over each run's exit code,
 stdout and stderr (an uncaught exception is recorded as the run's exit
 code, and the digest goes on); the ``gen`` digests cover the instance
@@ -559,6 +562,23 @@ def dp_digests(seed: int):
     yield "dp", "weak profit/3", len(DP_FRACTIONAL_SEEDS), digest
 
 
+def view_outcome(inst: Instance) -> str:
+    """The dtype and the bytes, in hex, of each array of ``inst.frontier_view``."""
+    return " ".join(f"{a.dtype.str} {a.tobytes().hex()}" for a in inst.frontier_view)
+
+
+def view_digests(seed: int):
+    """:func:`library_digests` of :func:`view_outcome` with the instances of
+    the ``ties``, ``ragged``, ``fractional`` and ``edge`` sweeps."""
+    families = (
+        ("ties", lambda rng: drawn_instance(rng, lambda r: r.randint(0, 9))),
+        ("ragged", ragged_instance),
+        ("fractional", lambda rng: drawn_instance(rng, lambda r: r.randint(0, 99) / 10)),
+        ("edge", float_edge_instance),
+    )
+    return library_digests("view", view_outcome, seed, families)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
@@ -601,6 +621,7 @@ def main(argv=None) -> int:
                 reader_digests(args.seed),
                 kissa_digests(args.seed),
                 dp_digests(args.seed),
+                view_digests(args.seed),
             ):
                 print(f"{workload:<13} {command:<24} {runs:>4} {digest.hexdigest()}", flush=True)
         finally:
