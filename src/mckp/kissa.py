@@ -33,6 +33,7 @@ from .model import (
     evaluate,
     exact_cost_sums,
     is_feasible,
+    profit_grid,
 )
 from .oracle import OracleGuardError, brute_force, dominated_in_product
 
@@ -148,11 +149,11 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
     :func:`is_feasible` accepts the swapped selection. Where
     :func:`exact_cost_sums` holds, the working selection (feasible, frontier
     items only) has an exact float cost, so ``cost - old + new <= budget``
-    gives that verdict in O(1). Where the frontier profits are integers as
-    well, and the largest ones sum below 2**53, every profit sum is exact
-    too, so a swap moves the objective point by the difference of the two
-    items, in O(1), with the bits of :func:`evaluate`; elsewhere the point
-    is evaluated again. That rule is decided at the first swap.
+    gives that verdict in O(1). Where :func:`profit_grid` holds as well,
+    every profit sum is exact too, so a swap moves the objective point by
+    the difference of the two items, in O(1), with the bits of
+    :func:`evaluate`; elsewhere the point is evaluated again. That rule is
+    decided at the first swap.
     """
     if straddle.exact:
         return KissaRun(final=straddle.xa, termination=Termination(straddle.certificate))
@@ -262,13 +263,7 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
         else:
             candidates.discard(chosen)
         if exact_points is None:
-            # integral frontier profits whose largest ones sum below 2**53:
-            # a float sum of nonnegative integers reaches 2**53 exactly when
-            # the integer sum does, and below it every sum is exact
-            exact_points = exact and bool(
-                np.all(view.profit == np.floor(view.profit))
-                and view.profit[view.starts[1:] - 1].sum() < 2**53
-            )
+            exact_points = exact and profit_grid(instance) is not None
         if exact_points:
             point = ObjectivePoint(point.f1 - old_profit + new_profit, point.f2 + old_cost - new_cost)
         else:

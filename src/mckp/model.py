@@ -9,9 +9,9 @@ category's Pareto filter (``Instance.frontier_view``, flat numpy arrays
 built from the item arrays with no per-item Python loop, its rows sorted on
 one int64 key per entry where every coefficient is an integer and the key
 fits 63 bits and by ``np.lexsort`` elsewhere, which the probes,
-``delta_bound``, KISSA and the DP read), the rule under which float cost
-sums are exact, the objective/feasibility evaluators and the line-oriented
-instance file format.
+``delta_bound``, KISSA and the DP read), the rules under which float cost
+and profit sums are exact, the objective/feasibility evaluators and the
+line-oriented instance file format.
 """
 
 import math
@@ -315,6 +315,33 @@ def exact_cost_sums(instance: Instance) -> bool:
         instance.budget < 2**53
         or sum(map(int, view.cost[view.starts[1:] - 1].tolist())) <= 2**53
     )
+
+
+def profit_grid(instance: Instance) -> float | None:
+    """A power of two ``g`` under which every float sum of frontier profits
+    is exact, or None where there is none.
+
+    Every frontier profit is a multiple of ``g``, and the largest ones, one
+    per category, sum below 2**53 units of ``g`` and within the float range,
+    so any sum of them is an exact multiple of ``g`` (every finite double is
+    an integer times a power of two). ``g`` is 1 where the profits are
+    integers whose largest ones sum below 2**53, elsewhere the largest power
+    of two dividing every positive profit. Rounding is monotone, so a float
+    sum of nonnegative integers reaches 2**53 exactly when the exact one
+    does. The DP's LP core and KISSA's O(1) objective update rest on this.
+    """
+    view = instance.frontier_view
+    # A frontier's last item is its most profitable.
+    tops = view.profit[view.starts[1:] - 1]
+    with np.errstate(over="ignore"):
+        if np.all(view.profit == np.floor(view.profit)) and tops.sum() < 2**53:
+            return 1.0
+        # the exponent of each positive profit's lowest set bit
+        significand, exponent = np.frexp(view.profit[view.profit > 0])
+        bits = (significand * 2.0**53).astype(np.int64)
+        e = int((exponent - 53 + np.frexp(bits & -bits)[1] - 1).min())
+        units = np.ldexp(tops, -e).sum()
+        return math.ldexp(1.0, e) if units < 2**53 and tops.sum() < math.inf else None
 
 
 def _positions(instance: Instance, sel: Selection) -> np.ndarray:

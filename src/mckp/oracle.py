@@ -3,11 +3,13 @@
 ``brute_force`` and ``pareto_enumerate`` (every nondominated selection)
 read one guarded numpy table of every selection's image. ``dp_solve`` is a
 pseudo-polynomial dynamic program over the cost dimension for integer
-instances. On integral profits it first takes the LP relaxation in array
-passes over the flat frontier view, exact in int64 or, past that range, in
-Python integers; then it fills the core of the relaxation and a second,
-wider table only when the first cannot decide, each table guarded. Every
-table reads its rows in place, as positions in that view. These
+instances. Where the profits lie on a power-of-two grid whose sums are
+exact (``model.profit_grid``), it first takes the LP relaxation in array
+passes over the flat frontier view, in grid units, exact in int64 or, past
+that range, in Python integers; then it fills the core of the relaxation
+and a second, wider table only when the first cannot decide, each table
+guarded. Elsewhere it fills one table over every Pareto row. Every table
+reads its rows in place, as positions in that view. These
 exist to check the heuristics and each other, not to compete with them;
 guards fail loudly instead of degrading.
 """
@@ -27,6 +29,7 @@ from .model import (
     Selection,
     evaluate,
     exact_cost_sums,
+    profit_grid,
 )
 
 BRUTE_FORCE_LIMIT = 10**7
@@ -136,8 +139,10 @@ def _exact_integers(values: np.ndarray, int64: bool) -> np.ndarray:
     return np.array([int(v) for v in values.tolist()], dtype=object)
 
 
-def _integer_arrays(view) -> tuple[np.ndarray, np.ndarray]:
-    """The view's integer-valued profits and costs for :func:`_lp_relaxation`.
+def _integer_arrays(view, grid: float) -> tuple[np.ndarray, np.ndarray]:
+    """The view's profits in units of the power of two ``grid``, integers
+    (the division is exact), and its integer-valued costs, for
+    :func:`_lp_relaxation`.
 
     They are int64 when the largest profit ``P`` and cost ``C`` are below
     2**53 and ``2*P*C < 2**63``: then every product and difference there is
@@ -145,9 +150,10 @@ def _integer_arrays(view) -> tuple[np.ndarray, np.ndarray]:
     Python's int/int gives. Elsewhere they are Python integers, exact at any
     size, which the same expressions run on.
     """
-    top_profit, top_cost = int(view.profit.max()), int(view.cost.max())
+    profit = view.profit / grid
+    top_profit, top_cost = int(profit.max()), int(view.cost.max())
     int64 = max(top_profit, top_cost) < 2**53 and 2 * top_profit * top_cost < 2**63
-    return _exact_integers(view.profit, int64), _exact_integers(view.cost, int64)
+    return _exact_integers(profit, int64), _exact_integers(view.cost, int64)
 
 
 def _upper_hull(category: np.ndarray, profit: np.ndarray, cost: np.ndarray) -> np.ndarray:
@@ -173,7 +179,7 @@ def _upper_hull(category: np.ndarray, profit: np.ndarray, cost: np.ndarray) -> n
 
 
 def _lp_relaxation(view, profit, cost, budget: int) -> tuple[np.ndarray, int, int, int]:
-    """The LP relaxation of an integral instance: ``(reduced, ub, lb, unit)``.
+    """The LP relaxation on integer coefficients: ``(reduced, ub, lb, unit)``.
 
     ``profit`` and ``cost`` are the frontier ``view``'s coefficients as
     exact integer arrays (int64, or objects holding Python integers) in
@@ -313,8 +319,8 @@ def _round(view, cost, kept: np.ndarray, budget: int) -> tuple[float, np.ndarray
 
     A category left with one row is folded out of the table: its profit
     and cost are added outside it, and its position is chosen. Every sum on
-    this path is an exact integer, so the optimum is that of the table over
-    all of them.
+    this path is exact (:func:`~mckp.model.profit_grid`), so the optimum is
+    that of the table over all of them.
     """
     positions = np.flatnonzero(kept)
     category = view.category[positions]
@@ -351,14 +357,13 @@ def dp_solve(instance: Instance) -> ExactResult:
     the slack of the later categories up to the slack of categories ``0..j``,
     above which every cell equals the top one. Ties go to the lowest row.
 
-    When every frontier profit is an integer and the largest profits sum
-    below 2**53, every sum is exact, and the LP relaxation
-    (:func:`_lp_relaxation`) is computed once, in array passes over the
-    frontier view with exact integers (:func:`_integer_arrays`): the bound
-    ``UB``, the greedy walk's profit ``LB`` and each row's reduced cost.
-    Then at most two
-    tables run. Round 1 fills the core, the rows whose reduced cost is at
-    most one profit unit (and at most ``UB - LB``), with optimum ``z``
+    Where :func:`~mckp.model.profit_grid` gives a grid ``g``, every sum is
+    exact, and the LP relaxation (:func:`_lp_relaxation`) is computed once,
+    in array passes over the frontier view with exact integers in units of
+    ``g`` (:func:`_integer_arrays`): the bound ``UB``, the greedy walk's
+    profit ``LB`` and each row's reduced cost. Then at most two tables run.
+    Round 1 fills the core, the rows whose reduced cost is at most one unit
+    of ``g`` (and at most ``UB - LB``), with optimum ``z``
     (none when its cheapest selection does not fit). Round 2 runs only when
     a row outside the core has reduced cost at most ``UB - max(LB, z)``,
     and fills the table over exactly those rows. A selection that holds a
@@ -385,16 +390,14 @@ def dp_solve(instance: Instance) -> ExactResult:
             f"minimum selection cost {floor_cost} exceeds budget {budget}"
         )
 
-    # The top Pareto row holds a category's largest profit.
-    if np.all(view.profit == np.floor(view.profit)) and (
-        sum(map(int, view.profit[view.starts[1:] - 1].tolist())) < 2**53
-    ):
-        profit, cost = _integer_arrays(view)
+    grid = profit_grid(instance)
+    if grid is not None:
+        profit, cost = _integer_arrays(view, grid)
         reduced, ub, lb, unit = _lp_relaxation(view, profit, cost, budget)
-        # round 1: rows within one profit unit, never past UB - LB
+        # round 1: rows within one grid unit of profit, never past UB - LB
         core = min(unit, ub - unit * lb)
         result = _round(view, cost, reduced <= core, budget)
-        best = lb if result is None else max(lb, int(result[0]))
+        best = lb if result is None else max(lb, int(result[0] / grid))
         cut = ub - unit * best
         # round 2: only if a row outside the core could be in an optimal selection
         if np.any((reduced > core) & (reduced <= cut)):

@@ -8,6 +8,7 @@ internals, so the tests check the implementations against a second route.
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 
@@ -271,6 +272,20 @@ def exact_cost_sums_by_scan(instance: Instance) -> bool:
     return all(c.is_integer() for costs in frontier_costs for c in costs) and (
         instance.budget < 2**53 or sum(int(costs[-1]) for costs in frontier_costs) <= 2**53
     )
+
+
+def profit_grid_by_scan(instance: Instance) -> float | None:
+    """``profit_grid`` as a scalar loop over the frontier items, in exact
+    rationals: each profit's ``as_integer_ratio`` is ``n / d`` with ``d`` a
+    power of two, so the largest power of two dividing it is ``(n & -n) / d``."""
+    frontiers = [[cat[i].profit for i in pareto_filter(cat)] for cat in instance.categories]
+    ratios = [p.as_integer_ratio() for profits in frontiers for p in profits]
+    tops = [Fraction(profits[-1]) for profits in frontiers]
+    if all(d == 1 for _, d in ratios) and sum(tops) < 2**53:
+        return 1.0
+    grid = min(Fraction(n & -n, d) for n, d in ratios if n > 0)
+    # the sum must also stay below the float range's 2**1024
+    return float(grid) if sum(tops) / grid < 2**53 and sum(tops) < 2**1024 else None
 
 
 # 2**53 - 1 and 2**53 + 1 round apart and together; 1e300 and 1e308 overflow in sums

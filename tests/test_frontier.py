@@ -131,7 +131,7 @@ def supported_by_weight_probe(frontier, c) -> set[int]:
 def hull_items(c) -> tuple[int, ...]:
     """Item indices on the exact oracle's integer upper hull of ``c``."""
     view = Instance((c,), 1.0).frontier_view
-    profit, cost = _integer_arrays(view)
+    profit, cost = _integer_arrays(view, 1.0)
     return tuple(view.index[_upper_hull(view.category, profit, cost)].tolist())
 
 

@@ -555,9 +555,9 @@ class TestEpsilonOverflow:
 
 class TestObjectiveBits:
     """Each iteration's objective has the bits of :func:`evaluate` on that
-    iteration's selection: a swap moves it in O(1) where the frontier costs
-    and profits are integers whose sums are exact, and ``evaluate`` sums it
-    again elsewhere."""
+    iteration's selection: a swap moves it in O(1) where the frontier cost
+    sums are exact and the profits lie on a grid (``model.profit_grid``),
+    and ``evaluate`` sums it again elsewhere."""
 
     @staticmethod
     def evaluations(monkeypatch, inst):
@@ -630,13 +630,17 @@ class TestObjectiveBits:
     def test_profit_sums_past_2_pow_53_evaluate_each_swap(self, monkeypatch):
         # the profit sums round, and the fallback keeps evaluate's bits
         base = generate(TestAbsorbedEpsilon.RESOLVED)
-        for scale in (2**45, 2**52 + 1):
-            inst = Instance(
-                tuple(tuple((p * scale, c) for p, c in cat) for cat in base.categories),
-                base.budget,
-            )
-            calls, improvements = self.evaluations(monkeypatch, inst)
-            assert calls == improvements > 0
+        inst = Instance.from_flat(base.profits * (2**52 + 1), base.costs, base.starts, base.budget)
+        calls, improvements = self.evaluations(monkeypatch, inst)
+        assert calls == improvements > 0
+
+    @pytest.mark.parametrize("power", [-4, 30, 45, 60])
+    def test_profits_times_a_power_of_two_move_in_o1(self, monkeypatch, power):
+        # past 2**53 too, the sums are exact in units of the grid 2**power
+        base = generate(TestAbsorbedEpsilon.RESOLVED)
+        inst = Instance.from_flat(base.profits * 2.0**power, base.costs, base.starts, base.budget)
+        calls, improvements = self.evaluations(monkeypatch, inst)
+        assert calls == 0 and improvements > 0
 
     @pytest.mark.parametrize("profit_unit, cost_unit", [(10, 10), (10, 1), (1, 10)])
     def test_fractional_coefficients(self, monkeypatch, profit_unit, cost_unit):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import mckp
 from mckp import model
-from mckp.model import exact_cost_sums
+from mckp.model import exact_cost_sums, profit_grid
 from mckp import (
     Correlation,
     GenSpec,
@@ -36,6 +36,7 @@ from helpers import (
     frontier_view_by_lexsort,
     pareto_filter_by_loop,
     pareto_items_by_pairwise_scan,
+    profit_grid_by_scan,
     random_instance,
     view_segments,
     write_instance_by_loop,
@@ -360,6 +361,73 @@ class TestExactCostSums:
     )
     def test_pinned_cases(self, cats, budget, exact):
         assert exact_cost_sums(Instance(cats, budget)) is exact
+
+
+# profit scales of ``TestProfitGrid``'s drawn instances: integers, halves,
+# quarters, thirds, tenths and powers of two on either side of 2**53
+PROFIT_SCALES = (1.0, 0.5, 0.25, 1 / 3, 0.1, 2.0**-4, 2.0**30, 2.0**44, 2.0**60)
+
+
+class TestProfitGrid:
+    """``model.profit_grid`` against ``helpers.profit_grid_by_scan``, which
+    takes the same rule in exact rationals. No case may warn: the suite
+    turns a ``RuntimeWarning`` into an error."""
+
+    def test_matches_the_scan_at_the_float_edges(self):
+        rng = random.Random(27)
+        seen = set()
+        for _ in range(1500):
+            inst = float_edge_instance(rng)
+            want = profit_grid_by_scan(inst)
+            assert profit_grid(inst) == want, inst
+            seen.add(want if want in (None, 1.0) else "other")
+        assert seen == {None, 1.0, "other"}
+
+    def test_matches_the_scan_on_mixed_scales(self):
+        # each category's profits are integers times one of the scales
+        rng = random.Random(28)
+        seen = set()
+        for _ in range(1500):
+            cats = []
+            for _ in range(rng.randint(1, 4)):
+                scale = rng.choice(PROFIT_SCALES)
+                cats.append([(rng.randint(0, 50) * scale, rng.randint(0, 9))
+                             for _ in range(rng.randint(1, 4))])
+            inst = Instance(cats, 5.0)
+            want = profit_grid_by_scan(inst)
+            assert profit_grid(inst) == want, inst
+            seen.add(want)
+        assert {None, 1.0, 0.5, 0.25, 2.0**-4, 2.0**30, 2.0**44, 2.0**60} <= seen
+
+    @pytest.mark.parametrize(
+        "cats, grid",
+        [
+            # integer profits: the largest sum to 2**53 - 1, then to 2**53
+            ([[(0, 0), (2**52, 1)], [(2**52 - 1, 0)]], 1.0),
+            ([[(1, 0), (2**52, 1)], [(2**52, 0)]], None),
+            # 2 units of 2**52, the largest power of two dividing them
+            ([[(0, 0), (2**52, 1)], [(2**52, 0)]], 2.0**52),
+            # halves: 2**53 - 1 units of 1/2, then 2**53
+            ([[(0.5, 0), (2**51 - 0.5, 1)], [(2**51, 0)]], 0.5),
+            ([[(0.5, 0), (2**51 - 0.5, 1)], [(2**51 + 0.5, 0)]], None),
+            ([[(0, 0), (0, 1)], [(0, 2)]], 1.0),
+            ([[(-0.0, 0)], [(0.0, 1), (-0.0, 2)]], 1.0),
+            ([[(5e-324, 1)]], 5e-324),
+            # 1e308 is 2**1023 units of the smallest subnormal
+            ([[(5e-324, 0), (1e308, 1)]], None),
+            ([[(1e308, 1)]], float(int(1e308) & -int(1e308))),
+            # every profit is a multiple of the grid, but the sum overflows
+            ([[(1e308, 1)], [(1e308, 1)]], None),
+            # 1/3 alone is an odd multiple of 2**-54; 100/3 is too many of them
+            ([[(1 / 3, 1)]], 2.0**-54),
+            ([[(1 / 3, 0), (100 / 3, 1)]], None),
+            ([[(3 * 2.0**-4, 0), (2.0**40, 1)]], 2.0**-4),
+            ([[(3 * 2.0**-4, 0), (2.0**60, 1)]], None),
+        ],
+    )
+    def test_pinned_cases(self, cats, grid):
+        inst = Instance(cats, 1.0)
+        assert profit_grid(inst) == profit_grid_by_scan(inst) == grid
 
 
 class TestFileFormat:

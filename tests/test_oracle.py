@@ -31,7 +31,7 @@ from mckp import (
     pareto_filter,
 )
 from mckp import oracle
-from mckp.model import MCKPError
+from mckp.model import MCKPError, profit_grid
 from mckp.oracle import MEMORY_LIMIT_BYTES, dominated_in_product
 
 from helpers import (
@@ -199,16 +199,10 @@ class TestDpSolve:
         assert result.optimum_profit == 30 * 2e7
         assert result.optimum_selection == (1,) * 30 + (0,) * 11
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=OracleGuardError,
-        reason="ROADMAP item 5, 'Past 2^53': no elimination once integer profits "
-        "sum to 2**53, and the full-width table exceeds the memory guard",
-    )
     def test_reduced_table_fits_with_profits_past_2_pow_53(self):
         # The instance above with every profit times 2**30: a power of two
         # keeps every float sum exact, so the optimum scales and the
-        # selection stays.
+        # selection stays. The LP core runs in units of 2**30.
         scale = 2.0**30
         steep = tuple(((0.0, 0.0), (2e7 * scale, 1e7)) for _ in range(30))
         flat = tuple(((0.0, 0.0), (scale, 1e7)) for _ in range(10))
@@ -333,7 +327,7 @@ def lp_relaxation(inst):
     """``oracle._lp_relaxation`` of ``inst``, on the integer arrays that
     ``dp_solve`` gives it."""
     view = inst.frontier_view
-    profit, cost = oracle._integer_arrays(view)
+    profit, cost = oracle._integer_arrays(view, profit_grid(inst))
     return oracle._lp_relaxation(view, profit, cost, int(inst.budget))
 
 
@@ -415,12 +409,10 @@ class TestDpSolveMatchesFullWidth:
 
     @pytest.mark.parametrize("rows", [256, 257])
     def test_choice_rows_at_the_uint8_edge(self, rows):
-        # Fractional profits skip the elimination, so every Pareto row is
-        # kept, and the budget fits only the top rows of both wide
-        # categories: row indices 255 and 256 fall on either side of uint8.
-        wide = tuple((k + 0.5, float(k)) for k in range(rows))
-        small = ((0.25, 0.0), (1.75, 3.0))
-        inst = Instance((wide, small, wide), budget=2.0 * (rows - 1))
+        # Profits in thirds lie on no grid, so every Pareto row is kept, and
+        # the budget fits only the top rows of both wide categories: row
+        # indices 255 and 256 fall on either side of uint8.
+        inst = two_wide_categories(rows)
         assert [len(pareto_filter(c)) for c in inst.categories] == [rows, 2, rows]
         assert matches_full_width(inst)
         assert dp_solve(inst).optimum_selection == (rows - 1, 0, rows - 1)
@@ -445,6 +437,54 @@ class TestDpSolveMatchesFullWidth:
         inst = Instance(tuple(((1.0, 1.0), (2.0, 1001.0)) for _ in range(50)), budget=20_000.0)
         assert matches_full_width(inst)
         assert dp_solve(inst).optimum_profit == 50 + 19
+
+
+def full_table_outcome(inst):
+    """One float64 table over every Pareto row, the path ``dp_solve`` takes
+    where ``profit_grid`` is None: the optimum by ``float.hex`` and the
+    selection. ``helpers.dp_solve_full_width`` holds integral profits in
+    int64, which overflows past 2**63."""
+    view = inst.frontier_view
+    cost = oracle._exact_integers(view.cost, view.cost.max() < 2**53)
+    optimum, chosen = oracle._table(view, cost, np.arange(len(cost)), int(inst.budget))
+    return float.hex(optimum), tuple(view.index[chosen].tolist())
+
+
+def scaled_profits(inst, factor):
+    return Instance.from_flat(inst.profits * factor, inst.costs, inst.starts, inst.budget)
+
+
+class TestDpSolveOnPowerOfTwoGrids:
+    """Profits times 2**k keep every float sum exact: ``dp_solve`` runs its
+    LP core on them, in units of ``profit_grid``, and gives the full
+    table's optimum to the bit and its selection."""
+
+    @pytest.mark.parametrize("power", [-4, 30, 44, 60])
+    @pytest.mark.parametrize(
+        "m, n, corr, ratio",
+        [
+            (12, 6, Correlation.WEAK, 0.5),
+            (40, 200, Correlation.WEAK, 0.5),
+            (250, 10, Correlation.UNCORRELATED, 0.35),
+        ],
+    )
+    def test_scaled_generated_instances(self, m, n, corr, ratio, power):
+        for seed in range(6):
+            base = generate(GenSpec(m=m, n=n, correlation=corr, seed=seed, budget_ratio=ratio))
+            inst = scaled_profits(base, 2.0**power)
+            assert profit_grid(inst) is not None
+            got, want = dp_solve(inst), full_table_outcome(inst)
+            assert (float.hex(got.optimum_profit), got.optimum_selection) == want
+            assert got.optimum_profit == dp_solve(base).optimum_profit * 2.0**power
+
+    def test_thirds_fill_one_table_over_every_row(self, tables):
+        base = generate(GenSpec(m=40, n=200, correlation=Correlation.WEAK, seed=1))
+        inst = scaled_profits(base, 1 / 3)
+        assert profit_grid(inst) is None
+        got = dp_solve(inst)
+        assert tables == [40]
+        want = full_table_outcome(inst)
+        assert (float.hex(got.optimum_profit), got.optimum_selection) == want
 
 
 class TestReducedCostSoundness:
@@ -482,7 +522,7 @@ class TestReducedCostSoundness:
         assert upper_hull_by_loop(list(cat)) == [cat[0], cat[2]]
         # the cross products pass 2**63: the hull runs on Python integers
         view = inst.frontier_view
-        profit, cost = oracle._integer_arrays(view)
+        profit, cost = oracle._integer_arrays(view, 1.0)
         assert profit.dtype == cost.dtype == object
         assert oracle._upper_hull(view.category, profit, cost).tolist() == [0, 2]
         assert brute_force(inst).optimum_selection == (0,)
@@ -505,7 +545,7 @@ def tables(monkeypatch):
 
 
 class TestRounds:
-    """The integral path fills the core, and a second table only when rows
+    """The grid path fills the core, and a second table only when rows
     outside it could still be in an optimal selection."""
 
     def test_weak_decides_in_the_core(self, tables):
@@ -614,12 +654,13 @@ def table_cases(draw):
 
 
 def two_wide_categories(rows):
-    """Two categories of ``rows`` rows ``(k + 0.5, k)`` around one of two,
-    all of them Pareto rows, with the budget ``2 * (rows - 1)``: the
-    optimum takes the top row of both wide ones. The fractional profits
-    make ``dp_solve`` fill one table over every row."""
-    wide = tuple((k + 0.5, float(k)) for k in range(rows))
-    small = ((0.25, 0.0), (1.75, 3.0))
+    """Two categories of ``rows`` rows ``((k + 0.5) / 3, k)`` around one of
+    two, all of them Pareto rows, with the budget ``2 * (rows - 1)``: the
+    optimum takes the top row of both wide ones. Profits in thirds lie on
+    no power-of-two grid (``model.profit_grid``), so ``dp_solve`` fills one
+    table over every row."""
+    wide = tuple(((k + 0.5) / 3, float(k)) for k in range(rows))
+    small = ((0.25 / 3, 0.0), (1.75 / 3, 3.0))
     return Instance((wide, small, wide), budget=2.0 * (rows - 1))
 
 
@@ -714,7 +755,7 @@ class TestTableMatchesMaskedCopy:
 class TestGuardBoundary:
     @pytest.mark.parametrize("rows, itemsize", [(256, 1), (257, 2)])
     def test_estimate_is_the_limit(self, rows, itemsize, monkeypatch, tables):
-        # Fractional profits: one table over all 3 categories' Pareto rows,
+        # Profits in thirds: one table over all 3 categories' Pareto rows,
         # 2 * (rows - 1) + 1 cells wide (the budget is below the slack cap).
         # Its choices are uint8 for 256 rows and uint16 for 257.
         inst = two_wide_categories(rows)
@@ -763,7 +804,7 @@ def check_relaxation(inst):
     """The numpy hull and relaxation equal the Python-integer loops; returns
     the dtype of the integer arrays they ran on."""
     view = inst.frontier_view
-    profit, cost = oracle._integer_arrays(view)
+    profit, cost = oracle._integer_arrays(view, 1.0)
     rows = pareto_rows(inst)
     hull = oracle._upper_hull(view.category, profit, cost)
     assert list(zip(profit[hull].tolist(), cost[hull].tolist())) == [
@@ -815,7 +856,7 @@ class TestLpRelaxationMatchesLoop:
             ]
             low = sum(min(c for _, c in cat) for cat in cats)
             inst = Instance(cats, low + rng.randint(0, 60))
-            dtypes.append(oracle._integer_arrays(inst.frontier_view)[0].dtype)
+            dtypes.append(oracle._integer_arrays(inst.frontier_view, 1.0)[0].dtype)
             got = dp_outcome(dp_solve, inst)
             assert got == dp_outcome(dp_solve_full_width, inst)
             if isinstance(got, ExactResult):

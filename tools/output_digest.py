@@ -50,7 +50,12 @@ selection, or the error: ``exact`` prints the profit with ``:g``, which
 hides its low bits. Last, a ``view`` sweep builds ``Instance.frontier_view``
 of the weak-refine and uncorr-exact instances and of the instances of the
 ``ties``, ``ragged``, ``fractional`` and ``edge`` sweeps. Its digests cover
-the dtype and the bytes of each of the view's five arrays.
+the dtype and the bytes of each of the view's five arrays. Last, a ``grid``
+sweep calls ``dp_solve`` and ``kissa`` on copies of the seed-1 weak 40x200
+and uncorrelated 250x10 instances with every profit times 2^k, for k in
+-4, 30, 44 and 60: powers of two keep every profit sum exact, so the
+optimum scales and the selections stay. Its digests are those of the
+``dp`` and ``kissa`` sweeps.
 Prints one sha256 per (workload, command) over each run's exit code,
 stdout and stderr (an uncaught exception is recorded as the run's exit
 code, and the digest goes on); the ``gen`` digests cover the instance
@@ -149,6 +154,14 @@ WIDE_PROFIT_TOPS = (2**12 - 1, 2**20, 2**40)
 WIDE_COMMANDS = (("exact", ["exact", "small.mckp"]),)
 # the weak 40x200 seeds whose profit/3 copies the ``dp`` sweep solves
 DP_FRACTIONAL_SEEDS = range(5)
+# the ``grid`` sweep's instances, whose profits it scales by 2**k for each k
+GRID_SPECS = (
+    ("weak 40x200", GenSpec(m=40, n=200, correlation=Correlation.WEAK, seed=1)),
+    ("uncorr 250x10", GenSpec(
+        m=250, n=10, correlation=Correlation.UNCORRELATED, seed=1, budget_ratio=0.35
+    )),
+)
+GRID_POWERS = (-4, 30, 44, 60)
 WORKLOAD_COMMANDS = (("solve", ["solve"]), ("exact", ["exact"]))
 RULE_COMMANDS = (
     ("solve --rule first", ["solve", "--rule", "first"]),
@@ -579,6 +592,23 @@ def view_digests(seed: int):
     return library_digests("view", view_outcome, seed, families)
 
 
+def grid_digests():
+    """The digests of :func:`dp_outcome` and of :func:`kissa_outcome` on
+    each of :data:`GRID_SPECS` with every profit times 2**k, for each k of
+    :data:`GRID_POWERS`."""
+    for name, spec in GRID_SPECS:
+        base = generate(spec)
+        copies = [
+            Instance.from_flat(base.profits * 2.0**k, base.costs, base.starts, base.budget)
+            for k in GRID_POWERS
+        ]
+        for sweep, outcome in (("dp", dp_outcome), ("kissa", kissa_outcome)):
+            digest = hashlib.sha256()
+            for inst in copies:
+                feed(digest, (outcome(inst),))
+            yield "grid", f"{sweep} {name}", len(copies), digest
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
@@ -622,6 +652,7 @@ def main(argv=None) -> int:
                 kissa_digests(args.seed),
                 dp_digests(args.seed),
                 view_digests(args.seed),
+                grid_digests(),
             ):
                 print(f"{workload:<13} {command:<24} {runs:>4} {digest.hexdigest()}", flush=True)
         finally:
