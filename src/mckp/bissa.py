@@ -29,7 +29,7 @@ from .model import (
     MCKPError,
     ObjectivePoint,
     Selection,
-    evaluate,
+    _objective,
     exact_cost_sums,
 )
 
@@ -113,7 +113,9 @@ def bissa(instance: Instance) -> BissaResult:
 
     def probe(w: float) -> tuple[Selection, ObjectivePoint, bool]:
         sel = solve_linear(instance, w)
-        point = evaluate(instance, sel)
+        # solve_linear gives valid item indices: no evaluate checks them again
+        k = instance.starts[:-1] + np.fromiter(sel, np.int64, len(sel))
+        point = _objective(instance, k)
         feasible = point.f2 >= -instance.budget
         trace.append(WeightStep(w, sel, feasible))
         return sel, point, feasible

@@ -6,9 +6,9 @@ pseudo-polynomial dynamic program over the cost dimension for integer
 instances. Where the profits lie on a power-of-two grid whose sums are
 exact (``model.profit_grid``), it first takes the LP relaxation in array
 passes over the flat frontier view, in grid units, exact in int64 or, past
-that range, in Python integers; then it fills the core of the relaxation
-and a second, wider table only when the first cannot decide, each table
-guarded. Elsewhere it fills one table over every Pareto row. Every table
+that range, in Python integers; then it fills tables over ever wider
+rounds of the relaxation's rows, stopping at the first that decides, each
+table guarded. Elsewhere it fills one table over every Pareto row. Every table
 reads its rows in place, as positions in that view. These
 exist to check the heuristics and each other, not to compete with them;
 guards fail loudly instead of degrading.
@@ -361,16 +361,19 @@ def dp_solve(instance: Instance) -> ExactResult:
     exact, and the LP relaxation (:func:`_lp_relaxation`) is computed once,
     in array passes over the frontier view with exact integers in units of
     ``g`` (:func:`_integer_arrays`): the bound ``UB``, the greedy walk's
-    profit ``LB`` and each row's reduced cost. Then at most two tables run.
-    Round 1 fills the core, the rows whose reduced cost is at most one unit
-    of ``g`` (and at most ``UB - LB``), with optimum ``z``
-    (none when its cheapest selection does not fit). Round 2 runs only when
-    a row outside the core has reduced cost at most ``UB - max(LB, z)``,
-    and fills the table over exactly those rows. A selection that holds a
-    row outside the table that decides has profit below ``max(LB, z)``, at
-    most the optimum, so every row of every optimal selection is in that
-    table. In both rounds
-    a category left with one row is folded out of the table (:func:`_round`).
+    profit ``LB`` and each row's reduced cost. Then at most three rounds
+    run, each a table over the rows whose reduced cost is at most its
+    threshold, capped at the cut ``UB - max(LB, z)``, with ``z`` the best
+    optimum so far (none where a table's cheapest selection does not fit).
+    Where ``UB`` is an integer the first threshold is 0, the LP's tangent
+    face: a selection of profit ``UB`` holds only such rows. The next is
+    one unit of ``g``, and the last is the cut itself. A round that would
+    add no row is skipped, and the rounds stop at the first after which no
+    row outside the table has reduced cost within the cut. A selection that
+    holds a row outside the table that decides has profit below
+    ``max(LB, z)``, at most the optimum, so every row of every optimal
+    selection is in that table. In each round a category left with one row
+    is folded out of the table (:func:`_round`).
     The optimum and the selection, ties included, are those of the full
     table over all items. Otherwise one table runs over all Pareto rows.
     """
@@ -394,14 +397,23 @@ def dp_solve(instance: Instance) -> ExactResult:
     if grid is not None:
         profit, cost = _integer_arrays(view, grid)
         reduced, ub, lb, unit = _lp_relaxation(view, profit, cost, budget)
-        # round 1: rows within one grid unit of profit, never past UB - LB
-        core = min(unit, ub - unit * lb)
-        result = _round(view, cost, reduced <= core, budget)
-        best = lb if result is None else max(lb, int(result[0] / grid))
-        cut = ub - unit * best
-        # round 2: only if a row outside the core could be in an optimal selection
-        if np.any((reduced > core) & (reduced <= cut)):
-            result = _round(view, cost, reduced <= cut, budget)
+        # Each round's threshold is capped at the cut UB - max(LB, z), z the
+        # best optimum so far: the LP's tangent face (reduced cost 0) where
+        # UB is an integer, then the rows within one grid unit, then the cut
+        # itself, which is never above ub. The thresholds only rise, so each
+        # table holds the last one's rows, and row counts compare the two.
+        best, done = lb, 0  # done: the number of rows in the last table
+        for limit in ([0] if ub % unit == 0 else []) + [unit, ub]:
+            cut = ub - unit * best
+            if np.count_nonzero(reduced <= cut) <= done:
+                break  # no row outside the last table can be in an optimal selection
+            kept = reduced <= min(limit, cut)
+            rows = np.count_nonzero(kept)
+            if rows > done:  # else the round adds no row
+                result = _round(view, cost, kept, budget)
+                if result is not None:
+                    best = max(best, int(result[0] / grid))
+                done = rows
     else:
         cost = _exact_integers(view.cost, view.cost.max() < 2**53)
         result = _table(view, cost, np.arange(len(cost)), budget)

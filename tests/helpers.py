@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from mckp import (
+    BissaResult,
     Correlation,
     ExactResult,
     GenSpec,
@@ -28,14 +29,19 @@ from mckp import (
     OracleGuardError,
     SplitMix64,
     Termination,
+    WeightStep,
     delta_bound,
+    dp_solve,
     evaluate,
     pareto_filter,
     solve_chebyshev_subproblem,
+    solve_linear,
 )
+from mckp import oracle
+from mckp.bissa import MAX_BISECTION_STEPS, BisectionLimitError, ObjectiveOverflowError
 from mckp.generate import COEFF_HI, COEFF_LO, WEAK_NOISE
 from mckp.kissa import _select
-from mckp.model import FrontierView
+from mckp.model import FrontierView, exact_cost_sums, profit_grid
 from mckp.oracle import MEMORY_LIMIT_BYTES
 
 # Two categories of two items; four selections total. Encoded below with the
@@ -521,6 +527,81 @@ def dp_solve_full_width(instance: Instance) -> ExactResult:
         selection[j] = index
         w -= cost
     return ExactResult(float(dp[width - 1]), tuple(selection), Method.DP)
+
+
+def dp_solve_two_rounds(instance: Instance) -> ExactResult:
+    """``dp_solve`` with the two rounds it ran before the tangent-face
+    round: the core (reduced cost at most one grid unit, and at most ``UB -
+    LB``), then the cut ``UB - max(LB, z)`` only if a row outside the core
+    is within it.
+
+    Test-only reference for the split rounds. Where those rounds do not run
+    (no profit grid, or a precondition fails), it is ``dp_solve`` itself.
+    """
+    view = instance.frontier_view
+    grid = profit_grid(instance)
+    if grid is None or not exact_cost_sums(instance) or not instance.budget.is_integer():
+        return dp_solve(instance)
+    budget = int(instance.budget)
+    if sum(map(int, view.cost[view.starts[:-1]].tolist())) > budget:
+        return dp_solve(instance)
+    profit, cost = oracle._integer_arrays(view, grid)
+    reduced, ub, lb, unit = oracle._lp_relaxation(view, profit, cost, budget)
+    core = min(unit, ub - unit * lb)
+    result = oracle._round(view, cost, reduced <= core, budget)
+    best = lb if result is None else max(lb, int(result[0] / grid))
+    cut = ub - unit * best
+    if np.any((reduced > core) & (reduced <= cut)):
+        result = oracle._round(view, cost, reduced <= cut, budget)
+    optimum, chosen = result
+    return ExactResult(optimum, tuple(view.index[chosen].tolist()), Method.DP)
+
+
+def bissa_by_evaluate(instance: Instance) -> BissaResult:
+    """``bissa`` as it probed before: each probe's selection from
+    ``solve_linear`` and its image from ``evaluate``, which checks it again.
+
+    Test-only reference for the probes, which sum their selections' items
+    at positions they do not check again.
+    """
+    trace: list[WeightStep] = []
+
+    def probe(w: float):
+        sel = solve_linear(instance, w)
+        point = evaluate(instance, sel)
+        feasible = point.f2 >= -instance.budget
+        trace.append(WeightStep(w, sel, feasible))
+        return sel, point, feasible
+
+    x, p, feasible = probe(1.0)
+    if not all(math.isfinite(2 * v) for v in p):
+        raise ObjectiveOverflowError(f"sums too large for floats: profit {p.f1:g}, cost {-p.f2:g}")
+    certificate = "max-profit-feasible"
+    if not feasible:
+        xa, pa = None, None
+        xb, pb = x, p
+        w = 0.0
+        for _ in range(MAX_BISECTION_STEPS + 1):
+            x, p, feasible = probe(w)
+            if pa is None and not feasible:
+                raise InfeasibleInstanceError(
+                    f"minimum selection cost {-p.f2} exceeds budget {instance.budget}"
+                )
+            if p.f2 == -instance.budget and exact_cost_sums(instance):
+                certificate = "zero-slack"
+                break
+            if pa is not None and not pb.f2 < p.f2 < pa.f2:
+                return BissaResult(xa=xa, xb=xb, certificate=None, trace=trace)
+            if feasible:
+                xa, pa = x, p
+            else:
+                xb, pb = x, p
+            w = (pa.f2 - pb.f2) / ((pa.f2 - pb.f2) + (pb.f1 - pa.f1))
+        else:
+            raise BisectionLimitError(
+                f"no convergence within {MAX_BISECTION_STEPS} bisection steps"
+            )
+    return BissaResult(xa=x, xb=None, certificate=certificate, trace=trace)
 
 
 def frontier_view_by_lexsort(profits, costs, starts) -> FrontierView:

@@ -2,6 +2,8 @@ import importlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mckp import (
     Correlation,
@@ -21,6 +23,7 @@ from mckp.bissa import BisectionLimitError
 
 from helpers import (
     absorbed_profits_instance,
+    bissa_by_evaluate,
     float_edge_instance,
     linear_sweep_weights,
     random_instance,
@@ -159,6 +162,57 @@ class TestSolveLinearMatchesAllItems:
         for _ in range(300):
             inst = tie_heavy_instance(rng)
             self.check(inst, linear_sweep_weights(inst) + self.trace_weights(inst))
+
+
+def bissa_outcome(run, inst):
+    """``run(inst)``'s endpoints, certificate and trace, or its error."""
+    try:
+        res = run(inst)
+    except MCKPError as err:
+        return type(err), str(err)
+    return res.xa, res.xb, res.certificate, res.trace
+
+
+@st.composite
+def probed_instances(draw):
+    """A float-edge, random, tie-heavy or absorbed-profits instance, or a
+    generated one of up to 30 x 30."""
+    kind = draw(st.sampled_from(["edge", "random", "ties", "generated", "absorbed"]))
+    if kind == "absorbed":
+        return absorbed_profits_instance()
+    if kind == "generated":
+        return generate(GenSpec(
+            m=draw(st.integers(1, 30)), n=draw(st.integers(1, 30)),
+            correlation=draw(st.sampled_from(list(Correlation))), seed=draw(st.integers(0, 99)),
+            budget_ratio=draw(st.floats(0.0, 1.0)),
+        ))
+    rng = draw(st.randoms(use_true_random=False))
+    return {"edge": float_edge_instance, "random": random_instance, "ties": tie_heavy_instance}[
+        kind
+    ](rng)
+
+
+class TestProbesMatchEvaluate:
+    """Each probe sums its selection's items at positions it does not check:
+    ``bissa`` must give the endpoints, certificate and trace of
+    ``helpers.bissa_by_evaluate``, which checks each selection again."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(probed_instances())
+    def test_drawn_instances(self, inst):
+        got = bissa_outcome(bissa, inst)
+        assert got == bissa_outcome(bissa_by_evaluate, inst)
+        if not isinstance(got[0], type):
+            assert all(type(i) is int for step in got[3] for i in step.selection)
+
+    def test_benchmark_instances(self):
+        for spec in (
+            GenSpec(m=40, n=200, correlation=Correlation.WEAK, seed=1),
+            GenSpec(m=250, n=10, correlation=Correlation.UNCORRELATED, seed=1,
+                    budget_ratio=0.35),
+        ):
+            inst = generate(spec)
+            assert bissa_outcome(bissa, inst) == bissa_outcome(bissa_by_evaluate, inst)
 
 
 class TestBissaAppendix:

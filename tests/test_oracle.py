@@ -38,6 +38,7 @@ from helpers import (
     brute_optimum,
     deep_instance,
     dp_solve_full_width,
+    dp_solve_two_rounds,
     enumerate_images,
     lp_relaxation_by_loop,
     pareto_rows,
@@ -593,13 +594,161 @@ class TestRounds:
     def test_fits_where_the_walks_bound_was_refused(self, tables):
         # The walk's bound keeps both rows of all 5,002 categories: a
         # table over those is 5,002 x 502,501 one-byte choices, past the
-        # guard. The core folds all but the near and critical categories.
+        # guard. UB is an integer: the tangent face folds all but the
+        # critical category, whose top row does not fit beside the near top,
+        # so it finds 100 k + 2, below the walk's 101 k + 2. The one-unit
+        # core then folds all but the near and critical categories and
+        # decides.
         inst, optimum, selection = walk_gap_instance()
         kept = survivors(inst)
         assert all(len(rows) == 2 for rows in kept)
         assert len(kept) * (int(inst.budget) + 1) > MEMORY_LIMIT_BYTES
         assert dp_solve(inst) == ExactResult(float(optimum), selection, Method.DP)
-        assert tables == [2]
+        assert tables == [1, 2]
+
+
+def table_estimate(view, cost, rows, budget):
+    """The bytes that ``oracle._table`` estimates for its table over the
+    view positions ``rows`` under ``budget``, by the guard's formula, or 0
+    where the cheapest selection exceeds ``budget`` and no table is made."""
+    category, costs = view.category[rows], cost[rows]
+    first = np.ones(len(rows), bool)
+    first[1:] = category[1:] != category[:-1]
+    last = np.roll(first, -1)
+    floor_cost = sum(costs[first].tolist())
+    if floor_cost > budget:
+        return 0
+    width = min(budget - floor_cost, sum((costs[last] - costs[first]).tolist())) + 1
+    most = int(np.bincount(np.cumsum(first) - 1).max(initial=1))
+    itemsize = np.min_scalar_type(most - 1).itemsize
+    return (int(first.sum()) + 1) * width * itemsize + 3 * width * 8
+
+
+def rounds_outcome(solver, inst):
+    """``solver(inst)``'s optimum by ``float.hex`` and its selection, or its
+    error, and the largest :func:`table_estimate` of the tables it made."""
+    estimates = [0]
+    table = oracle._table
+
+    def recording(view, cost, rows, budget):
+        estimates.append(table_estimate(view, cost, rows, budget))
+        return table(view, cost, rows, budget)
+
+    with mock.patch.object(oracle, "_table", recording):
+        try:
+            result = solver(inst)
+        except MCKPError as err:
+            return (type(err), str(err)), max(estimates)
+    return (float.hex(result.optimum_profit), result.optimum_selection), max(estimates)
+
+
+@st.composite
+def split_instances(draw):
+    """``walk_gap_instance(k, r)`` for k up to 4 (optimum ``UB - 1``), the
+    tie-heavy and collinear draws of :func:`tricky_instance` and
+    :func:`table_cases`, and :func:`integral_instances` with costs up to
+    2**10."""
+    kind = draw(st.sampled_from(["walk", "tricky", "table", "integral"]))
+    if kind == "walk":
+        k = draw(st.integers(1, 4))
+        return walk_gap_instance(k, draw(st.integers(100 * k + 1, 100 * k + 300)))[0]
+    if kind == "tricky":
+        return tricky_instance(draw(st.randoms(use_true_random=False)))
+    if kind == "table":
+        return draw(table_cases())[0]
+    return draw(integral_instances(cost_scales=(10, 2**10)))
+
+
+def ub_outcome(inst):
+    """``"fractional"`` where ``UB`` is not an integer, ``"UB"`` or
+    ``"UB - 1"`` where the optimum is ``UB`` or one grid unit below it,
+    ``"lower"`` below that, and None where ``dp_solve`` runs no rounds or
+    raises."""
+    grid = profit_grid(inst)
+    try:
+        optimum = dp_solve(inst).optimum_profit
+    except MCKPError:
+        return None
+    if grid is None:
+        return None  # one table over every Pareto row
+    _, ub, _, unit = lp_relaxation(inst)
+    if ub % unit:
+        return "fractional"
+    return {0: "UB", 1: "UB - 1"}.get(ub // unit - int(optimum / grid), "lower")
+
+
+class TestSplitRounds:
+    """Where ``UB`` is an integer the LP's tangent face runs first: the
+    optimum and the selection are those of the two rounds it split
+    (``helpers.dp_solve_two_rounds``), and no table is larger."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(split_instances())
+    def test_drawn_instances(self, inst):
+        (got, got_estimate), (want, want_estimate) = (
+            rounds_outcome(dp_solve, inst), rounds_outcome(dp_solve_two_rounds, inst)
+        )
+        assert got == want
+        assert got_estimate <= want_estimate
+
+    def test_integral_bounds_and_both_optima_are_drawn(self):
+        seen = {"fractional": 0, "UB": 0, "UB - 1": 0, "lower": 0, None: 0}
+
+        @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+        @given(split_instances())
+        def count(inst):
+            seen[ub_outcome(inst)] += 1
+
+        count()
+        assert min(seen[key] for key in ("fractional", "UB", "UB - 1")) > 10, seen
+
+    def test_tie_one_unit_below_ub_is_decided_by_the_core(self, tables):
+        # UB = 8 is an integer. The tangent face folds category 1 to its top
+        # row and finds 7 with (1, 1). Category 1's bottom row has reduced
+        # cost one unit, and (2, 0) ties at 7: the full table keeps that
+        # lower row, so the one-unit core must run to give its selection.
+        inst = Instance([[(1, 0), (3, 2), (5, 4)], [(2, 2), (4, 3)]], 6)
+        reduced, ub, _, unit = lp_relaxation(inst)
+        assert ub == 8 * unit and reduced.tolist() == [0, 0, 0, unit, 0]
+        assert evaluate(inst, (1, 1)).f1 == evaluate(inst, (2, 0)).f1 == 7
+        got = dp_solve(inst)
+        assert tables == [1, 2]
+        assert got == ExactResult(7.0, (2, 0), Method.DP) == dp_solve_two_rounds(inst)
+
+    def test_weak_fills_the_tangent_face_alone(self, monkeypatch):
+        inst = generate(GenSpec(m=40, n=200, correlation=Correlation.WEAK, seed=1))
+        reduced, _, _, _ = lp_relaxation(inst)
+        calls = []
+        table = oracle._table
+
+        def recording(view, cost, rows, budget):
+            calls.append(rows)
+            return table(view, cost, rows, budget)
+
+        want = dp_solve_two_rounds(inst)
+        monkeypatch.setattr(oracle, "_table", recording)
+        assert dp_solve(inst) == want
+        [rows] = calls
+        assert len(np.unique(inst.frontier_view.category[rows])) == 14
+        assert not reduced[rows].any()
+
+    def test_uncorrelated_keeps_its_rounds(self, tables):
+        inst = generate(
+            GenSpec(m=250, n=10, correlation=Correlation.UNCORRELATED, seed=1, budget_ratio=0.35)
+        )
+        _, ub, _, unit = lp_relaxation(inst)
+        assert ub % unit
+        dp_solve_two_rounds(inst)
+        want = tables[:]
+        tables.clear()
+        dp_solve(inst)
+        assert tables == want == [3, 40]
+
+    def test_weak_2000_fills_at_most_102_categories(self, tables):
+        inst = generate(GenSpec(m=2000, n=20, correlation=Correlation.WEAK, seed=1))
+        got = dp_solve(inst)
+        assert len(tables) == 1 and tables[0] <= 102
+        assert got == dp_solve_two_rounds(inst)
 
 
 def table_outcome(table, view, cost, rows, budget):
@@ -775,13 +924,14 @@ LP_SCALES = (10, 2**20, 2**40, 2**75)
 
 
 @st.composite
-def integral_instances(draw):
+def integral_instances(draw, cost_scales=LP_SCALES):
     """Up to six categories of 1 to 8 items, each random, collinear (profit
     = cost) or tied (coefficients from 0, 1, half the scale and the scale),
-    with integers up to a profit and a cost scale from :data:`LP_SCALES`,
-    and a budget from 1 to the costliest selection's cost."""
+    with integers up to a profit scale from :data:`LP_SCALES` and a cost
+    scale from ``cost_scales``, and a budget from 1 to the costliest
+    selection's cost."""
     profit_scale = draw(st.sampled_from(LP_SCALES))
-    cost_scale = draw(st.sampled_from(LP_SCALES))
+    cost_scale = draw(st.sampled_from(cost_scales))
     cats = []
     for _ in range(draw(st.integers(1, 6))):
         size = st.integers(1, 8)

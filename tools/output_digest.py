@@ -55,7 +55,10 @@ sweep calls ``dp_solve`` and ``kissa`` on copies of the seed-1 weak 40x200
 and uncorrelated 250x10 instances with every profit times 2^k, for k in
 -4, 30, 44 and 60: powers of two keep every profit sum exact, so the
 optimum scales and the selections stay. Its digests are those of the
-``dp`` and ``kissa`` sweeps.
+``dp`` and ``kissa`` sweeps. Last, two more ``dp`` lines digest
+``dp_solve`` on weak 2000x20 seeds 1-3, whose LP bound is an integer, and
+on ``walk_gap_instance`` of ``tests/helpers.py``, whose optimum lies one
+unit below it.
 Prints one sha256 per (workload, command) over each run's exit code,
 stdout and stderr (an uncaught exception is recorded as the run's exit
 code, and the digest goes on); the ``gen`` digests cover the instance
@@ -85,12 +88,13 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
 from mckp import (  # noqa: E402
     Correlation, GenSpec, Instance, KissaConfig, MCKPError, SelectionRule, bissa, cli, dp_solve,
     generate, kissa, read_instance, write_instance,
 )
+from helpers import walk_gap_instance  # noqa: E402
 from workloads import WORKLOADS, instance_specs, write_instances  # noqa: E402
 
 SMALL_CORRELATIONS = ("uncorr", "weak")
@@ -162,6 +166,8 @@ GRID_SPECS = (
     )),
 )
 GRID_POWERS = (-4, 30, 44, 60)
+# the weak 2000x20 seeds whose ``dp_solve`` the last ``dp`` lines digest
+DP_SCALE_SEEDS = (1, 2, 3)
 WORKLOAD_COMMANDS = (("solve", ["solve"]), ("exact", ["exact"]))
 RULE_COMMANDS = (
     ("solve --rule first", ["solve", "--rule", "first"]),
@@ -609,6 +615,19 @@ def grid_digests():
             yield "grid", f"{sweep} {name}", len(copies), digest
 
 
+def dp_scale_digests():
+    """The digests of :func:`dp_outcome` on weak 2000x20 of each seed of
+    :data:`DP_SCALE_SEEDS`, then on ``helpers.walk_gap_instance()``."""
+    digest = hashlib.sha256()
+    for seed in DP_SCALE_SEEDS:
+        spec = GenSpec(m=2000, n=20, correlation=Correlation.WEAK, seed=seed)
+        feed(digest, (dp_outcome(generate(spec)),))
+    yield "dp", "weak 2000x20", len(DP_SCALE_SEEDS), digest
+    digest = hashlib.sha256()
+    feed(digest, (dp_outcome(walk_gap_instance()[0]),))
+    yield "dp", "walk gap", 1, digest
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
@@ -653,6 +672,7 @@ def main(argv=None) -> int:
                 dp_digests(args.seed),
                 view_digests(args.seed),
                 grid_digests(),
+                dp_scale_digests(),
             ):
                 print(f"{workload:<13} {command:<24} {runs:>4} {digest.hexdigest()}", flush=True)
         finally:
