@@ -6,12 +6,10 @@ image of a selection: total profit and negated total cost, both maximized.
 This module holds the types (an ``Instance`` is stored as flat, read-only
 numpy arrays of the profits, the costs and the category starts), each
 category's Pareto filter (``Instance.frontier_view``, flat numpy arrays
-built from the item arrays with no per-item Python loop, its rows sorted on
-one int64 key per entry where every coefficient is an integer and the key
-fits 63 bits and by ``np.lexsort`` elsewhere, which the probes,
-``delta_bound``, KISSA and the DP read), the rules under which float cost
-and profit sums are exact, the objective/feasibility evaluators and the
-line-oriented instance file format.
+built from the item arrays by one sort over all items with no per-item
+Python loop, which the probes, ``delta_bound``, KISSA and the DP read), the
+rules under which float cost and profit sums are exact, the
+objective/feasibility evaluators and the line-oriented instance file format.
 """
 
 import math
@@ -95,80 +93,68 @@ class FrontierView(NamedTuple):
     starts: np.ndarray
 
 
-def _sort_keys(profits, costs, sizes):
-    """Each item's int64 sort key, before its column is added, and the pad
-    entries' key, the profit field's width and the column's width; or None
-    where a coefficient is not an integer or the key would pass 63 bits.
-
-    The key is ``((cost << profit_bits) | (top_profit - profit)) <<
-    col_bits``, so that keys rise with cost, then fall with profit. A pad
-    key has the cost field one past the largest cost and the profit field
-    all ones, never below a real entry's.
-    """
-    top_profit, top_cost = int(profits.max()), int(costs.max())
-    profit_bits = top_profit.bit_length()
-    col_bits = int(sizes.max() - 1).bit_length()
-    if (top_cost + 1).bit_length() + profit_bits + col_bits > 63:
-        return None
-    # below 2**63, so the casts are exact where the values are integers
-    p, c = profits.astype(np.int64), costs.astype(np.int64)
-    if not (np.array_equal(p, profits) and np.array_equal(c, costs)):
-        return None
-    keys = ((c << profit_bits) | (top_profit - p)) << col_bits
-    pad = (((top_cost + 1) << profit_bits) | ((1 << profit_bits) - 1)) << col_bits
-    return keys, pad, profit_bits, col_bits
-
-
 def _frontier_view(profits, costs, starts) -> FrontierView:
     """The :class:`FrontierView` of the items with the float arrays
     ``profits`` and ``costs``, category ``j`` at positions ``starts[j]`` to
     ``starts[j + 1]``.
 
-    Categories are grouped by the ceiling of the log2 of their size, and
-    each group is one dense block padded to its own largest size. Every row
-    is sorted by cost, then profit down, then column, and an entry is kept
-    when its profit is strictly above the profits of the entries before it.
-    Where every coefficient is an integer and :func:`_sort_keys` fits, the
-    row sort is ``np.sort`` of one int64 key per entry, the key's column
-    field giving the order and its profit field the comparison. Elsewhere
-    (fractional coefficients, or keys past 63 bits) it is a stable
-    ``np.lexsort`` of the floats, the pads at cost +inf and profit -inf.
-    Coefficients are only compared, never combined, so -0.0 equals 0.0 and
-    ties fall as :func:`pareto_filter` says.
+    All items are sorted at once by category, cost, profit down and
+    position, and an item is kept when its profit is strictly above every
+    earlier profit of its category. The sort reads int64 codes that order
+    and tie as the coefficients do, so -0.0 equals 0.0 and ties fall as
+    :func:`pareto_filter` says. An array is its own code where its values
+    are integers; its codes are its dense ranks (``np.unique``) where they
+    are not, or where they make the key wider than 63 bits, the widest
+    array ranked first. Where the four fields fit 63 bits the sort is
+    ``np.sort`` of one int64 key per item; elsewhere it is a stable
+    ``np.lexsort`` of the codes. One running maximum of the category and
+    the profit code, ``category << profit_bits | profit``, picks the kept
+    items: the category field restarts it at each category, and it fits
+    int64 as the key's fields do, or as ranks below the item count do.
     """
     sizes = np.diff(starts)
-    # ceil(log2(n)) is the bit length of n - 1, frexp's exponent
-    buckets = np.frexp(sizes - 1)[1]
-    sort_keys = _sort_keys(profits, costs, sizes)
-    categories, indices = [], []
-    for bucket in np.unique(buckets):
-        rows = np.flatnonzero(buckets == bucket)
-        cols = np.arange(sizes[rows].max())
-        real = cols < sizes[rows, None]
-        at = np.where(real, starts[rows, None] + cols, 0)
-        if sort_keys is not None:
-            keys, pad, profit_bits, col_bits = sort_keys
-            key = np.where(real, keys[at], pad) | cols
-            key.sort(axis=1)
-            order = key & ((1 << col_bits) - 1)
-            # the profit counted down from the top: the lower, the more profit
-            down = (key >> col_bits) & ((1 << profit_bits) - 1)
-        else:
-            down = np.where(real, -profits[at], np.inf)
-            order = np.lexsort((down, np.where(real, costs[at], np.inf)), axis=-1)
-            down = np.take_along_axis(down, order, axis=1)
-        keep = np.ones(down.shape, bool)
-        np.less(down[:, 1:], np.minimum.accumulate(down, axis=1)[:, :-1], out=keep[:, 1:])
-        categories.append(np.repeat(rows, np.count_nonzero(keep, axis=1)))
-        indices.append(order[keep])
-    category, index = np.concatenate(categories), np.concatenate(indices)
-    if len(categories) > 1:
-        # each group lists its categories in order: merge the runs
-        by_category = np.argsort(category, kind="stable")
-        category, index = category[by_category], index[by_category]
+    count = len(profits)
+    category = np.repeat(np.arange(len(sizes)), sizes)
+    position_bits = (count - 1).bit_length()
+    fixed = (len(sizes) - 1).bit_length() + position_bits
+    arrays = (costs, profits)
+    # each array's codes and largest code; 2**63 is past any key
+    codes, tops = [None, None], [2**63, 2**63]
+    for k, values in enumerate(arrays):
+        top = values.max()
+        if values.min() >= 0 and top < 2**63:
+            own = values.astype(np.int64)
+            if np.array_equal(own, values):
+                codes[k], tops[k] = own, int(top)
+    # rank the arrays of non-integers, then the widest, until the key fits
+    for k in sorted((0, 1), key=tops.__getitem__, reverse=True):
+        if fixed + tops[0].bit_length() + tops[1].bit_length() <= 63:
+            break
+        uniques, codes[k] = np.unique(arrays[k], return_inverse=True)
+        tops[k] = len(uniques) - 1
+    cost, profit = codes
+    cost_bits, profit_bits = (top.bit_length() for top in tops)
+    # the profit field counts down from its top
+    top = (1 << profit_bits) - 1
+    if fixed + cost_bits + profit_bits <= 63:
+        key = (category << cost_bits) | cost
+        key <<= profit_bits
+        key |= top - profit
+        key <<= position_bits
+        key |= np.arange(count)
+        key.sort()
+        order = key & ((1 << position_bits) - 1)
+    else:
+        order = np.lexsort((top - profit, cost, category))
+    # the sort leads with the category, so ``category`` is in sorted order
+    level = (category << profit_bits) | profit[order]
+    keep = np.ones(count, bool)
+    np.greater(level[1:], np.maximum.accumulate(level)[:-1], out=keep[1:])
+    kept = np.flatnonzero(keep)
+    positions, category = order[kept], category[kept]
     view_starts = np.zeros(len(sizes) + 1, np.int64)
     np.cumsum(np.bincount(category, minlength=len(sizes)), out=view_starts[1:])
-    positions = starts[category] + index
+    index = positions - starts[category]
     return FrontierView(index, profits[positions], costs[positions], category, view_starts)
 
 

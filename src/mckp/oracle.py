@@ -127,8 +127,8 @@ def dominated_in_product(instance: Instance, sel: Selection) -> bool:
     One mask over every image, under the enumeration guard; used for
     optimality certificates.
     """
-    p1, p2 = evaluate(instance, sel)
     f1, f2 = _images(instance, ENUMERATION_LIMIT, "dominated_in_product")
+    p1, p2 = evaluate(instance, sel)
     return bool(np.any((f1 >= p1) & (f2 >= p2) & ((f1 != p1) | (f2 != p2))))
 
 

@@ -112,6 +112,18 @@ def walk_gap_instance(k: int = 2500, r: int = 500_000) -> tuple[Instance, int, t
     return inst, 100 * k + r, (1,) * k + (0,) * k + (0, 1)
 
 
+def ranked_lexsort_instance(m: int = 2**15, n: int = 4) -> Instance:
+    """``m`` categories of ``n`` items whose profits and costs are distinct
+    fractions, ``k / 3`` and ``k / 7`` for shuffled ``k``, budget 1.
+
+    At the defaults the frontier view's ranked key needs 15 bits of
+    category, 17 of position and 17 for each rank, 66 in all, past the 63
+    of its int64 key, so the view's sort falls to ``np.lexsort``."""
+    rng = np.random.default_rng(0)
+    starts = np.arange(0, m * n + 1, n)
+    return Instance.from_flat(rng.permutation(m * n) / 3, rng.permutation(m * n) / 7, starts, 1.0)
+
+
 def random_instance(
     rng: random.Random,
     max_m: int = 4,

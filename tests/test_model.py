@@ -38,6 +38,7 @@ from helpers import (
     pareto_items_by_pairwise_scan,
     profit_grid_by_scan,
     random_instance,
+    ranked_lexsort_instance,
     view_segments,
     write_instance_by_loop,
 )
@@ -579,9 +580,9 @@ class TestFlatFrontiers:
 
 @st.composite
 def ragged_tie_categories(draw):
-    """Categories of sizes 1-40 in random order, so that many size groups
-    fill, each coefficient from a random part of :data:`TIE_COEFFICIENTS`,
-    so that equal costs and equal profits abound."""
+    """Categories of sizes 1-40 in random order, so that sizes mix within
+    an instance, each coefficient from a random part of
+    :data:`TIE_COEFFICIENTS`, so that equal costs and equal profits abound."""
     sizes = draw(
         st.one_of(st.lists(st.integers(1, 40), min_size=1, max_size=24),
                   st.permutations(range(1, 41)))
@@ -594,6 +595,14 @@ def ragged_tie_categories(draw):
 class TestFrontierViewMatchesLoop:
     """The numpy frontier builder keeps the items and ties of the Python
     loop it replaced, :func:`pareto_filter_by_loop`, read from a file or not."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=1, max_size=12))
+    def test_pareto_filter_of_signed_coefficients(self, cat):
+        # pareto_filter takes any floats: negative ones are ranked, as the
+        # key's fields hold nonnegative codes only
+        profits, costs = ([float(x) for x in xs] for xs in zip(*cat))
+        assert pareto_filter(cat) == pareto_filter_by_loop(profits, costs)
 
     @settings(max_examples=150, deadline=None)
     @given(ragged_tie_categories())
@@ -637,12 +646,12 @@ def next_below(value: float) -> float:
 @st.composite
 def sort_key_cases(draw):
     """``(profits, costs, starts)``: up to 8 categories of 1 to 300 items, so
-    that several size groups fill, one of them at times past 256 columns,
-    with integer coefficients in 0-9 (with -0.0), in 0-1000, or near the
-    sort key's 63 bits: the key's widths sum to 62, 63 or 64, the last
-    only fitting ``lexsort``; or with profits or costs in thirds, which
-    ``lexsort`` sorts. Some categories copy items onto later ones or share
-    one cost along a run."""
+    that several of the reference's size groups fill, one of them at times
+    past 256 columns, with integer coefficients in 0-9 (with -0.0), in
+    0-1000, or near the sort key's 63 bits: the category, cost, profit and
+    position widths sum to 62, 63 or 64, the last ranked; or with profits
+    or costs in thirds, which are ranked. Some categories copy items onto
+    later ones or share one cost along a run."""
     sizes = draw(st.lists(st.one_of(st.integers(1, 9), st.integers(1, 300)),
                           min_size=1, max_size=8))
     # a seeded Random: hypothesis's draw per call is slow at this many items
@@ -663,13 +672,11 @@ def sort_key_cases(draw):
         profits = [float(rng.randint(0, 1000)) for _ in range(count)]
         costs = [float(rng.randint(0, 1000)) for _ in range(count)]
     else:
-        col_bits = (max(sizes) - 1).bit_length()
+        fixed = (len(sizes) - 1).bit_length() + (count - 1).bit_length()
         total = draw(st.sampled_from([62, 63, 64]))
-        profit_bits = draw(st.integers(0, total - col_bits - 1))
-        # the cost field holds the largest cost plus one, the pads' cost
-        cost_bits = total - col_bits - profit_bits
-        top_profit = top_below(profit_bits)
-        top_cost = float(2**cost_bits - max(2, 2 ** (cost_bits - 53)))
+        profit_bits = draw(st.integers(0, total - fixed))
+        cost_bits = total - fixed - profit_bits
+        top_profit, top_cost = top_below(profit_bits), top_below(cost_bits)
         profits = [rng.choice((0.0, -0.0, 1.0, top_profit // 2, next_below(top_profit),
                                top_profit)) for _ in range(count)]
         costs = [rng.choice((0.0, -0.0, 1.0, top_cost // 2, next_below(top_cost), top_cost))
@@ -688,9 +695,21 @@ def sort_key_cases(draw):
     return np.array(profits), np.array(costs), np.array(starts, np.int64)
 
 
+def sort_tier(profits, costs, starts) -> str:
+    """Which sort ``model._frontier_view`` ran: ``key`` on the coefficients
+    as codes, ``ranks`` where it ranked an array with ``np.unique``, or
+    ``lexsort`` where even the ranked key passed 63 bits."""
+    with (
+        mock.patch.object(np, "unique", wraps=np.unique) as unique,
+        mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort,
+    ):
+        model._frontier_view(profits, costs, starts)
+    return "lexsort" if lexsort.called else "ranks" if unique.called else "key"
+
+
 class TestFrontierViewMatchesLexsort:
-    """The view sorted on one int64 key per entry, where the key fits, is
-    the view of the stable ``lexsort`` it replaced
+    """The view of one flat sort over all items, on one int64 key where it
+    fits, is the view of the stable row-wise ``lexsort`` it replaced
     (:func:`frontier_view_by_lexsort`), array for array by dtype and bytes."""
 
     @settings(max_examples=200, deadline=None)
@@ -701,16 +720,16 @@ class TestFrontierViewMatchesLexsort:
         assert view_bytes(inst.frontier_view) == want
 
     def test_the_draws_reach_every_case(self):
-        seen = {"key": 0, "lexsort": 0, "groups": 0, "past 256": 0, "-0.0": 0}
+        # the lexsort tier takes some 2**17 items, past these draws: the
+        # test of ranked_lexsort_instance below reaches it
+        seen = {"key": 0, "ranks": 0, "groups": 0, "past 256": 0, "-0.0": 0}
 
         @settings(max_examples=200, deadline=None, database=None)
         @given(sort_key_cases())
         def count(case):
             profits, costs, starts = case
             sizes = np.diff(starts)
-            fits = model._sort_keys(profits, costs, sizes) is not None
-            seen["key"] += fits
-            seen["lexsort"] += not fits
+            seen[sort_tier(profits, costs, starts)] += 1
             seen["groups"] += len(np.unique(np.frexp(sizes - 1)[1])) > 2
             seen["past 256"] += bool(sizes.max() > 256)
             seen["-0.0"] += bool(np.any(np.signbit(np.concatenate((profits, costs)))))
@@ -719,21 +738,23 @@ class TestFrontierViewMatchesLexsort:
         assert min(seen.values()) > 10, seen
 
     @pytest.mark.parametrize(
-        "top_profit, top_cost, size, fits",
+        "top_profit, top_cost, size, tier",
         [
-            # profit bits + cost bits (the pads' cost one past the largest)
-            # + column bits: 63 fits the key, 64 is one bit past it
-            (top_below(62), 0.0, 1, True),  # 62 + 1 + 0
-            (2.0**62, 0.0, 1, False),  # 63 + 1 + 0
-            (0.0, top_below(62), 2, True),  # 0 + 62 + 1
-            (0.0, 2.0**62, 2, False),  # 0 + 63 + 1
-            (2.0**42 - 1, 2.0**20 - 2, 2, True),  # 42 + 20 + 1
-            (2.0**42 - 1, 2.0**20 - 1, 2, False),  # 42 + 21 + 1: the pads need bit 21
-            (2.0**31 - 1, 2.0**23 - 2, 512, True),  # 31 + 23 + 9
-            (2.0**31 - 1, 2.0**23 - 2, 513, False),  # 31 + 23 + 10
+            # two categories of ``size`` items: 1 bit of category and the
+            # bits of the position below 2 * size, plus the cost and profit
+            # bits; 63 fits the key, and one bit past it the codes are ranked
+            (top_below(61), 0.0, 1, "key"),  # 1 + 1 + 0 + 61
+            (2.0**61, 0.0, 1, "ranks"),  # 1 + 1 + 0 + 62
+            (0.0, top_below(61), 1, "key"),  # 1 + 1 + 61 + 0
+            (0.0, 2.0**61, 1, "ranks"),  # 1 + 1 + 62 + 0
+            (2.0**40 - 1, 2.0**20 - 1, 2, "key"),  # 1 + 2 + 20 + 40
+            (2.0**40 - 1, 2.0**20, 2, "ranks"),  # 1 + 2 + 21 + 40
+            (2.0**31 - 1, 2.0**21 - 1, 512, "key"),  # 1 + 10 + 21 + 31
+            (2.0**31 - 1, 2.0**21 - 1, 513, "ranks"),  # 1 + 11 + 21 + 31
+            (2.0**63, 2.0**64, 1, "ranks"),  # no int64 holds them: never cast
         ],
     )
-    def test_widest_keys_and_one_bit_past(self, top_profit, top_cost, size, fits):
+    def test_widest_keys_and_one_bit_past(self, top_profit, top_cost, size, tier):
         rng = random.Random(size)
         palette = [(p, c) for p in (0.0, -0.0, 1.0, next_below(top_profit), top_profit)
                    for c in (0.0, 1.0, next_below(top_cost), top_cost)]
@@ -741,11 +762,33 @@ class TestFrontierViewMatchesLexsort:
                 [rng.choice(palette) for _ in range(size)]]
         inst = Instance(cats, 1.0)
         want = view_bytes(frontier_view_by_lexsort(inst.profits, inst.costs, inst.starts))
-        keys = model._sort_keys(inst.profits, inst.costs, np.diff(inst.starts))
-        assert (keys is not None) == fits
-        with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+        assert sort_tier(inst.profits, inst.costs, inst.starts) == tier
+        assert view_bytes(inst.frontier_view) == want
+
+    @pytest.mark.parametrize(
+        "m, n, tier",
+        [
+            # 2**17 distinct fractions: 17 bits of position and of each rank
+            (2**12, 32, "ranks"),  # 12 + 17 + 17 + 17 = 63
+            (2**13, 16, "lexsort"),  # 13 + 17 + 17 + 17 = 64
+            (2**15, 4, "lexsort"),  # 15 + 17 + 17 + 17 = 66
+        ],
+    )
+    def test_ranked_keys_and_one_bit_past(self, m, n, tier):
+        inst = ranked_lexsort_instance(m, n)
+        want = view_bytes(frontier_view_by_lexsort(inst.profits, inst.costs, inst.starts))
+        assert sort_tier(inst.profits, inst.costs, inst.starts) == tier
+        assert view_bytes(inst.frontier_view) == want
+
+    def test_wide_integer_profits_alone_are_ranked(self):
+        # profits times 2**44 pass 63 bits with the costs; ranking the
+        # profits, the wider array, is enough, so the costs stay their codes
+        base = generate(GenSpec(m=40, n=200, correlation=Correlation.WEAK, seed=1))
+        inst = Instance.from_flat(base.profits * 2.0**44, base.costs, base.starts, 1.0)
+        want = view_bytes(frontier_view_by_lexsort(inst.profits, inst.costs, inst.starts))
+        with mock.patch.object(np, "unique", wraps=np.unique) as unique:
             assert view_bytes(inst.frontier_view) == want
-        assert lexsort.called != fits
+        assert [call.args[0] is inst.profits for call in unique.call_args_list] == [True]
 
     @pytest.mark.parametrize(
         "m, n, correlation", [(40, 200, Correlation.WEAK), (250, 10, Correlation.UNCORRELATED)]
@@ -755,7 +798,10 @@ class TestFrontierViewMatchesLexsort:
             inst = generate(GenSpec(m=m, n=n, correlation=correlation, seed=seed))
             read = read_instance(write_instance(inst))
             want = view_bytes(frontier_view_by_lexsort(inst.profits, inst.costs, inst.starts))
-            with mock.patch.object(np, "lexsort", side_effect=AssertionError("lexsort reached")):
+            with (
+                mock.patch.object(np, "lexsort", side_effect=AssertionError("lexsort reached")),
+                mock.patch.object(np, "unique", side_effect=AssertionError("unique reached")),
+            ):
                 assert view_bytes(inst.frontier_view) == view_bytes(read.frontier_view) == want
 
 

@@ -18,6 +18,8 @@ from mckp import (
     GenSpec,
     InfeasibleInstanceError,
     Instance,
+    InvalidSelectionError,
+    KissaRun,
     Method,
     NonIntegerInstanceError,
     OracleGuardError,
@@ -29,6 +31,7 @@ from mckp import (
     kissa,
     pareto_enumerate,
     pareto_filter,
+    Termination,
 )
 from mckp import oracle
 from mckp.model import MCKPError, profit_grid
@@ -1106,6 +1109,19 @@ class TestDominatedInProduct:
                 assert dominated_in_product(inst, sel) == (
                     (f1, f2) not in pareto_images
                 )
+
+    def test_guard_comes_before_the_selection_is_summed(self, appendix):
+        # 7^6 selections exceed the guard: the selection is never summed
+        inst = Instance(tuple(((1, 1),) * 7 for _ in range(6)), budget=100.0)
+        run = KissaRun(final=(0,) * 6, termination=Termination.NO_IMPROVEMENT)
+        with mock.patch.object(oracle, "evaluate", side_effect=AssertionError("summed")):
+            with pytest.raises(OracleGuardError):
+                dominated_in_product(inst, run.final)
+            with pytest.raises(OracleGuardError):
+                dominated_in_product(inst, (7,) * 6)  # invalid, and over the guard
+            assert certify(inst, run) is False
+        with pytest.raises(InvalidSelectionError):
+            dominated_in_product(appendix, (0, 5))
 
 
 class TestDeepInstance:

@@ -58,7 +58,10 @@ optimum scales and the selections stay. Its digests are those of the
 ``dp`` and ``kissa`` sweeps. Last, two more ``dp`` lines digest
 ``dp_solve`` on weak 2000x20 seeds 1-3, whose LP bound is an integer, and
 on ``walk_gap_instance`` of ``tests/helpers.py``, whose optimum lies one
-unit below it.
+unit below it. Last, a ``view`` line digests the frontier view of
+``ranked_lexsort_instance`` of ``tests/helpers.py``, whose ranked sort key
+is past 63 bits, and of weak 40x200 seed 1 with every profit times 2^44,
+whose integer key is past 63 bits and is ranked.
 Prints one sha256 per (workload, command) over each run's exit code,
 stdout and stderr (an uncaught exception is recorded as the run's exit
 code, and the digest goes on); the ``gen`` digests cover the instance
@@ -94,7 +97,7 @@ from mckp import (  # noqa: E402
     Correlation, GenSpec, Instance, KissaConfig, MCKPError, SelectionRule, bissa, cli, dp_solve,
     generate, kissa, read_instance, write_instance,
 )
-from helpers import walk_gap_instance  # noqa: E402
+from helpers import ranked_lexsort_instance, walk_gap_instance  # noqa: E402
 from workloads import WORKLOADS, instance_specs, write_instances  # noqa: E402
 
 SMALL_CORRELATIONS = ("uncorr", "weak")
@@ -628,6 +631,17 @@ def dp_scale_digests():
     yield "dp", "walk gap", 1, digest
 
 
+def wide_key_digest():
+    """The digest of :func:`view_outcome` on ``helpers.ranked_lexsort_instance()``
+    and on weak 40x200 seed 1 with every profit times 2**44."""
+    base = generate(GenSpec(m=40, n=200, correlation=Correlation.WEAK, seed=1))
+    wide = Instance.from_flat(base.profits * 2.0**44, base.costs, base.starts, base.budget)
+    digest = hashlib.sha256()
+    for inst in (ranked_lexsort_instance(), wide):
+        feed(digest, (view_outcome(inst),))
+    yield "view", "wide keys", 2, digest
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
@@ -673,6 +687,7 @@ def main(argv=None) -> int:
                 view_digests(args.seed),
                 grid_digests(),
                 dp_scale_digests(),
+                wide_key_digest(),
             ):
                 print(f"{workload:<13} {command:<24} {runs:>4} {digest.hexdigest()}", flush=True)
         finally:
