@@ -146,14 +146,15 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
     iterations and only the swapped category is solved again, by
     :func:`solve_chebyshev_subproblem` on a reversed array slice of the
     segment's (profit, cost) rows. A swap is affordable when
-    :func:`is_feasible` accepts the swapped selection. Where
-    :func:`exact_cost_sums` holds, the working selection (feasible, frontier
-    items only) has an exact float cost, so ``cost - old + new <= budget``
-    gives that verdict in O(1). Where :func:`profit_grid` holds as well,
-    every profit sum is exact too, so a swap moves the objective point by
-    the difference of the two items, in O(1), with the bits of
-    :func:`evaluate`; elsewhere the point is evaluated again. That rule is
-    decided at the first swap.
+    :func:`is_feasible` accepts the swapped selection. Two shortcuts, decided
+    before the first iteration, need every component of ``straddle.xa`` on
+    its category's frontier, as in every :func:`bissa` straddle; swaps bring
+    in frontier items only. Where :func:`exact_cost_sums` holds too, the
+    working selection (feasible, frontier items only) has an exact float
+    cost, so ``cost - old + new <= budget`` gives that verdict in O(1).
+    Where :func:`profit_grid` holds as well, every profit sum is exact, so a
+    swap moves the objective point by the difference of the two items, in
+    O(1), with the bits of :func:`evaluate`; elsewhere it is evaluated again.
     """
     if straddle.exact:
         return KissaRun(final=straddle.xa, termination=Termination(straddle.certificate))
@@ -173,11 +174,10 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
 
     # Each candidate's current and anchor (profit, cost), read once as Python
     # floats: the loop's scalar arithmetic stays off numpy scalars.
-    def items(k):
-        return zip(instance.profits[k].tolist(), instance.costs[k].tolist())
-
-    current = dict(zip(order, items(ka[lead])))
-    anchor = dict(zip(order, items(kb[lead])))
+    current, anchor = (
+        dict(zip(order, zip(instance.profits[k].tolist(), instance.costs[k].tolist())))
+        for k in (ka[lead], kb[lead])
+    )
     if any(not current[j][1] < anchor[j][1] for j in order):
         raise AssertionError("feasible component must be cheaper where the anchor out-profits it")
 
@@ -193,19 +193,17 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
         top_profit, top_cost = view.profit.item(b - 1), view.cost.item(b - 1)
         low_profit, low_cost = view.profit.item(a), view.cost.item(a)
         reference = (above(top_profit), above(-low_cost))
-        # the largest gaps to the reference point bound every item's g1 + g2
-        if not math.isfinite((reference[0] - low_profit) + (reference[1] + top_cost)):
-            raise ObjectiveOverflowError(
-                f"epsilon {config.epsilon:g} puts category {j}'s Chebyshev values"
-                " past the float range"
-            )
-        # a hand-built straddle may anchor on a dominated item costlier still
+        # The largest gaps to the reference point bound every item's g1 + g2,
+        # and a hand-built straddle may anchor on a dominated item costlier still.
         anchor_gap = reference[1] + anchor[j][1]
-        if not math.isfinite(anchor_gap):
-            raise ObjectiveOverflowError(
-                f"epsilon {config.epsilon:g} puts category {j}'s anchor cost gap"
-                " past the float range"
-            )
+        for what, gap in (
+            ("Chebyshev values", (reference[0] - low_profit) + (reference[1] + top_cost)),
+            ("anchor cost gap", anchor_gap),
+        ):
+            if not math.isfinite(gap):
+                raise ObjectiveOverflowError(
+                    f"epsilon {config.epsilon:g} puts category {j}'s {what} past the float range"
+                )
         subproblems[j] = reference, 1.0 / anchor_gap, a, b
 
     # each category's winner that beats its current component: (index, (profit, cost))
@@ -233,8 +231,11 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
     for j, k in zip(order, chebyshev_winners(view, lead, weights, references, rho).tolist()):
         offer(j, k)
 
-    exact = exact_cost_sums(instance)
-    exact_points = None  # whether a swap moves the point in O(1), decided at the first
+    # the shortcuts' precondition: xa on the frontier (see the docstring)
+    on_frontier = np.zeros(len(instance.profits), bool)
+    on_frontier[instance.starts[view.category] + view.index] = True
+    exact = bool(on_frontier[ka].all()) and exact_cost_sums(instance)
+    exact_points = exact and profit_grid(instance) is not None
     for index in itertools.count(1):
         head = (index, frozenset(candidates), frozenset(improving))
         if exact:
@@ -262,8 +263,6 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
             solve(chosen)
         else:
             candidates.discard(chosen)
-        if exact_points is None:
-            exact_points = exact and profit_grid(instance) is not None
         if exact_points:
             point = ObjectivePoint(point.f1 - old_profit + new_profit, point.f2 + old_cost - new_cost)
         else:

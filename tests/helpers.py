@@ -81,6 +81,41 @@ def tied_swap_instance(order: str) -> Instance:
     return Instance([[(0, 0), (10, 2**60)], middle, [(0, 2**60)]], 2**60)
 
 
+def dominated_straddle(rng: random.Random, cats) -> tuple[Instance, BissaResult] | None:
+    """A hand-built straddle whose feasible end holds dominated items.
+
+    Each category of ``cats`` gains two items, each a copy of one of its
+    items with a fraction 0.01-0.99 added to the cost or, where the profit
+    is at least 1, taken off the profit. ``xa`` takes one of the two in
+    each category at random. The anchor ``xb`` takes each category's first
+    most profitable item where that costs more than ``xa``'s, and ``xa``'s
+    elsewhere. The budget is the cost of a random mix of the two ends,
+    rounded to two decimals, and at least ``xa``'s float cost and 1. None
+    where the anchor out-profits ``xa`` nowhere or fits the budget: no
+    straddle."""
+    grown = []
+    for cat in cats:
+        added = []
+        for profit, cost in rng.choices(cat, k=2):
+            cut = rng.randint(1, 99) / 100
+            added.append((profit - cut, cost) if profit >= 1 and rng.random() < 0.5
+                         else (profit, cost + cut))
+        grown.append([*cat, *added])
+    xa = tuple(len(cat) + rng.randrange(2) for cat in cats)
+    xb = []
+    for cat, i in zip(grown, xa):
+        top = max(range(len(cat)), key=lambda k: (cat[k][0], -k))
+        xb.append(top if cat[i][1] < cat[top][1] else i)
+    xb = tuple(xb)
+    mix = math.fsum(cat[rng.choice(pair)][1] for cat, pair in zip(grown, zip(xa, xb)))
+    # each end's cost summed in category order, as ``evaluate`` sums it
+    cost_a, cost_b = (sum(cat[i][1] for cat, i in zip(grown, x)) for x in (xa, xb))
+    budget = max(round(mix, 2), cost_a, 1)
+    if budget >= cost_b or all(cat[a][0] == cat[b][0] for cat, a, b in zip(grown, xa, xb)):
+        return None
+    return Instance(grown, budget), BissaResult(xa=xa, xb=xb, certificate=None, trace=[])
+
+
 def deep_instance(m: int = 1500) -> Instance:
     """``m`` single-item categories ``(1, 1)`` and three ``(0, 0), (5, 2)``,
     budget ``m + 4``: eight selections, deeper than Python's recursion

@@ -33,7 +33,9 @@ from mckp.kissa import _select
 from mckp.model import exact_cost_sums
 from mckp.oracle import ENUMERATION_LIMIT
 
-from helpers import brute_optimum, kissa_full_resolve, random_instance, tied_swap_instance
+from helpers import (
+    brute_optimum, dominated_straddle, kissa_full_resolve, random_instance, tied_swap_instance,
+)
 
 # ``mckp.kissa`` is the function once the package is imported; the module
 # holds the names its loop looks up.
@@ -560,11 +562,11 @@ class TestObjectiveBits:
     and ``evaluate`` sums it again elsewhere."""
 
     @staticmethod
-    def evaluations(monkeypatch, inst):
-        """Run KISSA from ``bissa(inst)`` under every rule, replay each run's
-        swaps and check every objective against :func:`evaluate` by
-        ``float.hex``; the number of ``evaluate`` calls KISSA made, and of
-        its swaps."""
+    def evaluations(monkeypatch, inst, straddle=None):
+        """Run KISSA from ``straddle`` (by default ``bissa(inst)``) under
+        every rule, replay each run's swaps and check every objective against
+        :func:`evaluate` by ``float.hex``; the number of ``evaluate`` calls
+        KISSA made, and of its swaps."""
         swaps, calls = [], []
         select, real = kissa_module._select, kissa_module.evaluate
 
@@ -579,7 +581,7 @@ class TestObjectiveBits:
 
         monkeypatch.setattr(kissa_module, "_select", recording_select)
         monkeypatch.setattr(kissa_module, "evaluate", counting)
-        straddle = bissa(inst)
+        straddle = straddle or bissa(inst)
         improvements = 0
         for rule in SelectionRule:
             run = kissa(inst, straddle, KissaConfig(rule=rule))
@@ -648,6 +650,14 @@ class TestObjectiveBits:
         # and integral profits alone do not make the point's sums exact
         rng = random.Random(65)
         swaps = 0
+        checks = []
+        real = kissa_module.is_feasible
+
+        def counting(instance, sel):
+            checks.append(sel)
+            return real(instance, sel)
+
+        monkeypatch.setattr(kissa_module, "is_feasible", counting)
         for _ in range(300):
             cats = [
                 [(rng.randint(0, 99) / profit_unit, rng.randint(0, 99) / cost_unit)
@@ -664,6 +674,7 @@ class TestObjectiveBits:
             assert calls == improvements
             swaps += improvements
         assert swaps > 20
+        assert bool(checks) == (cost_unit != 1)
 
     def test_negative_zero_coefficients(self, monkeypatch):
         # -0.0 is an integer: the O(1) path runs and keeps evaluate's +0.0
@@ -811,6 +822,64 @@ class TestSwapCheck:
         assert len(run.iterations) > 400
         assert is_feasible(inst, run.final)
         assert elapsed < 2.0
+
+
+class TestDominatedFeasibleEnd:
+    """A hand-built straddle may put its feasible end on dominated items,
+    which ``exact_cost_sums`` and ``profit_grid`` do not cover. KISSA then
+    checks each swap with ``is_feasible`` and evaluates each point again,
+    so its runs equal those with ``exact_cost_sums`` patched to False."""
+
+    @staticmethod
+    def assert_fits_as_on_the_slow_path(monkeypatch, inst, straddle):
+        """The runs under every rule; each final selection fits, and each run
+        equals the one made with ``exact_cost_sums`` patched to False."""
+        configs = [KissaConfig(rule=rule) for rule in SelectionRule]
+        runs = [kissa(inst, straddle, config) for config in configs]
+        with monkeypatch.context() as patch:
+            patch.setattr(kissa_module, "exact_cost_sums", lambda instance: False)
+            assert runs == [kissa(inst, straddle, config) for config in configs]
+        assert all(is_feasible(inst, run.final) for run in runs), (inst, straddle)
+        return runs
+
+    def test_dominated_items_of_fractional_cost(self, monkeypatch):
+        # The frontier costs are integers, so exact_cost_sums holds, but xa
+        # holds four dominated items of fractional cost. From (3, 2, 3, 1),
+        # cost - old + new puts the swap to (3, 1, 3, 1) at 13.1, the budget,
+        # but that selection costs 13.100000000000001.
+        inst = Instance(
+            [[(5, 5), (5, 1), (9, 0), (9, 0.05)], [(0, 4), (5, 9), (0, 4.01)],
+             [(8, 6), (0, 1), (3, 8), (0, 1.05)], [(9, 4), (2, 3), (1, 3.1)]],
+            13.1,
+        )
+        assert exact_cost_sums(inst)
+        straddle = BissaResult(xa=(3, 2, 3, 2), xb=(2, 1, 0, 0), certificate=None, trace=[])
+        for run in self.assert_fits_as_on_the_slow_path(monkeypatch, inst, straddle):
+            assert run.final == (3, 2, 3, 1)
+            assert evaluate(inst, run.final) == (11, -8.11)
+            assert run.termination is Termination.BUDGET_BLOCKED
+
+    def test_drawn_straddles(self, monkeypatch):
+        # integer items, so exact_cost_sums holds; the added dominated items
+        # carry fractional costs or profits, and xa sits on them
+        rng = random.Random(1)
+        drawn = swaps = 0
+        while drawn < 600:
+            cats = [
+                [(rng.randint(0, 9), rng.randint(0, 9)) for _ in range(rng.randint(1, 4))]
+                for _ in range(rng.randint(2, 5))
+            ]
+            pair = dominated_straddle(rng, cats)
+            if pair is None:
+                continue
+            drawn += 1
+            inst, straddle = pair
+            with monkeypatch.context() as patch:
+                calls, improvements = TestObjectiveBits.evaluations(patch, inst, straddle)
+            self.assert_fits_as_on_the_slow_path(monkeypatch, inst, straddle)
+            assert calls == improvements
+            swaps += improvements
+        assert swaps > 1000
 
 
 def shuffled(rng: random.Random, inst: Instance) -> Instance:

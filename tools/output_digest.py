@@ -61,7 +61,11 @@ on ``walk_gap_instance`` of ``tests/helpers.py``, whose optimum lies one
 unit below it. Last, a ``view`` line digests the frontier view of
 ``ranked_lexsort_instance`` of ``tests/helpers.py``, whose ranked sort key
 is past 63 bits, and of weak 40x200 seed 1 with every profit times 2^44,
-whose integer key is past 63 bits and is ranked.
+whose integer key is past 63 bits and is ranked. Last, a ``kissa`` line
+digests ``kissa`` runs, as the ``kissa`` sweep does, from hand-built
+straddles whose feasible end holds dominated items
+(``dominated_straddle`` of ``tests/helpers.py``) on the categories of the
+``ties`` and ``fractional`` instances.
 Prints one sha256 per (workload, command) over each run's exit code,
 stdout and stderr (an uncaught exception is recorded as the run's exit
 code, and the digest goes on); the ``gen`` digests cover the instance
@@ -97,7 +101,7 @@ from mckp import (  # noqa: E402
     Correlation, GenSpec, Instance, KissaConfig, MCKPError, SelectionRule, bissa, cli, dp_solve,
     generate, kissa, read_instance, write_instance,
 )
-from helpers import ranked_lexsort_instance, walk_gap_instance  # noqa: E402
+from helpers import dominated_straddle, ranked_lexsort_instance, walk_gap_instance  # noqa: E402
 from workloads import WORKLOADS, instance_specs, write_instances  # noqa: E402
 
 SMALL_CORRELATIONS = ("uncorr", "weak")
@@ -117,8 +121,10 @@ EDGE_COMMANDS = tuple(
     (label, argv) for label, argv in SMALL_COMMANDS
     if label in ("solve --trace", "solve --rule first", "exact")
 )
-# instances in each drawn sweep, ``ties`` and ``fractional``
+# instances in each drawn sweep, ``ties`` and ``fractional``, and their
+# coefficients
 DRAWN_INSTANCES = 240
+DRAWN_COEFFICIENTS = (lambda r: r.randint(0, 9), lambda r: r.randint(0, 99) / 10)
 # Generated instances rarely tie; these draw every coefficient from 0-9, so
 # equal profits, equal costs, equal rises and duplicate items are common.
 TIES_COMMANDS = tuple(
@@ -294,6 +300,15 @@ def small_digests(workload, ratio_of, commands):
         yield workload, label, runs, digest
 
 
+def midpoint_instance(cats, floor: bool = False) -> Instance:
+    """The instance of ``cats`` with the budget at the midpoint between the
+    cheapest and the costliest selection, rounded down where ``floor``, and
+    at least 1."""
+    low = sum(min(c for _, c in cat) for cat in cats)
+    high = sum(max(c for _, c in cat) for cat in cats)
+    return Instance(cats, max((low + high) // 2 if floor else (low + high) / 2, 1))
+
+
 def drawn_instance(rng: random.Random, coefficient) -> Instance:
     """m and every category size in 2-6, each coefficient ``coefficient(rng)``,
     and the budget at the midpoint between the cheapest and the costliest
@@ -302,9 +317,7 @@ def drawn_instance(rng: random.Random, coefficient) -> Instance:
         [(coefficient(rng), coefficient(rng)) for _ in range(rng.randint(2, 6))]
         for _ in range(rng.randint(2, 6))
     ]
-    low = sum(min(c for _, c in cat) for cat in cats)
-    high = sum(max(c for _, c in cat) for cat in cats)
-    return Instance(cats, max((low + high) / 2, 1))
+    return midpoint_instance(cats)
 
 
 def collinear_instance(rng: random.Random) -> Instance:
@@ -315,9 +328,7 @@ def collinear_instance(rng: random.Random) -> Instance:
         [(c, c) for c in (rng.randint(0, 99) for _ in range(rng.randint(2, 6)))]
         for _ in range(rng.randint(2, 6))
     ]
-    low = sum(min(c for _, c in cat) for cat in cats)
-    high = sum(max(c for _, c in cat) for cat in cats)
-    return Instance(cats, max((low + high) // 2, 1))
+    return midpoint_instance(cats, floor=True)
 
 
 def float_edge_instance(rng: random.Random) -> Instance:
@@ -345,9 +356,7 @@ def deep_instance(rng: random.Random) -> Instance:
         [(rng.randint(0, 99), rng.randint(0, 99)) for _ in range(2 if j in pairs else 1)]
         for j in range(m)
     ]
-    low = sum(min(c for _, c in cat) for cat in cats)
-    high = sum(max(c for _, c in cat) for cat in cats)
-    return Instance(cats, max((low + high) // 2, 1))
+    return midpoint_instance(cats, floor=True)
 
 
 def ragged_instance(rng: random.Random) -> Instance:
@@ -358,9 +367,7 @@ def ragged_instance(rng: random.Random) -> Instance:
         [(rng.randint(0, 9), rng.randint(0, 9)) for _ in range(rng.randint(1, 12))]
         for _ in range(rng.randint(2, 8))
     ]
-    low = sum(min(c for _, c in cat) for cat in cats)
-    high = sum(max(c for _, c in cat) for cat in cats)
-    return Instance(cats, max((low + high) / 2, 1))
+    return midpoint_instance(cats)
 
 
 def wide_instance(rng: random.Random) -> Instance:
@@ -374,9 +381,7 @@ def wide_instance(rng: random.Random) -> Instance:
          for _ in range(rng.randint(2, 6))]
         for _ in range(rng.randint(2, 6))
     ]
-    low = sum(min(c for _, c in cat) for cat in cats)
-    high = sum(max(c for _, c in cat) for cat in cats)
-    return Instance(cats, (low + high) // 2)
+    return midpoint_instance(cats, floor=True)
 
 
 def drawn_digests(workload: str, seed: int, draw, commands, instances=DRAWN_INSTANCES):
@@ -497,14 +502,16 @@ def reader_digests(seed: int):
     yield "reader", "edited", runs, digest
 
 
-def kissa_outcome(inst: Instance) -> str:
-    """``kissa`` of ``bissa(inst)`` under each selection rule: each run's
-    final selection, termination, improvements and iterations, every
-    objective by ``float.hex``, or the error that ended it."""
-    try:
-        straddle = bissa(inst)
-    except MCKPError as exc:
-        return f"bissa {type(exc).__name__}: {exc}"
+def kissa_outcome(inst: Instance, straddle=None) -> str:
+    """``kissa`` of ``straddle`` (by default ``bissa(inst)``) under each
+    selection rule: each run's final selection, termination, improvements
+    and iterations, every objective by ``float.hex``, or the error that
+    ended it."""
+    if straddle is None:
+        try:
+            straddle = bissa(inst)
+        except MCKPError as exc:
+            return f"bissa {type(exc).__name__}: {exc}"
     runs = []
     for rule in SelectionRule:
         try:
@@ -551,6 +558,20 @@ def kissa_digests(seed: int):
         ("edge", float_edge_instance),
     )
     return library_digests("kissa", kissa_outcome, seed, families)
+
+
+def dominated_digest(seed: int):
+    """The digest of :func:`kissa_outcome` from ``helpers.dominated_straddle``
+    on the categories of the instances of the ``ties`` and ``fractional``
+    sweeps, its draws from a second ``random.Random(seed)``; a draw that
+    gives no straddle digests as ``None``."""
+    digest = hashlib.sha256()
+    for coefficient in DRAWN_COEFFICIENTS:
+        rng, straddle_rng = random.Random(seed), random.Random(seed)
+        for _ in range(DRAWN_INSTANCES):
+            pair = dominated_straddle(straddle_rng, drawn_instance(rng, coefficient).categories)
+            feed(digest, (str(pair and kissa_outcome(*pair)),))
+    yield "kissa", "dominated", len(DRAWN_COEFFICIENTS) * DRAWN_INSTANCES, digest
 
 
 def dp_outcome(inst: Instance) -> str:
@@ -688,6 +709,7 @@ def main(argv=None) -> int:
                 grid_digests(),
                 dp_scale_digests(),
                 wide_key_digest(),
+                dominated_digest(args.seed),
             ):
                 print(f"{workload:<13} {command:<24} {runs:>4} {digest.hexdigest()}", flush=True)
         finally:
