@@ -154,7 +154,7 @@ def chebyshev_winners(view, categories, weights, references, rho: float) -> np.n
     position minimizing :func:`chebyshev_value`, ties to the most profitable.
 
     ``view`` is an ``Instance.frontier_view`` and ``categories`` a
-    non-empty sequence of its categories. Category
+    sequence of its categories, perhaps empty. Category
     ``categories[k]`` is scored with the weights ``(weights[0][k],
     weights[1][k])`` and the reference point ``(references[0][k],
     references[1][k])``, which must strictly dominate each of its rows, with
@@ -165,13 +165,13 @@ def chebyshev_winners(view, categories, weights, references, rho: float) -> np.n
     :func:`solve_chebyshev_subproblem` picks from the segment's rows
     reversed, the most profitable first.
     """
-    categories = np.asarray(categories)
+    categories = np.asarray(categories, np.intp)
     starts = view.starts[categories]
     sizes = view.starts[categories + 1] - starts
     # where each segment ends and starts among the scored rows
     ends = np.cumsum(sizes)
     heads = ends - sizes
-    rows = np.repeat(starts - heads, sizes) + np.arange(ends.item(-1))
+    rows = np.repeat(starts - heads, sizes) + np.arange(sizes.sum())
     w1, w2, r1, r2 = np.repeat(np.array((*weights, *references)), sizes, axis=1)
     values = chebyshev_value(view.profit[rows], view.cost[rows], (w1, w2), (r1, r2), rho)
     low = np.repeat(np.minimum.reduceat(values, heads), sizes)

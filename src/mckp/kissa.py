@@ -1,6 +1,6 @@
 """Chebyshev gap-narrowing loop (KISSA).
 
-Starting from a bisection straddle (feasible ``xa``, infeasible anchor
+Starting from a straddle (feasible ``xa``, else ValueError; anchor
 ``xb``), the loop solves one augmented Chebyshev subproblem per category
 where the anchor still holds a strict profit lead, over the category's
 frontier items (reference point: per-category maxima plus epsilon; weights
@@ -98,8 +98,8 @@ class KissaRun:
 
 
 def improvable_categories(instance: Instance, xa: Selection, xb: Selection) -> set[int]:
-    """Categories where the anchor component strictly out-profits the current
-    one; :class:`InvalidSelectionError` where a selection does not fit."""
+    """Categories where ``xb``'s component strictly out-profits ``xa``'s;
+    :class:`InvalidSelectionError` where either is not a selection of the instance."""
     return set(_leads(instance, _positions(instance, xa), _positions(instance, xb)).tolist())
 
 
@@ -110,22 +110,24 @@ def _leads(instance: Instance, ka: np.ndarray, kb: np.ndarray) -> np.ndarray:
 
 
 def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None = None) -> KissaRun:
-    """Run the improvement loop from a bisection straddle.
+    """Run the improvement loop from a straddle.
 
-    On an exact straddle the run returns ``straddle.xa`` at once, with no
-    iterations and the straddle's certificate as its termination. Otherwise
-    the anchor ``straddle.xb`` stays fixed for the whole run. The returned
-    selection is always feasible with profit at least that of
-    ``straddle.xa``; ``improvements`` counts accepted swaps and the iteration
-    list records the full trace. Each swap strictly raises its category's
-    profit, so a run ends within ``sum(n_j - 1)`` swaps.
+    ``straddle.xa`` must fit the budget as :func:`is_feasible` judges it,
+    exact straddle or not, or :class:`ValueError` names its cost and the
+    budget. An exact straddle returns ``xa`` at once, with no iterations and
+    its certificate as the termination. Otherwise the anchor ``straddle.xb``
+    stays fixed for the run; where it out-profits ``xa`` nowhere, the run is
+    one ``no-improvement`` iteration. The returned selection always fits,
+    with profit at least ``xa``'s; ``improvements`` counts accepted swaps and
+    the iteration list records the full trace. Each swap strictly raises its
+    category's profit, so a run ends within ``sum(n_j - 1)`` swaps.
 
     A candidate category's reference point is its maxima of (profit, -cost),
     each shifted up by epsilon, or to the next float where epsilon rounds
     away; the first weight is the reciprocal profit gap of the current
     component, the second the reciprocal cost gap of the anchor component.
-    Both the reference point and the second weight stay fixed for the run,
-    so they are taken up front. Where epsilon pushes the sum of a
+    Both are positive whichever end costs more; the second and the reference
+    point stay fixed for the run. Where epsilon pushes the sum of a
     category's largest profit gap and largest cost gap to its reference
     point past the float range (a reference point or an item's Chebyshev
     value would overflow, or the second weight fall to 0), or the anchor's
@@ -156,17 +158,17 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
     swap moves the objective point by the difference of the two items, in
     O(1), with the bits of :func:`evaluate`; elsewhere it is evaluated again.
     """
+    # the start point and the candidates come from each endpoint's positions
+    ka = _positions(instance, straddle.xa)
+    point = _objective(instance, ka)
+    if not point.f2 >= -instance.budget:  # the test of is_feasible
+        raise ValueError(f"straddle.xa costs {-point.f2!r}, over the budget {instance.budget!r}")
     if straddle.exact:
         return KissaRun(final=straddle.xa, termination=Termination(straddle.certificate))
     config = config or KissaConfig()
     rho = delta_bound(instance, rho=config.rho).rho
-    # each endpoint's positions, looked up once: the start point and the
-    # candidates come from them
-    ka, kb = _positions(instance, straddle.xa), _positions(instance, straddle.xb)
-    point = _objective(instance, ka)
+    kb = _positions(instance, straddle.xb)
     lead = _leads(instance, ka, kb)
-    if not lead.size:
-        raise AssertionError("straddle endpoints must differ in profit somewhere")
     order = lead.tolist()
     candidates = set(order)
     xa = list(straddle.xa)
@@ -178,8 +180,6 @@ def kissa(instance: Instance, straddle: BissaResult, config: KissaConfig | None 
         dict(zip(order, zip(instance.profits[k].tolist(), instance.costs[k].tolist())))
         for k in (ka[lead], kb[lead])
     )
-    if any(not current[j][1] < anchor[j][1] for j in order):
-        raise AssertionError("feasible component must be cheaper where the anchor out-profits it")
 
     def above(top):
         return max(top + config.epsilon, math.nextafter(top, math.inf))

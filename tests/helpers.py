@@ -81,6 +81,16 @@ def tied_swap_instance(order: str) -> Instance:
     return Instance([[(0, 0), (10, 2**60)], middle, [(0, 2**60)]], 2**60)
 
 
+def sum_in_order(values):
+    """``values`` added one at a time from 0, in order, as :func:`evaluate`
+    sums a selection's costs; the built-in ``sum`` compensates float sums
+    from Python 3.12 on, so its bits differ there."""
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 def dominated_straddle(rng: random.Random, cats) -> tuple[Instance, BissaResult] | None:
     """A hand-built straddle whose feasible end holds dominated items.
 
@@ -109,7 +119,7 @@ def dominated_straddle(rng: random.Random, cats) -> tuple[Instance, BissaResult]
     xb = tuple(xb)
     mix = math.fsum(cat[rng.choice(pair)][1] for cat, pair in zip(grown, zip(xa, xb)))
     # each end's cost summed in category order, as ``evaluate`` sums it
-    cost_a, cost_b = (sum(cat[i][1] for cat, i in zip(grown, x)) for x in (xa, xb))
+    cost_a, cost_b = (sum_in_order(cat[i][1] for cat, i in zip(grown, x)) for x in (xa, xb))
     budget = max(round(mix, 2), cost_a, 1)
     if budget >= cost_b or all(cat[a][0] == cat[b][0] for cat, a, b in zip(grown, xa, xb)):
         return None

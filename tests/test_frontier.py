@@ -92,6 +92,10 @@ class TestParetoFilter:
             want = sorted(pareto_items_by_pairwise_scan(c), key=lambda i: c[i].profit)
             assert pareto_filter(c) == tuple(want), c
 
+    def test_empty_category_is_refused(self):
+        with pytest.raises(ValueError, match="category must be non-empty"):
+            pareto_filter(())
+
     def test_sorted_strictly(self):
         rng = random.Random(14)
         for _ in range(200):
@@ -205,6 +209,11 @@ class TestDeltaBound:
         assert bound.rho == 1e-7  # 1e-7 < delta/2
         bound = delta_bound(appendix, rho=10.0)
         assert bound.rho == pytest.approx(bound.delta / 2)
+
+    @pytest.mark.parametrize("rho", [0.0, -1.0, math.nan, math.inf])
+    def test_refuses_a_rho_that_is_not_positive_and_finite(self, appendix, rho):
+        with pytest.raises(ValueError, match="rho must be positive and finite"):
+            delta_bound(appendix, rho=rho)
 
     def test_rho_stays_positive_where_the_bound_underflows(self):
         # 5e-324 / 1e300 underflows, so delta is 0 and rho the smallest float
@@ -532,6 +541,11 @@ class TestChebyshevWinners:
         view = inst.frontier_view
         got = chebyshev_winners(view, [0, 2], ([0.5, 0.5], [0.5, 0.5]), ([2.0, 4.0], [1.0, -1.0]), 1e-7)
         assert got.tolist() == [1, 4]
+
+    def test_no_categories_give_no_winners(self, appendix):
+        # a straddle whose anchor out-profits its feasible end nowhere
+        got = chebyshev_winners(appendix.frontier_view, [], ([], []), ([], []), 1e-7)
+        assert got.tolist() == []
 
 
 class TestChebyshevTheorems:

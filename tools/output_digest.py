@@ -101,7 +101,9 @@ from mckp import (  # noqa: E402
     Correlation, GenSpec, Instance, KissaConfig, MCKPError, SelectionRule, bissa, cli, dp_solve,
     generate, kissa, read_instance, write_instance,
 )
-from helpers import dominated_straddle, ranked_lexsort_instance, walk_gap_instance  # noqa: E402
+from helpers import (  # noqa: E402
+    dominated_straddle, ranked_lexsort_instance, sum_in_order, walk_gap_instance,
+)
 from workloads import WORKLOADS, instance_specs, write_instances  # noqa: E402
 
 SMALL_CORRELATIONS = ("uncorr", "weak")
@@ -304,8 +306,8 @@ def midpoint_instance(cats, floor: bool = False) -> Instance:
     """The instance of ``cats`` with the budget at the midpoint between the
     cheapest and the costliest selection, rounded down where ``floor``, and
     at least 1."""
-    low = sum(min(c for _, c in cat) for cat in cats)
-    high = sum(max(c for _, c in cat) for cat in cats)
+    low = sum_in_order(min(c for _, c in cat) for cat in cats)
+    high = sum_in_order(max(c for _, c in cat) for cat in cats)
     return Instance(cats, max((low + high) // 2 if floor else (low + high) / 2, 1))
 
 
