@@ -395,8 +395,6 @@ _NUMBER_BYTES = b"0123456789.eE+-"
 # every byte the bulk path reads in a file's body: number tokens, the
 # 'cat' of each category line, and the spaces and newlines between tokens
 _BODY_BYTES = _NUMBER_BYTES + b"cat \n"
-# the mark after the first and after the second token of a line
-_MARKS = np.frombuffer(b" \n", np.uint8)
 # A run of at most 15 digits is below 10**15 < 2**53, and so is every sum
 # of its digits times their place values: the bulk path sums it exactly.
 _PLACES = 10.0 ** np.arange(15)
@@ -534,16 +532,18 @@ def _read_body(body: bytes, m: int, budget: float) -> Instance | None:
     ends = np.flatnonzero(raw <= ord(" "))
     lengths = ends.copy()
     lengths[1:] -= ends[:-1] + 1
-    if len(ends) % 2 or not (lengths.all() and np.all(raw[ends].reshape(-1, 2) == _MARKS)):
+    # a line's two marks, read as one little-endian uint16: b" \n"
+    if len(ends) % 2 or not (lengths.all() and np.all(raw[ends].view("<u2") == 0x0A20)):
         return None
     # A plain token is a run of at most 15 digits. The column of place k
     # holds each token's k-th digit from the right, or 0 past its length;
-    # the sums of the other tokens are replaced below.
+    # the sums of the other tokens are replaced below. Every token has a
+    # byte before its mark, so place 0 needs no length test.
     digits = raw - np.uint8(ord("0"))
     plain = lengths <= len(_PLACES)
     plain[np.searchsorted(ends, np.flatnonzero((digits > 9) & (raw > ord(" "))))] = False
-    values = np.zeros(len(ends))
-    for place in range(lengths[plain].max(initial=0)):
+    values = digits[ends - 1].astype(np.float64)
+    for place in range(1, lengths[plain].max(initial=0)):
         column = np.take(digits, ends - (place + 1), mode="clip")
         column *= lengths > place
         values += column * _PLACES[place]

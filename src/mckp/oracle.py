@@ -8,10 +8,11 @@ exact (``model.profit_grid``), it first takes the LP relaxation in array
 passes over the flat frontier view, in grid units, exact in int64 or, past
 that range, in Python integers; then it fills tables over ever wider
 rounds of the relaxation's rows, stopping at the first that decides, each
-table guarded. Elsewhere it fills one table over every Pareto row. Every table
-reads its rows in place, as positions in that view. These
-exist to check the heuristics and each other, not to compete with them;
-guards fail loudly instead of degrading.
+table guarded. The first round, on the LP's tangent face, keeps one bit
+per reachable cost; the others fill float tables. Elsewhere it fills one
+table over every Pareto row. Every table reads its rows in place, as
+positions in that view. These exist to check the heuristics and each
+other, not to compete with them; guards fail loudly instead of degrading.
 """
 
 import enum
@@ -228,15 +229,13 @@ def _lp_relaxation(view, profit, cost, budget: int) -> tuple[np.ndarray, int, in
     return best[view.category] - values, lam_p * budget + sum(best.tolist()), lb, unit
 
 
-def _table(view, cost, rows: np.ndarray, budget: int) -> tuple[float, np.ndarray] | None:
-    """The table over the view rows at the ascending positions ``rows``, so
-    that each category's rows come by increasing cost, with integer costs
-    from ``cost``: the optimum and the view position chosen in each
-    category, or None when the cheapest selection exceeds ``budget``.
-
-    Raises :class:`OracleGuardError` when the estimate of the table it
-    would allocate exceeds 2 GiB.
-    """
+def _layout(view, cost, rows: np.ndarray, budget: int):
+    """The table's shape over the view rows at the ascending positions
+    ``rows``, with integer costs from ``cost``: each category's ``(a, b)``
+    bounds in ``rows``, each row's cost above its category's first as a
+    Python int, each category's slack (its last row's), and the width
+    ``min(budget - floor, slack cap) + 1``; or None where the cheapest
+    selection, the floor, exceeds ``budget``."""
     # where each category's rows start, then where the last one's end
     padded = np.concatenate(([-1], view.category[rows], [-1]))
     edges = np.flatnonzero(padded[:-1] != padded[1:])
@@ -246,15 +245,29 @@ def _table(view, cost, rows: np.ndarray, budget: int) -> tuple[float, np.ndarray
     if floor_cost > budget:
         return None
     shifted = (costs - np.repeat(costs[heads], sizes)).tolist()
-    profits = view.profit[rows].tolist()
     bounds = list(itertools.pairwise(edges.tolist()))
     slacks = [shifted[b - 1] for _, b in bounds]
-    slack_cap = sum(slacks)
+    return bounds, shifted, slacks, min(budget - floor_cost, sum(slacks)) + 1
 
-    width = min(budget - floor_cost, slack_cap) + 1
+
+def _table(view, cost, rows: np.ndarray, budget: int) -> tuple[float, np.ndarray] | None:
+    """The table over the view rows at the ascending positions ``rows``, so
+    that each category's rows come by increasing cost, with integer costs
+    from ``cost``: the optimum and the view position chosen in each
+    category, or None when the cheapest selection exceeds ``budget``.
+
+    Raises :class:`OracleGuardError` when the estimate of the table it
+    would allocate exceeds 2 GiB.
+    """
+    layout = _layout(view, cost, rows, budget)
+    if layout is None:
+        return None
+    bounds, shifted, slacks, width = layout
+    profits = view.profit[rows].tolist()
+    slack_cap = sum(slacks)
     m = len(bounds)
     # the narrowest unsigned type that holds a row index
-    choice_dtype = np.min_scalar_type(int(sizes.max(initial=1)) - 1).type
+    choice_dtype = np.min_scalar_type(max((b - a for a, b in bounds), default=1) - 1).type
 
     # the choice table, one row of wins in its dtype and three float64 rows
     estimate = (m + 1) * width * np.dtype(choice_dtype).itemsize + 3 * width * 8
@@ -313,9 +326,81 @@ def _table(view, cost, rows: np.ndarray, budget: int) -> tuple[float, np.ndarray
     return float(dp[width - 1]), rows[chosen]
 
 
-def _round(view, cost, kept: np.ndarray, budget: int) -> tuple[float, np.ndarray] | None:
+def _reach_table(
+    view, cost, rows: np.ndarray, budget: int
+) -> tuple[float, np.ndarray] | None:
+    """:func:`_table`'s result over rows on the LP's tangent face, from
+    reachable-cost bits: the optimum and the chosen view positions, or None
+    when the cheapest selection exceeds ``budget``.
+
+    Each category's rows lie on one line ``p = K_j + lam * s`` in grid
+    units, ``s`` the cost above its first row and ``lam > 0``, so the value
+    of ``_table``'s cell ``w`` after category ``j`` is ``sum K + lam * R_j(w)``,
+    with ``R_j(w)`` the largest shifted cost up to ``w`` that categories
+    ``0..j`` reach, and comparing two values compares their ``R``. One Python
+    int per category holds the costs reachable before it, bit ``x`` for
+    cost ``x`` (subset sum by word-parallel reachability, Kellerer, Pferschy
+    and Pisinger 2004).
+
+    Raises :class:`OracleGuardError` when the estimate of the bits it would
+    hold exceeds 2 GiB.
+    """
+    layout = _layout(view, cost, rows, budget)
+    if layout is None:
+        return None
+    bounds, shifted, _, width = layout
+    # A Python int stores 30 bits in 4 bytes: width bits take under
+    # width // 7 + 1 bytes. Kept: each category's incoming int and the last
+    # one; in the forward pass, a shifted copy and the running OR, each
+    # under 2 * width bits, count as four more.
+    estimate = (len(bounds) + 5) * (width // 7 + 1)
+    if estimate > MEMORY_LIMIT_BYTES:
+        raise OracleGuardError(f"dp bitset estimate {estimate} bytes exceeds guard")
+
+    mask = (1 << width) - 1
+    reach = 1  # no category: cost 0 alone
+    incoming = []
+    for a, b in bounds:
+        incoming.append(reach)
+        new = reach
+        for s in shifted[a + 1:b]:  # ascending: the first past the width ends it
+            if s >= width:
+                break
+            new |= reach << s
+        reach = new & mask
+
+    # Walk back from the last cell. In each category the lowest row that
+    # maximizes R(w - s) + s wins, as strictly greater wins in _table, where
+    # R(x) is the highest incoming bit at or below x; none exceeds w.
+    w = width - 1
+    chosen = [0] * len(bounds)
+    for j in range(len(bounds) - 1, -1, -1):
+        a, b = bounds[j]
+        top = -1
+        for k in range(a, b):
+            s = shifted[k]
+            if s > w:
+                break
+            got = (incoming[j] & ((2 << (w - s)) - 1)).bit_length() - 1 + s
+            if got > top:
+                chosen[j], top = k, got
+                if got == w:
+                    break
+        w -= shifted[chosen[j]]
+    positions = rows[chosen]
+    optimum = 0.0  # added in category order: the built-in sum compensates from 3.12
+    for profit in view.profit[positions].tolist():
+        optimum += profit
+    return optimum, positions
+
+
+def _round(
+    view, cost, kept: np.ndarray, budget: int, face: bool = False
+) -> tuple[float, np.ndarray] | None:
     """:func:`_table` over the view rows where ``kept`` is true (some in
-    each category): the optimum and each category's chosen view position.
+    each category), or :func:`_reach_table` where ``face`` says they lie on
+    the LP's tangent face: the optimum and each category's chosen view
+    position, or None.
 
     A category left with one row is folded out of the table: its profit
     and cost are added outside it, and its position is chosen. Every sum on
@@ -330,7 +415,8 @@ def _round(view, cost, kept: np.ndarray, budget: int) -> tuple[float, np.ndarray
     np.not_equal(category[1:], category[:-1], out=first[1:])
     chosen = positions[first]
     fixed = chosen[~free]
-    result = _table(view, cost, positions[free[category]], budget - sum(cost[fixed].tolist()))
+    table = _reach_table if face else _table
+    result = table(view, cost, positions[free[category]], budget - sum(cost[fixed].tolist()))
     if result is None:
         return None
     optimum, chosen[free] = result
@@ -366,8 +452,13 @@ def dp_solve(instance: Instance) -> ExactResult:
     threshold, capped at the cut ``UB - max(LB, z)``, with ``z`` the best
     optimum so far (none where a table's cheapest selection does not fit).
     Where ``UB`` is an integer the first threshold is 0, the LP's tangent
-    face: a selection of profit ``UB`` holds only such rows. The next is
-    one unit of ``g``, and the last is the cut itself. A round that would
+    face: a selection of profit ``UB`` holds only such rows. Its rows lie
+    on one line of the critical slope per category, so that round keeps
+    only the costs each category reaches, as bits of a Python int
+    (:func:`_reach_table`), with the same result as the float table; its
+    guard is taken on those bits, under ``(categories + 5) * (width // 7 +
+    1)`` bytes, not on the float table. The next threshold is one unit of
+    ``g``, and the last is the cut itself. A round that would
     add no row is skipped, and the rounds stop at the first after which no
     row outside the table has reduced cost within the cut. A selection that
     holds a row outside the table that decides has profit below
@@ -410,7 +501,7 @@ def dp_solve(instance: Instance) -> ExactResult:
             kept = reduced <= min(limit, cut)
             rows = np.count_nonzero(kept)
             if rows > done:  # else the round adds no row
-                result = _round(view, cost, kept, budget)
+                result = _round(view, cost, kept, budget, face=limit == 0)
                 if result is not None:
                     best = max(best, int(result[0] / grid))
                 done = rows

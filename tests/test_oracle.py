@@ -534,17 +534,32 @@ class TestReducedCostSoundness:
         assert dp_outcome(dp_solve, inst) == dp_outcome(dp_solve_full_width, inst)
 
 
+def recording_tables(record):
+    """``oracle``'s two tables, the float fill and the reachable-cost bits,
+    by name, each wrapped to call ``record(view, cost, rows, budget)``
+    before it fills."""
+    wrappers = {}
+    for name in ("_table", "_reach_table"):
+
+        def recording(view, cost, rows, budget, table=getattr(oracle, name)):
+            record(view, cost, rows, budget)
+            return table(view, cost, rows, budget)
+
+        wrappers[name] = recording
+    return wrappers
+
+
 @pytest.fixture
 def tables(monkeypatch):
-    """The number of categories in each table ``dp_solve`` asks for."""
+    """The number of categories in each table ``dp_solve`` asks for, of
+    either kind."""
     calls = []
-    table = oracle._table
 
-    def counting(view, cost, rows, budget):
+    def count(view, cost, rows, budget):
         calls.append(len(np.unique(view.category[rows])))
-        return table(view, cost, rows, budget)
 
-    monkeypatch.setattr(oracle, "_table", counting)
+    for name, wrapper in recording_tables(count).items():
+        monkeypatch.setattr(oracle, name, wrapper)
     return calls
 
 
@@ -610,18 +625,27 @@ class TestRounds:
         assert tables == [1, 2]
 
 
-def table_estimate(view, cost, rows, budget):
-    """The bytes that ``oracle._table`` estimates for its table over the
-    view positions ``rows`` under ``budget``, by the guard's formula, or 0
-    where the cheapest selection exceeds ``budget`` and no table is made."""
+def table_width(view, cost, rows, budget):
+    """``(first, width)``: which of the view positions ``rows`` is its
+    category's first, and the width of a table over them under ``budget``,
+    or 0 where the cheapest selection exceeds ``budget``."""
     category, costs = view.category[rows], cost[rows]
     first = np.ones(len(rows), bool)
     first[1:] = category[1:] != category[:-1]
     last = np.roll(first, -1)
     floor_cost = sum(costs[first].tolist())
     if floor_cost > budget:
+        return first, 0
+    return first, min(budget - floor_cost, sum((costs[last] - costs[first]).tolist())) + 1
+
+
+def table_estimate(view, cost, rows, budget):
+    """The bytes that ``oracle._table`` estimates for its table over the
+    view positions ``rows`` under ``budget``, by the guard's formula, or 0
+    where the cheapest selection exceeds ``budget`` and no table is made."""
+    first, width = table_width(view, cost, rows, budget)
+    if not width:
         return 0
-    width = min(budget - floor_cost, sum((costs[last] - costs[first]).tolist())) + 1
     most = int(np.bincount(np.cumsum(first) - 1).max(initial=1))
     itemsize = np.min_scalar_type(most - 1).itemsize
     return (int(first.sum()) + 1) * width * itemsize + 3 * width * 8
@@ -631,13 +655,8 @@ def rounds_outcome(solver, inst):
     """``solver(inst)``'s optimum by ``float.hex`` and its selection, or its
     error, and the largest :func:`table_estimate` of the tables it made."""
     estimates = [0]
-    table = oracle._table
-
-    def recording(view, cost, rows, budget):
-        estimates.append(table_estimate(view, cost, rows, budget))
-        return table(view, cost, rows, budget)
-
-    with mock.patch.object(oracle, "_table", recording):
+    record = recording_tables(lambda *args: estimates.append(table_estimate(*args)))
+    with mock.patch.multiple(oracle, **record):
         try:
             result = solver(inst)
         except MCKPError as err:
@@ -722,14 +741,10 @@ class TestSplitRounds:
         inst = generate(GenSpec(m=40, n=200, correlation=Correlation.WEAK, seed=1))
         reduced, _, _, _ = lp_relaxation(inst)
         calls = []
-        table = oracle._table
-
-        def recording(view, cost, rows, budget):
-            calls.append(rows)
-            return table(view, cost, rows, budget)
-
         want = dp_solve_two_rounds(inst)
-        monkeypatch.setattr(oracle, "_table", recording)
+        recording = recording_tables(lambda view, cost, rows, budget: calls.append(rows))
+        for name, wrapper in recording.items():
+            monkeypatch.setattr(oracle, name, wrapper)
         assert dp_solve(inst) == want
         [rows] = calls
         assert len(np.unique(inst.frontier_view.category[rows])) == 14
@@ -919,6 +934,123 @@ class TestGuardBoundary:
         with pytest.raises(OracleGuardError, match=f"estimate {estimate} bytes"):
             dp_solve(inst)
         assert tables == [3, 3]
+
+    def test_bitset_fits_where_the_float_table_is_refused(self, monkeypatch):
+        # Profit = cost: every reduced cost is 0, so the one round is the
+        # tangent face over every row, in reachable-cost bits. At the bits'
+        # estimate, the float table over the same rows is refused.
+        rng = random.Random(211)
+        cats = [[(c, c) for c in rng.sample(range(1, 1000), 10)] for _ in range(30)]
+        inst = Instance(cats, sum(max(c for _, c in cat) for cat in cats) // 2)
+        reduced, _, _, _ = lp_relaxation(inst)
+        assert not reduced.any()
+        view = inst.frontier_view
+        cost, rows, budget = view.cost.astype(np.int64), np.arange(len(view.cost)), int(inst.budget)
+        estimate = reach_estimate(view, cost, rows, budget)
+        assert table_estimate(view, cost, rows, budget) > estimate
+        want = dp_solve(inst)
+        monkeypatch.setattr(oracle, "MEMORY_LIMIT_BYTES", estimate)
+        with pytest.raises(OracleGuardError):
+            oracle._table(view, cost, rows, budget)
+        assert dp_solve(inst) == want
+        monkeypatch.setattr(oracle, "MEMORY_LIMIT_BYTES", estimate - 1)
+        with pytest.raises(OracleGuardError, match=f"bitset estimate {estimate} bytes"):
+            dp_solve(inst)
+
+
+def reach_estimate(view, cost, rows, budget):
+    """The bytes that ``oracle._reach_table`` estimates for its bits over
+    the view positions ``rows`` under ``budget``: 4 bytes per 30 bits,
+    under ``width // 7 + 1`` bytes an int, for the incoming bits of every
+    category and five more ints."""
+    first, width = table_width(view, cost, rows, budget)
+    return (int(first.sum()) + 5) * (width // 7 + 1)
+
+
+@st.composite
+def face_cases(draw):
+    """``(inst, rows, cost, budget)`` on a tangent face: up to six
+    categories of 1 to 6 items whose profits are ``K_j + lam * cost``, one
+    slope ``lam > 0`` for all, integer costs up to 3 or 12 (equal ones
+    within a category make one Pareto row, and equal ones across
+    categories equal shifted costs), every view row or a drawn subset, a budget from 0 to 3
+    past the costliest selection's cost (the instance's at least 1), and
+    the view's costs as int64 or as Python integers."""
+    lam = draw(st.sampled_from([0.5, 1, 2, 3]))
+    top = draw(st.sampled_from([3, 12]))
+    cats = []
+    for _ in range(draw(st.integers(1, 6))):
+        base = draw(st.integers(0, 5))
+        costs = draw(st.lists(st.integers(0, top), min_size=1, max_size=6))
+        cats.append([(base + lam * c, c) for c in costs])
+    budget = draw(st.integers(0, sum(max(c for _, c in cat) for cat in cats) + 3))
+    inst = Instance(cats, float(max(1, budget)))
+    view = inst.frontier_view
+    rows = np.arange(len(view.cost))
+    if draw(st.booleans()):
+        rows = rows[draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))]
+    return inst, rows, oracle._exact_integers(view.cost, draw(st.booleans())), budget
+
+
+class TestReachTableMatchesTable:
+    """``_reach_table`` gives ``_table``'s result on rows of the LP's
+    tangent face: the optimum to the bit and the chosen view positions,
+    ties included, or None for both."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(face_cases())
+    def test_drawn_faces(self, case):
+        inst, rows, cost, budget = case
+        view = inst.frontier_view
+        want = table_outcome(oracle._table, view, cost, rows, budget)
+        assert table_outcome(oracle._reach_table, view, cost, rows, budget) == want
+        got = solve_outcome(inst)
+        with mock.patch.object(oracle, "_reach_table", oracle._table):
+            assert got == solve_outcome(inst)
+
+    def test_edge_cases_are_drawn(self):
+        seen = {"None": 0, "single row": 0, "lift past width": 0, "tie": 0}
+
+        @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+        @given(face_cases())
+        def count(case):
+            inst, rows, cost, budget = case
+            first, width = table_width(inst.frontier_view, cost, rows, budget)
+            seen["None"] += not width
+            if not width or not len(rows):
+                return
+            heads = np.flatnonzero(first)
+            sizes = np.diff(heads, append=len(rows))
+            shifted = (cost[rows] - np.repeat(cost[rows][heads], sizes)).astype(np.int64)
+            seen["single row"] += bool(np.any(sizes == 1))
+            seen["lift past width"] += bool(np.any(shifted >= width))
+            # ways[x]: the selections of shifted cost x. The optimum is the
+            # largest x below the width, and a tie is two selections there.
+            ways = np.ones(1, np.int64)
+            for part in np.split(shifted, heads[1:]):
+                top = int(part.max())
+                ways = sum(np.pad(ways, (s, top - s)) for s in part.tolist())
+            ways = ways[:width]
+            seen["tie"] += bool(ways[np.flatnonzero(ways)[-1]] > 1)
+
+        count()
+        assert min(seen.values()) > 10, seen
+
+    def test_lam_zero_folds_every_category(self, monkeypatch):
+        # Every hull edge fits, so lam = 0 and each category's tangent face
+        # is its top row alone: every category is folded out, and the bits
+        # run over no row, one cell wide.
+        base = generate(GenSpec(m=30, n=30, correlation=Correlation.WEAK, seed=1))
+        inst = Instance(base.categories, sum(max(c for _, c in cat) for cat in base.categories))
+        reduced, _, _, unit = lp_relaxation(inst)
+        assert unit == 1 and np.count_nonzero(reduced == 0) == inst.m
+        calls = []
+        recording = recording_tables(lambda *args: calls.append(args))
+        for name, wrapper in recording.items():
+            monkeypatch.setattr(oracle, name, wrapper)
+        assert matches_full_width(inst)
+        [(view, cost, rows, budget)] = calls
+        assert len(rows) == 0 and oracle._layout(view, cost, rows, budget)[-1] == 1
 
 
 # profit and cost scales: the first two keep int64 for the relaxation,
